@@ -480,14 +480,12 @@ def main(argv=None) -> int:
     log: list[str] = [f"markovseq {args.command}"]
     try:
         code = _HANDLERS[args.command](args, out, log)
-    except MarkovSeqError as err:
+    except (MarkovSeqError, OSError, ValueError, KeyError) as err:
+        # OSError/ValueError/KeyError: unreadable files, malformed JSON, or
+        # missing document fields
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         log.append(f"error: {type(err).__name__}: {err}")
         _write_log(out, log)
-        return 1
-    except (OSError, ValueError, KeyError) as err:
-        # unreadable files, malformed JSON, or missing document fields
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1
     _write_log(out, log)
     return code

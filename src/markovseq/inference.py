@@ -24,6 +24,7 @@ from .errors import (
     AlphabetMismatch,
     DegenerateData,
     ImpossibleData,
+    NonInvertibleHessian,
     NumericalUnderflow,
 )
 from .model import (
@@ -538,7 +539,7 @@ def mixture_summary(
             table[k] = post[members].mean(axis=0)
     try:
         se = covariate_standard_errors(mix, data, design)
-    except Exception:
+    except NonInvertibleHessian:
         se = np.full_like(mix.gamma, np.nan)
         se[:, 0] = 0.0
     return MixtureSummary(

@@ -183,7 +183,8 @@ def _clean_row(vec, where: str, row_idx: int) -> np.ndarray:
     if np.any(v < 0):
         raise NegativeProbability(f"{where} row {row_idx} has a negative entry")
     total = float(v.sum())
-    if abs(total - 1.0) > ROW_TOL:
+    # written so that a NaN or infinite total fails too
+    if not abs(total - 1.0) <= ROW_TOL:
         raise RowSumError(where, row_idx, total)
     # sums already within float roundoff of 1 stay untouched, so revalidating
     # a built model reproduces it bit for bit
@@ -622,6 +623,16 @@ def _parse_array(rows) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def _parse_rows(rows, where: str) -> np.ndarray:
+    """Parse a probability vector or matrix and check each row like ``build_hmm``."""
+    a = _parse_array(rows)
+    if a.ndim < 2:
+        return _clean_row(a, where, 0)
+    for s in range(a.shape[0]):
+        a[s] = _clean_row(a[s], where, s)
+    return a
+
+
 def _mask_array(a: np.ndarray):
     return np.asarray(a, dtype=int).tolist()
 
@@ -656,9 +667,11 @@ def _hmm_from_json(doc: dict) -> HmmModel:
         state_names=tuple(doc["state_names"]),
         channel_names=tuple(doc["channel_names"]),
         alphabets=alphabets,
-        initial=_parse_array(doc["initial"]),
-        transition=_parse_array(doc["transition"]),
-        emissions=tuple(_parse_array(b) for b in doc["emissions"]),
+        initial=_parse_rows(doc["initial"], "initial"),
+        transition=_parse_rows(doc["transition"], "transition"),
+        emissions=tuple(
+            _parse_rows(b, f"emission[{c}]") for c, b in enumerate(doc["emissions"])
+        ),
         initial_mask=np.asarray(masks["initial"], dtype=bool),
         transition_mask=np.asarray(masks["transition"], dtype=bool),
         emission_masks=tuple(np.asarray(mk, dtype=bool) for mk in masks["emissions"]),

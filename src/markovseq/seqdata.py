@@ -128,6 +128,8 @@ class SequenceDataset:
             raise ShapeMismatch(
                 f"{len(ids)} subject ids for {shape[0]} rows of observations"
             )
+        if shape[1] == 0:
+            raise ShapeMismatch("dataset needs at least one time point")
 
     @property
     def n_subjects(self) -> int:

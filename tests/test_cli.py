@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import markovseq
 from markovseq import build_hmm, build_mhmm, model_to_json
 from markovseq.cli import main
 
@@ -34,6 +39,15 @@ def _coin_model(labels=("a", "b")):
         emissions=[[0.5, 0.5]],
         channel_names=("work",),
     )
+
+
+def test_cli_import_leaves_optimizer_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(markovseq.__file__).parents[1]))
+    probe = "import sys, markovseq.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestValidate:
@@ -96,6 +110,42 @@ class TestLoglik:
         )
         assert code == 1
         assert "JSONDecodeError" in capsys.readouterr().err
+
+    def test_missing_manifest_logs_error(self, tmp_path, capsys):
+        mpath = _model_file(tmp_path, _coin_model())
+        out = tmp_path / "out"
+        code = main(
+            ["loglik", "--manifest", str(tmp_path / "nope.json"), "--model", str(mpath),
+             "--out", str(out)]
+        )
+        assert code == 1
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.startswith("error: FileNotFoundError")
+
+    def test_model_row_not_summing_to_one_exits_one(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, [("work", ["a", "b"], [["a", "b"]])])
+        doc = model_to_json(_coin_model())
+        doc["emissions"][0][0] = ["0.5", "0.8"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(
+            ["loglik", "--manifest", str(manifest), "--model", str(bad), "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("RowSumError")
+
+    def test_dataset_without_time_points_exits_one(self, tmp_path, capsys):
+        (tmp_path / "work.csv").write_text("id\ns1\ns2\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"channels": [{"name": "work", "csv": "work.csv", "alphabet": ["a", "b"]}]}
+        ))
+        mpath = _model_file(tmp_path, _coin_model())
+        code = main(
+            ["loglik", "--manifest", str(manifest), "--model", str(mpath), "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ShapeMismatch")
 
 
 class TestFit:

@@ -169,6 +169,9 @@ class TestFitLocal:
             em = fit_em(random_hmm(rng, 2, [3]), data, control=FitControl(em_max_iter=15))
             loc = fit_local(em.model, data, control=FitControl(local_max_iter=50))
             assert loc.loglik >= em.loglik - 1e-12
+            assert (np.diff(loc.loglik_trace) >= 0).all()
+            assert loc.loglik_trace[-1] == loc.loglik
+            assert abs(loc.loglik - log_likelihood(loc.model, data)) < 1e-9
 
     def test_mixture_local_step_improves(self):
         rng = np.random.default_rng(211)

@@ -18,7 +18,12 @@ from markovseq import (
     posterior_state_probs,
     viterbi_paths,
 )
-from markovseq.errors import DegenerateData, ImpossibleData, NumericalUnderflow
+from markovseq.errors import (
+    DegenerateData,
+    ImpossibleData,
+    NonInvertibleHessian,
+    NumericalUnderflow,
+)
 from markovseq.seqdata import MISSING
 
 from helpers import make_alphabets, random_dataset, random_hmm, random_mixture
@@ -356,3 +361,22 @@ class TestMixtureSummary:
         text = report.to_text()
         assert "Log-likelihood" in text and "BIC" in text
         assert np.asarray(d["gamma_se"]).shape == (2, 2)
+
+    def _raise_from_standard_errors(self, monkeypatch, err):
+        def fail(*args, **kwargs):
+            raise err
+
+        monkeypatch.setattr("markovseq.estimation.covariate_standard_errors", fail)
+        rng = np.random.default_rng(152)
+        mix, design = random_mixture(rng, 2, 2, [2], n_subjects=8, n_covariates=2)
+        data = random_dataset(rng, mix.clusters[0], 8, 5)
+        return mixture_summary(mix, data, design)
+
+    def test_non_invertible_hessian_gives_nan_errors(self, monkeypatch):
+        report = self._raise_from_standard_errors(monkeypatch, NonInvertibleHessian("singular"))
+        assert (report.gamma_se[:, 0] == 0.0).all()
+        assert np.isnan(report.gamma_se[:, 1:]).all()
+
+    def test_other_standard_error_failures_propagate(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="boom"):
+            self._raise_from_standard_errors(monkeypatch, RuntimeError("boom"))

@@ -86,6 +86,16 @@ class TestBuildHmm:
         assert err.value.row == 0
         assert abs(err.value.total - 0.9) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        with pytest.raises(RowSumError):
+            build_hmm(
+                make_alphabets([2]),
+                initial=[1.0],
+                transition=[[1.0]],
+                emissions=[[bad, 0.3]],
+            )
+
     def test_row_inside_tolerance_renormalized(self):
         m = build_hmm(
             make_alphabets([2]),
@@ -444,6 +454,21 @@ class TestSerialization:
         np.testing.assert_array_equal(m.transition_mask, back.transition_mask)
         assert m.state_names == back.state_names
         assert m.alphabets == back.alphabets
+
+    def test_transition_row_off_sum_rejected_on_load(self):
+        doc = model_to_json(random_hmm(np.random.default_rng(22), 2, [2]))
+        doc["transition"][1] = ["0.9", "0.9"]
+        with pytest.raises(RowSumError) as err:
+            model_from_json(json.loads(json.dumps(doc)))
+        assert err.value.where == "transition"
+        assert err.value.row == 1
+
+    def test_nan_emission_rejected_on_load(self):
+        doc = model_to_json(random_hmm(np.random.default_rng(23), 2, [3]))
+        doc["emissions"][0][0][1] = "nan"
+        with pytest.raises(RowSumError) as err:
+            model_from_json(json.loads(json.dumps(doc)))
+        assert err.value.where == "emission[0]"
 
     def test_probabilities_serialized_as_text(self):
         rng = np.random.default_rng(20)
