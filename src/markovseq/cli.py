@@ -327,23 +327,38 @@ def _cmd_viterbi(args, out: Path, log) -> int:
     return 0
 
 
+def _posterior_csv(subject_ids, state_names, post) -> str:
+    """Posterior table text for an (N, T, S) array of state probabilities.
+
+    One ``subject_id,t,p_1,...,p_S`` row per cell.  Each subject's T rows
+    come from one %-format call; ``'%.17g' % v`` renders v exactly as
+    ``format(v, '.17g')`` does.
+    """
+    _, T, S = post.shape
+    block = ("%s" + ",".join(["%.17g"] * S) + "\n") * T
+    width = S + 1
+    times = [f",{t}," for t in range(1, T + 1)]
+    parts = ["subject_id,t," + ",".join(state_names) + "\n"]
+    for sid, probs in zip(subject_ids, post):
+        cells = [None] * (T * width)
+        cells[0::width] = [sid + t for t in times]
+        for s, column in enumerate(probs.T.tolist()):
+            cells[s + 1 :: width] = column
+        parts.append(block % tuple(cells))
+    return "".join(parts)
+
+
 def _cmd_posterior(args, out: Path, log) -> int:
     data, cov = ingest_dataset(args.manifest)
     model = _load_model(args.model)
     design = _resolve_design(model, cov, data.n_subjects)
     post = posterior_state_probs(model, data, design, _inference_mode(args), args.threads)
-    names = _state_names_for(model, design)
-    lines = ["subject_id,t," + ",".join(names)]
-    for i, sid in enumerate(data.subject_ids):
-        for t in range(data.n_time):
-            vals = ",".join(format(v, ".17g") for v in post[i, t])
-            lines.append(f"{sid},{t + 1},{vals}")
-    (out / "posterior.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = _posterior_csv(data.subject_ids, _state_names_for(model, design), post)
+    (out / "posterior.csv").write_text(text, encoding="utf-8")
     _write_json(out / "posterior_result.json", {"posterior_csv": "posterior.csv"})
     log.append(f"posterior: wrote {data.n_subjects * data.n_time} rows")
     if args.format == "csv":
-        for line in lines:
-            print(line)
+        print(text, end="")
     else:
         _emit(args, [log[-1]], {"posterior_csv": "posterior.csv"})
     return 0

@@ -70,7 +70,8 @@ class RowAnnihilated(MarkovSeqError):
 
 
 class NumericalUnderflow(MarkovSeqError):
-    """Scaled forward pass hit a zero normalizer (or log-space produced NaN).
+    """Scaled forward pass hit a zero or non-finite normalizer (or log-space
+    produced NaN).
 
     Log-space mode is more robust; retry with mode="log".
     """

@@ -32,12 +32,15 @@ from .errors import (
     RankDeficientDesign,
 )
 from .inference import (
-    _fb_scaled,
+    _check_compatible,
     _mixture_design,
     _resolve_initials,
-    emission_probs,
+    _scaled_pass,
     log_likelihood,
 )
+
+# kept importable here: perfbench/tracing.py wraps these names in this module
+from .inference import _fb_scaled, emission_probs  # noqa: F401
 from .model import (
     HmmModel,
     MixtureModel,
@@ -121,18 +124,19 @@ class FitResult:
 
 @dataclass
 class EStats:
-    """Per-subject forward-backward expectations (scaled mode).
+    """Forward-backward expectations (scaled mode) for one E-step.
 
-    Kept per subject so that reductions sum in subject order and results
-    do not depend on the thread count.  Emission updates normalize by the
-    numerator row sums (the expected occupancy over observed cells).
+    ``xi`` and ``emis_num`` are summed over subjects: each 512-subject chunk
+    reduces its own share and the chunk sums are added in chunk order, so
+    results do not depend on the thread count.  Emission updates normalize
+    by the numerator row sums (the expected occupancy over observed cells).
     """
 
     loglik: float
     loglik_per_subject: np.ndarray
     gamma1: np.ndarray  # (N, S) state posterior at t=0
-    xi: np.ndarray  # (N, S, S) expected transition counts
-    emis_num: list[np.ndarray]  # per channel (N, S, M_c)
+    xi: np.ndarray  # (S, S) expected transition counts
+    emis_num: list[np.ndarray]  # per channel (S, M_c) expected symbol counts
 
 
 def expected_stats(
@@ -141,27 +145,21 @@ def expected_stats(
     subject_initials=None,
     threads: int = 1,
 ) -> EStats:
-    E = emission_probs(model, data)
+    """E-step statistics from one pass of the chunked scaled kernel.
+
+    A forward normalizer that is zero, negative or not finite raises
+    NonFiniteLikelihood.
+    """
+    _check_compatible(model, data)
     init = _resolve_initials(model, data, subject_initials)
     try:
-        alpha, beta, scaling, ll = _fb_scaled(model, data, init, E, threads)
+        ll, gamma1, xi, emis_num = _scaled_pass(model, data, init, threads, "stats")
     except NumericalUnderflow as err:
         raise NonFiniteLikelihood(str(err)) from err
-    gamma = alpha * beta
-    W = E[:, 1:, :] * beta[:, 1:, :] / scaling[:, 1:, None]
-    xi = np.einsum("nts,ntr->nsr", alpha[:, :-1, :], W) * model.transition[None, :, :]
-    emis_num = []
-    for b, ch in zip(model.emissions, data.channels):
-        codes = ch.codes
-        num = np.zeros((data.n_subjects, model.n_states, b.shape[1]))
-        for m in range(b.shape[1]):
-            hit = (codes == m)[:, :, None]
-            num[:, :, m] = (gamma * hit).sum(axis=1)
-        emis_num.append(num)
     return EStats(
         loglik=float(ll.sum()),
         loglik_per_subject=ll,
-        gamma1=gamma[:, 0, :],
+        gamma1=gamma1,
         xi=xi,
         emis_num=emis_num,
     )
@@ -182,15 +180,13 @@ def _updated_rows(current, counts, flagged, what):
 def _m_step_hmm(model: HmmModel, stats: EStats, flagged: set) -> HmmModel:
     pi_counts = stats.gamma1.sum(axis=0)
     initial = pi_counts / pi_counts.sum()
-    transition = _updated_rows(
-        model.transition, stats.xi.sum(axis=0), flagged, "transition"
-    )
+    transition = _updated_rows(model.transition, stats.xi, flagged, "transition")
     emissions = []
     for c in range(model.n_channels):
         emissions.append(
             _updated_rows(
                 model.emissions[c],
-                stats.emis_num[c].sum(axis=0),
+                stats.emis_num[c],
                 flagged,
                 f"emission[{c}]",
             )
@@ -208,7 +204,6 @@ def _m_step_mixture(
     offsets = mix.state_offsets
     new_clusters = []
     gamma1_tot = stats.gamma1.sum(axis=0)
-    xi_tot = stats.xi.sum(axis=0)
     for k, sub in enumerate(mix.clusters):
         o, S_k = offsets[k], sub.n_states
         block = slice(o, o + S_k)
@@ -219,14 +214,14 @@ def _m_step_mixture(
             initial = sub.initial
             flagged.add(f"cluster {k} initial")
         transition = _updated_rows(
-            sub.transition, xi_tot[block, block], flagged, f"cluster {k} transition"
+            sub.transition, stats.xi[block, block], flagged, f"cluster {k} transition"
         )
         emissions = []
         for c in range(sub.n_channels):
             emissions.append(
                 _updated_rows(
                     sub.emissions[c],
-                    stats.emis_num[c].sum(axis=0)[block],
+                    stats.emis_num[c][block],
                     flagged,
                     f"cluster {k} emission[{c}]",
                 )
@@ -497,8 +492,6 @@ def _gradient_at(model: Model, data, design, pmap: ParameterMap, threads=1):
         stats = expected_stats(model, data, threads=threads)
         offsets = (0,)
     gamma1_tot = stats.gamma1.sum(axis=0)
-    xi_tot = stats.xi.sum(axis=0)
-    num_tot = [n.sum(axis=0) for n in stats.emis_num]
 
     grad = np.empty(pmap.n_params)
     for spec in pmap.rows:
@@ -511,10 +504,10 @@ def _gradient_at(model: Model, data, design, pmap: ParameterMap, threads=1):
             counts = gamma1_tot[o : o + S_k]
             probs = hmm.initial
         elif spec.kind == "trans":
-            counts = xi_tot[o + spec.row, o : o + S_k]
+            counts = stats.xi[o + spec.row, o : o + S_k]
             probs = hmm.transition[spec.row]
         else:
-            counts = num_tot[spec.channel][o + spec.row]
+            counts = stats.emis_num[spec.channel][o + spec.row]
             probs = hmm.emissions[spec.channel][spec.row]
         total = counts[spec.free].sum()
         grad[spec.sl] = counts[spec.free][1:] - probs[spec.free][1:] * total

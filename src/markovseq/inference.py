@@ -5,10 +5,12 @@ variables at every time point (the default, fastest), "log" keeps all
 quantities on the log scale (slower, robust to zero probabilities).  Both
 modes agree on per-subject log-likelihoods to well below 1e-9.
 
-The per-subject recursions run over fixed-size subject chunks; worker
-threads only pick up whole chunks and all reductions read per-subject
-arrays in subject order, so results are bit-identical for any thread
-count.
+Scaled mode runs one kernel, ``_scaled_pass``, over fixed 512-subject
+chunks in time-major (T, n, S) layout; it serves log-likelihoods, full
+forward-backward results and the E-step statistics.  Worker threads only
+pick up whole chunks, each chunk writes its own subjects' rows or its own
+partial sums, and the partial sums are added in chunk order, so results
+are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -74,14 +76,33 @@ def _chunk_spans(n: int) -> list[tuple[int, int]]:
 
 
 def _run_chunked(fn, n_subjects: int, threads: int) -> None:
+    """Call ``fn(k, (a, b))`` for every chunk k, which covers subjects a..b-1."""
     spans = _chunk_spans(n_subjects)
     if threads <= 1 or len(spans) == 1:
-        for span in spans:
-            fn(span)
+        for k, span in enumerate(spans):
+            fn(k, span)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # list() propagates the first worker exception to the caller
-            list(pool.map(fn, spans))
+            list(pool.map(fn, range(len(spans)), spans))
+
+
+def _emission_tables(model: HmmModel) -> list[np.ndarray]:
+    """Per channel an (M_c + 1, S) table indexed by code.
+
+    Row m holds b_s(m) for every state s; the last row, which code MISSING
+    (-1) selects, is all ones: an unobserved cell carries no state
+    information.
+    """
+    return [np.vstack([b.T, np.ones(model.n_states)]) for b in model.emissions]
+
+
+def _lookup_emissions(tables, codes) -> np.ndarray:
+    """Product over channels of the table rows the codes select."""
+    out = np.take(tables[0], codes[0], axis=0)
+    for table, c in zip(tables[1:], codes[1:]):
+        out *= np.take(table, c, axis=0)
+    return out
 
 
 def emission_probs(model: HmmModel, data: SequenceDataset) -> np.ndarray:
@@ -90,15 +111,7 @@ def emission_probs(model: HmmModel, data: SequenceDataset) -> np.ndarray:
     Product over channels of b_s(y_itc); a missing channel contributes a
     factor of 1 (an unobserved cell carries no state information).
     """
-    N, T, S = data.n_subjects, data.n_time, model.n_states
-    out = np.ones((N, T, S))
-    for b, ch in zip(model.emissions, data.channels):
-        codes = ch.codes
-        observed = codes != MISSING
-        vals = b[:, np.where(observed, codes, 0)]  # (S, N, T)
-        vals = np.where(observed[None, :, :], vals, 1.0)
-        out *= vals.transpose(1, 2, 0)
-    return out
+    return _lookup_emissions(_emission_tables(model), [ch.codes for ch in data.channels])
 
 
 def _log_emission_probs(model: HmmModel, data: SequenceDataset) -> np.ndarray:
@@ -144,47 +157,111 @@ def _resolve_initials(model, data, subject_initials):
     return subject_initials
 
 
-def _fb_scaled(model, data, init, E, threads, want_beta=True):
-    N, T, S = E.shape
-    A = model.transition
-    alpha = np.empty((N, T, S))
-    beta = np.empty((N, T, S)) if want_beta else None
-    scaling = np.empty((N, T))
+def _check_normalizers(c: np.ndarray, data: SequenceDataset, a: int) -> None:
+    """Raise for the first (t, subject) of a chunk whose forward normalizer is
+    zero, negative or not finite; ``c`` is (T, n) for subjects a, a+1, ..."""
+    bad = ~((c > 0) & (c < np.inf))
+    if np.any(bad):
+        t, j = np.argwhere(bad)[0]
+        what = "zero" if c[t, j] == 0 else f"invalid ({c[t, j]!r})"
+        raise NumericalUnderflow(
+            f"{what} forward normalizer for subject {data.subject_ids[a + j]!r} "
+            f"at t={t}; consider mode='log'"
+        )
 
-    def work(span):
+
+def _scaled_pass(model, data, init, threads=1, want="loglik"):
+    """The scaled forward-backward kernel.
+
+    Each fixed chunk of subjects is processed in time-major (T, n, S)
+    layout: its emission table is looked up from ``_emission_tables``, the
+    forward pass renormalizes alpha at every t, and the backward pass
+    scales beta by the same constants.  ``want`` selects what comes back:
+
+    * ``"loglik"``: per-subject log-likelihoods (N,); forward pass only.
+    * ``"full"``: ``(alpha, beta, scaling, loglik)`` in the public
+      (N, T, S) / (N, T) layout of ``FBResult``.
+    * ``"stats"``: ``(loglik, gamma1, xi, emis_num)``: the t=0 posterior
+      (N, S), expected transition counts (S, S) and per channel emission
+      numerators (S, M_c), both summed over subjects.  Each chunk reduces
+      its own statistics; the partial sums are added in chunk order.
+
+    Raises NumericalUnderflow naming the subject and t of the first
+    normalizer that is zero, negative or not finite.
+    """
+    N, T, S = data.n_subjects, data.n_time, model.n_states
+    A = model.transition
+    tables = _emission_tables(model)
+    codes = [ch.codes for ch in data.channels]
+    loglik = np.empty(N)
+    if want == "full":
+        alpha_out, beta_out = np.empty((N, T, S)), np.empty((N, T, S))
+        scaling_out = np.empty((N, T))
+    elif want == "stats":
+        gamma1 = np.empty((N, S))
+        parts: list = [None] * len(_chunk_spans(N))
+
+    def work(k, span):
         a, b = span
-        e = E[a:b]
-        x = init[a:b] * e[:, 0]
-        c = x.sum(axis=1)
-        if np.any(c == 0):
-            i = a + int(np.argmax(c == 0))
-            raise NumericalUnderflow(
-                f"zero forward normalizer for subject {data.subject_ids[i]!r} at t=0; "
-                f"consider mode='log'"
+        chunk_codes = [c[a:b].T for c in codes]  # (T, n)
+        e = _lookup_emissions(tables, chunk_codes)
+        alpha = np.empty_like(e)
+        scaling = np.empty(e.shape[:2])
+        ones = np.ones(S)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = init[a:b] * e[0]
+            for t in range(T):
+                if t:
+                    np.matmul(alpha[t - 1], A, out=x)
+                    x *= e[t]
+                np.matmul(x, ones, out=scaling[t])
+                np.divide(x, scaling[t, :, None], out=alpha[t])
+        _check_normalizers(scaling, data, a)
+        loglik[a:b] = np.log(scaling).sum(axis=0)
+        if want == "loglik":
+            return
+        # W[t] = e[t+1] * beta[t+1] / scaling[t+1], so beta[t] = W[t] @ A.T
+        beta = np.empty_like(e)
+        beta[T - 1] = 1.0
+        W = np.empty_like(e[1:])
+        for t in range(T - 2, -1, -1):
+            np.multiply(e[t + 1], beta[t + 1], out=W[t])
+            W[t] /= scaling[t + 1, :, None]
+            np.matmul(W[t], A.T, out=beta[t])
+        if want == "full":
+            alpha_out[a:b] = alpha.transpose(1, 0, 2)
+            beta_out[a:b] = beta.transpose(1, 0, 2)
+            scaling_out[a:b] = scaling.T
+            return
+        gamma = alpha * beta
+        gamma1[a:b] = gamma[0]
+        xi = (alpha[:-1].reshape(-1, S).T @ W.reshape(-1, S)) * A
+        g = gamma.reshape(-1, S)
+        nums = []
+        for table, c in zip(tables, chunk_codes):
+            M = table.shape[0] - 1
+            idx = np.where(c == MISSING, M, c).ravel()
+            nums.append(
+                np.stack([np.bincount(idx, g[:, s], M + 1)[:M] for s in range(S)])
             )
-        scaling[a:b, 0] = c
-        alpha[a:b, 0] = x / c[:, None]
-        for t in range(1, T):
-            x = (alpha[a:b, t - 1] @ A) * e[:, t]
-            c = x.sum(axis=1)
-            if np.any(c == 0):
-                i = a + int(np.argmax(c == 0))
-                raise NumericalUnderflow(
-                    f"zero forward normalizer for subject {data.subject_ids[i]!r} "
-                    f"at t={t}; consider mode='log'"
-                )
-            scaling[a:b, t] = c
-            alpha[a:b, t] = x / c[:, None]
-        if want_beta:
-            beta[a:b, T - 1] = 1.0
-            for t in range(T - 2, -1, -1):
-                beta[a:b, t] = ((e[:, t + 1] * beta[a:b, t + 1]) @ A.T) / scaling[
-                    a:b, t + 1, None
-                ]
+        parts[k] = (xi, nums)
 
     _run_chunked(work, N, threads)
-    loglik = np.log(scaling).sum(axis=1)
-    return alpha, beta, scaling, loglik
+    if want == "loglik":
+        return loglik
+    if want == "full":
+        return alpha_out, beta_out, scaling_out, loglik
+    xi, nums = parts[0][0].copy(), [n.copy() for n in parts[0][1]]
+    for part_xi, part_nums in parts[1:]:
+        xi += part_xi
+        for n, p in zip(nums, part_nums):
+            n += p
+    return loglik, gamma1, xi, nums
+
+
+# The kernel's former name; perfbench/tracing.py looks it up when it installs
+# its counters.
+_fb_scaled = _scaled_pass
 
 
 def _fb_log(model, data, init, logE, threads, want_beta=True):
@@ -196,7 +273,7 @@ def _fb_log(model, data, init, logE, threads, want_beta=True):
     lb = np.empty((N, T, S)) if want_beta else None
     loglik = np.empty(N)
 
-    def work(span):
+    def work(k, span):
         a, b = span
         e = logE[a:b]
         la[a:b, 0] = log_init[a:b] + e[:, 0]
@@ -240,9 +317,7 @@ def forward_backward(
     _check_compatible(model, data)
     init = _resolve_initials(model, data, subject_initials)
     if mode == "scaled":
-        E = emission_probs(model, data)
-        alpha, beta, scaling, loglik = _fb_scaled(model, data, init, E, threads)
-        return FBResult("scaled", alpha, beta, scaling, loglik)
+        return FBResult("scaled", *_scaled_pass(model, data, init, threads, "full"))
     logE = _log_emission_probs(model, data)
     la, lb, loglik = _fb_log(model, data, init, logE, threads)
     return FBResult("log", la, lb, None, loglik)
@@ -254,8 +329,7 @@ def _loglik_subjects(model, data, subject_initials, mode, threads) -> np.ndarray
     _check_compatible(model, data)
     init = _resolve_initials(model, data, subject_initials)
     if mode == "scaled":
-        E = emission_probs(model, data)
-        return _fb_scaled(model, data, init, E, threads, want_beta=False)[3]
+        return _scaled_pass(model, data, init, threads)
     logE = _log_emission_probs(model, data)
     return _fb_log(model, data, init, logE, threads, want_beta=False)[2]
 

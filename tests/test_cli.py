@@ -9,7 +9,7 @@ import pytest
 
 import markovseq
 from markovseq import build_hmm, build_mhmm, model_to_json
-from markovseq.cli import main
+from markovseq.cli import _posterior_csv, main
 
 from helpers import random_hmm, write_manifest
 
@@ -263,6 +263,20 @@ class TestPosterior:
             vals = [float(x) for x in line.split(",")[2:]]
             assert abs(sum(vals) - 1.0) < 1e-10
 
+
+    def test_csv_bytes_match_per_value_formatting(self):
+        rng = np.random.default_rng(9)
+        post = rng.dirichlet(np.ones(3), size=(4, 5))
+        post[0, 0] = [0.0, 1.0, 1e-300]
+        post[2, 3] = [1.0 / 3.0, 5e-324, 2.0 / 3.0]
+        ids, names = ("a", "b%s", "c,d", "10"), ("s1", "s2", "s3")
+        lines = ["subject_id,t," + ",".join(names)]
+        for i, sid in enumerate(ids):
+            for t in range(post.shape[1]):
+                vals = ",".join(format(v, ".17g") for v in post[i, t])
+                lines.append(f"{sid},{t + 1},{vals}")
+        want = "\n".join(lines) + "\n"
+        assert _posterior_csv(ids, names, post).encode() == want.encode()
 
 class TestSummaryAndSimulate:
     def test_summary_requires_mixture(self, workspace, capsys):

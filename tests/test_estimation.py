@@ -19,8 +19,9 @@ from markovseq import (
     log_likelihood,
     loglik_gradient,
 )
-from markovseq.estimation import FitControl, _gamma_hessian
+from markovseq.estimation import FitControl, _gamma_hessian, expected_stats
 from markovseq.errors import RankDeficientDesign
+from markovseq.seqdata import MISSING
 
 from helpers import make_alphabets, random_dataset, random_hmm, random_mixture
 from oracles import central_difference_gradient, irls_multinomial
@@ -32,6 +33,66 @@ def _single_channel_data(rows, labels=("A", "B")):
     return SequenceDataset(
         (Channel("ch", a, codes),), tuple(f"s{i + 1}" for i in range(len(rows)))
     )
+
+
+def _multi_chunk_case():
+    """1100 subjects x 30 times, 10 % missing cells, trailing-missing padding."""
+    rng = np.random.default_rng(206)
+    model = random_hmm(rng, 3, [4, 3])
+    data = random_dataset(rng, model, 1100, 30, missing_rate=0.1)
+    lengths = rng.integers(15, 31, size=1100)
+    pad = np.arange(30)[None, :] >= lengths[:, None]
+    channels = tuple(
+        Channel(ch.name, ch.alphabet, np.where(pad, MISSING, ch.codes))
+        for ch in data.channels
+    )
+    return model, SequenceDataset(channels, data.subject_ids)
+
+
+def _reference_stats(model, data):
+    """Per-subject scaled forward-backward with einsum and symbol-loop
+    reductions, summed over subjects only at the end."""
+    N, T, S = data.n_subjects, data.n_time, model.n_states
+    A = model.transition
+    E = np.ones((N, T, S))
+    for b, ch in zip(model.emissions, data.channels):
+        observed = ch.codes != MISSING
+        vals = b[:, np.where(observed, ch.codes, 0)].transpose(1, 2, 0)
+        E *= np.where(observed[:, :, None], vals, 1.0)
+    alpha, beta, scaling = np.empty((N, T, S)), np.empty((N, T, S)), np.empty((N, T))
+    x = model.initial * E[:, 0]
+    for t in range(T):
+        if t:
+            x = (alpha[:, t - 1] @ A) * E[:, t]
+        scaling[:, t] = x.sum(axis=1)
+        alpha[:, t] = x / scaling[:, t, None]
+    beta[:, T - 1] = 1.0
+    for t in range(T - 2, -1, -1):
+        beta[:, t] = ((E[:, t + 1] * beta[:, t + 1]) @ A.T) / scaling[:, t + 1, None]
+    gamma = alpha * beta
+    W = E[:, 1:] * beta[:, 1:] / scaling[:, 1:, None]
+    xi = np.einsum("nts,ntr->nsr", alpha[:, :-1], W) * A[None]
+    emis_num = []
+    for b, ch in zip(model.emissions, data.channels):
+        num = np.zeros((N, S, b.shape[1]))
+        for m in range(b.shape[1]):
+            num[:, :, m] = (gamma * (ch.codes == m)[:, :, None]).sum(axis=1)
+        emis_num.append(num.sum(axis=0))
+    return np.log(scaling).sum(axis=1), gamma[:, 0], xi.sum(axis=0), emis_num
+
+
+class TestChunkedEStep:
+    def test_multi_chunk_stats_match_per_subject_reference(self):
+        model, data = _multi_chunk_case()
+        loglik, gamma1, xi, emis_num = _reference_stats(model, data)
+        for threads in (1, 3):
+            got = expected_stats(model, data, threads=threads)
+            np.testing.assert_allclose(got.loglik_per_subject, loglik, rtol=1e-12)
+            assert abs(got.loglik - loglik.sum()) <= 1e-12 * abs(loglik.sum())
+            np.testing.assert_allclose(got.gamma1, gamma1, rtol=1e-12)
+            np.testing.assert_allclose(got.xi, xi, rtol=1e-12)
+            for g, w in zip(got.emis_num, emis_num):
+                np.testing.assert_allclose(g, w, rtol=1e-12)
 
 
 class TestFitEm:
@@ -117,6 +178,17 @@ class TestFitEm:
         assert r1.loglik == r4.loglik
         np.testing.assert_array_equal(r1.model.transition, r4.model.transition)
         np.testing.assert_array_equal(r1.model.emissions[0], r4.model.emissions[0])
+
+    def test_threads_do_not_change_multi_chunk_fit(self):
+        # 1100 subjects: two full 512-subject chunks and a ragged third
+        model, data = _multi_chunk_case()
+        start = random_hmm(np.random.default_rng(207), 3, [4, 3])
+        r1 = fit_em(start, data, control=FitControl(em_max_iter=4, threads=1))
+        r2 = fit_em(start, data, control=FitControl(em_max_iter=4, threads=2))
+        assert r1.loglik == r2.loglik
+        np.testing.assert_array_equal(r1.model.transition, r2.model.transition)
+        for b1, b2 in zip(r1.model.emissions, r2.model.emissions):
+            np.testing.assert_array_equal(b1, b2)
 
     def test_unreachable_state_flagged_and_left_alone(self):
         # state 1 can never be entered: initial and incoming transitions are 0

@@ -112,6 +112,25 @@ class TestForwardBackward:
             log_likelihood(_deterministic_model(), data, mode="scaled")
         assert log_likelihood(_deterministic_model(), data, mode="log") == -np.inf
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_emission_raises_in_scaled_mode(self, bad):
+        from markovseq.errors import NonFiniteLikelihood
+        from markovseq.estimation import expected_stats
+
+        model = _deterministic_model()
+        # state 1 emits symbol 1 with a non-finite "probability"; subject s1
+        # enters state 1 at t=1 and shows symbol 1 there
+        model = model.with_params(emissions=[np.array([[1.0, 0.0], [0.0, bad]])])
+        data = _coin_data("011")
+        where = "subject 's1' at t=1"
+        with pytest.raises(NumericalUnderflow, match=where):
+            log_likelihood(model, data, mode="scaled")
+        with pytest.raises(NumericalUnderflow, match=where):
+            posterior_state_probs(model, data, mode="scaled")
+        with pytest.raises(NonFiniteLikelihood, match=where) as err:
+            expected_stats(model, data)
+        assert isinstance(err.value.__cause__, NumericalUnderflow)
+
     def test_threads_do_not_change_results(self):
         rng = np.random.default_rng(104)
         model = random_hmm(rng, 3, [3])
