@@ -175,8 +175,7 @@ def _write_dataset_files(data: SequenceDataset, out: Path, stem: str):
         fname = f"{stem}_{_safe_name(ch.name)}.csv"
         with open(out / fname, "w", encoding="utf-8") as fh:
             fh.write("id," + ",".join(f"t{t + 1}" for t in range(data.n_time)) + "\n")
-            for sid, row in zip(data.subject_ids, ch.codes):
-                toks = [ch.alphabet.token(int(c)) for c in row]
+            for sid, toks in zip(data.subject_ids, ch.alphabet.tokens(ch.codes).tolist()):
                 fh.write(sid + "," + ",".join(toks) + "\n")
         channel_entries.append(
             {

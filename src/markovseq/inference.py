@@ -11,6 +11,11 @@ forward-backward results and the E-step statistics.  Worker threads only
 pick up whole chunks, each chunk writes its own subjects' rows or its own
 partial sums, and the partial sums are added in chunk order, so results
 are bit-identical for any thread count.
+
+Log mode reduces with ``_logsumexp``, a numpy log-sum-exp that returns
+exactly what ``scipy.special.logsumexp`` does; importing this module
+therefore loads numpy only, and scipy is left to the local step in
+``estimation.fit_local``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     AlphabetMismatch,
@@ -43,6 +47,21 @@ Model = Union[HmmModel, MixtureModel]
 # Chunk size is fixed (not derived from the thread count) so that per-subject
 # floating-point results never depend on how work was distributed.
 _CHUNK = 512
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) over ``axis``, bit-identical to scipy.special.logsumexp.
+
+    As there, the maximal terms are summed apart (the rest enters through
+    log1p); a slice whose maximum is -inf, +inf or NaN returns that maximum.
+    """
+    mx = np.max(a, axis=axis, keepdims=True)
+    top = a == mx
+    n_top = top.sum(axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rest = np.exp(np.where(top, -np.inf, a) - mx).sum(axis=axis, keepdims=True)
+        out = np.log1p(rest / n_top) + np.log(n_top) + mx
+    return np.where(np.isfinite(mx), out, mx).squeeze(axis)
 
 
 def _normalize_mode(mode: str) -> str:
@@ -279,13 +298,13 @@ def _fb_log(model, data, init, logE, threads, want_beta=True):
         la[a:b, 0] = log_init[a:b] + e[:, 0]
         for t in range(1, T):
             la[a:b, t] = (
-                logsumexp(la[a:b, t - 1, :, None] + logA[None, :, :], axis=1) + e[:, t]
+                _logsumexp(la[a:b, t - 1, :, None] + logA[None, :, :], axis=1) + e[:, t]
             )
-        loglik[a:b] = logsumexp(la[a:b, T - 1], axis=1)
+        loglik[a:b] = _logsumexp(la[a:b, T - 1], axis=1)
         if want_beta:
             lb[a:b, T - 1] = 0.0
             for t in range(T - 2, -1, -1):
-                lb[a:b, t] = logsumexp(
+                lb[a:b, t] = _logsumexp(
                     logA[None, :, :] + (e[:, t + 1] + lb[a:b, t + 1])[:, None, :],
                     axis=2,
                 )
@@ -433,6 +452,11 @@ def viterbi_paths(
             delta = np.max(cand, axis=1) + logE[:, t]
     last = np.argmax(delta, axis=1)
     log_joint = delta[np.arange(N), last]
+    if np.any(np.isnan(log_joint)):
+        i = int(np.argmax(np.isnan(log_joint)))
+        raise NumericalUnderflow(
+            f"NaN path log-probability for subject {data.subject_ids[i]!r}"
+        )
     if np.any(np.isneginf(log_joint)):
         i = int(np.argmax(np.isneginf(log_joint)))
         raise ImpossibleData(
@@ -510,7 +534,7 @@ def cluster_posterior_probs(
     w = cluster_prior_probs(mix, design)
     with np.errstate(divide="ignore"):
         log_num = np.log(w) + cluster_logliks(mix, data, threads)
-    norm = logsumexp(log_num, axis=1)
+    norm = _logsumexp(log_num, axis=1)
     if np.any(np.isneginf(norm)):
         i = int(np.argmax(np.isneginf(norm)))
         raise NumericalUnderflow(

@@ -70,6 +70,38 @@ class Alphabet:
     def token(self, code: int) -> str:
         return self.missing_token if code == MISSING else self.labels[code]
 
+    def tokens(self, codes: np.ndarray) -> np.ndarray:
+        """Object array of tokens for an array of codes, in one indexing step."""
+        table = np.array([*self.labels, self.missing_token], dtype=object)
+        return table[codes]  # MISSING (-1) selects the missing token
+
+
+def _code_rows(alpha: Alphabet, rows: Sequence[Sequence[str]], name: str) -> np.ndarray:
+    """Code rows of tokens into an (N, T) array, as ``alpha.code`` would per cell.
+
+    Raises ShapeMismatch if the rows differ in length and UnknownToken for
+    the first unknown cell in row-major order.
+    """
+    width = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ShapeMismatch(
+                f"channel {name!r}: row {i} has {len(row)} tokens, expected {width}"
+            )
+    lookup = {label: k for k, label in enumerate(alpha.labels)}
+    lookup[alpha.missing_token] = MISSING
+    try:
+        flat = [lookup[tok] for row in rows for tok in row]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON token
+        for i, row in enumerate(rows):
+            for t, tok in enumerate(row):
+                try:
+                    lookup[tok]
+                except (KeyError, TypeError):
+                    raise UnknownToken(name, i, t, tok) from None
+        raise
+    return np.array(flat, dtype=np.int64).reshape(len(rows), width)
+
 
 def define_alphabet(labels: Sequence[str], missing_token: str = "*") -> Alphabet:
     """Build an alphabet assigning codes 0..M-1 in the given label order."""
@@ -160,9 +192,7 @@ class SequenceDataset:
                     "name": ch.name,
                     "alphabet": list(ch.alphabet.labels),
                     "missing_token": ch.alphabet.missing_token,
-                    "rows": [
-                        [ch.alphabet.token(int(c)) for c in row] for row in ch.codes
-                    ],
+                    "rows": ch.alphabet.tokens(ch.codes).tolist(),
                 }
                 for ch in self.channels
             ],
@@ -173,14 +203,7 @@ class SequenceDataset:
         channels = []
         for spec in doc["channels"]:
             alpha = define_alphabet(spec["alphabet"], spec.get("missing_token", "*"))
-            rows = spec["rows"]
-            codes = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=np.int64)
-            for i, row in enumerate(rows):
-                for t, tok in enumerate(row):
-                    try:
-                        codes[i, t] = alpha.code(tok)
-                    except KeyError:
-                        raise UnknownToken(spec["name"], i, t, tok) from None
+            codes = _code_rows(alpha, spec["rows"], spec["name"])
             channels.append(Channel(spec["name"], alpha, codes))
         return cls(tuple(channels), tuple(doc["subject_ids"]))
 
@@ -231,7 +254,7 @@ def _read_wide_csv(path: Path):
         if len(row) != width:
             raise ShapeMismatch(f"{path}: row {i + 1} has {len(row)} fields, expected {width}")
     ids = [row[0] for row in data]
-    cells = [[tok.strip() for tok in row[1:]] for row in data]
+    cells = [list(map(str.strip, row[1:])) for row in data]
     return ids, cells
 
 
@@ -292,13 +315,7 @@ def ingest_dataset(manifest_path) -> tuple[SequenceDataset, Optional[CovariateDe
             raise ShapeMismatch(
                 f"channel {spec['name']!r}: sequence length disagrees with first channel"
             )
-        codes = np.empty((len(ids), len(cells[0])), dtype=np.int64)
-        for i, row in enumerate(cells):
-            for t, tok in enumerate(row):
-                try:
-                    codes[i, t] = alpha.code(tok)
-                except KeyError:
-                    raise UnknownToken(spec["name"], i, t, tok) from None
+        codes = _code_rows(alpha, cells, spec["name"])
         channels.append(Channel(spec["name"], alpha, codes))
     data = SequenceDataset(tuple(channels), tuple(ref_ids))
     design = None

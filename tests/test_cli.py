@@ -9,9 +9,9 @@ import pytest
 
 import markovseq
 from markovseq import build_hmm, build_mhmm, model_to_json
-from markovseq.cli import _posterior_csv, main
+from markovseq.cli import _posterior_csv, _safe_name, _write_dataset_files, main
 
-from helpers import random_hmm, write_manifest
+from helpers import random_dataset, random_hmm, write_manifest
 
 
 @pytest.fixture
@@ -48,6 +48,57 @@ def test_cli_import_leaves_optimizer_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+_SCIPY_FREE_PROBE = """
+import json, sys
+import markovseq
+from markovseq.cli import main
+
+work = sys.argv[1]
+def run(*argv):
+    return main([*argv, "--out", work + "/out_" + argv[0]])
+
+codes = [run("validate", "--manifest", work + "/manifest.json")]
+for mode in ("scaled", "logspace"):
+    for cmd in ("loglik", "bic", "viterbi", "posterior"):
+        codes.append(run(cmd, "--manifest", work + "/manifest.json",
+                         "--model", work + "/hmm.json", "--mode", mode))
+codes.append(run("summary", "--manifest", work + "/manifest.json",
+                 "--model", work + "/mix.json"))
+codes.append(run("fit", "--manifest", work + "/manifest.json", "--model", work + "/hmm.json",
+                 "--em-max-iter", "3"))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes.append(main(["fit", "--manifest", work + "/manifest.json", "--model", work + "/hmm.json",
+                  "--em-max-iter", "3", "--local-step", "--local-max-iter", "3",
+                  "--out", work + "/out_local"]))
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "optimizer": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_stages_run_without_scipy_until_local_step(tmp_path):
+    rng = np.random.default_rng(12)
+    rows = [list(rng.choice(["a", "b", "*"], size=6, p=[0.45, 0.45, 0.1])) for _ in range(8)]
+    write_manifest(tmp_path, [("work", ["a", "b"], rows)])
+    hmm = build_hmm(_coin_model().alphabets, n_states=2, rng_seed=5, channel_names=("work",))
+    _model_file(tmp_path, hmm, "hmm.json")
+    clusters = [
+        build_hmm(_coin_model().alphabets, n_states=2, rng_seed=s, channel_names=("work",))
+        for s in (6, 7)
+    ]
+    _model_file(tmp_path, build_mhmm(clusters), "mix.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(markovseq.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0] * 12
+    assert report["loaded"] == []
+    assert report["optimizer"]
+    fit = json.loads((tmp_path / "out_local" / "fit_result.json").read_text())
+    assert fit["local_iterations"] > 0
 
 
 class TestValidate:
@@ -406,6 +457,21 @@ class TestSummaryAndSimulate:
             )
             blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert blobs[0] == blobs[1]
+
+
+def test_dataset_files_equal_per_cell_formatter(tmp_path):
+    """CSV bytes match the former per-cell ``Alphabet.token`` writer."""
+    rng = np.random.default_rng(13)
+    model = random_hmm(rng, 2, [3, 2])
+    data = random_dataset(rng, model, 30, 12, missing_rate=0.25)
+    _write_dataset_files(data, tmp_path, "dataset")
+    for ch in data.channels:
+        lines = ["id," + ",".join(f"t{t + 1}" for t in range(data.n_time))]
+        for sid, row in zip(data.subject_ids, ch.codes):
+            lines.append(sid + "," + ",".join(ch.alphabet.token(int(c)) for c in row))
+        got = (tmp_path / f"dataset_{_safe_name(ch.name)}.csv").read_bytes()
+        assert got == ("\n".join(lines) + "\n").encode()
+        assert b"*" in got
 
 
 class TestConvertTrimPlot:

@@ -217,6 +217,19 @@ class TestViterbi:
         with pytest.raises(ImpossibleData):
             viterbi_paths(_deterministic_model(), _coin_data("00"))
 
+    def test_nan_emission_raises_naming_subject(self):
+        # s1 never shows the NaN cell and decodes; s2 meets it at t=1
+        model = _deterministic_model().with_params(
+            emissions=[np.array([[1.0, 0.0], [0.0, np.nan]])]
+        )
+        a = Alphabet(("c0m0", "c0m1"))
+        codes = np.array([[0, MISSING, MISSING], [0, 1, 1]])
+        data = SequenceDataset((Channel("Channel 1", a, codes),), ("s1", "s2"))
+        with pytest.raises(NumericalUnderflow, match="subject 's2'"):
+            viterbi_paths(model, data)
+        ok = SequenceDataset((Channel("Channel 1", a, codes[:1]),), ("s1",))
+        assert viterbi_paths(model, ok).log_joint.tolist() == [0.0]
+
     def test_log_joint_never_exceeds_loglik(self):
         rng = np.random.default_rng(121)
         for _ in range(10):
@@ -399,3 +412,55 @@ class TestMixtureSummary:
     def test_other_standard_error_failures_propagate(self, monkeypatch):
         with pytest.raises(RuntimeError, match="boom"):
             self._raise_from_standard_errors(monkeypatch, RuntimeError("boom"))
+
+
+class TestLogsumexp:
+    """The numpy log-sum-exp behind log mode against scipy's."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(140)
+        random = rng.normal(scale=30.0, size=(7, 5, 6))
+        all_neg_inf = random.copy()
+        all_neg_inf[2, :, :] = -np.inf  # every slice along axes 1 and 2
+        mixed = random.copy()
+        mixed[rng.random(mixed.shape) < 0.4] = -np.inf
+        pos_inf = mixed.copy()
+        pos_inf[1, 2, 3] = np.inf
+        pos_inf[4, 0, 0] = np.inf
+        nan = mixed.copy()
+        nan[3, 1, 4] = np.nan
+        nan[5, 4, 2] = np.nan
+        nan[5, 4, 3] = np.inf
+        ties = np.round(random / 10.0)
+        return [random, all_neg_inf, mixed, pos_inf, nan, ties]
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_matches_scipy(self, axis):
+        import warnings
+
+        from scipy.special import logsumexp
+
+        from markovseq.inference import _logsumexp
+
+        for a in self._cases():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = logsumexp(a, axis=axis)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _logsumexp(a, axis)
+            assert got.shape == want.shape
+            for pick in (np.isnan, np.isposinf, np.isneginf):
+                np.testing.assert_array_equal(pick(got), pick(want))
+            finite = np.isfinite(want)
+            np.testing.assert_allclose(got[finite], want[finite], rtol=1e-15, atol=0)
+
+    def test_all_neg_inf_rows_give_neg_inf(self):
+        from markovseq.inference import _logsumexp
+
+        a = np.full((3, 4, 4), -np.inf)
+        a[1, 2, 2] = 0.5
+        got = _logsumexp(a, 2)
+        assert got[1, 2] == 0.5
+        assert np.isneginf(np.delete(got.ravel(), 6)).all()

@@ -19,7 +19,7 @@ from markovseq.errors import (
     ShapeMismatch,
     UnknownToken,
 )
-from markovseq.seqdata import MISSING
+from markovseq.seqdata import MISSING, _code_rows
 
 from helpers import write_manifest
 
@@ -121,6 +121,89 @@ class TestIngest:
         for ch_a, ch_b in zip(data.channels, back.channels):
             assert ch_a.alphabet == ch_b.alphabet
             np.testing.assert_array_equal(ch_a.codes, ch_b.codes)
+
+
+def _code_per_cell(alpha, rows, name):
+    """The former per-cell ingest loop: one ``Alphabet.code`` call per cell."""
+    codes = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for t, tok in enumerate(row):
+            try:
+                codes[i, t] = alpha.code(tok)
+            except KeyError:
+                raise UnknownToken(name, i, t, tok) from None
+    return codes
+
+
+class TestCodeRows:
+    alpha = define_alphabet(["a", "b", "c"], "*")
+
+    def _padded_rows(self):
+        # unequal lengths padded with leading and trailing missing tokens
+        rng = np.random.default_rng(30)
+        rows = []
+        for i in range(40):
+            body = list(rng.choice(["a", "b", "c", "*"], size=int(rng.integers(5, 60))))
+            lead = int(rng.integers(0, 60 - len(body) + 1))
+            rows.append(["*"] * lead + body + ["*"] * (60 - lead - len(body)))
+        return rows
+
+    def test_codes_equal_per_cell_coding(self):
+        rows = self._padded_rows()
+        got = _code_rows(self.alpha, rows, "ch")
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _code_per_cell(self.alpha, rows, "ch"))
+        assert (got == MISSING).any()
+
+    @pytest.mark.parametrize(
+        "cells", [[(37, 58, "q")], [(21, 44, "A"), (30, 2, "z")], [(5, 59, 7), (5, 50, ["a"])]]
+    )
+    def test_first_unknown_cell_matches_per_cell_coding(self, cells):
+        rows = self._padded_rows()
+        for i, t, tok in cells:
+            rows[i][t] = tok
+        with pytest.raises(UnknownToken) as want:
+            _code_per_cell(self.alpha, rows, "ch")
+        with pytest.raises(UnknownToken) as got:
+            _code_rows(self.alpha, rows, "ch")
+        key = lambda e: (e.channel, e.row, e.col, e.token)  # noqa: E731
+        assert key(got.value) == key(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_unknown_deep_in_row_through_ingest_and_json(self, tmp_path):
+        rows = self._padded_rows()
+        rows[33][57] = "bad"
+        manifest = write_manifest(tmp_path, [("work", ["a", "b", "c"], rows)])
+        with pytest.raises(UnknownToken) as err:
+            ingest_dataset(manifest)
+        assert (err.value.channel, err.value.row, err.value.col) == ("work", 33, 57)
+        assert err.value.token == "bad"
+        doc = {
+            "subject_ids": [f"s{i}" for i in range(len(rows))],
+            "channels": [{"name": "work", "alphabet": ["a", "b", "c"], "rows": rows}],
+        }
+        with pytest.raises(UnknownToken) as err:
+            SequenceDataset.from_json(doc)
+        assert (err.value.row, err.value.col, err.value.token) == (33, 57, "bad")
+
+    def test_ragged_rows_raise_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="row 1 has 2 tokens, expected 3"):
+            _code_rows(self.alpha, [["a", "b", "c"], ["a", "b"]], "ch")
+
+    def test_tokens_decode_in_one_step(self):
+        rows = self._padded_rows()
+        codes = _code_rows(self.alpha, rows, "ch")
+        assert self.alpha.tokens(codes).tolist() == rows
+        per_cell = [[self.alpha.token(int(c)) for c in row] for row in codes]
+        assert self.alpha.tokens(codes).tolist() == per_cell
+
+    def test_json_bytes_equal_per_cell_formatter(self):
+        rows = self._padded_rows()
+        ch = Channel("ch", self.alpha, _code_rows(self.alpha, rows, "ch"))
+        data = SequenceDataset((ch,), tuple(f"s{i}" for i in range(len(rows))))
+        doc = data.to_json()
+        doc["channels"][0]["rows"] = [[self.alpha.token(int(c)) for c in r] for r in ch.codes]
+        assert json.dumps(data.to_json(), indent=2) == json.dumps(doc, indent=2)
 
 
 def _two_channel_dataset():
