@@ -375,6 +375,7 @@ def _cmd_summary(args, out: Path, log) -> int:
     (out / "summary.txt").write_text(text, encoding="utf-8")
     _write_json(out / "summary_result.json", report.to_dict())
     log.append(f"summary: loglik {report.loglik!r}, bic {report.bic!r}")
+    log.extend(report.diagnostics)
     _emit(args, text.splitlines(), report.to_dict())
     return 0
 

@@ -32,21 +32,16 @@ from .errors import (
     RankDeficientDesign,
 )
 from .inference import (
-    _check_compatible,
+    _clusters_and_inits,
     _mixture_design,
-    _resolve_initials,
     _scaled_pass,
     log_likelihood,
 )
 
 # kept importable here: perfbench/tracing.py wraps these names in this module
 from .inference import _fb_scaled, emission_probs  # noqa: F401
-from .model import (
-    HmmModel,
-    MixtureModel,
-    combine_clusters,
-    mixture_weights,
-)
+from .model import combine_clusters  # noqa: F401
+from .model import HmmModel, MixtureModel, mixture_weights
 from .seqdata import CovariateDesign, SequenceDataset
 
 Model = Union[HmmModel, MixtureModel]
@@ -126,43 +121,45 @@ class FitResult:
 class EStats:
     """Forward-backward expectations (scaled mode) for one E-step.
 
-    ``xi`` and ``emis_num`` are summed over subjects: each 512-subject chunk
-    reduces its own share and the chunk sums are added in chunk order, so
-    results do not depend on the thread count.  Emission updates normalize
-    by the numerator row sums (the expected occupancy over observed cells).
+    A mixture's ``clusters`` hold one EStats per cluster, weighted by the
+    posterior cluster probabilities ``rho`` (cluster k's ``gamma1`` rows sum
+    to rho_ik); its own ``gamma1``, ``xi`` and ``emis_num`` are None.
+    ``xi`` and ``emis_num`` are summed over subjects chunk by chunk in chunk
+    order, so results do not depend on the thread count.
     """
 
     loglik: float
     loglik_per_subject: np.ndarray
-    gamma1: np.ndarray  # (N, S) state posterior at t=0
-    xi: np.ndarray  # (S, S) expected transition counts
-    emis_num: list[np.ndarray]  # per channel (S, M_c) expected symbol counts
+    gamma1: Optional[np.ndarray]  # (N, S) state posterior at t=0
+    xi: Optional[np.ndarray]  # (S, S) expected transition counts
+    emis_num: Optional[list[np.ndarray]]  # per channel (S, M_c) expected symbol counts
+    rho: np.ndarray  # (N, K) posterior cluster probabilities; ones (N, 1) for an HMM
+    clusters: tuple["EStats", ...] = ()
 
 
 def expected_stats(
-    model: HmmModel,
+    model: Model,
     data: SequenceDataset,
     subject_initials=None,
     threads: int = 1,
+    design: Optional[CovariateDesign] = None,
 ) -> EStats:
     """E-step statistics from one pass of the chunked scaled kernel.
 
-    A forward normalizer that is zero, negative or not finite raises
-    NonFiniteLikelihood.
+    ``subject_initials`` overrides a plain HMM's initial vectors; a mixture
+    takes them from ``design``.  Where the kernel raises NumericalUnderflow
+    this raises NonFiniteLikelihood.
     """
-    _check_compatible(model, data)
-    init = _resolve_initials(model, data, subject_initials)
+    hmms, inits = _clusters_and_inits(model, data, design, subject_initials)
     try:
-        ll, gamma1, xi, emis_num = _scaled_pass(model, data, init, threads, "stats")
+        ll, rho, per_cluster = _scaled_pass(hmms, data, inits, threads, "stats")
     except NumericalUnderflow as err:
         raise NonFiniteLikelihood(str(err)) from err
-    return EStats(
-        loglik=float(ll.sum()),
-        loglik_per_subject=ll,
-        gamma1=gamma1,
-        xi=xi,
-        emis_num=emis_num,
-    )
+    total = float(ll.sum())
+    stats = [EStats(total, ll, *cluster, rho) for cluster in per_cluster]
+    if isinstance(model, MixtureModel):
+        return EStats(total, ll, None, None, None, rho, tuple(stats))
+    return stats[0]
 
 
 def _updated_rows(current, counts, flagged, what):
@@ -177,71 +174,34 @@ def _updated_rows(current, counts, flagged, what):
     return out
 
 
-def _m_step_hmm(model: HmmModel, stats: EStats, flagged: set) -> HmmModel:
+def _m_step_hmm(model: HmmModel, stats: EStats, flagged: set, prefix: str = "") -> HmmModel:
+    """Baum-Welch update of one HMM; ``prefix`` names its cluster in ``flagged``."""
     pi_counts = stats.gamma1.sum(axis=0)
-    initial = pi_counts / pi_counts.sum()
-    transition = _updated_rows(model.transition, stats.xi, flagged, "transition")
-    emissions = []
-    for c in range(model.n_channels):
-        emissions.append(
-            _updated_rows(
-                model.emissions[c],
-                stats.emis_num[c],
-                flagged,
-                f"emission[{c}]",
-            )
-        )
+    if pi_counts.sum() > 0:
+        initial = pi_counts / pi_counts.sum()
+    else:
+        initial = model.initial
+        flagged.add(f"{prefix}initial")
+    transition = _updated_rows(model.transition, stats.xi, flagged, f"{prefix}transition")
+    emissions = [
+        _updated_rows(b, num, flagged, f"{prefix}emission[{c}]")
+        for c, (b, num) in enumerate(zip(model.emissions, stats.emis_num))
+    ]
     return model.with_params(initial=initial, transition=transition, emissions=emissions)
 
 
-def _m_step_mixture(
-    mix: MixtureModel,
-    stats: EStats,
-    rho: np.ndarray,
-    design: CovariateDesign,
-    flagged: set,
-) -> MixtureModel:
-    offsets = mix.state_offsets
-    new_clusters = []
-    gamma1_tot = stats.gamma1.sum(axis=0)
-    for k, sub in enumerate(mix.clusters):
-        o, S_k = offsets[k], sub.n_states
-        block = slice(o, o + S_k)
-        pi_counts = gamma1_tot[block]
-        if pi_counts.sum() > 0:
-            initial = pi_counts / pi_counts.sum()
-        else:
-            initial = sub.initial
-            flagged.add(f"cluster {k} initial")
-        transition = _updated_rows(
-            sub.transition, stats.xi[block, block], flagged, f"cluster {k} transition"
-        )
-        emissions = []
-        for c in range(sub.n_channels):
-            emissions.append(
-                _updated_rows(
-                    sub.emissions[c],
-                    stats.emis_num[c][block],
-                    flagged,
-                    f"cluster {k} emission[{c}]",
-                )
-            )
-        new_clusters.append(
-            sub.with_params(initial=initial, transition=transition, emissions=emissions)
-        )
-    gamma = mix.gamma
-    if mix.n_clusters > 1:
-        gamma = gamma_m_step(design, rho, mix.gamma).gamma
-    return replace(mix, clusters=tuple(new_clusters), gamma=gamma)
-
-
-def _cluster_posteriors(mix: MixtureModel, gamma1: np.ndarray) -> np.ndarray:
-    """Posterior cluster probabilities as block sums of the t=0 state posterior."""
-    offsets = mix.state_offsets + (mix.n_states_total,)
-    return np.stack(
-        [gamma1[:, offsets[k] : offsets[k + 1]].sum(axis=1) for k in range(mix.n_clusters)],
-        axis=1,
+def _m_step(m: Model, stats: EStats, design, flagged: set) -> Model:
+    """M-step: every cluster's HMM, then a mixture's covariate coefficients."""
+    if not isinstance(m, MixtureModel):
+        return _m_step_hmm(m, stats, flagged)
+    clusters = tuple(
+        _m_step_hmm(sub, st, flagged, f"cluster {k} ")
+        for k, (sub, st) in enumerate(zip(m.clusters, stats.clusters))
     )
+    gamma = m.gamma
+    if m.n_clusters > 1:
+        gamma = gamma_m_step(design, stats.rho, m.gamma).gamma
+    return replace(m, clusters=clusters, gamma=gamma)
 
 
 # ----------------------------------------------------------------------
@@ -295,11 +255,7 @@ def _em_once(m: Model, data, design, control: FitControl):
     iterations = 0
     converged_by = "max_iter"
     for _ in range(control.em_max_iter):
-        if isinstance(m, MixtureModel):
-            combined, initials = combine_clusters(m, design)
-            stats = expected_stats(combined, data, initials, control.threads)
-        else:
-            stats = expected_stats(m, data, threads=control.threads)
+        stats = expected_stats(m, data, threads=control.threads, design=design)
         ll = stats.loglik
         if not np.isfinite(ll):
             raise NonFiniteLikelihood(f"log-likelihood became {ll!r} during EM")
@@ -307,11 +263,7 @@ def _em_once(m: Model, data, design, control: FitControl):
         if prev is not None and abs(ll - prev) / (abs(ll) + 0.1) < control.em_rel_tol:
             converged_by = "em_tol"
             break
-        if isinstance(m, MixtureModel):
-            rho = _cluster_posteriors(m, stats.gamma1)
-            m = _m_step_mixture(m, stats, rho, design, flagged)
-        else:
-            m = _m_step_hmm(m, stats, flagged)
+        m = _m_step(m, stats, design, flagged)
         prev = ll
         iterations += 1
     else:
@@ -482,37 +434,28 @@ class ParameterMap:
 
 def _gradient_at(model: Model, data, design, pmap: ParameterMap, threads=1):
     """Analytic gradient and log-likelihood at the model's current values."""
-    if isinstance(model, MixtureModel):
-        combined, initials = combine_clusters(model, design)
-        stats = expected_stats(combined, data, initials, threads)
-        offsets = model.state_offsets
-        rho = _cluster_posteriors(model, stats.gamma1)
-        w = mixture_weights(model.gamma, design.X)
-    else:
-        stats = expected_stats(model, data, threads=threads)
-        offsets = (0,)
-    gamma1_tot = stats.gamma1.sum(axis=0)
-
+    stats = expected_stats(model, data, threads=threads, design=design)
+    hmms = model.clusters if pmap.is_mixture else (model,)
+    per_cluster = stats.clusters or (stats,)
     grad = np.empty(pmap.n_params)
     for spec in pmap.rows:
         if len(spec.free) < 2:
             continue
-        o = offsets[spec.cluster]
-        hmm = model.clusters[spec.cluster] if pmap.is_mixture else model
-        S_k = hmm.n_states
+        hmm, st = hmms[spec.cluster], per_cluster[spec.cluster]
         if spec.kind == "init":
-            counts = gamma1_tot[o : o + S_k]
+            counts = st.gamma1.sum(axis=0)
             probs = hmm.initial
         elif spec.kind == "trans":
-            counts = stats.xi[o + spec.row, o : o + S_k]
+            counts = st.xi[spec.row]
             probs = hmm.transition[spec.row]
         else:
-            counts = stats.emis_num[spec.channel][o + spec.row]
+            counts = st.emis_num[spec.channel][spec.row]
             probs = hmm.emissions[spec.channel][spec.row]
         total = counts[spec.free].sum()
         grad[spec.sl] = counts[spec.free][1:] - probs[spec.free][1:] * total
     if pmap.is_mixture:
-        g_gamma = design.X.T @ (rho - w)  # (Q, K)
+        w = mixture_weights(model.gamma, design.X)
+        g_gamma = design.X.T @ (stats.rho - w)  # (Q, K)
         grad[pmap.gamma_slice] = g_gamma[:, 1:].ravel(order="F")
     return grad, stats.loglik
 

@@ -6,11 +6,11 @@ quantities on the log scale (slower, robust to zero probabilities).  Both
 modes agree on per-subject log-likelihoods to well below 1e-9.
 
 Scaled mode runs one kernel, ``_scaled_pass``, over fixed 512-subject
-chunks in time-major (T, n, S) layout; it serves log-likelihoods, full
-forward-backward results and the E-step statistics.  Worker threads only
-pick up whole chunks, each chunk writes its own subjects' rows or its own
-partial sums, and the partial sums are added in chunk order, so results
-are bit-identical for any thread count.
+chunks in time-major layout, all clusters of a mixture at once, each
+started from w_ik * pi^k (a plain HMM is one cluster).  It serves
+log-likelihoods, posteriors of clusters and states and the E-step
+statistics.  Chunks write their own rows or partial sums, added in chunk
+order, so results are bit-identical for any thread count.
 
 Log mode reduces with ``_logsumexp``, a numpy log-sum-exp that returns
 exactly what ``scipy.special.logsumexp`` does; importing this module
@@ -33,13 +33,10 @@ from .errors import (
     NonInvertibleHessian,
     NumericalUnderflow,
 )
-from .model import (
-    HmmModel,
-    MixtureModel,
-    combine_clusters,
-    count_parameters,
-    mixture_weights,
-)
+from .model import HmmModel, MixtureModel, count_parameters, mixture_weights
+
+# kept importable here: perfbench/tracing.py wraps this name in this module
+from .model import combine_clusters  # noqa: F401
 from .seqdata import MISSING, CovariateDesign, SequenceDataset
 
 Model = Union[HmmModel, MixtureModel]
@@ -176,106 +173,153 @@ def _resolve_initials(model, data, subject_initials):
     return subject_initials
 
 
-def _check_normalizers(c: np.ndarray, data: SequenceDataset, a: int) -> None:
-    """Raise for the first (t, subject) of a chunk whose forward normalizer is
-    zero, negative or not finite; ``c`` is (T, n) for subjects a, a+1, ..."""
-    bad = ~((c > 0) & (c < np.inf))
-    if np.any(bad):
-        t, j = np.argwhere(bad)[0]
-        what = "zero" if c[t, j] == 0 else f"invalid ({c[t, j]!r})"
-        raise NumericalUnderflow(
-            f"{what} forward normalizer for subject {data.subject_ids[a + j]!r} "
-            f"at t={t}; consider mode='log'"
-        )
+def _clusters_and_inits(m, data, design=None, subject_initials=None):
+    """The cluster HMMs of a model (a plain HMM is one) and per cluster its
+    (N, S_k) initial array; cluster k of a mixture starts from w_ik * pi^k."""
+    if not isinstance(m, MixtureModel):
+        _check_compatible(m, data)
+        return (m,), [_resolve_initials(m, data, subject_initials)]
+    if subject_initials is not None:
+        raise AlphabetMismatch("a mixture takes no subject_initials, only a design")
+    w = mixture_weights(m.gamma, _mixture_design(m, data, design).X)
+    for sub in m.clusters:
+        _check_compatible(sub, data)
+    return m.clusters, [w[:, k : k + 1] * sub.initial for k, sub in enumerate(m.clusters)]
 
 
-def _scaled_pass(model, data, init, threads=1, want="loglik"):
-    """The scaled forward-backward kernel.
+def _forward(A, e, init):
+    """Scaled forward pass of K clusters at once: A (K, S, S), emissions e
+    (T, K, n, S) and init (K, n, S) give alpha and normalizers (T, K, n)."""
+    alpha = np.empty_like(e)
+    scaling = np.empty(e.shape[:3])
+    ones = np.ones(e.shape[3])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = init * e[0]
+        for t in range(e.shape[0]):
+            if t:
+                np.matmul(alpha[t - 1], A, out=x)
+                x *= e[t]
+            np.matmul(x, ones, out=scaling[t])
+            np.divide(x, scaling[t, ..., None], out=alpha[t])
+    return alpha, scaling
 
-    Each fixed chunk of subjects is processed in time-major (T, n, S)
-    layout: its emission table is looked up from ``_emission_tables``, the
-    forward pass renormalizes alpha at every t, and the backward pass
-    scales beta by the same constants.  ``want`` selects what comes back:
 
-    * ``"loglik"``: per-subject log-likelihoods (N,); forward pass only.
-    * ``"full"``: ``(alpha, beta, scaling, loglik)`` in the public
-      (N, T, S) / (N, T) layout of ``FBResult``.
-    * ``"stats"``: ``(loglik, gamma1, xi, emis_num)``: the t=0 posterior
-      (N, S), expected transition counts (S, S) and per channel emission
-      numerators (S, M_c), both summed over subjects.  Each chunk reduces
-      its own statistics; the partial sums are added in chunk order.
+def _pair_logliks(alpha, c, data: SequenceDataset, a: int) -> np.ndarray:
+    """l_ik (K, n) of a chunk's subjects a, a+1, ... from the forward pass.
 
-    Raises NumericalUnderflow naming the subject and t of the first
-    normalizer that is zero, negative or not finite.
+    A first bad normalizer that is zero makes the pair impossible: l_ik =
+    -inf, alpha 0 and normalizers 1, so the backward pass gives zeros.  One
+    negative or not finite, or a subject impossible in every cluster (at the
+    t its last cluster fell), raises for the chunk's earliest (t, subject).
     """
-    N, T, S = data.n_subjects, data.n_time, model.n_states
-    A = model.transition
-    tables = _emission_tables(model)
-    codes = [ch.codes for ch in data.channels]
-    loglik = np.empty(N)
-    if want == "full":
-        alpha_out, beta_out = np.empty((N, T, S)), np.empty((N, T, S))
-        scaling_out = np.empty((N, T))
-    elif want == "stats":
-        gamma1 = np.empty((N, S))
-        parts: list = [None] * len(_chunk_spans(N))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = np.log(c).sum(axis=0)
+    hit = ~np.isfinite(ll)  # some normalizer of the pair is not in (0, inf)
+    if hit.any():
+        bad = ~((c > 0) & (c < np.inf))
+        t0 = np.argmax(bad, axis=0)
+        first = np.take_along_axis(c, t0[None], axis=0)[0]
+        c[:, hit] = 1.0
+        alpha[:, hit] = 0.0
+        ll[hit] = -np.inf
+        # (t, j, 0, normalizer) for a bad value, (t, j, 1, 0.0) for no cluster left
+        faults = [(t0[k, j], j, 0, first[k, j]) for k, j in np.argwhere(hit & (first != 0))]
+        faults += [(t0[:, j].max(), j, 1, 0.0) for j in np.flatnonzero(hit.all(axis=0))]
+        if faults:
+            t, j, gone, v = min(faults)
+            what = "zero" if gone else f"invalid ({v!r})"
+            raise NumericalUnderflow(
+                f"{what} forward normalizer for subject {data.subject_ids[a + j]!r} "
+                f"at t={t}; consider mode='log'"
+            )
+    return ll
 
-    def work(k, span):
+
+def _scaled_pass(hmms, data, inits, threads=1, want="loglik"):
+    """The scaled forward-backward kernel over clusters ``hmms`` (a plain HMM
+    is one) with one (N, S_k) initial array each in ``inits``.
+
+    Per fixed chunk of n subjects all clusters run at once in (T, K, n, S)
+    layout, padded to S states with zeros.  A cluster's log normalizers sum
+    to l_ik; loglik_i = logsumexp_k l_ik and rho_ik = exp(l_ik - loglik_i),
+    exactly 1 for an HMM and 0 for an impossible pair (``_pair_logliks``).
+    The backward pass starts from beta[T-1] = rho_ik, so alpha * beta and
+    the E-step statistics come out weighted by rho.  ``want`` selects
+    ``"loglik"``: (loglik (N,), rho (N, K)) from the forward pass only;
+    ``"full"``: (alpha, beta, scaling, loglik), alpha and beta (N, T, sum
+    S_k) side by side as in ``combine_clusters``, normalizers (K, N, T);
+    ``"stats"``: (loglik, rho, per_cluster), per cluster the t=0 posterior
+    (N, S_k), expected transitions (S_k, S_k) and per channel emission
+    numerators (S_k, M_c), the last two summed chunk by chunk in order.
+    """
+    N, T = data.n_subjects, data.n_time
+    sizes = [h.n_states for h in hmms]
+    K, S = len(hmms), max(sizes)
+    offsets = np.cumsum([0] + sizes)
+    A, init = np.zeros((K, S, S)), np.zeros((K, N, S))
+    tables = [np.zeros((b.shape[1] + 1, K, S)) for b in hmms[0].emissions]
+    for k, (h, p) in enumerate(zip(hmms, inits)):
+        A[k, : sizes[k], : sizes[k]] = h.transition
+        init[k, :, : sizes[k]] = p
+        for table, own in zip(tables, _emission_tables(h)):
+            table[:, k, : sizes[k]] = own
+    tables = [table.reshape(-1, K * S) for table in tables]
+    codes = [ch.codes for ch in data.channels]
+    loglik, rho = np.empty(N), np.empty((N, K))
+    if want == "full":
+        alpha_out, beta_out = np.empty((2, N, T, offsets[-1]))
+        scaling_out = np.empty((K, N, T))
+    gamma1 = [np.empty((N, s)) for s in sizes]
+    parts: list = [None] * len(_chunk_spans(N))
+
+    def work(ci, span):
         a, b = span
         chunk_codes = [c[a:b].T for c in codes]  # (T, n)
-        e = _lookup_emissions(tables, chunk_codes)
-        alpha = np.empty_like(e)
-        scaling = np.empty(e.shape[:2])
-        ones = np.ones(S)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = init[a:b] * e[0]
-            for t in range(T):
-                if t:
-                    np.matmul(alpha[t - 1], A, out=x)
-                    x *= e[t]
-                np.matmul(x, ones, out=scaling[t])
-                np.divide(x, scaling[t, :, None], out=alpha[t])
-        _check_normalizers(scaling, data, a)
-        loglik[a:b] = np.log(scaling).sum(axis=0)
+        e = _lookup_emissions(tables, chunk_codes).reshape(T, b - a, K, S)
+        e = np.ascontiguousarray(e.swapaxes(1, 2))  # a view for an HMM
+        alpha, scaling = _forward(A, e, init[:, a:b])
+        ll = _pair_logliks(alpha, scaling, data, a)
+        loglik[a:b] = _logsumexp(ll, axis=0)
+        r = np.exp(ll - loglik[a:b])
+        rho[a:b] = r.T
         if want == "loglik":
             return
         # W[t] = e[t+1] * beta[t+1] / scaling[t+1], so beta[t] = W[t] @ A.T
         beta = np.empty_like(e)
-        beta[T - 1] = 1.0
+        beta[T - 1] = r[..., None]
         W = np.empty_like(e[1:])
         for t in range(T - 2, -1, -1):
             np.multiply(e[t + 1], beta[t + 1], out=W[t])
-            W[t] /= scaling[t + 1, :, None]
-            np.matmul(W[t], A.T, out=beta[t])
+            W[t] /= scaling[t + 1, ..., None]
+            np.matmul(W[t], A.swapaxes(1, 2), out=beta[t])
         if want == "full":
-            alpha_out[a:b] = alpha.transpose(1, 0, 2)
-            beta_out[a:b] = beta.transpose(1, 0, 2)
-            scaling_out[a:b] = scaling.T
+            for k, s in enumerate(sizes):
+                cols = slice(offsets[k], offsets[k + 1])
+                alpha_out[a:b, :, cols] = alpha[:, k, :, :s].swapaxes(0, 1)
+                beta_out[a:b, :, cols] = beta[:, k, :, :s].swapaxes(0, 1)
+            scaling_out[:, a:b] = scaling.transpose(1, 2, 0)
             return
-        gamma = alpha * beta
-        gamma1[a:b] = gamma[0]
-        xi = (alpha[:-1].reshape(-1, S).T @ W.reshape(-1, S)) * A
-        g = gamma.reshape(-1, S)
-        nums = []
-        for table, c in zip(tables, chunk_codes):
-            M = table.shape[0] - 1
-            idx = np.where(c == MISSING, M, c).ravel()
-            nums.append(
-                np.stack([np.bincount(idx, g[:, s], M + 1)[:M] for s in range(S)])
-            )
-        parts[k] = (xi, nums)
+        # a missing cell selects the last table row, which bincount drops
+        idx = [np.where(c == MISSING, len(t) - 1, c).ravel() for t, c in zip(tables, chunk_codes)]
+        part = []
+        for k, s in enumerate(sizes):
+            g = (alpha[:, k, :, :s] * beta[:, k, :, :s]).reshape(-1, s)
+            gamma1[k][a:b] = g[: b - a]
+            xi = alpha[:-1, k, :, :s].reshape(-1, s).T @ W[:, k, :, :s].reshape(-1, s)
+            nums = [
+                np.stack([np.bincount(i, g[:, j], len(t))[:-1] for j in range(s)])
+                for t, i in zip(tables, idx)
+            ]
+            part.append([xi * A[k, :s, :s], *nums])
+        parts[ci] = part
 
     _run_chunked(work, N, threads)
     if want == "loglik":
-        return loglik
+        return loglik, rho
     if want == "full":
         return alpha_out, beta_out, scaling_out, loglik
-    xi, nums = parts[0][0].copy(), [n.copy() for n in parts[0][1]]
-    for part_xi, part_nums in parts[1:]:
-        xi += part_xi
-        for n, p in zip(nums, part_nums):
-            n += p
-    return loglik, gamma1, xi, nums
+    sums = [[sum(arrays) for arrays in zip(*cluster)] for cluster in zip(*parts)]
+    return loglik, rho, [(g, xi, nums) for g, (xi, *nums) in zip(gamma1, sums)]
 
 
 # The kernel's former name; perfbench/tracing.py looks it up when it installs
@@ -319,6 +363,25 @@ def _fb_log(model, data, init, logE, threads, want_beta=True):
     return la, lb, loglik
 
 
+def _log_pass(hmms, data, inits, threads, want_beta=True):
+    """``_fb_log`` once per cluster: per cluster log alpha and log beta, l_ik
+    (K, N) and loglik_i = logsumexp_k l_ik (-inf if impossible everywhere)."""
+    runs = [
+        _fb_log(h, data, init, _log_emission_probs(h, data), threads, want_beta)
+        for h, init in zip(hmms, inits)
+    ]
+    ll = np.stack([run[2] for run in runs])
+    return [run[0] for run in runs], [run[1] for run in runs], ll, _logsumexp(ll, axis=0)
+
+
+def _require_possible(loglik: np.ndarray, data: SequenceDataset, what: str) -> None:
+    if np.any(np.isneginf(loglik)):
+        i = int(np.argmax(np.isneginf(loglik)))
+        raise NumericalUnderflow(
+            f"{what} undefined: subject {data.subject_ids[i]!r} has zero likelihood"
+        )
+
+
 def forward_backward(
     model: HmmModel,
     data: SequenceDataset,
@@ -328,29 +391,33 @@ def forward_backward(
 ) -> FBResult:
     """Run the forward-backward recursions for every subject.
 
-    ``subject_initials`` overrides the model's initial vector per subject
-    (used by mixture models, where initial probabilities depend on
-    covariates).
+    ``subject_initials`` overrides the model's initial vector per subject.
     """
     mode = _normalize_mode(mode)
     _check_compatible(model, data)
-    init = _resolve_initials(model, data, subject_initials)
+    init = [_resolve_initials(model, data, subject_initials)]
     if mode == "scaled":
-        return FBResult("scaled", *_scaled_pass(model, data, init, threads, "full"))
-    logE = _log_emission_probs(model, data)
-    la, lb, loglik = _fb_log(model, data, init, logE, threads)
-    return FBResult("log", la, lb, None, loglik)
+        alpha, beta, scaling, loglik = _scaled_pass([model], data, init, threads, "full")
+        return FBResult("scaled", alpha, beta, scaling[0], loglik)
+    la, lb, _, loglik = _log_pass([model], data, init, threads)
+    return FBResult("log", la[0], lb[0], None, loglik)
 
 
-def _loglik_subjects(model, data, subject_initials, mode, threads) -> np.ndarray:
-    """Per-subject log-likelihood via the forward pass only."""
+def _loglik_subjects(m, data, subject_initials, mode, threads, design=None) -> np.ndarray:
+    """Per-subject log-likelihood via the forward passes only."""
+    return _forward_pass(m, data, design, mode, threads, subject_initials)[0]
+
+
+def _forward_pass(m, data, design, mode, threads, subject_initials=None):
+    """Per-subject log-likelihoods and rho (N, K) from forward passes only; in
+    log mode a subject impossible in every cluster gets -inf and NaN rho."""
     mode = _normalize_mode(mode)
-    _check_compatible(model, data)
-    init = _resolve_initials(model, data, subject_initials)
+    hmms, inits = _clusters_and_inits(m, data, design, subject_initials)
     if mode == "scaled":
-        return _scaled_pass(model, data, init, threads)
-    logE = _log_emission_probs(model, data)
-    return _fb_log(model, data, init, logE, threads, want_beta=False)[2]
+        return _scaled_pass(hmms, data, inits, threads)
+    _, _, ll, loglik = _log_pass(hmms, data, inits, threads, want_beta=False)
+    with np.errstate(invalid="ignore"):
+        return loglik, np.exp(ll - loglik).T
 
 
 def _mixture_design(mix: MixtureModel, data, design: Optional[CovariateDesign]):
@@ -377,16 +444,8 @@ def log_likelihood(
     mode: str = "scaled",
     threads: int = 1,
 ) -> float:
-    """Total log-likelihood of the data under the model.
-
-    Mixtures are evaluated through their combined block-diagonal embedding
-    with per-subject initial vectors.
-    """
-    if isinstance(m, MixtureModel):
-        design = _mixture_design(m, data, design)
-        combined, initials = combine_clusters(m, design)
-        return float(_loglik_subjects(combined, data, initials, mode, threads).sum())
-    return float(_loglik_subjects(m, data, None, mode, threads).sum())
+    """Total log-likelihood; a mixture's is sum_i log sum_k w_ik P(Y_i | cluster k)."""
+    return float(_loglik_subjects(m, data, None, mode, threads, design).sum())
 
 
 def posterior_state_probs(
@@ -398,23 +457,42 @@ def posterior_state_probs(
 ) -> np.ndarray:
     """Posterior probability of each hidden state at each time point.
 
-    For a mixture the state space is the combined block-diagonal one.
-    Every (subject, time) slice sums to one.
+    A mixture's states stand side by side as in ``combine_clusters``; state
+    s of cluster k means cluster k and state s.  Every (subject, time)
+    slice sums to one.
     """
-    if isinstance(m, MixtureModel):
-        design = _mixture_design(m, data, design)
-        combined, initials = combine_clusters(m, design)
-        fb = forward_backward(combined, data, mode, initials, threads)
-    else:
-        fb = forward_backward(m, data, mode, threads=threads)
-    if fb.mode == "scaled":
-        return fb.alpha * fb.beta
-    if np.any(np.isneginf(fb.loglik_per_subject)):
-        i = int(np.argmax(np.isneginf(fb.loglik_per_subject)))
-        raise NumericalUnderflow(
-            f"posterior undefined: subject {data.subject_ids[i]!r} has zero likelihood"
-        )
-    return np.exp(fb.alpha + fb.beta - fb.loglik_per_subject[:, None, None])
+    mode = _normalize_mode(mode)
+    hmms, inits = _clusters_and_inits(m, data, design)
+    if mode == "scaled":
+        alpha, beta, _, _ = _scaled_pass(hmms, data, inits, threads, "full")
+        return alpha * beta
+    las, lbs, _, loglik = _log_pass(hmms, data, inits, threads)
+    _require_possible(loglik, data, "posterior")
+    return np.concatenate(
+        [np.exp(la + lb - loglik[:, None, None]) for la, lb in zip(las, lbs)], axis=2
+    )
+
+
+def _viterbi_cluster(model: HmmModel, data: SequenceDataset, init: np.ndarray):
+    """Best path and its log-probability per subject for one cluster."""
+    logE = _log_emission_probs(model, data)
+    N, T, S = logE.shape
+    with np.errstate(divide="ignore"):
+        logA = np.log(model.transition)
+        log_init = np.log(init)
+    paths = np.empty((N, T), dtype=np.int64)
+    back = np.empty((N, T, S), dtype=np.int64)
+    delta = log_init + logE[:, 0]
+    with np.errstate(invalid="ignore"):
+        for t in range(1, T):
+            cand = delta[:, :, None] + logA[None, :, :]  # (N, from, to)
+            back[:, t] = np.argmax(cand, axis=1)  # first max = lowest index
+            delta = np.max(cand, axis=1) + logE[:, t]
+    last = np.argmax(delta, axis=1)
+    paths[:, T - 1] = last
+    for t in range(T - 1, 0, -1):
+        paths[:, t - 1] = back[np.arange(N), t, paths[:, t]]
+    return paths, delta[np.arange(N), last]
 
 
 def viterbi_paths(
@@ -425,51 +503,29 @@ def viterbi_paths(
 ) -> ViterbiResult:
     """Single best hidden state sequence per subject (ties -> lowest index).
 
-    For mixtures the decoding runs on the combined model and each subject
-    is allocated to the cluster whose block contains its path.
+    Each cluster of a mixture is decoded from log(w_ik * pi^k), a subject
+    goes to the first cluster with the best path, and states are numbered as
+    in ``combine_clusters``.  A mixture rejects ``subject_initials``.
     """
-    mix = None
-    if isinstance(m, MixtureModel):
-        mix = m
-        design = _mixture_design(m, data, design)
-        m, subject_initials = combine_clusters(m, design)
-    _check_compatible(m, data)
-    init = _resolve_initials(m, data, subject_initials)
-    logE = _log_emission_probs(m, data)
-    N, T, S = logE.shape
-    with np.errstate(divide="ignore"):
-        logA = np.log(m.transition)
-        log_init = np.log(init)
-
-    paths = np.empty((N, T), dtype=np.int64)
-    log_joint = np.empty(N)
-    back = np.empty((N, T, S), dtype=np.int64)
-    delta = log_init + logE[:, 0]
-    with np.errstate(invalid="ignore"):
-        for t in range(1, T):
-            cand = delta[:, :, None] + logA[None, :, :]  # (N, from, to)
-            back[:, t] = np.argmax(cand, axis=1)  # first max = lowest index
-            delta = np.max(cand, axis=1) + logE[:, t]
-    last = np.argmax(delta, axis=1)
-    log_joint = delta[np.arange(N), last]
-    if np.any(np.isnan(log_joint)):
-        i = int(np.argmax(np.isnan(log_joint)))
+    hmms, inits = _clusters_and_inits(m, data, design, subject_initials)
+    runs = [_viterbi_cluster(h, data, init) for h, init in zip(hmms, inits)]
+    joints = np.stack([joint for _, joint in runs], axis=1)  # (N, K)
+    if np.any(np.isnan(joints)):
+        i = int(np.argmax(np.isnan(joints).any(axis=1)))
         raise NumericalUnderflow(
             f"NaN path log-probability for subject {data.subject_ids[i]!r}"
         )
+    best = np.argmax(joints, axis=1)  # first max = lowest cluster
+    subjects = np.arange(data.n_subjects)
+    log_joint = joints[subjects, best]
     if np.any(np.isneginf(log_joint)):
         i = int(np.argmax(np.isneginf(log_joint)))
         raise ImpossibleData(
             f"subject {data.subject_ids[i]!r} has zero probability under the model"
         )
-    paths[:, T - 1] = last
-    for t in range(T - 1, 0, -1):
-        paths[:, t - 1] = back[np.arange(N), t, paths[:, t]]
-
-    clusters = None
-    if mix is not None:
-        offsets = np.asarray(mix.state_offsets + (mix.n_states_total,))
-        clusters = np.searchsorted(offsets, paths[:, 0], side="right") - 1
+    offsets = np.cumsum([0] + [h.n_states for h in hmms])
+    paths = np.stack([p for p, _ in runs])[best, subjects] + offsets[best, None]
+    clusters = best if isinstance(m, MixtureModel) else None
     return ViterbiResult(paths=paths, log_joint=log_joint, clusters=clusters)
 
 
@@ -491,10 +547,13 @@ def information_criteria(
 
     BIC = -2*loglik + p*log(nobs) with nobs the missing-adjusted data size.
     """
+    return _criteria(m, data, log_likelihood(m, data, design, mode))
+
+
+def _criteria(m: Model, data: SequenceDataset, ll: float) -> InformationCriteria:
     counts = count_parameters(m, data)
     if counts.nobs == 0:
         raise DegenerateData("effective data size is zero")
-    ll = log_likelihood(m, data, design, mode)
     bic = -2.0 * ll + counts.p * np.log(counts.nobs)
     return InformationCriteria(loglik=ll, p=counts.p, nobs=counts.nobs, bic=float(bic))
 
@@ -512,11 +571,8 @@ def cluster_prior_probs(mix: MixtureModel, design: CovariateDesign) -> np.ndarra
 def cluster_logliks(
     mix: MixtureModel, data: SequenceDataset, threads: int = 1
 ) -> np.ndarray:
-    """log P(Y_i | cluster k) for every subject and cluster (log mode).
-
-    Log mode keeps impossible (subject, cluster) pairs at -inf instead of
-    failing, which posterior computation needs.
-    """
+    """log P(Y_i | cluster k) for every subject and cluster, in log mode, where
+    impossible pairs are -inf: a reference apart from the scaled kernel."""
     out = np.empty((data.n_subjects, mix.n_clusters))
     for k, sub in enumerate(mix.clusters):
         out[:, k] = _loglik_subjects(sub, data, None, "log", threads)
@@ -529,18 +585,8 @@ def cluster_posterior_probs(
     design: Optional[CovariateDesign] = None,
     threads: int = 1,
 ) -> np.ndarray:
-    """Posterior cluster membership probabilities; rows sum to one."""
-    design = _mixture_design(mix, data, design)
-    w = cluster_prior_probs(mix, design)
-    with np.errstate(divide="ignore"):
-        log_num = np.log(w) + cluster_logliks(mix, data, threads)
-    norm = _logsumexp(log_num, axis=1)
-    if np.any(np.isneginf(norm)):
-        i = int(np.argmax(np.isneginf(norm)))
-        raise NumericalUnderflow(
-            f"subject {data.subject_ids[i]!r} has zero likelihood in every cluster"
-        )
-    return np.exp(log_num - norm[:, None])
+    """Posterior cluster membership probabilities (scaled mode); rows sum to one."""
+    return _forward_pass(mix, data, design, "scaled", threads)[1]
 
 
 @dataclass(frozen=True)
@@ -559,6 +605,8 @@ class MixtureSummary:
     assigned_counts: np.ndarray = field(default=None, repr=False)
     assigned_proportions: np.ndarray = field(default=None, repr=False)
     classification_table: np.ndarray = field(default=None, repr=False)
+    # why a result is missing, e.g. "gamma_se: NonInvertibleHessian: <msg>"
+    diagnostics: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -574,6 +622,7 @@ class MixtureSummary:
             "assigned_counts": self.assigned_counts.tolist(),
             "assigned_proportions": self.assigned_proportions.tolist(),
             "classification_table": self.classification_table.tolist(),
+            "diagnostics": list(self.diagnostics),
         }
 
     def to_text(self) -> str:
@@ -619,14 +668,16 @@ def mixture_summary(
 
     Subjects are assigned to their most probable cluster (posterior argmax,
     ties to the lowest index); rows of the classification table with no
-    assigned subjects are NaN.
+    assigned subjects are NaN, as are standard errors that cannot be
+    computed, and ``diagnostics`` says why.
     """
     from .estimation import covariate_standard_errors  # local: avoids import cycle
 
     design = _mixture_design(mix, data, design)
-    ic = information_criteria(mix, data, design, mode)
+    loglik, post = _forward_pass(mix, data, design, mode, 1)
+    _require_possible(loglik, data, "summary")
+    ic = _criteria(mix, data, float(loglik.sum()))
     w = cluster_prior_probs(mix, design)
-    post = cluster_posterior_probs(mix, data, design)
     assigned = np.argmax(post, axis=1)
     K = mix.n_clusters
     counts = np.bincount(assigned, minlength=K).astype(float)
@@ -635,11 +686,13 @@ def mixture_summary(
         members = assigned == k
         if np.any(members):
             table[k] = post[members].mean(axis=0)
+    diagnostics = []
     try:
         se = covariate_standard_errors(mix, data, design)
-    except NonInvertibleHessian:
+    except NonInvertibleHessian as err:
         se = np.full_like(mix.gamma, np.nan)
         se[:, 0] = 0.0
+        diagnostics.append(f"gamma_se: NonInvertibleHessian: {err}")
     return MixtureSummary(
         cluster_names=mix.cluster_names,
         covariate_names=mix.design_names,
@@ -653,4 +706,5 @@ def mixture_summary(
         assigned_counts=counts,
         assigned_proportions=counts / max(data.n_subjects, 1),
         classification_table=table,
+        diagnostics=diagnostics,
     )

@@ -62,6 +62,17 @@ def random_mixture(rng, n_clusters, n_states, sizes, n_subjects, n_covariates=1)
     return mix, design
 
 
+def uneven_mixture(rng, sizes, n_states, n_subjects):
+    """A mixture whose clusters have ``n_states[k]`` states, with an
+    intercept-plus-one-covariate design for n_subjects."""
+    clusters = [random_hmm(rng, s, sizes) for s in n_states]
+    X = np.column_stack([np.ones(n_subjects), rng.normal(size=n_subjects)])
+    design = CovariateDesign(("(Intercept)", "x1"), X)
+    gamma = rng.normal(scale=0.8, size=(2, len(n_states)))
+    gamma[:, 0] = 0.0
+    return build_mhmm(clusters, covariates=design, gamma=gamma), design
+
+
 def write_manifest(tmp_path, channels, covariate_rows=None, covariate_names=None):
     """Write wide CSVs plus a manifest; channels are (name, labels, rows-of-tokens)."""
     entries = []

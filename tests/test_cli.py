@@ -404,6 +404,29 @@ class TestSummaryAndSimulate:
         assert "classification_table" in doc
         assert (out / "summary.txt").exists()
 
+    def test_summary_records_why_standard_errors_are_nan(self, workspace, monkeypatch):
+        from markovseq.errors import NonInvertibleHessian
+
+        def fail(*args, **kwargs):
+            raise NonInvertibleHessian("singular")
+
+        monkeypatch.setattr("markovseq.estimation.covariate_standard_errors", fail)
+        tmp_path, manifest = workspace
+        clusters = [
+            build_hmm(_coin_model().alphabets, n_states=2, rng_seed=s, channel_names=("work",))
+            for s in (1, 2)
+        ]
+        mpath = _model_file(tmp_path, build_mhmm(clusters))
+        out = tmp_path / "out"
+        code = main(
+            ["summary", "--manifest", str(manifest), "--model", str(mpath), "--out", str(out)]
+        )
+        assert code == 0
+        line = "gamma_se: NonInvertibleHessian: singular"
+        doc = json.loads((out / "summary_result.json").read_text())
+        assert doc["diagnostics"] == [line]
+        assert line in (out / "run.log").read_text().splitlines()
+
     def test_simulate_roundtrips_through_manifest(self, tmp_path):
         rng = np.random.default_rng(2)
         model = random_hmm(rng, 2, [3])

@@ -10,6 +10,7 @@ from markovseq import (
     build_hmm,
     build_mhmm,
     build_mm,
+    combine_clusters,
     count_parameters,
     covariate_standard_errors,
     fit_em,
@@ -23,7 +24,7 @@ from markovseq.estimation import FitControl, _gamma_hessian, expected_stats
 from markovseq.errors import RankDeficientDesign
 from markovseq.seqdata import MISSING
 
-from helpers import make_alphabets, random_dataset, random_hmm, random_mixture
+from helpers import make_alphabets, random_dataset, random_hmm, random_mixture, uneven_mixture
 from oracles import central_difference_gradient, irls_multinomial
 
 
@@ -138,6 +139,32 @@ class TestFitEm:
             diffs = np.diff(res.loglik_trace)
             assert (diffs >= -1e-9).all()
             assert abs(res.loglik - log_likelihood(res.model, data, design)) < 1e-9
+
+    @pytest.mark.parametrize("even", [True, False])
+    def test_mixture_em_iteration_matches_combined_m_step(self, even):
+        rng = np.random.default_rng(207)
+        if even:
+            mix, design = random_mixture(rng, 3, 2, [3, 2], n_subjects=30, n_covariates=2)
+        else:
+            mix, design = uneven_mixture(rng, [3, 2], (2, 3, 1), n_subjects=30)
+        data = random_dataset(rng, mix.clusters[0], 30, 8, missing_rate=0.1)
+        got = fit_em(mix, data, design, FitControl(em_max_iter=1)).model
+        combined, initials = combine_clusters(mix, design)
+        stats = expected_stats(combined, data, initials)
+        blocks = [slice(o, o + sub.n_states) for o, sub in zip(mix.state_offsets, mix.clusters)]
+
+        def rows(counts):
+            return counts / counts.sum(axis=-1, keepdims=True)
+
+        for k, block in enumerate(blocks):
+            new = got.clusters[k]
+            np.testing.assert_allclose(new.initial, rows(stats.gamma1[:, block].sum(axis=0)), rtol=1e-12)
+            np.testing.assert_allclose(new.transition, rows(stats.xi[block, block]), rtol=1e-12)
+            for b, num in zip(new.emissions, stats.emis_num):
+                np.testing.assert_allclose(b, rows(num[block]), rtol=1e-12)
+        rho = np.stack([stats.gamma1[:, block].sum(axis=1) for block in blocks], axis=1)
+        want = gamma_m_step(design, rho, mix.gamma).gamma
+        np.testing.assert_allclose(got.gamma, want, rtol=1e-12)
 
     def test_structural_zeros_survive_em(self):
         rng = np.random.default_rng(202)

@@ -11,6 +11,7 @@ from markovseq import (
     build_mm,
     cluster_posterior_probs,
     cluster_prior_probs,
+    combine_clusters,
     forward_backward,
     information_criteria,
     log_likelihood,
@@ -19,14 +20,17 @@ from markovseq import (
     viterbi_paths,
 )
 from markovseq.errors import (
+    AlphabetMismatch,
     DegenerateData,
     ImpossibleData,
     NonInvertibleHessian,
     NumericalUnderflow,
 )
+from markovseq.estimation import expected_stats
+from markovseq.inference import cluster_logliks
 from markovseq.seqdata import MISSING
 
-from helpers import make_alphabets, random_dataset, random_hmm, random_mixture
+from helpers import make_alphabets, random_dataset, random_hmm, random_mixture, uneven_mixture
 from oracles import enumerate_loglik, enumerate_posterior, enumerate_viterbi
 
 
@@ -408,10 +412,142 @@ class TestMixtureSummary:
         report = self._raise_from_standard_errors(monkeypatch, NonInvertibleHessian("singular"))
         assert (report.gamma_se[:, 0] == 0.0).all()
         assert np.isnan(report.gamma_se[:, 1:]).all()
+        want = ["gamma_se: NonInvertibleHessian: singular"]
+        assert report.diagnostics == want
+        assert report.to_dict()["diagnostics"] == want
 
     def test_other_standard_error_failures_propagate(self, monkeypatch):
         with pytest.raises(RuntimeError, match="boom"):
             self._raise_from_standard_errors(monkeypatch, RuntimeError("boom"))
+
+
+def _mixed_markov_case(n_subjects=1100, n_time=8):
+    """Three Markov-model clusters over symbols 0..2 with structural zeros:
+    cluster 1 never moves 0 -> 2, cluster 2 never moves 2 -> 0, cluster 3
+    never starts in 0.  Each subject is drawn from one cluster, so it is
+    possible there; 5 % of the cells are missing."""
+    rng = np.random.default_rng(160)
+    alphabets = make_alphabets([3])
+    specs = [
+        ([0.25, 0.25, 0.5], [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]]),
+        ([0.25, 0.25, 0.5], [[0.25, 0.25, 0.5], [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]]),
+        ([0.0, 0.5, 0.5], [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]),
+    ]
+    clusters = [
+        build_hmm(alphabets, initial=pi, transition=A, emissions=np.eye(3))
+        for pi, A in specs
+    ]
+    design = CovariateDesign(
+        ("(Intercept)", "x1"), np.column_stack([np.ones(n_subjects), rng.normal(size=n_subjects)])
+    )
+    mix = build_mhmm(clusters, covariates=design, gamma=[[0.0, 0.3, -0.2], [0.0, 0.5, 1.0]])
+    k = rng.integers(0, 3, size=n_subjects)
+    cdf_init = np.cumsum([pi for pi, _ in specs], axis=1)
+    cdf_trans = np.cumsum([A for _, A in specs], axis=2)
+    codes = np.empty((n_subjects, n_time), dtype=np.int64)
+    codes[:, 0] = (rng.random(n_subjects)[:, None] >= cdf_init[k]).sum(axis=1)
+    for t in range(1, n_time):
+        cdf = cdf_trans[k, codes[:, t - 1]]
+        codes[:, t] = (rng.random(n_subjects)[:, None] >= cdf).sum(axis=1)
+    codes = np.where(rng.random(codes.shape) < 0.05, MISSING, codes)
+    ids = tuple(f"s{i + 1}" for i in range(n_subjects))
+    return mix, design, SequenceDataset((Channel("Channel 1", alphabets[0], codes),), ids)
+
+
+class TestMixturePath:
+    """The per-cluster mixture path against the block-diagonal embedding."""
+
+    @pytest.mark.parametrize("mode", ["scaled", "log"])
+    def test_posterior_matches_combined_model(self, mode):
+        rng = np.random.default_rng(161)
+        for r in range(6):
+            if r % 2:
+                mix, design = random_mixture(rng, 3, 2, [3, 2], n_subjects=7, n_covariates=2)
+            else:
+                mix, design = uneven_mixture(rng, [3, 2], (2, 3, 1), n_subjects=7)
+            data = random_dataset(rng, mix.clusters[0], 7, 6, missing_rate=0.1)
+            combined, initials = combine_clusters(mix, design)
+            fb = forward_backward(combined, data, mode, subject_initials=initials)
+            if mode == "scaled":
+                want = fb.alpha * fb.beta
+            else:
+                want = np.exp(fb.alpha + fb.beta - fb.loglik_per_subject[:, None, None])
+            got = posterior_state_probs(mix, data, design, mode)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_viterbi_matches_combined_model(self):
+        rng = np.random.default_rng(162)
+        cases = [random_mixture(rng, 3, 2, [3], n_subjects=9, n_covariates=2) for _ in range(3)]
+        cases += [uneven_mixture(rng, [3], (3, 1, 2), n_subjects=9) for _ in range(2)]
+        sub = random_hmm(rng, 2, [3])
+        cases.append((build_mhmm([sub, sub, sub]), CovariateDesign.intercept(9)))  # ties
+        for mix, design in cases:
+            data = random_dataset(rng, mix.clusters[0], 9, 6, missing_rate=0.1)
+            combined, initials = combine_clusters(mix, design)
+            want = viterbi_paths(combined, data, subject_initials=initials)
+            got = viterbi_paths(mix, data, design=design)
+            np.testing.assert_array_equal(got.paths, want.paths)
+            np.testing.assert_array_equal(got.log_joint, want.log_joint)
+            offsets = np.asarray(mix.state_offsets + (mix.n_states_total,))
+            np.testing.assert_array_equal(
+                got.clusters, np.searchsorted(offsets, want.paths[:, 0], side="right") - 1
+            )
+        assert (got.clusters == 0).all()
+
+    def test_subject_initials_rejected_for_mixture(self):
+        rng = np.random.default_rng(163)
+        mix, design = random_mixture(rng, 2, 2, [3], n_subjects=4)
+        data = random_dataset(rng, mix.clusters[0], 4, 5)
+        _, initials = combine_clusters(mix, design)
+        with pytest.raises(AlphabetMismatch, match="subject_initials"):
+            viterbi_paths(mix, data, subject_initials=initials, design=design)
+        with pytest.raises(AlphabetMismatch, match="subject_initials"):
+            expected_stats(mix, data, initials, design=design)
+
+    def test_impossible_pairs_over_three_chunks(self):
+        mix, design, data = _mixed_markov_case()
+        oracle = cluster_logliks(mix, data)
+        impossible = np.isneginf(oracle)
+        assert 100 < impossible.sum() and not impossible.all(axis=1).any()
+        rho = cluster_posterior_probs(mix, data, design)
+        assert (rho[impossible] == 0.0).all() and (rho[~impossible] > 0).all()
+        with np.errstate(divide="ignore"):
+            log_num = np.log(cluster_prior_probs(mix, design)) + oracle
+        want = np.exp(log_num - np.logaddexp.reduce(log_num, axis=1, keepdims=True))
+        np.testing.assert_allclose(rho, want, rtol=1e-12)
+        combined, initials = combine_clusters(mix, design)
+        fb = forward_backward(combined, data, subject_initials=initials)
+        post = posterior_state_probs(mix, data, design)
+        np.testing.assert_allclose(post, fb.alpha * fb.beta, rtol=1e-12, atol=1e-15)
+        assert abs(log_likelihood(mix, data, design) - fb.loglik_per_subject.sum()) < 1e-9
+        one, three = (expected_stats(mix, data, threads=n, design=design) for n in (1, 3))
+        np.testing.assert_array_equal(one.rho, three.rho)
+        for a, b in zip(one.clusters, three.clusters):
+            np.testing.assert_array_equal(a.gamma1, b.gamma1)
+            np.testing.assert_array_equal(a.xi, b.xi)
+            for x, y in zip(a.emis_num, b.emis_num):
+                np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(posterior_state_probs(mix, data, design, threads=3), post)
+        np.testing.assert_array_equal(cluster_posterior_probs(mix, data, design, threads=3), rho)
+
+    def test_subject_impossible_in_every_cluster_is_named(self):
+        mix, design, data = _mixed_markov_case()
+        codes = data.channels[0].codes.copy()
+        # starts in 0 (cluster 3 out at t=0), 0 -> 2 (cluster 1 out at t=1),
+        # 2 -> 0 (cluster 2 out at t=2)
+        codes[700, :3] = [0, 2, 0]
+        data = SequenceDataset((Channel("Channel 1", data.alphabets[0], codes),), data.subject_ids)
+        combined, initials = combine_clusters(mix, design)
+        with pytest.raises(NumericalUnderflow) as want:
+            forward_backward(combined, data, subject_initials=initials)
+        assert "subject 's701' at t=2" in str(want.value)
+        for threads in (1, 3):
+            with pytest.raises(NumericalUnderflow) as got:
+                log_likelihood(mix, data, design, threads=threads)
+            assert str(got.value) == str(want.value)
+            with pytest.raises(NumericalUnderflow, match="'s701'"):
+                cluster_posterior_probs(mix, data, design, threads=threads)
+        assert log_likelihood(mix, data, design, mode="log") == -np.inf
 
 
 class TestLogsumexp:
