@@ -125,7 +125,8 @@ class EStats:
     posterior cluster probabilities ``rho`` (cluster k's ``gamma1`` rows sum
     to rho_ik); its own ``gamma1``, ``xi`` and ``emis_num`` are None.
     ``xi`` and ``emis_num`` are summed over subjects chunk by chunk in chunk
-    order, so results do not depend on the thread count.
+    order, so results do not depend on the thread count.  Emission updates
+    normalize by the numerator row sums (expected occupancy of observed cells).
     """
 
     loglik: float
