@@ -62,6 +62,11 @@ class GammaReferenceNotZero(MarkovSeqError):
     pass
 
 
+class InvalidParameter(MarkovSeqError):
+    """A parameter value that no model may hold: a non-zero value at a
+    structural zero, or a non-finite covariate coefficient."""
+
+
 class RowAnnihilated(MarkovSeqError):
     pass
 

@@ -1,9 +1,13 @@
 """HMM and mixture-HMM construction, validation, and transformation.
 
-Probability rows must sum to one within ``ROW_TOL``; rows inside the
-tolerance are silently renormalized, rows outside it are rejected.  Zero
-entries present at build time are recorded as structural zeros: they are
-never touched by estimation and do not count as free parameters.
+Every model is checked in one place, ``HmmModel.__post_init__``, whichever
+path built it: the builders, the JSON loader, ``with_params`` (so the
+M-step and the local step), trimming and ``combine_clusters``.  Each
+probability row must be non-negative and sum to one within ``ROW_TOL``;
+rows inside the tolerance are silently renormalized, rows outside it are
+rejected.  Entries marked in a ``*_mask`` are structural zeros: they must
+hold exactly 0, are never touched by estimation and do not count as free
+parameters.  The builders mark every zero entry they are given.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     GammaReferenceNotZero,
+    InvalidParameter,
     MultichannelNotAllowed,
     NegativeProbability,
     RowAnnihilated,
@@ -37,6 +42,39 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _checked_rows(a: np.ndarray, mask: np.ndarray, where: str) -> np.ndarray:
+    """Check the probability rows of ``a`` (a vector is one row) and freeze it.
+
+    Reports the first faulty row.  ``a`` must be the caller's own copy: a
+    row more than 1e-12 from 1 is renormalized in place.  Sums within float
+    roundoff of 1 stay untouched, so revalidating a model reproduces it.
+    """
+    if mask.shape != a.shape:
+        raise DimensionMismatch(f"{where} mask shape {mask.shape}, expected {a.shape}")
+    if a.size == 0:
+        raise DimensionMismatch(f"{where} has an empty state or symbol axis")
+    rows = a.reshape(-1, a.shape[-1])
+    with np.errstate(invalid="ignore", over="ignore"):  # inf or huge entries fail below
+        totals = rows.sum(axis=1)
+    off = np.abs(totals - 1.0)
+    worst = off.max()
+    # written so that a NaN entry or total fails too
+    if not (rows.min() >= 0.0 and worst <= ROW_TOL):
+        negative = (rows < 0).any(axis=1)
+        r = int(np.argmax(negative | ~(off <= ROW_TOL)))
+        if negative[r]:
+            raise NegativeProbability(f"{where} row {r} has a negative entry")
+        raise RowSumError(where, r, float(totals[r]))
+    pinned = mask.reshape(rows.shape)
+    if rows.any(where=pinned):
+        r = int(np.nonzero(pinned & (rows != 0.0))[0][0])
+        raise InvalidParameter(f"{where} row {r} has a non-zero value at a structural zero")
+    if worst > 1e-12:
+        renorm = off > 1e-12
+        rows[renorm] /= totals[renorm, None]
+    return _freeze(a)
+
+
 @dataclass(frozen=True)
 class HmmModel:
     """Hidden Markov model for C-channel categorical observations.
@@ -56,29 +94,34 @@ class HmmModel:
 
     def __post_init__(self):
         S = len(self.state_names)
-        initial = _freeze(np.asarray(self.initial, dtype=float))
-        transition = _freeze(np.asarray(self.transition, dtype=float))
-        emissions = tuple(_freeze(np.asarray(b, dtype=float)) for b in self.emissions)
-        imask = _freeze(np.asarray(self.initial_mask, dtype=bool))
-        tmask = _freeze(np.asarray(self.transition_mask, dtype=bool))
-        emasks = tuple(_freeze(np.asarray(m, dtype=bool)) for m in self.emission_masks)
+        # copies, so no caller keeps a writable handle on a model's arrays
+        initial = np.array(self.initial, dtype=float)
+        transition = np.array(self.transition, dtype=float)
+        emissions = tuple(np.array(b, dtype=float) for b in self.emissions)
+        imask = _freeze(np.array(self.initial_mask, dtype=bool))
+        tmask = _freeze(np.array(self.transition_mask, dtype=bool))
+        emasks = tuple(_freeze(np.array(m, dtype=bool)) for m in self.emission_masks)
         if initial.shape != (S,) or transition.shape != (S, S):
             raise DimensionMismatch(
                 f"initial/transition shapes {initial.shape}/{transition.shape} "
                 f"inconsistent with {S} states"
             )
-        if len(emissions) != len(self.alphabets) or len(emissions) != len(self.channel_names):
-            raise DimensionMismatch("one emission matrix per channel required")
+        if not len(emissions) == len(emasks) == len(self.alphabets) == len(self.channel_names):
+            raise DimensionMismatch(
+                f"{len(emissions)} emission matrices, {len(emasks)} masks, {len(self.alphabets)} "
+                f"alphabets and {len(self.channel_names)} channel names; need one per channel"
+            )
         for c, (b, a) in enumerate(zip(emissions, self.alphabets)):
             if b.shape != (S, a.size):
                 raise DimensionMismatch(
                     f"emission[{c}] shape {b.shape}, expected ({S}, {a.size})"
                 )
-        if imask.shape != initial.shape or tmask.shape != transition.shape:
-            raise DimensionMismatch("mask shapes must match parameter shapes")
-        for b, m in zip(emissions, emasks):
-            if m.shape != b.shape:
-                raise DimensionMismatch("mask shapes must match parameter shapes")
+        initial = _checked_rows(initial, imask, "initial")
+        transition = _checked_rows(transition, tmask, "transition")
+        emissions = tuple(
+            _checked_rows(b, m, f"emission[{c}]")
+            for c, (b, m) in enumerate(zip(emissions, emasks))
+        )
         object.__setattr__(self, "state_names", tuple(self.state_names))
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
         object.__setattr__(self, "alphabets", tuple(self.alphabets))
@@ -98,7 +141,8 @@ class HmmModel:
         return len(self.channel_names)
 
     def with_params(self, initial=None, transition=None, emissions=None) -> "HmmModel":
-        """Copy with updated parameter values; masks are preserved."""
+        """Copy with updated parameter values, checked like any new model;
+        masks are preserved."""
         return replace(
             self,
             initial=self.initial if initial is None else initial,
@@ -139,6 +183,8 @@ class MixtureModel:
                 f"gamma shape {gamma.shape}, expected "
                 f"({len(self.design_names)}, {len(clusters)})"
             )
+        if not np.all(np.isfinite(gamma)):
+            raise InvalidParameter("gamma has a non-finite coefficient")
         if np.any(gamma[:, 0] != 0.0):
             raise GammaReferenceNotZero("first gamma column is the reference; must be 0")
 
@@ -178,21 +224,6 @@ Model = Union[HmmModel, MixtureModel]
 # ----------------------------------------------------------------------
 
 
-def _clean_row(vec, where: str, row_idx: int) -> np.ndarray:
-    v = np.asarray(vec, dtype=float).copy()
-    if np.any(v < 0):
-        raise NegativeProbability(f"{where} row {row_idx} has a negative entry")
-    total = float(v.sum())
-    # written so that a NaN or infinite total fails too
-    if not abs(total - 1.0) <= ROW_TOL:
-        raise RowSumError(where, row_idx, total)
-    # sums already within float roundoff of 1 stay untouched, so revalidating
-    # a built model reproduces it bit for bit
-    if abs(total - 1.0) > 1e-12:
-        v /= total
-    return v
-
-
 def _data_meta(data_meta) -> tuple[tuple[Alphabet, ...], tuple[str, ...]]:
     if isinstance(data_meta, SequenceDataset):
         return data_meta.alphabets, data_meta.channel_names
@@ -229,11 +260,6 @@ def build_hmm(
         accepted for single-channel models.
     """
     alphabets, default_channels = _data_meta(data_meta)
-    if channel_names is None:
-        channel_names = default_channels
-    if len(channel_names) != len(alphabets):
-        raise DimensionMismatch("one channel name per alphabet required")
-
     have_params = initial is not None or transition is not None or emissions is not None
     if have_params:
         if initial is None or transition is None or emissions is None:
@@ -246,7 +272,7 @@ def build_hmm(
             emissions = [np.asarray(emissions)]
         initial = np.asarray(initial, dtype=float)
         transition = np.asarray(transition, dtype=float)
-        S = initial.shape[0]
+        emissions = [np.asarray(b, dtype=float) for b in emissions]
     else:
         if n_states is None:
             raise DimensionMismatch("give either full parameters or n_states")
@@ -256,38 +282,18 @@ def build_hmm(
         transition = rng.dirichlet(np.ones(S), size=S)
         emissions = [rng.dirichlet(np.ones(a.size), size=S) for a in alphabets]
 
-    if transition.shape != (S, S):
-        raise DimensionMismatch(f"transition shape {transition.shape}, expected ({S}, {S})")
-    if len(emissions) != len(alphabets):
-        raise DimensionMismatch(
-            f"{len(emissions)} emission matrices for {len(alphabets)} channels"
-        )
-
-    initial = _clean_row(initial, "initial", 0)
-    transition = np.vstack(
-        [_clean_row(transition[s], "transition", s) for s in range(S)]
-    )
-    cleaned = []
-    for c, b in enumerate(emissions):
-        b = np.asarray(b, dtype=float)
-        if b.shape != (S, alphabets[c].size):
-            raise DimensionMismatch(
-                f"emission[{c}] shape {b.shape}, expected ({S}, {alphabets[c].size})"
-            )
-        cleaned.append(np.vstack([_clean_row(b[s], f"emission[{c}]", s) for s in range(S)]))
-
     if state_names is None:
-        state_names = tuple(f"State {s + 1}" for s in range(S))
+        state_names = tuple(f"State {s + 1}" for s in range(initial.shape[0]))
     return HmmModel(
         state_names=tuple(state_names),
-        channel_names=tuple(channel_names),
+        channel_names=tuple(default_channels if channel_names is None else channel_names),
         alphabets=alphabets,
         initial=initial,
         transition=transition,
-        emissions=tuple(cleaned),
+        emissions=tuple(emissions),
         initial_mask=initial == 0.0,
         transition_mask=transition == 0.0,
-        emission_masks=tuple(b == 0.0 for b in cleaned),
+        emission_masks=tuple(b == 0.0 for b in emissions),
     )
 
 
@@ -474,6 +480,8 @@ def combine_clusters(
     exact structural zeros.  Returns the combined model together with the
     per-subject initial vectors (w_i1*pi^1, ..., w_iK*pi^K).
     """
+    if design.n_subjects == 0:
+        raise DimensionMismatch("the covariate design has no rows; it needs one per subject")
     S_total = mix.n_states_total
     offsets = mix.state_offsets
     transition = np.zeros((S_total, S_total))
@@ -623,16 +631,6 @@ def _parse_array(rows) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _parse_rows(rows, where: str) -> np.ndarray:
-    """Parse a probability vector or matrix and check each row like ``build_hmm``."""
-    a = _parse_array(rows)
-    if a.ndim < 2:
-        return _clean_row(a, where, 0)
-    for s in range(a.shape[0]):
-        a[s] = _clean_row(a[s], where, s)
-    return a
-
-
 def _mask_array(a: np.ndarray):
     return np.asarray(a, dtype=int).tolist()
 
@@ -667,11 +665,9 @@ def _hmm_from_json(doc: dict) -> HmmModel:
         state_names=tuple(doc["state_names"]),
         channel_names=tuple(doc["channel_names"]),
         alphabets=alphabets,
-        initial=_parse_rows(doc["initial"], "initial"),
-        transition=_parse_rows(doc["transition"], "transition"),
-        emissions=tuple(
-            _parse_rows(b, f"emission[{c}]") for c, b in enumerate(doc["emissions"])
-        ),
+        initial=_parse_array(doc["initial"]),
+        transition=_parse_array(doc["transition"]),
+        emissions=tuple(_parse_array(b) for b in doc["emissions"]),
         initial_mask=np.asarray(masks["initial"], dtype=bool),
         transition_mask=np.asarray(masks["transition"], dtype=bool),
         emission_masks=tuple(np.asarray(mk, dtype=bool) for mk in masks["emissions"]),

@@ -1,5 +1,6 @@
 """Shared generators for randomized tests."""
 
+import copy
 import json
 
 import numpy as np
@@ -33,6 +34,17 @@ def random_hmm(rng, n_states, sizes, left_to_right=False):
         transition = rng.dirichlet(np.ones(S), size=S)
     emissions = [rng.dirichlet(np.ones(m), size=S) for m in sizes]
     return build_hmm(alphabets, initial=initial, transition=transition, emissions=emissions)
+
+
+def with_unchecked_emissions(model, emissions):
+    """A copy of ``model`` holding ``emissions`` as given.
+
+    Construction rejects non-finite rows, so this is the only way to reach
+    the inference kernels' own guards against them.
+    """
+    bad = copy.copy(model)
+    object.__setattr__(bad, "emissions", tuple(np.asarray(b, dtype=float) for b in emissions))
+    return bad
 
 
 def random_dataset(rng, model, n_subjects, n_time, missing_rate=0.0):

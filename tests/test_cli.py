@@ -185,6 +185,26 @@ class TestLoglik:
         assert code == 1
         assert capsys.readouterr().err.startswith("RowSumError")
 
+    @pytest.mark.parametrize("where", ["gamma", "zero_mask"])
+    def test_invalid_parameter_on_load_exits_one(self, workspace, capsys, where):
+        tmp_path, manifest = workspace
+        doc = model_to_json(build_mhmm([_coin_model(), _coin_model()]))
+        if where == "gamma":
+            doc["gamma"][0][1] = "inf"
+        else:
+            doc["clusters"][1]["zero_mask"]["emissions"][0][0] = [1, 0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(
+            ["loglik", "--manifest", str(manifest), "--model", str(bad), "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("InvalidParameter")
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.startswith("error: InvalidParameter: ")
+        assert ("gamma" in last) == (where == "gamma")
+
     def test_dataset_without_time_points_exits_one(self, tmp_path, capsys):
         (tmp_path / "work.csv").write_text("id\ns1\ns2\n")
         manifest = tmp_path / "manifest.json"

@@ -30,7 +30,14 @@ from markovseq.estimation import expected_stats
 from markovseq.inference import cluster_logliks
 from markovseq.seqdata import MISSING
 
-from helpers import make_alphabets, random_dataset, random_hmm, random_mixture, uneven_mixture
+from helpers import (
+    make_alphabets,
+    random_dataset,
+    random_hmm,
+    random_mixture,
+    uneven_mixture,
+    with_unchecked_emissions,
+)
 from oracles import enumerate_loglik, enumerate_posterior, enumerate_viterbi
 
 
@@ -124,7 +131,7 @@ class TestForwardBackward:
         model = _deterministic_model()
         # state 1 emits symbol 1 with a non-finite "probability"; subject s1
         # enters state 1 at t=1 and shows symbol 1 there
-        model = model.with_params(emissions=[np.array([[1.0, 0.0], [0.0, bad]])])
+        model = with_unchecked_emissions(model, [np.array([[1.0, 0.0], [0.0, bad]])])
         data = _coin_data("011")
         where = "subject 's1' at t=1"
         with pytest.raises(NumericalUnderflow, match=where):
@@ -223,8 +230,8 @@ class TestViterbi:
 
     def test_nan_emission_raises_naming_subject(self):
         # s1 never shows the NaN cell and decodes; s2 meets it at t=1
-        model = _deterministic_model().with_params(
-            emissions=[np.array([[1.0, 0.0], [0.0, np.nan]])]
+        model = with_unchecked_emissions(
+            _deterministic_model(), [np.array([[1.0, 0.0], [0.0, np.nan]])]
         )
         a = Alphabet(("c0m0", "c0m1"))
         codes = np.array([[0, MISSING, MISSING], [0, 1, 1]])

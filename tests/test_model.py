@@ -7,6 +7,8 @@ from markovseq import (
     Alphabet,
     Channel,
     CovariateDesign,
+    HmmModel,
+    ParameterMap,
     SequenceDataset,
     build_hmm,
     build_mhmm,
@@ -23,14 +25,22 @@ from markovseq import (
 from markovseq.errors import (
     DimensionMismatch,
     GammaReferenceNotZero,
+    InvalidParameter,
     MultichannelNotAllowed,
     NegativeProbability,
     RowAnnihilated,
     RowSumError,
 )
+from markovseq.estimation import EStats, _m_step_hmm
 from markovseq.seqdata import MISSING
 
-from helpers import make_alphabets, random_dataset, random_hmm, random_mixture
+from helpers import (
+    make_alphabets,
+    random_dataset,
+    random_hmm,
+    random_mixture,
+    with_unchecked_emissions,
+)
 
 FIVE_STATE_INIT = [0.9, 0.06, 0.02, 0.01, 0.01]
 FIVE_STATE_TRANS = [
@@ -484,3 +494,178 @@ class TestSerialization:
         assert back.design_names == mix.design_names
         for a, b in zip(mix.clusters, back.clusters):
             np.testing.assert_array_equal(a.transition, b.transition)
+
+
+# emission rows every construction path must reject, with the error build_hmm raises
+BAD_ROWS = [
+    pytest.param([0.5, np.nan], RowSumError, id="nan"),
+    pytest.param([0.5, np.inf], RowSumError, id="inf"),
+    pytest.param([1.1, -0.1], NegativeProbability, id="negative"),
+    pytest.param([0.6, 0.6], RowSumError, id="off-sum"),
+]
+
+
+def _two_state_model():
+    return build_hmm(
+        make_alphabets([2]),
+        initial=[0.6, 0.4],
+        transition=[[0.7, 0.3], [0.2, 0.8]],
+        emissions=[[0.9, 0.1], [0.3, 0.7]],
+    )
+
+
+def _with_bad_row(row):
+    good = _two_state_model()
+    return with_unchecked_emissions(good, [np.array([good.emissions[0][0], row])])
+
+
+class TestOneValidationPoint:
+    @pytest.mark.parametrize("row, error", BAD_ROWS)
+    def test_build_hmm_and_with_params_raise_alike(self, row, error):
+        good = _two_state_model()
+        emissions = [np.array([[0.9, 0.1], row])]
+        with pytest.raises(error) as built:
+            build_hmm(good.alphabets, initial=good.initial, transition=good.transition,
+                      emissions=emissions)
+        with pytest.raises(error) as replaced:
+            good.with_params(emissions=emissions)
+        assert str(replaced.value) == str(built.value)
+        assert "emission[0] row 1" in str(built.value)
+
+    @pytest.mark.parametrize("row, error", BAD_ROWS)
+    def test_combine_clusters_rejects_bad_cluster(self, row, error):
+        mix = build_mhmm([_two_state_model(), _with_bad_row(row)])
+        with pytest.raises(error, match=r"emission\[0\] row 3"):
+            combine_clusters(mix, CovariateDesign.intercept(2))
+
+    @pytest.mark.parametrize("row, error", BAD_ROWS)
+    def test_trim_model_rejects_bad_row(self, row, error):
+        # trimming zeroes a negative entry; the row then sums to 1.1
+        error = RowSumError if error is NegativeProbability else error
+        with pytest.raises(error, match=r"emission\[0\] row 1"):
+            trim_model(_with_bad_row(row), 1e-6)
+
+    def test_unpack_rejects_nan_coordinates(self):
+        pmap = ParameterMap(_two_state_model())
+        theta = pmap.pack()
+        theta[0] = np.nan
+        with pytest.raises(RowSumError) as err:
+            pmap.unpack(theta)
+        assert err.value.where == "initial"
+
+    def test_m_step_rejects_negative_counts(self):
+        m = _two_state_model()
+        stats = EStats(
+            loglik=0.0,
+            loglik_per_subject=np.zeros(1),
+            gamma1=np.array([[0.5, 0.5]]),
+            xi=np.array([[2.0, -1.0], [1.0, 1.0]]),
+            emis_num=[np.ones((2, 2))],
+            rho=np.ones((1, 1)),
+        )
+        with pytest.raises(NegativeProbability, match="transition row 0"):
+            _m_step_hmm(m, stats, set())
+
+    def test_direct_construction_checks_rows(self):
+        m = _two_state_model()
+        fields = dict(
+            state_names=m.state_names,
+            channel_names=m.channel_names,
+            alphabets=m.alphabets,
+            initial=[0.6, 0.6],
+            transition=m.transition,
+            emissions=m.emissions,
+            initial_mask=m.initial_mask,
+            transition_mask=m.transition_mask,
+            emission_masks=m.emission_masks,
+        )
+        with pytest.raises(RowSumError) as err:
+            HmmModel(**fields)
+        assert (err.value.where, err.value.row) == ("initial", 0)
+
+    def test_renormalization_leaves_caller_array_alone(self):
+        m = _two_state_model()
+        initial = np.array([0.5, 0.5 + 5e-9])
+        out = m.with_params(initial=initial)
+        assert out.initial.sum() == 1.0
+        assert initial.tolist() == [0.5, 0.5 + 5e-9]
+        assert initial.flags.writeable
+        assert not out.initial.flags.writeable
+
+    def test_empty_state_axis_rejected(self):
+        alphabets = make_alphabets([2])
+        with pytest.raises(DimensionMismatch, match="empty"):
+            HmmModel(
+                state_names=(),
+                channel_names=("Channel 1",),
+                alphabets=alphabets,
+                initial=np.zeros(0),
+                transition=np.zeros((0, 0)),
+                emissions=(np.zeros((0, 2)),),
+                initial_mask=np.zeros(0, dtype=bool),
+                transition_mask=np.zeros((0, 0), dtype=bool),
+                emission_masks=(np.zeros((0, 2), dtype=bool),),
+            )
+
+    def test_mask_count_must_match_channels(self):
+        m = _two_state_model()
+        with pytest.raises(DimensionMismatch, match="masks"):
+            HmmModel(
+                state_names=m.state_names,
+                channel_names=m.channel_names,
+                alphabets=m.alphabets,
+                initial=m.initial,
+                transition=m.transition,
+                emissions=m.emissions,
+                initial_mask=m.initial_mask,
+                transition_mask=m.transition_mask,
+                emission_masks=(),
+            )
+
+
+class TestStructuralZeros:
+    def test_masked_nonzero_rejected_on_direct_construction(self):
+        m = _two_state_model()
+        with pytest.raises(InvalidParameter, match="transition row 1"):
+            HmmModel(
+                state_names=m.state_names,
+                channel_names=m.channel_names,
+                alphabets=m.alphabets,
+                initial=m.initial,
+                transition=m.transition,
+                emissions=m.emissions,
+                initial_mask=m.initial_mask,
+                transition_mask=np.array([[False, False], [True, False]]),
+                emission_masks=m.emission_masks,
+            )
+
+    def test_masked_nonzero_rejected_on_load(self):
+        doc = model_to_json(random_hmm(np.random.default_rng(31), 2, [3]))
+        doc["emissions"][0][1] = ["0.064", "0.5", "0.436"]
+        doc["zero_mask"]["emissions"][0][1] = [1, 0, 0]
+        with pytest.raises(InvalidParameter, match=r"emission\[0\] row 1"):
+            model_from_json(json.loads(json.dumps(doc)))
+
+    def test_masked_exact_zero_accepted_and_not_counted(self):
+        doc = model_to_json(random_hmm(np.random.default_rng(32), 2, [3]))
+        doc["emissions"][0][1] = ["0", "0.5", "0.5"]
+        doc["zero_mask"]["emissions"][0][1] = [1, 0, 0]
+        m = model_from_json(doc)
+        data = random_dataset(np.random.default_rng(0), m, 2, 3)
+        assert count_parameters(m, data).p == 1 + 2 + 2 + 1
+
+
+class TestMixtureValues:
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+    def test_non_finite_gamma_rejected_on_load(self, bad):
+        mix, _ = random_mixture(np.random.default_rng(33), 2, 2, [2], n_subjects=3)
+        doc = json.loads(json.dumps(model_to_json(mix)))
+        doc["gamma"][0][1] = bad
+        with pytest.raises(InvalidParameter, match="gamma"):
+            model_from_json(doc)
+
+    def test_combine_clusters_rejects_empty_design(self):
+        mix, _ = random_mixture(np.random.default_rng(34), 2, 2, [2], n_subjects=3)
+        empty = CovariateDesign(("(Intercept)",), np.ones((0, 1)))
+        with pytest.raises(DimensionMismatch, match="covariate design has no rows"):
+            combine_clusters(mix, empty)

@@ -1,0 +1,297 @@
+"""Property-based checks: random small models, JSON round trips, fuzzed model files.
+
+Every test is derandomized and keeps no example database, so a run is
+repeatable and leaves nothing behind.
+"""
+
+import json
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from markovseq import (
+    Alphabet,
+    Channel,
+    CovariateDesign,
+    HmmModel,
+    SequenceDataset,
+    build_mhmm,
+    log_likelihood,
+    model_from_json,
+    model_to_json,
+    posterior_state_probs,
+)
+from markovseq.cli import main
+from markovseq.errors import NumericalUnderflow
+from markovseq.seqdata import MISSING
+
+from helpers import make_alphabets, random_dataset, write_manifest
+from oracles import enumerate_loglik, enumerate_posterior
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@st.composite
+def rows(draw, n_rows, width):
+    """A (n_rows, width) row-stochastic matrix and its structural-zero mask;
+    each row keeps at least one free entry."""
+    values = np.zeros((n_rows, width))
+    mask = np.zeros((n_rows, width), dtype=bool)
+    for s in range(n_rows):
+        free = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+        free[draw(st.integers(0, width - 1))] = True
+        weights = draw(
+            st.lists(st.floats(0.05, 1.0), min_size=width, max_size=width)
+        )
+        row = np.where(free, weights, 0.0)
+        values[s] = row / row.sum()
+        mask[s] = ~np.asarray(free)
+    return values, mask
+
+
+@st.composite
+def hmms(draw, sizes):
+    S = draw(st.integers(1, 3))
+    initial, imask = draw(rows(1, S))
+    transition, tmask = draw(rows(S, S))
+    emissions = [draw(rows(S, m)) for m in sizes]
+    return HmmModel(
+        state_names=tuple(f"State {s + 1}" for s in range(S)),
+        channel_names=tuple(f"Channel {c + 1}" for c in range(len(sizes))),
+        alphabets=make_alphabets(sizes),
+        initial=initial[0],
+        transition=transition,
+        emissions=tuple(b for b, _ in emissions),
+        initial_mask=imask[0],
+        transition_mask=tmask,
+        emission_masks=tuple(m for _, m in emissions),
+    )
+
+
+channel_sizes = st.lists(st.integers(1, 3), min_size=1, max_size=2)
+
+
+@st.composite
+def hmm_and_data(draw):
+    sizes = draw(channel_sizes)
+    model = draw(hmms(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, t = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return model, random_dataset(rng, model, n, t, missing_rate=draw(st.sampled_from([0.0, 0.3])))
+
+
+@st.composite
+def mixture_and_data(draw):
+    sizes = draw(channel_sizes)
+    K = draw(st.integers(1, 3))
+    clusters = [draw(hmms(sizes)) for _ in range(K)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    X = np.column_stack([np.ones(n), rng.normal(size=n)])
+    design = CovariateDesign(("(Intercept)", "x1"), X)
+    gamma = rng.normal(size=(2, K))
+    gamma[:, 0] = 0.0
+    mix = build_mhmm(clusters, covariates=design, gamma=gamma)
+    data = random_dataset(rng, clusters[0], n, t, missing_rate=draw(st.sampled_from([0.0, 0.3])))
+    return mix, design, data
+
+
+def _agree(per_subject_oracle, scaled_call, log_total):
+    """Scaled mode matches the oracle when every subject is possible and
+    raises otherwise; log mode matches it either way."""
+    want = per_subject_oracle.sum()
+    if np.isfinite(want):
+        assert abs(scaled_call() - want) <= 1e-10 * max(1.0, abs(want))
+        assert abs(log_total - want) <= 1e-10 * max(1.0, abs(want))
+    else:
+        try:
+            scaled_call()
+        except NumericalUnderflow:
+            pass
+        else:
+            raise AssertionError("scaled mode returned on impossible data")
+        assert log_total == -np.inf
+
+
+class TestModesAgreeWithEnumeration:
+    @SETTINGS
+    @given(hmm_and_data())
+    def test_hmm_loglik_and_posterior(self, case):
+        model, data = case
+        oracle = enumerate_loglik(model, data)
+        _agree(
+            oracle,
+            lambda: log_likelihood(model, data, mode="scaled"),
+            log_likelihood(model, data, mode="log"),
+        )
+        if np.isfinite(oracle).all():
+            want = enumerate_posterior(model, data)
+            for mode in ("scaled", "log"):
+                got = posterior_state_probs(model, data, mode=mode)
+                np.testing.assert_allclose(got, want, atol=1e-9)
+
+    @SETTINGS
+    @given(mixture_and_data())
+    def test_mixture_loglik(self, case):
+        mix, design, data = case
+        X = design.X @ mix.gamma
+        w = np.exp(X - X.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        liks = np.column_stack(
+            [np.exp(enumerate_loglik(sub, data)) for sub in mix.clusters]
+        )
+        total = (w * liks).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            oracle = np.log(total)
+        _agree(
+            oracle,
+            lambda: log_likelihood(mix, data, design, mode="scaled"),
+            log_likelihood(mix, data, design, mode="log"),
+        )
+
+
+class TestRoundTrips:
+    @SETTINGS
+    @given(channel_sizes.flatmap(hmms))
+    def test_hmm_json_bit_for_bit(self, model):
+        doc = model_to_json(model)
+        back = model_from_json(json.loads(json.dumps(doc)))
+        assert model_to_json(back) == doc
+        for x, y in [(model.initial, back.initial), (model.transition, back.transition)]:
+            assert x.tobytes() == y.tobytes()
+        for x, y in zip(model.emissions, back.emissions):
+            assert x.tobytes() == y.tobytes()
+        assert (back.transition_mask == model.transition_mask).all()
+
+    @SETTINGS
+    @given(mixture_and_data())
+    def test_mixture_json_bit_for_bit(self, case):
+        mix = case[0]
+        doc = model_to_json(mix)
+        back = model_from_json(json.loads(json.dumps(doc)))
+        assert model_to_json(back) == doc
+        assert back.gamma.tobytes() == mix.gamma.tobytes()
+
+    @SETTINGS
+    @given(
+        labels=st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4, unique=True),
+        missing=st.text(min_size=1, max_size=2),
+        ids=st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dataset_json_exact(self, labels, missing, ids, seed):
+        if missing in labels:
+            missing = missing + "".join(labels)
+        alpha = Alphabet(tuple(labels), missing)
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(MISSING, len(labels), size=(len(ids), 3))
+        data = SequenceDataset((Channel("work", alpha, codes),), tuple(ids))
+        doc = data.to_json()
+        back = SequenceDataset.from_json(json.loads(json.dumps(doc)))
+        assert back.to_json() == doc
+        assert back.subject_ids == data.subject_ids
+        assert back.alphabets == data.alphabets
+        assert back.channels[0].codes.tobytes() == data.channels[0].codes.tobytes()
+
+
+# ----------------------------------------------------------------------
+# fuzzed model documents through the CLI
+# ----------------------------------------------------------------------
+
+LEAVES = ["0", "1", "0.5", "-0.1", "2", "nan", "inf", "-inf", "1e308", "1e-300", "x"]
+
+
+def _base_documents():
+    """A two-state HMM and a two-cluster mixture that fit the fuzz manifest."""
+    rng = np.random.default_rng(0)
+    alphabets = make_alphabets([2])
+    hmm = HmmModel(
+        state_names=("A", "B"),
+        channel_names=("work",),
+        alphabets=alphabets,
+        initial=np.array([0.5, 0.5]),
+        transition=np.array([[0.9, 0.1], [0.0, 1.0]]),
+        emissions=(rng.dirichlet(np.ones(2), size=2),),
+        initial_mask=np.zeros(2, dtype=bool),
+        transition_mask=np.array([[False, False], [True, False]]),
+        emission_masks=(np.zeros((2, 2), dtype=bool),),
+    )
+    return model_to_json(hmm), model_to_json(build_mhmm([hmm, hmm], gamma=[[0.0, 0.3]]))
+
+
+def _probability_slots(doc):
+    """(container, key) pairs for every probability entry, mask entry and gamma."""
+    hmm_docs = doc["clusters"] if doc["type"] == "mhmm" else [doc]
+    slots = [(row, j) for row in doc.get("gamma", []) for j in range(len(row))]
+    for h in hmm_docs:
+        slots += [(h["initial"], j) for j in range(len(h["initial"]))]
+        slots += [(row, j) for row in h["transition"] for j in range(len(row))]
+        slots += [(row, j) for b in h["emissions"] for row in b for j in range(len(row))]
+        masks = h["zero_mask"]
+        slots += [(masks["initial"], j) for j in range(len(masks["initial"]))]
+        slots += [(row, j) for row in masks["transition"] for j in range(len(row))]
+        slots += [(row, j) for mk in masks["emissions"] for row in mk for j in range(len(row))]
+    return slots
+
+
+def _rows_of(doc):
+    """Every list a fuzzer may shorten, lengthen or reverse: gamma, each
+    probability vector and matrix, and each transition row."""
+    hmm_docs = doc["clusters"] if doc["type"] == "mhmm" else [doc]
+    out = [doc["gamma"]] if doc["type"] == "mhmm" else []
+    for h in hmm_docs:
+        out += [h["initial"], h["transition"], h["emissions"][0], *h["transition"]]
+    return out
+
+
+@st.composite
+def fuzzed_documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(_base_documents()))))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["leaf", "leaf", "drop", "append", "swap"]))
+        if kind == "leaf":
+            slots = _probability_slots(doc)
+            container, key = slots[draw(st.integers(0, len(slots) - 1))]
+            if isinstance(container[key], int):
+                container[key] = draw(st.sampled_from([0, 1]))
+            else:
+                container[key] = draw(st.sampled_from(LEAVES))
+        else:
+            targets = [r for r in _rows_of(doc) if r]
+            row = targets[draw(st.integers(0, len(targets) - 1))]
+            if kind == "drop":
+                row.pop()
+            elif kind == "append":
+                row.append(row[0])
+            else:
+                row.reverse()
+    return doc
+
+
+class TestCliFuzz:
+    @SETTINGS
+    @given(fuzzed_documents())
+    def test_loglik_exits_cleanly(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            manifest = write_manifest(
+                tmp,
+                [("work", ["c0m0", "c0m1"], [["c0m0", "c0m1", "*"], ["c0m1", "c0m1", "c0m0"]])],
+            )
+            (tmp / "model.json").write_text(json.dumps(doc))
+            out = tmp / "out"
+            code = main(
+                ["loglik", "--manifest", str(manifest), "--model", str(tmp / "model.json"),
+                 "--out", str(out)]
+            )
+            last = (out / "run.log").read_text().splitlines()[-1]
+            if code == 0:
+                ll = json.loads((out / "loglik_result.json").read_text())["loglik"]
+                assert np.isfinite(ll)
+            else:
+                assert code == 1
+                assert re.match(r"error: \w+: ", last), last
