@@ -292,24 +292,37 @@ def _state_names_for(model, design):
     return model.state_names
 
 
+def _paths_csv(subject_ids, names, paths, clusters=None) -> str:
+    """Path table text for an (N, T) array of state indices.
+
+    One ``subject_id,t,state`` row per cell, plus a ``cluster`` column when
+    ``clusters`` gives each subject's cluster name.  Every row of a subject
+    starts with its id, so its rows are the id joined with precomputed
+    ``",t,"`` prefixes and state-name suffixes.
+    """
+    times = [f",{t}," for t in range(1, paths.shape[1] + 1)]
+    if clusters is None:
+        parts = ["subject_id,t,state\n"]
+        ends = ["\n"] * len(subject_ids)
+    else:
+        parts = ["subject_id,t,state,cluster\n"]
+        ends = [f",{name}\n" for name in clusters]
+    for sid, path, end in zip(subject_ids, paths.tolist(), ends):
+        suffix = [name + end for name in names]
+        parts.append(sid + sid.join([t + suffix[s] for t, s in zip(times, path)]))
+    return "".join(parts)
+
+
 def _cmd_viterbi(args, out: Path, log) -> int:
     data, cov = ingest_dataset(args.manifest)
     model = _load_model(args.model)
     design = _resolve_design(model, cov, data.n_subjects)
     res = viterbi_paths(model, data, design=design)
-    names = _state_names_for(model, design)
-    lines = []
-    header = "subject_id,t,state"
+    clusters = None
     if res.clusters is not None:
-        header += ",cluster"
-    lines.append(header)
-    for i, sid in enumerate(data.subject_ids):
-        for t in range(data.n_time):
-            row = f"{sid},{t + 1},{names[res.paths[i, t]]}"
-            if res.clusters is not None:
-                row += f",{model.cluster_names[res.clusters[i]]}"
-            lines.append(row)
-    (out / "paths.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        clusters = [model.cluster_names[k] for k in res.clusters]
+    text = _paths_csv(data.subject_ids, _state_names_for(model, design), res.paths, clusters)
+    (out / "paths.csv").write_text(text, encoding="utf-8")
     _write_json(
         out / "viterbi_result.json",
         {
@@ -319,8 +332,7 @@ def _cmd_viterbi(args, out: Path, log) -> int:
     )
     log.append(f"viterbi: wrote paths for {data.n_subjects} subjects")
     if args.format == "csv":
-        for line in lines:
-            print(line)
+        print(text, end="")
     else:
         _emit(args, [log[-1]], {"paths_csv": "paths.csv"})
     return 0
@@ -399,11 +411,9 @@ def _cmd_simulate(args, out: Path, log) -> int:
         )
         names = model.state_names
     _write_dataset_files(data, out, "dataset")
-    plines = ["subject_id,t,state"]
-    for i, sid in enumerate(data.subject_ids):
-        for t in range(args.n_time):
-            plines.append(f"{sid},{t + 1},{names[paths[i, t]]}")
-    (out / "paths.csv").write_text("\n".join(plines) + "\n", encoding="utf-8")
+    (out / "paths.csv").write_text(
+        _paths_csv(data.subject_ids, names, paths), encoding="utf-8"
+    )
     _write_json(
         out / "simulate_result.json",
         {

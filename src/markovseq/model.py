@@ -25,6 +25,7 @@ from .errors import (
     NegativeProbability,
     RowAnnihilated,
     RowSumError,
+    ShapeMismatch,
 )
 from .seqdata import (
     MISSING,
@@ -627,8 +628,42 @@ def _fmt_array(a: np.ndarray):
     return [_fmt_array(row) for row in a]
 
 
-def _parse_array(rows) -> np.ndarray:
-    return np.asarray(rows, dtype=float)
+def _nested(rows, where: str):
+    """Shape and row-major leaves of a JSON value: a number, or equal-length
+    lists nested to any depth.  Ragged rows raise ``ShapeMismatch``."""
+    if not isinstance(rows, list):
+        return (), [rows]
+    parts = [_nested(r, where) for r in rows]
+    shapes = {shape for shape, _ in parts}
+    if len(shapes) > 1:
+        raise ShapeMismatch(f"{where} has rows of unequal length")
+    inner = shapes.pop() if shapes else ()
+    return (len(rows),) + inner, [v for _, leaves in parts for v in leaves]
+
+
+def _parse_array(rows, where: str) -> np.ndarray:
+    """Probabilities or coefficients: numbers or decimal text, as written by
+    ``_fmt_array``."""
+    try:
+        return np.asarray(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    _, leaves = _nested(rows, where)
+    for v in leaves:
+        try:
+            float(v)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidParameter(f"{where} entry {v!r} is not a number") from None
+    raise InvalidParameter(f"{where} is not an array of numbers")
+
+
+def _parse_mask(rows, where: str) -> np.ndarray:
+    """Structural-zero flags: JSON booleans or the integers 0 and 1."""
+    shape, leaves = _nested(rows, where)
+    for v in leaves:
+        if not (isinstance(v, int) and v in (0, 1)):
+            raise InvalidParameter(f"{where} mask entry {v!r} is not a boolean, 0 or 1")
+    return np.array(leaves, dtype=bool).reshape(shape)
 
 
 def _mask_array(a: np.ndarray):
@@ -665,12 +700,16 @@ def _hmm_from_json(doc: dict) -> HmmModel:
         state_names=tuple(doc["state_names"]),
         channel_names=tuple(doc["channel_names"]),
         alphabets=alphabets,
-        initial=_parse_array(doc["initial"]),
-        transition=_parse_array(doc["transition"]),
-        emissions=tuple(_parse_array(b) for b in doc["emissions"]),
-        initial_mask=np.asarray(masks["initial"], dtype=bool),
-        transition_mask=np.asarray(masks["transition"], dtype=bool),
-        emission_masks=tuple(np.asarray(mk, dtype=bool) for mk in masks["emissions"]),
+        initial=_parse_array(doc["initial"], "initial"),
+        transition=_parse_array(doc["transition"], "transition"),
+        emissions=tuple(
+            _parse_array(b, f"emission[{c}]") for c, b in enumerate(doc["emissions"])
+        ),
+        initial_mask=_parse_mask(masks["initial"], "initial"),
+        transition_mask=_parse_mask(masks["transition"], "transition"),
+        emission_masks=tuple(
+            _parse_mask(mk, f"emission[{c}]") for c, mk in enumerate(masks["emissions"])
+        ),
     )
 
 
@@ -692,7 +731,7 @@ def model_from_json(doc: dict) -> Model:
         return MixtureModel(
             clusters=tuple(_hmm_from_json(c) for c in doc["clusters"]),
             cluster_names=tuple(doc["cluster_names"]),
-            gamma=_parse_array(doc["gamma"]),
+            gamma=_parse_array(doc["gamma"], "gamma"),
             design_names=tuple(doc["covariate_names"]),
         )
     return _hmm_from_json(doc)

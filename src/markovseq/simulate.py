@@ -2,11 +2,18 @@
 
 Reproducibility rule: subject i draws from ``default_rng([seed, i])``, an
 independent substream, so per-subject simulation can be parallelized or
-reordered without changing output.  Within a subject the draw order is:
-cluster label (mixtures with K > 1 only), one uniform per time point for
-the hidden path, then per channel one uniform per time point for the
-emission and, when a missing rate is set, one more per time point for the
-missingness mask.
+reordered without changing output.  Each subject makes one ``random(width)``
+call, whose uniforms are used in this order: the cluster label (mixtures
+with K > 1 only), one per time point for the hidden path, then per channel
+one per time point for the emission and, when a missing rate is set, one
+more per time point for the missingness mask.  PCG64 doubles concatenate,
+so this is the stream that one call per item would give.
+
+All subjects of a block advance together over t: the state at t is the
+number of entries of the pinned cumulative row (initial, or the transition
+row of each subject's state at t-1) that are <= that subject's uniform,
+one vector operation per t.  A mixture labels each subject from its leading
+uniform, then steps each cluster's subjects with that cluster's tables.
 """
 
 from __future__ import annotations
@@ -24,6 +31,10 @@ from .seqdata import (
     CovariateDesign,
     SequenceDataset,
 )
+
+# subjects simulated together; keeps the (n, T, M) emission comparison a
+# few MB at any N
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -100,49 +111,103 @@ def simulate_parameters(spec: SimSpec):
 
 
 def _cumulative_rows(p: np.ndarray) -> np.ndarray:
-    """Row-wise CDF with the tail pinned to 1 at the last positive entry.
+    """Row-wise CDF with the tail pinned to 1 from the last positive entry on.
 
     Keeps zero-probability entries exactly unreachable under inverse-CDF
-    sampling and guards against cumulative-sum drift below 1.
+    sampling and guards against cumulative-sum drift below 1.  Every row
+    must have a positive entry.
     """
     p = np.atleast_2d(p)
     c = np.cumsum(p, axis=1)
-    for row, probs in zip(c, p):
-        last = np.nonzero(probs)[0][-1]
-        row[last:] = 1.0
+    last = p.shape[1] - 1 - np.argmax(p[:, ::-1] > 0, axis=1)
+    c[np.arange(p.shape[1]) >= last[:, None]] = 1.0
     return c
 
 
-def _draw(cum_row: np.ndarray, u) -> np.ndarray:
-    # index of the first cumulative value exceeding u; ties skip zero states
-    return np.searchsorted(cum_row, u, side="right")
+def _count_at_most(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each uniform in ``u``, how many entries of its CDF row are <= it;
+    ``cum`` is one row shared by all, or one row per uniform.
+
+    A pinned CDF row is non-decreasing up to its last positive entry and 1
+    from there on, and u < 1, so the entries <= u form a prefix: the count
+    is the index the inverse-CDF draw selects (``searchsorted``, side
+    "right"), and a zero-probability entry is never selected.
+    """
+    return (cum <= u[:, None]).sum(axis=1)
 
 
-def _simulate_subject(rng, cum_init, cum_trans, cum_emis, n_time, missing_rate):
-    u = rng.random(n_time)
-    z = np.empty(n_time, dtype=np.int64)
-    z[0] = _draw(cum_init[0], u[0])
+def _lockstep(u, cum_init, cum_trans, cum_emis, n_time, missing_rate):
+    """Paths and per-channel codes for the subjects whose uniforms are the
+    rows of ``u``, all advanced together over t."""
+    n = len(u)
+    z = np.empty((n, n_time), dtype=np.int64)
+    z[:, 0] = _count_at_most(cum_init[0], u[:, 0])
     for t in range(1, n_time):
-        z[t] = _draw(cum_trans[z[t - 1]], u[t])
-    obs = []
+        z[:, t] = _count_at_most(cum_trans[z[:, t - 1]], u[:, t])
+    codes = []
+    col = n_time
     for cum_b in cum_emis:
-        v = rng.random(n_time)
-        rows = cum_b[z]  # (T, M)
-        codes = (v[:, None] >= rows).sum(axis=1)
+        v = u[:, col : col + n_time]
+        col += n_time
+        c = (v[:, :, None] >= cum_b[z]).sum(axis=2)  # (n, T) symbol indices
         if missing_rate > 0:
-            gap = rng.random(n_time) < missing_rate
-            codes = np.where(gap, MISSING, codes)
-        obs.append(codes)
-    return z, obs
+            c[u[:, col : col + n_time] < missing_rate] = MISSING
+            col += n_time
+        codes.append(c)
+    return z, codes
 
 
-def _assemble_dataset(model: HmmModel, all_obs, n_subjects) -> SequenceDataset:
+def _simulate(tables, offsets, cum_w, n_subjects, n_time, seed, missing_rate):
+    """Paths, per-channel codes and labels for clusters given as CDF tables.
+
+    ``cum_w`` holds each subject's cumulative cluster weights, or is None
+    for a single cluster, which draws no label.  Subjects go in blocks of
+    ``_BLOCK``: each subject fills one row with its whole stream in one
+    call, then the block's subjects of each cluster step in lockstep with
+    that cluster's tables.
+    """
+    if n_subjects < 1 or n_time < 1:
+        raise ValueError("n_subjects and n_time must be positive")
+    n_channels = len(tables[0][2])
+    lead = 0 if cum_w is None else 1
+    width = lead + n_time * (1 + n_channels * (2 if missing_rate > 0 else 1))
+    paths = np.empty((n_subjects, n_time), dtype=np.int64)
+    labels = np.zeros(n_subjects, dtype=np.int64)
+    codes = [np.empty((n_subjects, n_time), dtype=np.int64) for _ in range(n_channels)]
+    u = np.empty((min(n_subjects, _BLOCK), width))
+    for start in range(0, n_subjects, _BLOCK):
+        block = slice(start, min(start + _BLOCK, n_subjects))
+        ub = u[: block.stop - start]
+        for i, row in enumerate(ub, start):
+            np.random.default_rng([seed, i]).random(out=row)
+        if cum_w is not None:
+            labels[block] = _count_at_most(cum_w[block], ub[:, 0])
+        for k, (cum_init, cum_trans, cum_emis) in enumerate(tables):
+            members = slice(None) if cum_w is None else np.flatnonzero(labels[block] == k)
+            z, obs = _lockstep(
+                ub[members, lead:], cum_init, cum_trans, cum_emis, n_time, missing_rate
+            )
+            paths[block][members] = z + offsets[k]
+            for out, c in zip(codes, obs):
+                out[block][members] = c
+    return paths, codes, labels
+
+
+def _assemble_dataset(model: HmmModel, codes) -> SequenceDataset:
     channels = tuple(
-        Channel(name, alpha, np.vstack([obs[c] for obs in all_obs]))
-        for c, (name, alpha) in enumerate(zip(model.channel_names, model.alphabets))
+        Channel(name, alpha, c)
+        for name, alpha, c in zip(model.channel_names, model.alphabets, codes)
     )
-    ids = tuple(f"s{i + 1}" for i in range(n_subjects))
+    ids = tuple(f"s{i + 1}" for i in range(len(codes[0])))
     return SequenceDataset(channels, ids)
+
+
+def _tables(model: HmmModel):
+    return (
+        _cumulative_rows(model.initial),
+        _cumulative_rows(model.transition),
+        [_cumulative_rows(b) for b in model.emissions],
+    )
 
 
 def simulate_hmm_data(
@@ -153,17 +218,10 @@ def simulate_hmm_data(
     missing_rate: float = 0.0,
 ) -> tuple[SequenceDataset, np.ndarray]:
     """Sample observations and hidden paths from a fixed HMM."""
-    cum_init = _cumulative_rows(model.initial)
-    cum_trans = _cumulative_rows(model.transition)
-    cum_emis = [_cumulative_rows(b) for b in model.emissions]
-    paths = np.empty((n_subjects, n_time), dtype=np.int64)
-    all_obs = []
-    for i in range(n_subjects):
-        rng = np.random.default_rng([seed, i])
-        z, obs = _simulate_subject(rng, cum_init, cum_trans, cum_emis, n_time, missing_rate)
-        paths[i] = z
-        all_obs.append(obs)
-    return _assemble_dataset(model, all_obs, n_subjects), paths
+    paths, codes, _ = _simulate(
+        [_tables(model)], (0,), None, n_subjects, n_time, seed, missing_rate
+    )
+    return _assemble_dataset(model, codes), paths
 
 
 def simulate_mhmm_data(
@@ -184,28 +242,15 @@ def simulate_mhmm_data(
         design = CovariateDesign.intercept(n_subjects)
     if design.n_subjects != n_subjects:
         raise ValueError("design rows must match n_subjects")
-    K = mix.n_clusters
     w = mixture_weights(mix.gamma, design.X)
-    cum_w = _cumulative_rows(w)
-    offsets = mix.state_offsets
-    tables = [
-        (
-            _cumulative_rows(sub.initial),
-            _cumulative_rows(sub.transition),
-            [_cumulative_rows(b) for b in sub.emissions],
-        )
-        for sub in mix.clusters
-    ]
-    paths = np.empty((n_subjects, n_time), dtype=np.int64)
-    labels = np.empty(n_subjects, dtype=np.int64)
-    all_obs = []
-    for i in range(n_subjects):
-        rng = np.random.default_rng([seed, i])
-        k = 0 if K == 1 else int(_draw(cum_w[i], rng.random()))
-        labels[i] = k
-        cum_init, cum_trans, cum_emis = tables[k]
-        z, obs = _simulate_subject(rng, cum_init, cum_trans, cum_emis, n_time, missing_rate)
-        paths[i] = z + offsets[k]
-        all_obs.append(obs)
-    data = _assemble_dataset(mix.clusters[0], all_obs, n_subjects)
-    return data, paths, labels
+    cum_w = _cumulative_rows(w) if mix.n_clusters > 1 else None
+    paths, codes, labels = _simulate(
+        [_tables(sub) for sub in mix.clusters],
+        mix.state_offsets,
+        cum_w,
+        n_subjects,
+        n_time,
+        seed,
+        missing_rate,
+    )
+    return _assemble_dataset(mix.clusters[0], codes), paths, labels

@@ -9,7 +9,7 @@ import pytest
 
 import markovseq
 from markovseq import build_hmm, build_mhmm, model_to_json
-from markovseq.cli import _posterior_csv, _safe_name, _write_dataset_files, main
+from markovseq.cli import _paths_csv, _posterior_csv, _safe_name, _write_dataset_files, main
 
 from helpers import random_dataset, random_hmm, write_manifest
 
@@ -315,6 +315,56 @@ class TestViterbi:
             decoded.setdefault(sid, []).append(state)
         assert decoded["s1"] == rows[0]
         assert decoded["s2"] == rows[1]
+
+    @pytest.mark.parametrize("n_time", [1, 5])
+    @pytest.mark.parametrize("with_clusters", [False, True])
+    def test_paths_csv_bytes_match_per_cell_formatting(self, n_time, with_clusters):
+        rng = np.random.default_rng(10)
+        ids, names = ("a", "b%s", "c,d", "10"), ("State 1", "x,y", "%d")
+        paths = rng.integers(0, 3, size=(4, n_time))
+        clusters = ["Cluster 2", "Cluster 1", "k,1", "Cluster 2"] if with_clusters else None
+        assert _paths_csv(ids, names, paths, clusters).encode() == (
+            _per_cell_paths_csv(ids, names, paths, clusters).encode()
+        )
+
+    def test_mixture_csv_stdout_matches_file_and_per_cell_formatting(self, workspace, capsys):
+        tmp_path, manifest = workspace
+        clusters = [
+            build_hmm(_coin_model().alphabets, n_states=2, rng_seed=k, channel_names=("work",))
+            for k in (1, 2)
+        ]
+        mix = build_mhmm(clusters, gamma=[[0.0, 0.2]])
+        mpath = _model_file(tmp_path, mix)
+        out = tmp_path / "out"
+        code = main(
+            ["viterbi", "--manifest", str(manifest), "--model", str(mpath), "--out", str(out),
+             "--format", "csv"]
+        )
+        assert code == 0
+        from markovseq import CovariateDesign, combine_clusters, ingest_dataset, viterbi_paths
+
+        data, _ = ingest_dataset(manifest)
+        res = viterbi_paths(mix, data)
+        names = combine_clusters(mix, CovariateDesign.intercept(2))[0].state_names
+        want = _per_cell_paths_csv(
+            data.subject_ids, names, res.paths, [mix.cluster_names[k] for k in res.clusters]
+        )
+        assert want.splitlines()[0] == "subject_id,t,state,cluster"
+        assert (out / "paths.csv").read_bytes() == want.encode()
+        assert capsys.readouterr().out == want
+
+
+def _per_cell_paths_csv(ids, names, paths, clusters=None):
+    """The path table as the CLI wrote it before ``_paths_csv``: one
+    f-string per cell."""
+    lines = ["subject_id,t,state" + ("" if clusters is None else ",cluster")]
+    for i, sid in enumerate(ids):
+        for t in range(paths.shape[1]):
+            row = f"{sid},{t + 1},{names[paths[i, t]]}"
+            if clusters is not None:
+                row += f",{clusters[i]}"
+            lines.append(row)
+    return "\n".join(lines) + "\n"
 
 
 class TestPosterior:

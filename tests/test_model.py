@@ -30,6 +30,7 @@ from markovseq.errors import (
     NegativeProbability,
     RowAnnihilated,
     RowSumError,
+    ShapeMismatch,
 )
 from markovseq.estimation import EStats, _m_step_hmm
 from markovseq.seqdata import MISSING
@@ -479,6 +480,41 @@ class TestSerialization:
         with pytest.raises(RowSumError) as err:
             model_from_json(json.loads(json.dumps(doc)))
         assert err.value.where == "emission[0]"
+
+    @pytest.mark.parametrize("where", ["transition", "emissions", "gamma"])
+    def test_ragged_rows_rejected_on_load(self, where):
+        mix, _ = random_mixture(np.random.default_rng(24), 2, 2, [3], n_subjects=3, n_covariates=2)
+        doc = json.loads(json.dumps(model_to_json(mix)))
+        rows = {"gamma": doc["gamma"], "transition": doc["clusters"][1]["transition"],
+                "emissions": doc["clusters"][1]["emissions"][0]}[where]
+        rows[-1].pop()
+        with pytest.raises(ShapeMismatch, match="rows of unequal length"):
+            model_from_json(doc)
+
+    @pytest.mark.parametrize("bad", ["x", "", None, {"p": 1}])
+    def test_non_numeric_entry_rejected_on_load(self, bad):
+        doc = json.loads(json.dumps(model_to_json(_two_state_model())))
+        doc["emissions"][0][1][0] = bad
+        error = RowSumError if bad is None else InvalidParameter  # None reads as NaN
+        with pytest.raises(error, match=r"emission\[0\]"):
+            model_from_json(doc)
+
+    @pytest.mark.parametrize("bad", ["0", "1", 2, -1, 0.0, 1.0, None])
+    def test_mask_entry_must_be_boolean_or_0_1(self, bad):
+        doc = json.loads(json.dumps(model_to_json(_two_state_model())))
+        doc["zero_mask"]["transition"][0][1] = bad
+        with pytest.raises(InvalidParameter, match="transition mask entry"):
+            model_from_json(doc)
+
+    def test_mask_entries_read_as_booleans_or_integers(self):
+        doc = json.loads(json.dumps(model_to_json(_two_state_model())))
+        doc["transition"][1] = ["0", "1"]
+        doc["zero_mask"]["transition"] = [[False, 0], [True, 0]]
+        m = model_from_json(doc)
+        assert m.transition_mask.tolist() == [[False, False], [True, False]]
+        doc["zero_mask"]["transition"] = [[False, 0], [True]]
+        with pytest.raises(ShapeMismatch, match="transition"):
+            model_from_json(doc)
 
     def test_probabilities_serialized_as_text(self):
         rng = np.random.default_rng(20)

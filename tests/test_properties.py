@@ -26,7 +26,8 @@ from markovseq import (
     posterior_state_probs,
 )
 from markovseq.cli import main
-from markovseq.errors import NumericalUnderflow
+from markovseq import errors
+from markovseq.errors import MarkovSeqError, NumericalUnderflow
 from markovseq.seqdata import MISSING
 
 from helpers import make_alphabets, random_dataset, write_manifest
@@ -294,4 +295,6 @@ class TestCliFuzz:
                 assert np.isfinite(ll)
             else:
                 assert code == 1
-                assert re.match(r"error: \w+: ", last), last
+                name = re.match(r"error: (\w+): ", last)
+                assert name, last
+                assert issubclass(getattr(errors, name.group(1), type(None)), MarkovSeqError), last
