@@ -1,9 +1,10 @@
 """The lockstep simulator against a frozen per-subject reference.
 
 ``_reference_hmm`` and ``_reference_mhmm`` are the per-subject loop the
-lockstep simulator replaced, kept verbatim: every subject makes separate
-``random`` calls in the documented draw order and steps through time with
-``searchsorted``.  Paths, codes and labels must be exactly equal.
+lockstep simulator replaced, frozen here (they return the code arrays
+instead of a dataset): every subject makes separate ``random`` calls in
+the documented draw order and steps through time with ``searchsorted``.
+Paths, codes and labels must be exactly equal.
 """
 
 import numpy as np
