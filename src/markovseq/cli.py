@@ -17,6 +17,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import MarkovSeqError, MissingCovariate
 from .estimation import FitControl, fit_model
@@ -167,9 +169,35 @@ def _resolve_design(model, cov, n_subjects):
     return CovariateDesign(model.design_names, cov.X[:, cols])
 
 
+def _dataset_json(data: SequenceDataset) -> str:
+    """The text ``json.dump(data.to_json(), fh, indent=2)`` writes.
+
+    json's indented encoder runs in pure Python, so the code rows, nearly
+    all of the document, are joined from one table of encoded tokens per
+    channel; json formats the rest.  A JSON string cannot hold an unescaped
+    quote, so ``"rows": []`` marks exactly the channels' row lists.
+    """
+    doc = data.to_json()
+    for spec in doc["channels"]:
+        spec["rows"] = []
+    head, *tails = json.dumps(doc, indent=2).split('"rows": []')
+    parts = [head]
+    for ch, tail in zip(data.channels, tails):
+        alpha = ch.alphabet
+        table = np.array(
+            [" " * 10 + json.dumps(tok) for tok in (*alpha.labels, alpha.missing_token)],
+            dtype=object,
+        )
+        rows = ",\n".join(
+            "        [\n" + ",\n".join(row) + "\n        ]" for row in table[ch.codes].tolist()
+        )
+        parts.append('"rows": ' + ("[\n" + rows + "\n      ]" if rows else "[]") + tail)
+    return "".join(parts)
+
+
 def _write_dataset_files(data: SequenceDataset, out: Path, stem: str):
     """Dataset JSON + per-channel wide CSVs + a manifest that re-ingests them."""
-    _write_json(out / f"{stem}.json", data.to_json())
+    (out / f"{stem}.json").write_text(_dataset_json(data) + "\n", encoding="utf-8")
     channel_entries = []
     for ch in data.channels:
         fname = f"{stem}_{_safe_name(ch.name)}.csv"

@@ -63,8 +63,9 @@ class GammaReferenceNotZero(MarkovSeqError):
 
 
 class InvalidParameter(MarkovSeqError):
-    """A parameter value that no model may hold: a non-zero value at a
-    structural zero, or a non-finite covariate coefficient."""
+    """A parameter value outside its domain: a non-zero value at a
+    structural zero, a non-finite covariate coefficient, a model entry that
+    is not a number, or a simulation missing rate outside [0, 1]."""
 
 
 class RowAnnihilated(MarkovSeqError):

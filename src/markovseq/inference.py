@@ -13,9 +13,8 @@ statistics.  Chunks write their own rows or partial sums, added in chunk
 order, so results are bit-identical for any thread count.
 
 Log mode reduces with ``_logsumexp``, a numpy log-sum-exp that returns
-exactly what ``scipy.special.logsumexp`` does; importing this module
-therefore loads numpy only, and scipy is left to the local step in
-``estimation.fit_local``.
+exactly what ``scipy.special.logsumexp`` does, so that this module needs
+numpy only.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import InvalidParameter
 from .model import HmmModel, MixtureModel, build_mhmm, mixture_weights
 from .seqdata import (
     MISSING,
@@ -168,6 +169,8 @@ def _simulate(tables, offsets, cum_w, n_subjects, n_time, seed, missing_rate):
     """
     if n_subjects < 1 or n_time < 1:
         raise ValueError("n_subjects and n_time must be positive")
+    if not 0.0 <= missing_rate <= 1.0:  # also rejects NaN
+        raise InvalidParameter(f"missing_rate must be in [0, 1], got {missing_rate!r}")
     n_channels = len(tables[0][2])
     lead = 0 if cum_w is None else 1
     width = lead + n_time * (1 + n_channels * (2 if missing_rate > 0 else 1))

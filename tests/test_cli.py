@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,15 @@ import numpy as np
 import pytest
 
 import markovseq
-from markovseq import build_hmm, build_mhmm, model_to_json
+from markovseq import (
+    Alphabet,
+    Channel,
+    SequenceDataset,
+    build_hmm,
+    build_mhmm,
+    model_to_json,
+    simulate_hmm_data,
+)
 from markovseq.cli import _paths_csv, _posterior_csv, _safe_name, _write_dataset_files, main
 
 from helpers import random_dataset, random_hmm, write_manifest
@@ -52,7 +61,9 @@ def test_cli_import_leaves_optimizer_unloaded():
 
 _SCIPY_FREE_PROBE = """
 import json, sys
+before = {m.split(".")[0] for m in sys.modules}
 import markovseq
+imported = sorted({m.split(".")[0] for m in sys.modules} - before - set(sys.stdlib_module_names))
 from markovseq.cli import main
 
 work = sys.argv[1]
@@ -68,16 +79,15 @@ codes.append(run("summary", "--manifest", work + "/manifest.json",
                  "--model", work + "/mix.json"))
 codes.append(run("fit", "--manifest", work + "/manifest.json", "--model", work + "/hmm.json",
                  "--em-max-iter", "3"))
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 codes.append(main(["fit", "--manifest", work + "/manifest.json", "--model", work + "/hmm.json",
                   "--em-max-iter", "3", "--local-step", "--local-max-iter", "3",
                   "--out", work + "/out_local"]))
-print(json.dumps({"codes": codes, "loaded": loaded,
-                  "optimizer": "scipy.optimize" in sys.modules}))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "imported": imported, "loaded": loaded}))
 """
 
 
-def test_stages_run_without_scipy_until_local_step(tmp_path):
+def test_no_stage_loads_scipy(tmp_path):
     rng = np.random.default_rng(12)
     rows = [list(rng.choice(["a", "b", "*"], size=6, p=[0.45, 0.45, 0.1])) for _ in range(8)]
     write_manifest(tmp_path, [("work", ["a", "b"], rows)])
@@ -94,9 +104,9 @@ def test_stages_run_without_scipy_until_local_step(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["imported"] == ["markovseq", "numpy"]
     assert report["codes"] == [0] * 12
     assert report["loaded"] == []
-    assert report["optimizer"]
     fit = json.loads((tmp_path / "out_local" / "fit_result.json").read_text())
     assert fit["local_iterations"] > 0
 
@@ -291,6 +301,40 @@ class TestFit:
                 }
             )
         assert outputs[0] == outputs[1]
+
+    def test_line_search_failure_identical_across_thread_counts(self, tmp_path):
+        # 1100 subjects span three kernel chunks; a tolerance of 5e-324 (the
+        # smallest positive double) is never met, so the local step ends
+        # when its line search does
+        rng = np.random.default_rng(400)
+        truth = random_hmm(rng, 2, [3])
+        data, _ = simulate_hmm_data(truth, 1100, 5, 0, missing_rate=0.1)
+        _write_dataset_files(data, tmp_path, "dataset")
+        mpath = _model_file(tmp_path, truth)
+        blobs = []
+        for threads in (1, 3):
+            out = tmp_path / f"t{threads}"
+            code = main(
+                [
+                    "fit",
+                    "--manifest", str(tmp_path / "dataset_manifest.json"),
+                    "--model", str(mpath),
+                    "--em-max-iter", "300",
+                    "--em-rel-tol", "1e-10",
+                    "--local-step",
+                    "--local-max-iter", "100000",
+                    "--local-grad-tol", "5e-324",
+                    "--threads", str(threads),
+                    "--out", str(out),
+                ]
+            )
+            assert code == 0
+            blobs.append((out / "fit_result.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        fit = json.loads(blobs[0])
+        assert fit["diagnostics"] == ["line_search_failure: returning best point found"]
+        assert fit["converged_by"] == "max_iter"
+        assert 0 < fit["local_iterations"] < 100000
 
 
 class TestViterbi:
@@ -526,6 +570,18 @@ class TestSummaryAndSimulate:
         shape = json.loads((out / "validate_result.json").read_text())
         assert (shape["n_subjects"], shape["n_time"]) == (4, 6)
 
+    @pytest.mark.parametrize("rate", ["nan", "-0.1", "1.5", "0", "1"])
+    def test_simulate_checks_missing_rate_range(self, tmp_path, capsys, rate):
+        mpath = _model_file(tmp_path, random_hmm(np.random.default_rng(4), 2, [2]))
+        out = tmp_path / "sim"
+        argv = ["simulate", "--model", str(mpath), "--n-subjects", "3", "--n-time", "4",
+                "--seed", "1", f"--missing-rate={rate}", "--out", str(out)]
+        accepted = 0.0 <= float(rate) <= 1.0
+        assert main(argv) == (0 if accepted else 1)
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.startswith("error: InvalidParameter:") != accepted
+        assert (out / "dataset.json").exists() == accepted
+
     def test_simulate_deterministic(self, tmp_path):
         rng = np.random.default_rng(4)
         model = random_hmm(rng, 2, [2])
@@ -565,6 +621,40 @@ def test_dataset_files_equal_per_cell_formatter(tmp_path):
         got = (tmp_path / f"dataset_{_safe_name(ch.name)}.csv").read_bytes()
         assert got == ("\n".join(lines) + "\n").encode()
         assert b"*" in got
+
+
+def _dataset(labels, rows, n_time, missing_token="*", name="work"):
+    alpha = Alphabet(tuple(labels), missing_token)
+    codes = np.array([[alpha.code(tok) for tok in row] for row in rows], dtype=np.int64)
+    ids = tuple(f"s{i + 1}" for i in range(len(rows)))
+    return SequenceDataset((Channel(name, alpha, codes.reshape(len(rows), n_time)),), ids)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_dataset(
+            np.random.default_rng(14), random_hmm(np.random.default_rng(15), 2, [3, 2]),
+            7, 5, missing_rate=0.3,
+        ),
+        # the channel name holds the text that marks the row lists
+        lambda: _dataset(
+            ["caf\u00e9", 'say "hi"', "back\\slash", "\u65e5"],
+            [["caf\u00e9", "?", 'say "hi"'], ["\u65e5", "back\\slash", "?"]],
+            3, missing_token="?", name='x"rows": []',
+        ),
+        lambda: _dataset(["a", "b"], [["a"], ["*"], ["b"]], 1),
+        lambda: _dataset(["a", "b"], [["a", "*", "b"]], 3),
+        lambda: _dataset(["a", "b"], [], 3),
+    ],
+    ids=["missing_cells", "non_ascii_and_quotes", "one_time_point", "one_subject", "no_subjects"],
+)
+def test_dataset_json_bytes_equal_json_dump(tmp_path, make):
+    data = make()
+    _write_dataset_files(data, tmp_path, "dataset")
+    ref = io.StringIO()
+    json.dump(data.to_json(), ref, indent=2)
+    assert (tmp_path / "dataset.json").read_bytes() == (ref.getvalue() + "\n").encode()
 
 
 class TestConvertTrimPlot:

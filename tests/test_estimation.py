@@ -19,6 +19,8 @@ from markovseq import (
     gamma_m_step,
     log_likelihood,
     loglik_gradient,
+    simulate_hmm_data,
+    simulate_mhmm_data,
 )
 from markovseq.estimation import FitControl, _gamma_hessian, expected_stats
 from markovseq.errors import RankDeficientDesign
@@ -281,6 +283,90 @@ class TestFitLocal:
         )
         assert res.local_iterations >= 0
         assert res.loglik >= res.restart_logliks[0] - 1e-9
+
+
+def _scipy_local_step(m, data, design, control):
+    """scipy's L-BFGS-B on the same objective; returns (loglik, max |gradient|)."""
+    from scipy.optimize import minimize
+
+    pmap = ParameterMap(m)
+
+    def objective(theta):
+        return (
+            -log_likelihood(pmap.unpack(theta), data, design),
+            -loglik_gradient(m, data, design, theta),
+        )
+
+    res = minimize(
+        objective,
+        pmap.pack(m),
+        jac=True,
+        method="L-BFGS-B",
+        options={
+            "maxiter": control.local_max_iter,
+            "gtol": control.local_grad_tol,
+            "ftol": 0.0,
+        },
+    )
+    return -res.fun, np.abs(res.jac).max()
+
+
+def _local_step_case(name):
+    """Start model, data and design for the optimizer oracle.  Past the
+    binomial, the start is an EM fit, so both optimizers polish toward the
+    same maximum."""
+    if name == "binomial":
+        data = _single_channel_data([["A", "A", "B", "A"]])
+        m = build_hmm(
+            (data.channels[0].alphabet,),
+            initial=[1.0],
+            transition=[[1.0]],
+            emissions=[[0.5, 0.5]],
+        )
+        return m, data, None
+    rng = np.random.default_rng(300)
+    ctl = FitControl(em_max_iter=500, em_rel_tol=1e-10)
+    if name == "hmm_zeros_missing":
+        truth = random_hmm(rng, 3, [3, 2], left_to_right=True)
+        data, _ = simulate_hmm_data(truth, 150, 10, 0, missing_rate=0.1)
+        start = random_hmm(rng, 3, [3, 2], left_to_right=True)
+        return fit_em(start, data, control=ctl).model, data, None
+    truth, design = random_mixture(rng, 2, 2, [3], n_subjects=150, n_covariates=2)
+    data, _, _ = simulate_mhmm_data(truth, design, 150, 10, 1)
+    start, _ = random_mixture(rng, 2, 2, [3], n_subjects=150, n_covariates=2)
+    return fit_em(start, data, design, control=ctl).model, data, design
+
+
+class TestLbfgsAgainstScipy:
+    """The numpy L-BFGS behind ``fit_local`` against scipy's L-BFGS-B."""
+
+    @pytest.mark.parametrize("case", ["binomial", "hmm_zeros_missing", "mixture_covariate"])
+    def test_reaches_same_maximum_as_scipy(self, case):
+        m, data, design = _local_step_case(case)
+        control = FitControl(local_max_iter=5000, local_grad_tol=1e-5)
+        res = fit_local(m, data, design, control)
+        oracle_ll, oracle_grad = _scipy_local_step(m, data, design, control)
+        assert oracle_grad < control.local_grad_tol
+        assert res.converged_by == "grad_tol"
+        assert res.diagnostics == []
+        assert np.abs(loglik_gradient(res.model, data, design)).max() < control.local_grad_tol
+        assert abs(res.loglik - oracle_ll) <= 1e-9 * abs(oracle_ll)
+
+    def test_unreachable_tolerance_ends_in_line_search_failure(self):
+        # FitControl requires a positive tolerance; |g| < 5e-324 means g == 0
+        rng = np.random.default_rng(400)
+        truth = random_hmm(rng, 2, [3])
+        data, _ = simulate_hmm_data(truth, 200, 5, 0, missing_rate=0.1)
+        em = fit_em(truth, data, control=FitControl(em_max_iter=300, em_rel_tol=1e-10))
+        control = FitControl(local_max_iter=100_000, local_grad_tol=5e-324)
+        res = fit_local(em.model, data, control=control)
+        assert res.diagnostics == ["line_search_failure: returning best point found"]
+        assert res.converged_by == "max_iter"
+        assert 0 < res.local_iterations < control.local_max_iter
+        assert len(res.loglik_trace) == res.local_iterations + 1
+        assert (np.diff(res.loglik_trace) >= 0).all()
+        assert res.loglik == res.loglik_trace[-1] >= em.loglik
+        assert abs(res.loglik - log_likelihood(res.model, data)) < 1e-9
 
 
 class TestGradient:

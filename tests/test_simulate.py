@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from markovseq import (
     CovariateDesign,
@@ -9,6 +10,7 @@ from markovseq import (
     simulate_mhmm_data,
     simulate_parameters,
 )
+from markovseq.errors import InvalidParameter
 from markovseq.seqdata import MISSING
 
 from helpers import make_alphabets, random_hmm
@@ -137,3 +139,20 @@ class TestSimulateMhmm:
             k = labels[i]
             assert (paths[i] >= offsets[k]).all()
             assert (paths[i] < offsets[k + 1]).all()
+
+
+class TestMissingRateRange:
+    @pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        model = random_hmm(np.random.default_rng(5), 2, [3])
+        with pytest.raises(InvalidParameter, match="missing_rate"):
+            simulate_hmm_data(model, 4, 3, 0, missing_rate=rate)
+        with pytest.raises(InvalidParameter, match="missing_rate"):
+            simulate_mhmm_data(build_mhmm([model, model]), None, 4, 3, 0, missing_rate=rate)
+
+    def test_unit_interval_ends_accepted(self):
+        model = random_hmm(np.random.default_rng(5), 2, [3, 2])
+        none, _ = simulate_hmm_data(model, 4, 3, 0, missing_rate=0.0)
+        every, _ = simulate_hmm_data(model, 4, 3, 0, missing_rate=1.0)
+        assert all((ch.codes != MISSING).all() for ch in none.channels)
+        assert all((ch.codes == MISSING).all() for ch in every.channels)
