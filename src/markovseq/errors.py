@@ -65,7 +65,8 @@ class GammaReferenceNotZero(MarkovSeqError):
 class InvalidParameter(MarkovSeqError):
     """A parameter value outside its domain: a non-zero value at a
     structural zero, a non-finite covariate coefficient, a model entry that
-    is not a number, or a simulation missing rate outside [0, 1]."""
+    is not a number, a manifest value of the wrong type, or a simulation
+    size below 1 or missing rate outside [0, 1]."""
 
 
 class RowAnnihilated(MarkovSeqError):

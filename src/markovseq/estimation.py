@@ -39,11 +39,11 @@ from .inference import (
     _clusters_and_inits,
     _mixture_design,
     _scaled_pass,
-    log_likelihood,
+    _Workspace,
 )
 
 # kept importable here: perfbench/tracing.py wraps these names in this module
-from .inference import _fb_scaled, emission_probs  # noqa: F401
+from .inference import _fb_scaled, emission_probs, log_likelihood  # noqa: F401
 from .model import combine_clusters  # noqa: F401
 from .model import HmmModel, MixtureModel, mixture_weights
 from .seqdata import CovariateDesign, SequenceDataset
@@ -129,8 +129,12 @@ class EStats:
     posterior cluster probabilities ``rho`` (cluster k's ``gamma1`` rows sum
     to rho_ik); its own ``gamma1``, ``xi`` and ``emis_num`` are None.
     ``xi`` and ``emis_num`` are summed over subjects chunk by chunk in chunk
-    order, so results do not depend on the thread count.  Emission updates
-    normalize by the numerator row sums (expected occupancy of observed cells).
+    order, so results do not depend on the thread count; within a chunk
+    ``emis_num`` holds one bincount of the codes per state and channel.
+    They do not depend on whether a fit's workspace was passed either:
+    each pass rewrites every scratch array it reads.  Emission updates
+    normalize by the numerator row sums (expected occupancy of observed
+    cells).
     """
 
     loglik: float
@@ -148,16 +152,19 @@ def expected_stats(
     subject_initials=None,
     threads: int = 1,
     design: Optional[CovariateDesign] = None,
+    workspace: Optional[_Workspace] = None,
 ) -> EStats:
     """E-step statistics from one pass of the chunked scaled kernel.
 
     ``subject_initials`` overrides a plain HMM's initial vectors; a mixture
-    takes them from ``design``.  Where the kernel raises NumericalUnderflow
-    this raises NonFiniteLikelihood.
+    takes them from ``design``.  ``workspace``, built once per fit from
+    ``data``, carries the kernel's chunk codes and scratch arrays from one
+    E-step to the next; without it the pass builds its own.  Where the
+    kernel raises NumericalUnderflow this raises NonFiniteLikelihood.
     """
     hmms, inits = _clusters_and_inits(model, data, design, subject_initials)
     try:
-        ll, rho, per_cluster = _scaled_pass(hmms, data, inits, threads, "stats")
+        ll, rho, per_cluster = _scaled_pass(hmms, data, inits, threads, "stats", workspace)
     except NumericalUnderflow as err:
         raise NonFiniteLikelihood(str(err)) from err
     total = float(ll.sum())
@@ -253,14 +260,16 @@ def _perturb(m: Model, weight: float, rng) -> Model:
     return _perturb_hmm(m, weight, rng)
 
 
-def _em_once(m: Model, data, design, control: FitControl):
+def _em_once(m: Model, data, design, control: FitControl, workspace):
     flagged: set = set()
     trace: list[float] = []
     prev = None
     iterations = 0
     converged_by = "max_iter"
     for _ in range(control.em_max_iter):
-        stats = expected_stats(m, data, threads=control.threads, design=design)
+        stats = expected_stats(
+            m, data, threads=control.threads, design=design, workspace=workspace
+        )
         ll = stats.loglik
         if not np.isfinite(ll):
             raise NonFiniteLikelihood(f"log-likelihood became {ll!r} during EM")
@@ -272,8 +281,10 @@ def _em_once(m: Model, data, design, control: FitControl):
         prev = ll
         iterations += 1
     else:
-        # iteration cap: evaluate the final model so loglik matches it
-        ll = log_likelihood(m, data, design, threads=control.threads)
+        # iteration cap: evaluate the final model so loglik matches it, as
+        # log_likelihood would but in the fit's workspace
+        hmms, inits = _clusters_and_inits(m, data, design)
+        ll = float(_scaled_pass(hmms, data, inits, control.threads, "loglik", workspace)[0].sum())
         trace.append(ll)
     diagnostics = [
         f"empty_posterior: {w} kept at current values" for w in sorted(flagged)
@@ -293,18 +304,19 @@ def fit_em(
     at exactly zero.  With ``restarts > 0`` the run from the supplied model
     is followed by perturbed runs (each free row convexly mixed with a
     Dirichlet(1) draw, weight ``restart_perturb``) and the best final
-    log-likelihood wins.
+    log-likelihood wins.  All restarts share one kernel workspace.
     """
     control = control or FitControl()
     if isinstance(m, MixtureModel):
         design = _mixture_design(m, data, design)
+    workspace = _Workspace(data)
     runs = []
     for r in range(control.restarts + 1):
         if r == 0:
             start = m
         else:
             start = _perturb(m, control.restart_perturb, np.random.default_rng(control.seed + r))
-        runs.append(_em_once(start, data, design, control))
+        runs.append(_em_once(start, data, design, control, workspace))
     best = max(runs, key=lambda run: run[1])
     model, ll, iters, converged_by, trace, diagnostics = best
     return FitResult(
@@ -437,9 +449,9 @@ class ParameterMap:
         return rebuilt[0]
 
 
-def _gradient_at(model: Model, data, design, pmap: ParameterMap, threads=1):
+def _gradient_at(model: Model, data, design, pmap: ParameterMap, threads=1, workspace=None):
     """Analytic gradient and log-likelihood at the model's current values."""
-    stats = expected_stats(model, data, threads=threads, design=design)
+    stats = expected_stats(model, data, threads=threads, design=design, workspace=workspace)
     hmms = model.clusters if pmap.is_mixture else (model,)
     per_cluster = stats.clusters or (stats,)
     grad = np.empty(pmap.n_params)
@@ -581,16 +593,20 @@ def fit_local(
     ``local_max_iter`` iterations; a failed line search returns the last
     accepted iterate with a diagnostic.  Each iterate improves on the one
     before, so the final log-likelihood never falls below the starting one.
+    All gradient evaluations share one kernel workspace.
     """
     control = control or FitControl()
     if isinstance(m, MixtureModel):
         design = _mixture_design(m, data, design)
     pmap = ParameterMap(m)
+    workspace = _Workspace(data)
     trace: list[float] = []
 
     def objective(theta):
         try:
-            grad, ll = _gradient_at(pmap.unpack(theta), data, design, pmap, control.threads)
+            grad, ll = _gradient_at(
+                pmap.unpack(theta), data, design, pmap, control.threads, workspace
+            )
         except NonFiniteLikelihood:
             grad, ll = np.zeros_like(theta), -np.inf
         if not trace:

@@ -10,7 +10,11 @@ chunks in time-major layout, all clusters of a mixture at once, each
 started from w_ik * pi^k (a plain HMM is one cluster).  It serves
 log-likelihoods, posteriors of clusters and states and the E-step
 statistics.  Chunks write their own rows or partial sums, added in chunk
-order, so results are bit-identical for any thread count.
+order, so results are bit-identical for any thread count.  What a pass
+reads of the data (time-major chunk codes) and the scratch arrays it
+fills live in a ``_Workspace``: a fit builds one and passes it to every
+E-step, one-off calls build their own, and the numbers are the same
+either way.
 
 Log mode reduces with ``_logsumexp``, a numpy log-sum-exp that returns
 exactly what ``scipy.special.logsumexp`` does, so that this module needs
@@ -19,6 +23,7 @@ numpy only.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -91,15 +96,32 @@ def _chunk_spans(n: int) -> list[tuple[int, int]]:
 
 
 def _run_chunked(fn, n_subjects: int, threads: int) -> None:
-    """Call ``fn(k, (a, b))`` for every chunk k, which covers subjects a..b-1."""
+    """Call ``fn(k, (a, b), w)`` for every chunk k, which covers subjects
+    a..b-1, on worker w.
+
+    Worker w of ``min(threads, chunks)`` runs chunks w, w + workers, ... in
+    order, one at a time, so per-worker scratch is never shared.  A failure
+    raises the error of the lowest failing chunk, as a serial run would.
+    """
     spans = _chunk_spans(n_subjects)
-    if threads <= 1 or len(spans) == 1:
-        for k, span in enumerate(spans):
-            fn(k, span)
+    workers = max(1, min(threads, len(spans)))
+
+    def run(w):
+        for k in range(w, len(spans), workers):
+            try:
+                fn(k, spans[k], w)
+            except Exception as err:  # re-raised below, lowest chunk first
+                return k, err
+        return None
+
+    if workers == 1:
+        failures = [run(0)]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # list() propagates the first worker exception to the caller
-            list(pool.map(fn, range(len(spans)), spans))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            failures = list(pool.map(run, range(workers)))
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 def _emission_tables(model: HmmModel) -> list[np.ndarray]:
@@ -186,21 +208,54 @@ def _clusters_and_inits(m, data, design=None, subject_initials=None):
     return m.clusters, [w[:, k : k + 1] * sub.initial for k, sub in enumerate(m.clusters)]
 
 
-def _forward(A, e, init):
+class _Workspace:
+    """What the scaled kernel reads of one dataset, built once and reused by
+    every pass over it.
+
+    ``codes[k][c]`` holds chunk k's channel c as a C-contiguous (T, n) intp
+    array with MISSING replaced by M_c, the emission table's row of ones;
+    the emission lookup and the emission counts both read it.  ``scratch[w]``
+    is worker w's dict of scratch arrays (see ``_buffer``), which every pass
+    overwrites.  A fit builds one workspace for all its E-steps and drops it
+    when it returns; one-off calls build a transient one.
+    """
+
+    def __init__(self, data: SequenceDataset):
+        self.data = data
+        self.codes = []
+        for a, b in _chunk_spans(data.n_subjects):
+            chunk = []
+            for ch in data.channels:
+                c = ch.codes[a:b].T.astype(np.intp, order="C")
+                c[c == MISSING] = ch.alphabet.size
+                chunk.append(c)
+            self.codes.append(chunk)
+        self.scratch: dict[int, dict] = {}
+
+
+def _buffer(scratch: dict, name: str, shape, dtype=float) -> np.ndarray:
+    """A C-contiguous ``shape`` view of the scratch array ``name``, which
+    grows to the largest size asked of it (a short last chunk uses a prefix)."""
+    size = math.prod(shape)
+    flat = scratch.get(name)
+    if flat is None or flat.size < size:
+        flat = scratch[name] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
+
+
+def _forward(A, e, init, alpha, scaling, x):
     """Scaled forward pass of K clusters at once: A (K, S, S), emissions e
-    (T, K, n, S) and init (K, n, S) give alpha and normalizers (T, K, n)."""
-    alpha = np.empty_like(e)
-    scaling = np.empty(e.shape[:3])
+    (T, K, n, S) and init (K, n, S) fill alpha (T, K, n, S) and normalizers
+    ``scaling`` (T, K, n); x (K, n, S) is scratch."""
     ones = np.ones(e.shape[3])
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = init * e[0]
+        np.multiply(init, e[0], out=x)
         for t in range(e.shape[0]):
             if t:
                 np.matmul(alpha[t - 1], A, out=x)
                 x *= e[t]
             np.matmul(x, ones, out=scaling[t])
             np.divide(x, scaling[t, ..., None], out=alpha[t])
-    return alpha, scaling
 
 
 def _pair_logliks(alpha, c, data: SequenceDataset, a: int) -> np.ndarray:
@@ -234,7 +289,7 @@ def _pair_logliks(alpha, c, data: SequenceDataset, a: int) -> np.ndarray:
     return ll
 
 
-def _scaled_pass(hmms, data, inits, threads=1, want="loglik"):
+def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     """The scaled forward-backward kernel over clusters ``hmms`` (a plain HMM
     is one) with one (N, S_k) initial array each in ``inits``.
 
@@ -250,7 +305,13 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik"):
     ``"stats"``: (loglik, rho, per_cluster), per cluster the t=0 posterior
     (N, S_k), expected transitions (S_k, S_k) and per channel emission
     numerators (S_k, M_c), the last two summed chunk by chunk in order.
+    ``workspace`` is a ``_Workspace`` of ``data`` to reuse; by default the
+    pass builds its own.
     """
+    if workspace is None:
+        workspace = _Workspace(data)
+    elif workspace.data is not data:
+        raise ValueError("workspace was built for another dataset")
     N, T = data.n_subjects, data.n_time
     sizes = [h.n_states for h in hmms]
     K, S = len(hmms), max(sizes)
@@ -262,21 +323,46 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik"):
         init[k, :, : sizes[k]] = p
         for table, own in zip(tables, _emission_tables(h)):
             table[:, k, : sizes[k]] = own
-    tables = [table.reshape(-1, K * S) for table in tables]
-    codes = [ch.codes for ch in data.channels]
+    n_codes = [len(table) for table in tables]
+    tables = [table.reshape(-1, S) for table in tables]  # row code*K + k
     loglik, rho = np.empty(N), np.empty((N, K))
     if want == "full":
         alpha_out, beta_out = np.empty((2, N, T, offsets[-1]))
         scaling_out = np.empty((K, N, T))
     gamma1 = [np.empty((N, s)) for s in sizes]
-    parts: list = [None] * len(_chunk_spans(N))
+    parts: list = [None] * len(workspace.codes)
 
-    def work(ci, span):
+    def work(ci, span, w):
         a, b = span
-        chunk_codes = [c[a:b].T for c in codes]  # (T, n)
-        e = _lookup_emissions(tables, chunk_codes).reshape(T, b - a, K, S)
-        e = np.ascontiguousarray(e.swapaxes(1, 2))  # a view for an HMM
-        alpha, scaling = _forward(A, e, init[:, a:b])
+        n = b - a
+        codes = workspace.codes[ci]
+
+        def buf(name, shape, dtype=float):
+            return _buffer(workspace.scratch.setdefault(w, {}), name, shape, dtype)
+
+        def flat_rows(name, v):
+            """(T', n, s) values as C-contiguous (T'*n, s) rows: a view of an
+            HMM's arrays, a copy into scratch of a mixture's."""
+            if not v.flags.c_contiguous:
+                out = buf(name, v.shape)
+                np.copyto(out, v)
+                v = out
+            return v.reshape(-1, v.shape[-1])
+
+        # the product over channels of the table rows the codes select: row
+        # code*K + k holds cluster k, so the lookup lands in (T, K, n, S);
+        # alpha's scratch holds the later channels' rows until the forward pass
+        e, alpha = buf("e", (T, K, n, S)), buf("alpha", (T, K, n, S))
+        for c, (table, code) in enumerate(zip(tables, codes)):
+            index = code[:, None, :]
+            if K > 1:
+                index = np.multiply(index, K, out=buf("index", (T, K, n), np.intp))
+                index += np.arange(K)[:, None]
+            np.take(table, index, axis=0, out=alpha if c else e, mode="clip")
+            if c:
+                e *= alpha
+        scaling = buf("scaling", (T, K, n))
+        _forward(A, e, init[:, a:b], alpha, scaling, buf("x", (K, n, S)))
         ll = _pair_logliks(alpha, scaling, data, a)
         loglik[a:b] = _logsumexp(ll, axis=0)
         r = np.exp(ll - loglik[a:b])
@@ -284,9 +370,8 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik"):
         if want == "loglik":
             return
         # W[t] = e[t+1] * beta[t+1] / scaling[t+1], so beta[t] = W[t] @ A.T
-        beta = np.empty_like(e)
+        beta, W = buf("beta", (T, K, n, S)), buf("W", (T - 1, K, n, S))
         beta[T - 1] = r[..., None]
-        W = np.empty_like(e[1:])
         for t in range(T - 2, -1, -1):
             np.multiply(e[t + 1], beta[t + 1], out=W[t])
             W[t] /= scaling[t + 1, ..., None]
@@ -298,16 +383,20 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik"):
                 beta_out[a:b, :, cols] = beta[:, k, :, :s].swapaxes(0, 1)
             scaling_out[:, a:b] = scaling.transpose(1, 2, 0)
             return
-        # a missing cell selects the last table row, which bincount drops
-        idx = [np.where(c == MISSING, len(t) - 1, c).ravel() for t, c in zip(tables, chunk_codes)]
         part = []
         for k, s in enumerate(sizes):
-            g = (alpha[:, k, :, :s] * beta[:, k, :, :s]).reshape(-1, s)
-            gamma1[k][a:b] = g[: b - a]
-            xi = alpha[:-1, k, :, :s].reshape(-1, s).T @ W[:, k, :, :s].reshape(-1, s)
+            # the state posteriors state-major (s, T, n), so that each state's
+            # bincount weights are contiguous
+            g = buf("g", (s, T, n))
+            np.multiply(
+                alpha[:, k, :, :s].transpose(2, 0, 1), beta[:, k, :, :s].transpose(2, 0, 1), out=g
+            )
+            gamma1[k][a:b] = g[:, 0].T
+            xi = flat_rows("xa", alpha[:-1, k, :, :s]).T @ flat_rows("xw", W[:, k, :, :s])
+            # a missing cell's code M_c lands in the last bin, which is dropped
             nums = [
-                np.stack([np.bincount(i, g[:, j], len(t))[:-1] for j in range(s)])
-                for t, i in zip(tables, idx)
+                np.stack([np.bincount(c.ravel(), g[j].ravel(), m)[:-1] for j in range(s)])
+                for c, m in zip(codes, n_codes)
             ]
             part.append([xi * A[k, :s, :s], *nums])
         parts[ci] = part
@@ -335,7 +424,7 @@ def _fb_log(model, data, init, logE, threads, want_beta=True):
     lb = np.empty((N, T, S)) if want_beta else None
     loglik = np.empty(N)
 
-    def work(k, span):
+    def work(k, span, _worker):
         a, b = span
         e = logE[a:b]
         la[a:b, 0] = log_init[a:b] + e[:, 0]

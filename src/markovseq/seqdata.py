@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import (
     DuplicateLabel,
+    EmptyDataset,
+    InvalidParameter,
     MissingCovariate,
     MissingTokenCollision,
     ShapeMismatch,
@@ -285,12 +287,46 @@ def _load_covariates(path: Path, subject_ids: Sequence[str]) -> CovariateDesign:
     return CovariateDesign(names, X)
 
 
+def _channel_specs(manifest) -> list[dict]:
+    """The manifest's channel entries, checked for the keys and types ingest
+    reads: a malformed structure raises ShapeMismatch (or EmptyDataset for
+    no channels), a value of the wrong type InvalidParameter."""
+    if not isinstance(manifest, dict):
+        raise ShapeMismatch("manifest must be a JSON object")
+    specs = manifest.get("channels")
+    if not isinstance(specs, list):
+        raise ShapeMismatch("manifest needs a 'channels' list")
+    if not specs:
+        raise EmptyDataset("manifest lists no channels")
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, dict):
+            raise ShapeMismatch(f"channel entry {i} must be a JSON object")
+        for key in ("name", "csv", "alphabet"):
+            if key not in spec:
+                raise ShapeMismatch(f"channel entry {i} lacks {key!r}")
+        for key in ("name", "csv", "missing_token"):
+            if key in spec and not isinstance(spec[key], str):
+                raise InvalidParameter(
+                    f"channel entry {i}: {key!r} must be a string, "
+                    f"not {type(spec[key]).__name__}"
+                )
+        labels = spec["alphabet"]
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise InvalidParameter(f"channel entry {i}: 'alphabet' must be a list of strings")
+    cov = manifest.get("covariates_csv")
+    if cov is not None and not isinstance(cov, str):
+        raise InvalidParameter(f"'covariates_csv' must be a string, not {type(cov).__name__}")
+    return specs
+
+
 def ingest_dataset(manifest_path) -> tuple[SequenceDataset, Optional[CovariateDesign]]:
     """Load a dataset (and optional covariates) described by a JSON manifest.
 
     The manifest lists channels as ``{"name", "csv", "alphabet",
     "missing_token"}`` entries; CSV paths are resolved relative to the
     manifest.  All channels must agree on subject ids and sequence length.
+    A manifest of the wrong structure raises ShapeMismatch, EmptyDataset or
+    InvalidParameter (see ``_channel_specs``).
 
     Returns
     -------
@@ -302,7 +338,7 @@ def ingest_dataset(manifest_path) -> tuple[SequenceDataset, Optional[CovariateDe
     base = manifest_path.parent
     channels = []
     ref_ids = None
-    for spec in manifest["channels"]:
+    for spec in _channel_specs(manifest):
         alpha = define_alphabet(spec["alphabet"], spec.get("missing_token", "*"))
         ids, cells = _read_wide_csv(base / spec["csv"])
         if ref_ids is None:

@@ -158,6 +158,15 @@ def _lockstep(u, cum_init, cum_trans, cum_emis, n_time, missing_rate):
     return z, codes
 
 
+def _check_request(n_subjects, n_time, missing_rate) -> None:
+    if n_subjects < 1 or n_time < 1:
+        raise InvalidParameter(
+            f"n_subjects and n_time must be positive, got {n_subjects!r} and {n_time!r}"
+        )
+    if not 0.0 <= missing_rate <= 1.0:  # also rejects NaN
+        raise InvalidParameter(f"missing_rate must be in [0, 1], got {missing_rate!r}")
+
+
 def _simulate(tables, offsets, cum_w, n_subjects, n_time, seed, missing_rate):
     """Paths, per-channel codes and labels for clusters given as CDF tables.
 
@@ -167,10 +176,6 @@ def _simulate(tables, offsets, cum_w, n_subjects, n_time, seed, missing_rate):
     call, then the block's subjects of each cluster step in lockstep with
     that cluster's tables.
     """
-    if n_subjects < 1 or n_time < 1:
-        raise ValueError("n_subjects and n_time must be positive")
-    if not 0.0 <= missing_rate <= 1.0:  # also rejects NaN
-        raise InvalidParameter(f"missing_rate must be in [0, 1], got {missing_rate!r}")
     n_channels = len(tables[0][2])
     lead = 0 if cum_w is None else 1
     width = lead + n_time * (1 + n_channels * (2 if missing_rate > 0 else 1))
@@ -221,6 +226,7 @@ def simulate_hmm_data(
     missing_rate: float = 0.0,
 ) -> tuple[SequenceDataset, np.ndarray]:
     """Sample observations and hidden paths from a fixed HMM."""
+    _check_request(n_subjects, n_time, missing_rate)
     paths, codes, _ = _simulate(
         [_tables(model)], (0,), None, n_subjects, n_time, seed, missing_rate
     )
@@ -241,6 +247,7 @@ def simulate_mhmm_data(
     blocks stacked), and 0-based cluster labels.  With a single cluster the
     output is identical to ``simulate_hmm_data`` on that cluster.
     """
+    _check_request(n_subjects, n_time, missing_rate)
     if design is None:
         design = CovariateDesign.intercept(n_subjects)
     if design.n_subjects != n_subjects:

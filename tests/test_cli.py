@@ -50,15 +50,6 @@ def _coin_model(labels=("a", "b")):
     )
 
 
-def test_cli_import_leaves_optimizer_unloaded():
-    env = dict(os.environ, PYTHONPATH=str(Path(markovseq.__file__).parents[1]))
-    probe = "import sys, markovseq.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == "False"
-
-
 _SCIPY_FREE_PROBE = """
 import json, sys
 before = {m.split(".")[0] for m in sys.modules}
@@ -581,6 +572,17 @@ class TestSummaryAndSimulate:
         last = (out / "run.log").read_text().splitlines()[-1]
         assert last.startswith("error: InvalidParameter:") != accepted
         assert (out / "dataset.json").exists() == accepted
+
+    @pytest.mark.parametrize("size", [("0", "4"), ("3", "0")])
+    def test_simulate_rejects_size_below_one(self, tmp_path, size):
+        mpath = _model_file(tmp_path, random_hmm(np.random.default_rng(4), 2, [2]))
+        out = tmp_path / "sim"
+        argv = ["simulate", "--model", str(mpath), "--n-subjects", size[0],
+                "--n-time", size[1], "--out", str(out)]
+        assert main(argv) == 1
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.startswith("error: InvalidParameter: n_subjects and n_time")
+        assert not (out / "dataset.json").exists()
 
     def test_simulate_deterministic(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -1,3 +1,6 @@
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -27,7 +30,13 @@ from markovseq.errors import (
     NumericalUnderflow,
 )
 from markovseq.estimation import expected_stats
-from markovseq.inference import cluster_logliks
+from markovseq.inference import (
+    _clusters_and_inits,
+    _run_chunked,
+    _scaled_pass,
+    _Workspace,
+    cluster_logliks,
+)
 from markovseq.seqdata import MISSING
 
 from helpers import (
@@ -607,3 +616,109 @@ class TestLogsumexp:
         got = _logsumexp(a, 2)
         assert got[1, 2] == 0.5
         assert np.isneginf(np.delete(got.ravel(), 6)).all()
+
+
+def _bits(result):
+    """The bytes of every array and number in a (nested) kernel result."""
+    if isinstance(result, (tuple, list)):
+        return [b for item in result for b in _bits(item)]
+    return [np.asarray(result).tobytes()]
+
+
+class TestWorkspace:
+    """One workspace serves every pass over its dataset, bit for bit."""
+
+    def _case(self, n_subjects, n_time):
+        rng = np.random.default_rng(171)
+        hmms = [random_hmm(rng, s, [4, 3]) for s in (2, 5)]
+        data = random_dataset(rng, hmms[0], n_subjects, n_time, missing_rate=0.15)
+        mix, design = uneven_mixture(rng, [4, 3], (2, 4, 3), n_subjects)
+        return hmms, mix, design, data
+
+    def test_interleaved_models_match_fresh_passes(self):
+        # 1100 subjects: two full chunks and a short one, whose arrays are
+        # prefixes of the full chunks' scratch
+        hmms, mix, design, data = self._case(1100, 13)
+        models = [(hmms[0], None), (mix, design), (hmms[1], None), (mix, design)]
+        workspace = _Workspace(data)
+        for want in ("stats", "full", "loglik", "stats"):
+            for model, d in models:
+                clusters, inits = _clusters_and_inits(model, data, d)
+                fresh = _scaled_pass(clusters, data, inits, 1, want)
+                reused = _scaled_pass(clusters, data, inits, 1, want, workspace)
+                assert _bits(reused) == _bits(fresh), (want, len(clusters))
+
+    def test_expected_stats_with_workspace_match_without(self):
+        hmms, mix, design, data = self._case(600, 9)
+        workspace = _Workspace(data)
+        for model, d in [(mix, design), (hmms[1], None), (mix, design)]:
+            got = expected_stats(model, data, design=d, workspace=workspace)
+            want = expected_stats(model, data, design=d)
+            for a, b in zip(got.clusters or (got,), want.clusters or (want,)):
+                assert _bits([a.gamma1, a.xi, a.emis_num]) == _bits([b.gamma1, b.xi, b.emis_num])
+            assert _bits([got.loglik_per_subject, got.rho]) == _bits(
+                [want.loglik_per_subject, want.rho]
+            )
+
+    def test_workspace_of_another_dataset_rejected(self):
+        hmms, _, _, data = self._case(20, 4)
+        other = random_dataset(np.random.default_rng(1), hmms[0], 20, 4)
+        clusters, inits = _clusters_and_inits(hmms[0], data)
+        with pytest.raises(ValueError, match="another dataset"):
+            _scaled_pass(clusters, data, inits, 1, "loglik", _Workspace(other))
+
+    def test_four_threads_under_fast_switching_match_one(self):
+        # 2600 subjects: five full chunks and a short sixth; four workers
+        # on a small host, switching threads as often as the interpreter can
+        hmms, mix, design, data = self._case(2600, 6)
+        cases = [(hmms[1], None), (mix, design)]
+        serial = [expected_stats(m, data, threads=1, design=d) for m, d in cases]
+        workspace = _Workspace(data)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            rounds = 0
+            while rounds < 2 or (rounds < 6 and time.perf_counter() - start < 3.0):
+                for (m, d), want in zip(cases, serial):
+                    got = expected_stats(m, data, threads=4, design=d, workspace=workspace)
+                    for a, b in zip(got.clusters or (got,), want.clusters or (want,)):
+                        assert _bits([a.gamma1, a.xi, a.emis_num]) == _bits(
+                            [b.gamma1, b.xi, b.emis_num]
+                        )
+                    assert _bits(got.rho) == _bits(want.rho)
+                rounds += 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(workspace.scratch) == 4
+
+    def test_emission_counts_are_per_state_bincounts_of_the_posteriors(self):
+        # per chunk one bincount per state over the time-major codes, weighted
+        # by the state posteriors, then the chunks added in order: to the bit
+        hmms, mix, design, data = self._case(1100, 7)
+        for model, d in [(hmms[1], None), (mix, design)]:
+            post = posterior_state_probs(model, data, d)
+            stats = expected_stats(model, data, design=d, workspace=_Workspace(data))
+            offset = 0
+            for st in stats.clusters or (stats,):
+                s = st.xi.shape[0]
+                for ch, got in zip(data.channels, st.emis_num):
+                    m = ch.alphabet.size
+                    codes = np.where(ch.codes == MISSING, m, ch.codes)
+                    parts = []
+                    for a, b in [(0, 512), (512, 1024), (1024, 1100)]:
+                        chunk = codes[a:b].T.ravel()
+                        weights = post[a:b, :, offset : offset + s].transpose(2, 1, 0)
+                        rows = [np.bincount(chunk, w.ravel(), m + 1)[:-1] for w in weights]
+                        parts.append(np.stack(rows))
+                    assert got.tobytes() == sum(parts).tobytes()
+                offset += s
+
+    def test_lowest_failing_chunk_raises_for_any_thread_count(self):
+        def fn(k, span, worker):
+            if k in (1, 2):
+                raise NumericalUnderflow(f"chunk {k}")
+
+        for threads in (1, 2, 3):
+            with pytest.raises(NumericalUnderflow, match="chunk 1"):
+                _run_chunked(fn, 4 * 512, threads)

@@ -298,3 +298,108 @@ class TestCliFuzz:
                 name = re.match(r"error: (\w+): ", last)
                 assert name, last
                 assert issubclass(getattr(errors, name.group(1), type(None)), MarkovSeqError), last
+
+
+# ----------------------------------------------------------------------
+# fuzzed manifest documents through the CLI
+# ----------------------------------------------------------------------
+
+# Every string the fuzzer writes names a file that exists, so a mutated
+# "csv" entry reads some CSV: a missing file is an OSError, reported as such,
+# and not a malformed manifest.
+FILES = {
+    "work.csv": "work", "home.csv": "home", "covariates.csv": "cov",
+    "a": "work", "b": "home", "x": "cov", "y": "work", "*": "cov",
+}
+KEYS = ["channels", "name", "csv", "alphabet", "missing_token", "covariates_csv", "id_column"]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 2)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(sorted(FILES)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _base_manifest(tmp):
+    """Two channels and a covariate table; each file of FILES is written."""
+    rows = {
+        "work": [["a", "b", "*"], ["b", "b", "a"]],
+        "home": [["x", "*", "y"], ["y", "x", "x"]],
+    }
+    write_manifest(
+        tmp,
+        [("work", ["a", "b"], rows["work"]), ("home", ["x", "y"], rows["home"])],
+        covariate_rows=[[0.5], [-1.0]],
+        covariate_names=["age"],
+    )
+    for name, source in FILES.items():
+        src = {"cov": "covariates.csv"}.get(source, f"{source}.csv")
+        (tmp / name).write_bytes((tmp / src).read_bytes())
+    return json.loads((tmp / "manifest.json").read_text())
+
+
+def _slots(node):
+    """(container, key) for every value below ``node``."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    out = []
+    for key in keys:
+        out.append((node, key))
+        if isinstance(node[key], (dict, list)):
+            out += _slots(node[key])
+    return out
+
+
+@st.composite
+def manifest_edits(draw):
+    """A list of edits, each a function of the document returning the new one."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["replace"] * 4 + ["drop"] * 2 + ["add", "root"]))
+        value = draw(json_values)
+        pick = draw(st.integers(0, 10**6))
+        key = draw(st.sampled_from(KEYS))
+
+        def edit(doc, kind=kind, value=value, pick=pick, key=key):
+            slots = _slots(doc) if isinstance(doc, (dict, list)) else []
+            if kind == "root" or not slots:
+                return value
+            container, at = slots[pick % len(slots)]
+            if kind == "replace":
+                container[at] = value
+            elif kind == "drop":
+                del container[at]
+            elif isinstance(container, dict):
+                container[key] = value
+            else:
+                container.append(value)
+            return doc
+
+        edits.append(edit)
+    return edits
+
+
+class TestManifestFuzz:
+    @settings(SETTINGS, max_examples=100)
+    @given(manifest_edits())
+    def test_validate_exits_cleanly(self, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            doc = _base_manifest(tmp)
+            for edit in edits:
+                doc = edit(doc)
+            (tmp / "manifest.json").write_text(json.dumps(doc))
+            out = tmp / "out"
+            code = main(["validate", "--manifest", str(tmp / "manifest.json"), "--out", str(out)])
+            last = (out / "run.log").read_text().splitlines()[-1]
+            if code == 0:
+                assert (out / "validate_result.json").exists()
+            else:
+                assert code == 1
+                name = re.match(r"error: (\w+): ", last)
+                assert name, last
+                assert issubclass(getattr(errors, name.group(1), type(None)), MarkovSeqError), last

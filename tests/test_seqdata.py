@@ -14,6 +14,8 @@ from markovseq import (
 )
 from markovseq.errors import (
     DuplicateLabel,
+    EmptyDataset,
+    InvalidParameter,
     MissingCovariate,
     MissingTokenCollision,
     ShapeMismatch,
@@ -48,6 +50,20 @@ class TestAlphabet:
         a = define_alphabet(["a", "b"])
         with pytest.raises(KeyError):
             a.code("z")
+
+
+_DROP = object()
+
+
+def _edit_entry(doc, **values):
+    """``doc`` with its first channel entry's keys set (or dropped, for _DROP)."""
+    entry = doc["channels"][0]
+    for key, value in values.items():
+        if value is _DROP:
+            del entry[key]
+        else:
+            entry[key] = value
+    return doc
 
 
 class TestIngest:
@@ -104,6 +120,28 @@ class TestIngest:
             covariate_names=["age"],
         )
         with pytest.raises(MissingCovariate):
+            ingest_dataset(manifest)
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda doc: {"channels": "x"}, ShapeMismatch),
+            (lambda doc: [], ShapeMismatch),
+            (lambda doc: {"channels": []}, EmptyDataset),
+            (lambda doc: {"channels": ["work.csv"]}, ShapeMismatch),
+            (lambda doc: _edit_entry(doc, csv=3), InvalidParameter),
+            (lambda doc: _edit_entry(doc, alphabet=_DROP), ShapeMismatch),
+            (lambda doc: _edit_entry(doc, alphabet="ab"), InvalidParameter),
+            (lambda doc: _edit_entry(doc, alphabet=["a", 2]), InvalidParameter),
+            (lambda doc: _edit_entry(doc, missing_token=5), InvalidParameter),
+            (lambda doc: _edit_entry(doc, name=None), InvalidParameter),
+            (lambda doc: {**doc, "covariates_csv": 3}, InvalidParameter),
+        ],
+    )
+    def test_malformed_structure_raises_typed_error(self, tmp_path, edit, error):
+        manifest = write_manifest(tmp_path, [("work", ["a", "b"], [["a", "b"], ["b", "*"]])])
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        with pytest.raises(error):
             ingest_dataset(manifest)
 
     def test_roundtrip_through_json(self, tmp_path):

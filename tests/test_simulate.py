@@ -150,6 +150,14 @@ class TestMissingRateRange:
         with pytest.raises(InvalidParameter, match="missing_rate"):
             simulate_mhmm_data(build_mhmm([model, model]), None, 4, 3, 0, missing_rate=rate)
 
+    @pytest.mark.parametrize("n_subjects, n_time", [(0, 3), (4, 0), (-1, 3)])
+    def test_size_below_one_rejected(self, n_subjects, n_time):
+        model = random_hmm(np.random.default_rng(5), 2, [3])
+        with pytest.raises(InvalidParameter, match="n_subjects and n_time"):
+            simulate_hmm_data(model, n_subjects, n_time, 0)
+        with pytest.raises(InvalidParameter, match="n_subjects and n_time"):
+            simulate_mhmm_data(build_mhmm([model, model]), None, n_subjects, n_time, 0)
+
     def test_unit_interval_ends_accepted(self):
         model = random_hmm(np.random.default_rng(5), 2, [3, 2])
         none, _ = simulate_hmm_data(model, 4, 3, 0, missing_rate=0.0)
