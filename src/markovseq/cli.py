@@ -39,6 +39,7 @@ from .model import (
 from .seqdata import (
     CovariateDesign,
     SequenceDataset,
+    _read_json,
     effective_size,
     ingest_dataset,
     mc_to_sc,
@@ -143,8 +144,7 @@ def _write_log(out: Path, lines) -> None:
 
 
 def _load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+    return model_from_json(_read_json(path, "model file"))
 
 
 def _inference_mode(args) -> str:
@@ -284,7 +284,7 @@ def _cmd_fit(args, out: Path, log) -> int:
         "control": control.to_dict(),
     }
     _write_json(out / "fit_result.json", result)
-    log.append(f"fit: loglik {res.loglik!r} after {res.em_iterations} EM iterations "
+    log.append(f"fit: loglik {res.loglik!r} after {res.em_iterations} EM E-steps "
                f"({res.converged_by})")
     log.extend(res.diagnostics)
     _emit(args, [f"loglik {res.loglik}", f"bic {ic.bic}"], result)
@@ -534,8 +534,8 @@ def main(argv=None) -> int:
     try:
         code = _HANDLERS[args.command](args, out, log)
     except (MarkovSeqError, OSError, ValueError, KeyError) as err:
-        # OSError/ValueError/KeyError: unreadable files, malformed JSON, or
-        # missing document fields
+        # OSError/ValueError/KeyError: unreadable files, or model documents
+        # with missing fields or values of the wrong kind
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         log.append(f"error: {type(err).__name__}: {err}")
         _write_log(out, log)

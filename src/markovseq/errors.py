@@ -35,6 +35,11 @@ class MissingCovariate(MarkovSeqError):
     pass
 
 
+class InvalidJson(MarkovSeqError):
+    """A manifest or model file that is not UTF-8 JSON; the message names
+    the file."""
+
+
 # -- model construction -------------------------------------------------
 
 

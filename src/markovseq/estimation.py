@@ -4,7 +4,12 @@ Fitting is organized around three pieces:
 
 * ``fit_em`` runs Baum-Welch (with a multinomial-logit Newton step for the
   covariate coefficients of mixtures), optionally restarted from randomly
-  perturbed starting values; the best restart wins.
+  perturbed starting values; the best restart wins.  Each run is
+  accelerated by SQUAREM (``_em_once``): two EM maps give a squared
+  extrapolation in probability space (plus gamma), accepted only if it is a
+  valid model that scores at least as well as the first map's output, so
+  EM's fixed points and monotone log-likelihood trace are kept with fewer
+  E-steps.  ``em_max_iter`` caps the E-steps of each run.
 * ``fit_local`` polishes an estimate with a numpy L-BFGS (``_lbfgs``,
   weak-Wolfe line search) on an unconstrained reparameterization: each
   probability row is written as a softmax over its free entries anchored
@@ -23,13 +28,15 @@ the likelihood unchanged to double precision.
 from __future__ import annotations
 
 from collections import deque
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    MarkovSeqError,
     NonFiniteLikelihood,
     NonInvertibleHessian,
     NumericalUnderflow,
@@ -51,6 +58,14 @@ from .seqdata import CovariateDesign, SequenceDataset
 Model = Union[HmmModel, MixtureModel]
 
 _LOG_CLAMP = 1e-290  # free entries at exactly 0 map to log-odds ~ -668
+# Inside fit_model, fit_em leaves here the best run's model, its final E-step
+# and the kernel workspace, and fit_local starts from them when it is given
+# that model; a context variable keeps both public signatures as they are
+_EM_HANDOFF: ContextVar[Optional[dict]] = ContextVar("_EM_HANDOFF", default=None)
+
+# SQUAREM halves a rejected step length alpha toward -1 (the plain EM step)
+# and takes the EM step once alpha is within 1/16 of it
+_SQUAREM_MIN_STEP = -1.0 - 1.0 / 16
 
 
 @dataclass
@@ -59,8 +74,11 @@ class FitControl:
 
     ``restarts`` perturbed EM runs are added to the run from the given
     starting values; restart r draws from a generator seeded ``seed + r``.
-    ``threads`` only distributes per-subject work and never changes
-    results.
+    ``em_max_iter`` caps the E-steps of each EM run, SQUAREM's proposals
+    (rejected ones included) as well as its EM maps; ``em_rel_tol`` stops a
+    run when one EM map changes the log-likelihood by less than that,
+    relative.  ``threads`` only distributes per-subject work and never
+    changes results.
     """
 
     em_max_iter: int = 1000
@@ -104,7 +122,13 @@ class FitControl:
 
 @dataclass
 class FitResult:
-    """Outcome of a fit: best model, its log-likelihood, and run diagnostics."""
+    """Outcome of a fit: best model, its log-likelihood, and run diagnostics.
+
+    ``em_iterations`` counts the E-steps of the best EM run, rejected SQUAREM
+    proposals included (the count ``em_max_iter`` caps); ``loglik_trace``
+    holds the log-likelihood of every accepted EM point, then of every
+    accepted local-step iterate.
+    """
 
     model: Model
     loglik: float
@@ -260,36 +284,148 @@ def _perturb(m: Model, weight: float, rng) -> Model:
     return _perturb_hmm(m, weight, rng)
 
 
-def _em_once(m: Model, data, design, control: FitControl, workspace):
+def _em_vector(m: Model) -> np.ndarray:
+    """Every probability of a model, cluster by cluster, then a mixture's
+    gamma, as one flat vector (the space SQUAREM extrapolates in)."""
+    hmms = m.clusters if isinstance(m, MixtureModel) else (m,)
+    parts = [a.ravel() for h in hmms for a in (h.initial, h.transition, *h.emissions)]
+    if isinstance(m, MixtureModel):
+        parts.append(m.gamma.ravel())
+    return np.concatenate(parts)
+
+
+def _em_model(template: Model, x: np.ndarray) -> Model:
+    """The inverse of ``_em_vector``, checked like any new model: values that
+    are not a valid model raise a MarkovSeqError."""
+    pos = 0
+
+    def take(shape):
+        nonlocal pos
+        n = int(np.prod(shape))
+        pos += n
+        return x[pos - n : pos].reshape(shape)
+
+    def hmm(h):
+        return h.with_params(
+            initial=take(h.initial.shape),
+            transition=take(h.transition.shape),
+            emissions=[take(b.shape) for b in h.emissions],
+        )
+
+    if isinstance(template, MixtureModel):
+        clusters = tuple(hmm(h) for h in template.clusters)
+        return replace(template, clusters=clusters, gamma=take(template.gamma.shape))
+    return hmm(template)
+
+
+class _EmRun(NamedTuple):
+    model: Model
+    loglik: float
+    e_steps: int
+    converged_by: str
+    trace: list[float]
+    diagnostics: list[str]
+    stats: Optional[EStats]  # the run's last E-step, at ``model``, if it ended on one
+
+
+def _em_once(m: Model, data, design, control: FitControl, workspace) -> _EmRun:
+    """One EM run from ``m`` by SQUAREM cycles (SqS3, Varadhan & Roland 2008).
+
+    A cycle takes two EM maps, theta1 = F(theta0) and theta2 = F(theta1),
+    sets r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and
+    alpha = min(-|r| / |v|, -1), and proposes theta0 - 2 alpha r + alpha^2 v
+    in the space of ``_em_vector``.  The proposal is accepted if it is a
+    valid model whose E-step is finite and whose log-likelihood is at least
+    theta1's; otherwise alpha is halved toward -1, where the proposal is
+    theta2, the plain EM step, which is taken without a test.  One EM map from
+    the accepted point starts the next cycle.  Masked entries and gamma's
+    reference column are 0 in all three points, so they stay exactly 0.
+
+    ``loglik_trace`` holds the log-likelihood of every accepted point, so it
+    is monotone as plain EM's is; rejected proposals never enter it.  The run
+    stops by tolerance when an EM map (not an extrapolation) changes the
+    log-likelihood by less than ``em_rel_tol`` relative, and by the cap after
+    ``em_max_iter`` E-steps, rejected proposals included.  The model a capped
+    run holds then (the start or an EM map's output) is scored by one more
+    pass, which is not counted.
+    """
     flagged: set = set()
     trace: list[float] = []
-    prev = None
-    iterations = 0
-    converged_by = "max_iter"
-    for _ in range(control.em_max_iter):
-        stats = expected_stats(
-            m, data, threads=control.threads, design=design, workspace=workspace
+    e_steps = 0
+
+    def e_step(model):
+        nonlocal e_steps
+        e_steps += 1
+        return expected_stats(
+            model, data, threads=control.threads, design=design, workspace=workspace
         )
+
+    def accepted(stats, em_map=True):
+        """Record an accepted point; True when the EM map into it has converged."""
         ll = stats.loglik
         if not np.isfinite(ll):
             raise NonFiniteLikelihood(f"log-likelihood became {ll!r} during EM")
+        prev = trace[-1] if trace else None
         trace.append(ll)
-        if prev is not None and abs(ll - prev) / (abs(ll) + 0.1) < control.em_rel_tol:
-            converged_by = "em_tol"
+        return em_map and prev is not None and abs(ll - prev) / (abs(ll) + 0.1) < control.em_rel_tol
+
+    def done(model, stats, converged_by):
+        diagnostics = [f"empty_posterior: {w} kept at current values" for w in sorted(flagged)]
+        return _EmRun(model, trace[-1], e_steps, converged_by, trace, diagnostics, stats)
+
+    cap = control.em_max_iter
+    current = m  # the point whose E-step comes next
+    while e_steps < cap:
+        stats0 = e_step(current)
+        if accepted(stats0):
+            return done(current, stats0, "em_tol")
+        theta1 = _m_step(current, stats0, design, flagged)
+        if e_steps == cap:
+            current = theta1
             break
-        m = _m_step(m, stats, design, flagged)
-        prev = ll
-        iterations += 1
+        stats1 = e_step(theta1)
+        if accepted(stats1):
+            return done(theta1, stats1, "em_tol")
+        theta2 = _m_step(theta1, stats1, design, flagged)
+        x0 = _em_vector(current)
+        r = _em_vector(theta1) - x0
+        v = _em_vector(theta2) - x0 - 2.0 * r
+        current = theta2
+        norm_v = float(np.linalg.norm(v))
+        alpha = min(-float(np.linalg.norm(r)) / norm_v, -1.0) if norm_v > 0 else -1.0
+        point = stats = None
+        while alpha < _SQUAREM_MIN_STEP and e_steps < cap:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    point = _em_model(current, x0 - 2.0 * alpha * r + alpha * alpha * v)
+                stats = e_step(point)
+            except MarkovSeqError:  # not a valid model, or NonFiniteLikelihood
+                stats = None
+            if stats is not None and stats.loglik >= stats1.loglik:
+                break
+            point = stats = None
+            alpha = 0.5 * (alpha - 1.0)
+        if point is None:
+            if e_steps == cap:
+                break
+            point, stats = theta2, e_step(theta2)
+        if accepted(stats, em_map=point is theta2):
+            return done(point, stats, "em_tol")
+        current = _m_step(point, stats, design, flagged)
+    # E-step cap: score the last EM map's output so loglik matches it.  Inside
+    # fit_model the local step starts from this, so it is a full E-step;
+    # otherwise a forward pass, as log_likelihood would but in the workspace
+    stats = None
+    if _EM_HANDOFF.get() is not None:
+        stats = expected_stats(
+            current, data, threads=control.threads, design=design, workspace=workspace
+        )
+        trace.append(stats.loglik)
     else:
-        # iteration cap: evaluate the final model so loglik matches it, as
-        # log_likelihood would but in the fit's workspace
-        hmms, inits = _clusters_and_inits(m, data, design)
-        ll = float(_scaled_pass(hmms, data, inits, control.threads, "loglik", workspace)[0].sum())
-        trace.append(ll)
-    diagnostics = [
-        f"empty_posterior: {w} kept at current values" for w in sorted(flagged)
-    ]
-    return m, trace[-1], iterations, converged_by, trace, diagnostics
+        hmms, inits = _clusters_and_inits(current, data, design)
+        ll = _scaled_pass(hmms, data, inits, control.threads, "loglik", workspace)[0]
+        trace.append(float(ll.sum()))
+    return done(current, stats, "max_iter")
 
 
 def fit_em(
@@ -304,7 +440,10 @@ def fit_em(
     at exactly zero.  With ``restarts > 0`` the run from the supplied model
     is followed by perturbed runs (each free row convexly mixed with a
     Dirichlet(1) draw, weight ``restart_perturb``) and the best final
-    log-likelihood wins.  All restarts share one kernel workspace.
+    log-likelihood wins.  All restarts share one kernel workspace.  Each
+    run is driven by SQUAREM cycles (see ``_em_once``), which reach the
+    same fixed points as plain EM in fewer E-steps; ``em_max_iter`` caps
+    the E-steps of each run and ``em_iterations`` reports the best run's.
     """
     control = control or FitControl()
     if isinstance(m, MixtureModel):
@@ -317,17 +456,19 @@ def fit_em(
         else:
             start = _perturb(m, control.restart_perturb, np.random.default_rng(control.seed + r))
         runs.append(_em_once(start, data, design, control, workspace))
-    best = max(runs, key=lambda run: run[1])
-    model, ll, iters, converged_by, trace, diagnostics = best
+    best = max(runs, key=lambda run: run.loglik)
+    handoff = _EM_HANDOFF.get()
+    if handoff is not None:
+        handoff.update(model=best.model, stats=best.stats, workspace=workspace)
     return FitResult(
-        model=model,
-        loglik=ll,
-        restart_logliks=[run[1] for run in runs],
-        em_iterations=iters,
+        model=best.model,
+        loglik=best.loglik,
+        restart_logliks=[run.loglik for run in runs],
+        em_iterations=best.e_steps,
         local_iterations=0,
-        converged_by=converged_by,
-        loglik_trace=trace,
-        diagnostics=diagnostics,
+        converged_by=best.converged_by,
+        loglik_trace=best.trace,
+        diagnostics=best.diagnostics,
     )
 
 
@@ -452,6 +593,11 @@ class ParameterMap:
 def _gradient_at(model: Model, data, design, pmap: ParameterMap, threads=1, workspace=None):
     """Analytic gradient and log-likelihood at the model's current values."""
     stats = expected_stats(model, data, threads=threads, design=design, workspace=workspace)
+    return _gradient(model, stats, design, pmap)
+
+
+def _gradient(model: Model, stats: EStats, design, pmap: ParameterMap):
+    """Analytic gradient and log-likelihood from an E-step at ``model``."""
     hmms = model.clusters if pmap.is_mixture else (model,)
     per_cluster = stats.clusters or (stats,)
     grad = np.empty(pmap.n_params)
@@ -593,20 +739,27 @@ def fit_local(
     ``local_max_iter`` iterations; a failed line search returns the last
     accepted iterate with a diagnostic.  Each iterate improves on the one
     before, so the final log-likelihood never falls below the starting one.
-    All gradient evaluations share one kernel workspace.
+    All gradient evaluations share one kernel workspace.  Inside
+    ``fit_model`` the first value and gradient come from EM's last E-step,
+    at the model EM returned, and the workspace is EM's.
     """
     control = control or FitControl()
     if isinstance(m, MixtureModel):
         design = _mixture_design(m, data, design)
     pmap = ParameterMap(m)
-    workspace = _Workspace(data)
+    handoff = _EM_HANDOFF.get() or {}
+    start = handoff.get("stats") if handoff.get("model") is m else None
+    workspace = handoff["workspace"] if start is not None else _Workspace(data)
     trace: list[float] = []
 
     def objective(theta):
         try:
-            grad, ll = _gradient_at(
-                pmap.unpack(theta), data, design, pmap, control.threads, workspace
-            )
+            if not trace and start is not None:
+                grad, ll = _gradient(m, start, design, pmap)
+            else:
+                grad, ll = _gradient_at(
+                    pmap.unpack(theta), data, design, pmap, control.threads, workspace
+                )
         except NonFiniteLikelihood:
             grad, ll = np.zeros_like(theta), -np.inf
         if not trace:
@@ -644,12 +797,21 @@ def fit_model(
     design: Optional[CovariateDesign] = None,
     control: Optional[FitControl] = None,
 ) -> FitResult:
-    """EM (with restarts) followed by the local ascent when requested."""
+    """EM (with restarts) followed by the local ascent when requested.
+
+    The local step starts from EM's last E-step instead of repeating it;
+    for that, a capped EM run scores its final model by a full E-step rather
+    than a forward pass.
+    """
     control = control or FitControl()
-    em = fit_em(m, data, design, control)
     if not control.local_step:
-        return em
-    loc = fit_local(em.model, data, design, control)
+        return fit_em(m, data, design, control)
+    token = _EM_HANDOFF.set({})
+    try:
+        em = fit_em(m, data, design, control)
+        loc = fit_local(em.model, data, design, control)
+    finally:
+        _EM_HANDOFF.reset(token)
     return FitResult(
         model=loc.model,
         loglik=loc.loglik,

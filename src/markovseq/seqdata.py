@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DuplicateLabel,
     EmptyDataset,
+    InvalidJson,
     InvalidParameter,
     MissingCovariate,
     MissingTokenCollision,
@@ -202,12 +203,24 @@ class SequenceDataset:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SequenceDataset":
+        """Read the form ``to_json`` writes.  A document of the wrong
+        structure raises ShapeMismatch, EmptyDataset or InvalidParameter
+        (see ``_channel_specs``)."""
+        specs = _channel_specs(doc, "dataset document", "rows")
+        ids = doc.get("subject_ids")
+        if not isinstance(ids, list):
+            raise ShapeMismatch("dataset document needs a 'subject_ids' list")
+        if not all(isinstance(s, str) for s in ids):
+            raise InvalidParameter("'subject_ids' must be a list of strings")
         channels = []
-        for spec in doc["channels"]:
+        for i, spec in enumerate(specs):
+            rows = spec["rows"]
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise InvalidParameter(f"channel entry {i}: 'rows' must be a list of token lists")
             alpha = define_alphabet(spec["alphabet"], spec.get("missing_token", "*"))
-            codes = _code_rows(alpha, spec["rows"], spec["name"])
+            codes = _code_rows(alpha, rows, spec["name"])
             channels.append(Channel(spec["name"], alpha, codes))
-        return cls(tuple(channels), tuple(doc["subject_ids"]))
+        return cls(tuple(channels), tuple(ids))
 
 
 @dataclass(frozen=True)
@@ -287,21 +300,24 @@ def _load_covariates(path: Path, subject_ids: Sequence[str]) -> CovariateDesign:
     return CovariateDesign(names, X)
 
 
-def _channel_specs(manifest) -> list[dict]:
-    """The manifest's channel entries, checked for the keys and types ingest
-    reads: a malformed structure raises ShapeMismatch (or EmptyDataset for
-    no channels), a value of the wrong type InvalidParameter."""
-    if not isinstance(manifest, dict):
-        raise ShapeMismatch("manifest must be a JSON object")
-    specs = manifest.get("channels")
+def _channel_specs(doc, what: str, source: str) -> list[dict]:
+    """The channel entries of ``doc``, a manifest or a dataset document, as
+    ``what`` names it, checked for the keys and types the readers use: each
+    entry needs ``name``, ``alphabet`` and ``source`` (the manifest's
+    "csv", the dataset document's "rows").  A malformed structure raises
+    ShapeMismatch (or EmptyDataset for no channels), a value of the wrong
+    type InvalidParameter."""
+    if not isinstance(doc, dict):
+        raise ShapeMismatch(f"{what} must be a JSON object")
+    specs = doc.get("channels")
     if not isinstance(specs, list):
-        raise ShapeMismatch("manifest needs a 'channels' list")
+        raise ShapeMismatch(f"{what} needs a 'channels' list")
     if not specs:
-        raise EmptyDataset("manifest lists no channels")
+        raise EmptyDataset(f"{what} lists no channels")
     for i, spec in enumerate(specs):
         if not isinstance(spec, dict):
             raise ShapeMismatch(f"channel entry {i} must be a JSON object")
-        for key in ("name", "csv", "alphabet"):
+        for key in ("name", source, "alphabet"):
             if key not in spec:
                 raise ShapeMismatch(f"channel entry {i} lacks {key!r}")
         for key in ("name", "csv", "missing_token"):
@@ -313,10 +329,17 @@ def _channel_specs(manifest) -> list[dict]:
         labels = spec["alphabet"]
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise InvalidParameter(f"channel entry {i}: 'alphabet' must be a list of strings")
-    cov = manifest.get("covariates_csv")
-    if cov is not None and not isinstance(cov, str):
-        raise InvalidParameter(f"'covariates_csv' must be a string, not {type(cov).__name__}")
     return specs
+
+
+def _read_json(path, what: str):
+    """The JSON document in the file ``path``; a file that is not UTF-8 JSON
+    raises InvalidJson naming it as the ``what`` it should hold."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise InvalidJson(f"{what} {str(path)!r} is not JSON: {err}") from err
 
 
 def ingest_dataset(manifest_path) -> tuple[SequenceDataset, Optional[CovariateDesign]]:
@@ -325,20 +348,24 @@ def ingest_dataset(manifest_path) -> tuple[SequenceDataset, Optional[CovariateDe
     The manifest lists channels as ``{"name", "csv", "alphabet",
     "missing_token"}`` entries; CSV paths are resolved relative to the
     manifest.  All channels must agree on subject ids and sequence length.
-    A manifest of the wrong structure raises ShapeMismatch, EmptyDataset or
-    InvalidParameter (see ``_channel_specs``).
+    A manifest that is not JSON raises InvalidJson; one of the wrong
+    structure raises ShapeMismatch, EmptyDataset or InvalidParameter (see
+    ``_channel_specs``).
 
     Returns
     -------
     (SequenceDataset, CovariateDesign | None)
     """
     manifest_path = Path(manifest_path)
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(manifest_path, "manifest")
+    specs = _channel_specs(manifest, "manifest", "csv")
+    cov = manifest.get("covariates_csv")
+    if cov is not None and not isinstance(cov, str):
+        raise InvalidParameter(f"'covariates_csv' must be a string, not {type(cov).__name__}")
     base = manifest_path.parent
     channels = []
     ref_ids = None
-    for spec in _channel_specs(manifest):
+    for spec in specs:
         alpha = define_alphabet(spec["alphabet"], spec.get("missing_token", "*"))
         ids, cells = _read_wide_csv(base / spec["csv"])
         if ref_ids is None:

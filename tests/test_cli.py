@@ -161,7 +161,30 @@ class TestLoglik:
             ["loglik", "--manifest", str(manifest), "--model", str(bad), "--out", str(tmp_path)]
         )
         assert code == 1
-        assert "JSONDecodeError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidJson: model file ")
+        assert "bad.json" in err
+
+    @pytest.mark.parametrize("content", [b"", b"\xff\xfe{}"])
+    def test_model_that_is_not_json_exits_one(self, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        code = main(
+            ["simulate", "--model", str(bad), "--n-subjects", "2", "--n-time", "3",
+             "--out", str(out)]
+        )
+        assert code == 1
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.startswith(f"error: InvalidJson: model file {str(bad)!r} is not JSON")
+
+    def test_manifest_that_is_not_json_exits_one(self, tmp_path):
+        bad = tmp_path / "manifest.json"
+        bad.write_text("{not json")
+        out = tmp_path / "out"
+        assert main(["validate", "--manifest", str(bad), "--out", str(out)]) == 1
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.startswith(f"error: InvalidJson: manifest {str(bad)!r} is not JSON")
 
     def test_missing_manifest_logs_error(self, tmp_path, capsys):
         mpath = _model_file(tmp_path, _coin_model())
@@ -292,6 +315,36 @@ class TestFit:
                 }
             )
         assert outputs[0] == outputs[1]
+
+    def test_squarem_fit_identical_across_thread_counts(self, tmp_path):
+        # N = 1100 spans three kernel chunks; SQUAREM's accept/reject
+        # decisions compare log-likelihoods, so they must not depend on threads
+        rng = np.random.default_rng(410)
+        truth = random_hmm(rng, 3, [4, 3])
+        data, _ = simulate_hmm_data(truth, 1100, 8, 0, missing_rate=0.1)
+        _write_dataset_files(data, tmp_path, "dataset")
+        mpath = _model_file(tmp_path, random_hmm(rng, 3, [4, 3]))
+        outputs = []
+        for threads in (1, 3):
+            out = tmp_path / f"t{threads}"
+            code = main(
+                [
+                    "fit",
+                    "--manifest", str(tmp_path / "dataset_manifest.json"),
+                    "--model", str(mpath),
+                    "--restarts", "1",
+                    "--em-rel-tol", "1e-8",
+                    "--local-step",
+                    "--local-max-iter", "5",
+                    "--threads", str(threads),
+                    "--out", str(out),
+                ]
+            )
+            assert code == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        fit = json.loads(outputs[0]["fit_result.json"])
+        assert 0 < fit["em_iterations"] < 1000
 
     def test_line_search_failure_identical_across_thread_counts(self, tmp_path):
         # 1100 subjects span three kernel chunks; a tolerance of 5e-324 (the

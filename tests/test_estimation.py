@@ -22,8 +22,10 @@ from markovseq import (
     simulate_hmm_data,
     simulate_mhmm_data,
 )
-from markovseq.estimation import FitControl, _gamma_hessian, expected_stats
+import markovseq.estimation as estimation
+from markovseq.estimation import FitControl, _gamma_hessian, _m_step, _perturb, expected_stats
 from markovseq.errors import RankDeficientDesign
+from markovseq.inference import _clusters_and_inits, _scaled_pass
 from markovseq.seqdata import MISSING
 
 from helpers import make_alphabets, random_dataset, random_hmm, random_mixture, uneven_mixture
@@ -235,6 +237,226 @@ class TestFitEm:
         res = fit_em(m, data, control=FitControl(em_max_iter=10))
         assert any("empty_posterior" in d for d in res.diagnostics)
         np.testing.assert_array_equal(res.model.emissions[0][1], [0.5, 0.5])
+
+
+def _plain_em(m, data, design, max_iter, rel_tol):
+    """The plain EM loop the SQUAREM driver replaced, frozen: one E-step and
+    one M-step per iteration until two consecutive log-likelihoods differ by
+    less than ``rel_tol`` relative; at the iteration cap the last model is
+    scored by a forward pass.  Returns (model, trace, E-steps)."""
+    flagged = set()
+    trace = []
+    prev = None
+    for it in range(max_iter):
+        stats = expected_stats(m, data, design=design)
+        ll = stats.loglik
+        trace.append(ll)
+        if prev is not None and abs(ll - prev) / (abs(ll) + 0.1) < rel_tol:
+            return m, trace, it + 1
+        m = _m_step(m, stats, design, flagged)
+        prev = ll
+    hmms, inits = _clusters_and_inits(m, data, design)
+    trace.append(float(_scaled_pass(hmms, data, inits, 1, "loglik")[0].sum()))
+    return m, trace, max_iter
+
+
+def _hmm_arrays(m):
+    """(values, mask) of every probability array of a model's clusters."""
+    hmms = m.clusters if hasattr(m, "clusters") else (m,)
+    return [
+        pair
+        for h in hmms
+        for pair in [
+            (h.initial, h.initial_mask),
+            (h.transition, h.transition_mask),
+            *zip(h.emissions, h.emission_masks),
+        ]
+    ]
+
+
+def _left_to_right_case():
+    """A 3-state left-to-right HMM with structural zeros in its initial
+    vector, transitions and one emission row; 200 subjects drawn from it;
+    and a start perturbed from it (the zeros kept)."""
+    truth = build_hmm(
+        make_alphabets([3, 2]),
+        initial=[0.7, 0.3, 0.0],
+        transition=[[0.8, 0.15, 0.05], [0.0, 0.85, 0.15], [0.0, 0.0, 1.0]],
+        emissions=[
+            [[0.8, 0.15, 0.05], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]],
+            [[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]],
+        ],
+    )
+    data, _ = simulate_hmm_data(truth, 200, 12, 3, missing_rate=0.1)
+    return data, _perturb(truth, 0.5, np.random.default_rng(4))
+
+
+def _covariate_mixture_case():
+    """K = 3 two-state clusters with an intercept-plus-covariate design, 200
+    subjects drawn from them, and a start perturbed from them."""
+    clusters = []
+    for k in range(3):
+        e = np.full((2, 4), 0.1)
+        e[0, k], e[1, k + 1] = 0.7, 0.7
+        clusters.append(
+            build_hmm(
+                make_alphabets([4]),
+                initial=[0.6, 0.4],
+                transition=[[0.9, 0.1], [0.2, 0.8]],
+                emissions=[e],
+            )
+        )
+    X = np.column_stack([np.ones(200), np.random.default_rng(5).normal(size=200)])
+    design = CovariateDesign(("(Intercept)", "x1"), X)
+    truth = build_mhmm(clusters, covariates=design, gamma=[[0, 0.3, -0.2], [0, 1.0, -1.0]])
+    data, _, _ = simulate_mhmm_data(truth, design, 200, 12, 6)
+    return data, design, _perturb(truth, 0.3, np.random.default_rng(7))
+
+
+class TestSquarem:
+    """The SQUAREM EM driver against the frozen plain EM loop."""
+
+    @staticmethod
+    def _against_plain_em(start, data, design):
+        """SQUAREM at em_rel_tol 1e-8 and 1e-11 against one plain EM run to
+        1e-11; its prefix up to the first change below 1e-8 relative is the
+        plain run at 1e-8.  Returns the SQUAREM fit at 1e-8."""
+        _, trace, _ = _plain_em(start, data, design, 5000, 1e-11)
+        ref = trace[-1]
+        steps = next(
+            i + 1
+            for i in range(1, len(trace))
+            if abs(trace[i] - trace[i - 1]) / (abs(trace[i]) + 0.1) < 1e-8
+        )
+        res = fit_em(start, data, design, FitControl(em_rel_tol=1e-8))
+        tight = fit_em(start, data, design, FitControl(em_rel_tol=1e-11))
+        assert res.converged_by == tight.converged_by == "em_tol"
+        # nearer the maximum than plain EM stops under the same tolerance,
+        # in fewer E-steps; the same maximum at the tight one
+        assert abs(ref - res.loglik) < ref - trace[steps - 1]
+        assert res.em_iterations < steps
+        assert abs(ref - tight.loglik) <= 1e-10 * abs(ref)
+        return res
+
+    def test_hmm_with_structural_zeros_reaches_plain_em_maximum(self):
+        data, start = _left_to_right_case()
+        res = self._against_plain_em(start, data, None)
+        arrays = _hmm_arrays(res.model)
+        assert sum(int(mask.sum()) for _, mask in arrays) == 5
+        for values, mask in arrays:
+            assert (values[mask] == 0.0).all()
+
+    def test_covariate_mixture_reaches_plain_em_maximum(self):
+        data, design, start = _covariate_mixture_case()
+        res = self._against_plain_em(start, data, design)
+        assert (res.model.gamma[:, 0] == 0.0).all()
+        assert (res.model.gamma[:, 1:] != start.gamma[:, 1:]).all()
+
+    @pytest.mark.parametrize("max_iter", [7, 500])
+    def test_invalid_proposals_leave_plain_em(self, monkeypatch, max_iter):
+        # every proposal gets a negative entry, which costs no E-step, so the
+        # driver must take exactly plain EM's steps, E-step count included
+        real = estimation._em_model
+        proposals = []
+
+        def negative(template, x):
+            proposals.append(x)
+            return real(template, np.concatenate([[-1e-3], x[1:]]))
+
+        monkeypatch.setattr(estimation, "_em_model", negative)
+        data, start = _left_to_right_case()
+        res = fit_em(start, data, control=FitControl(em_max_iter=max_iter, em_rel_tol=1e-8))
+        model, trace, steps = _plain_em(start, data, None, max_iter, 1e-8)
+        assert proposals
+        assert res.converged_by == ("max_iter" if max_iter == 7 else "em_tol")
+        assert res.em_iterations == steps
+        assert res.loglik_trace == trace
+        for (got, _), (want, _) in zip(_hmm_arrays(res.model), _hmm_arrays(model)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["nonfinite", "lower"])
+    @pytest.mark.parametrize("max_iter", [3, 500])
+    def test_rejected_proposals_never_enter_trace(self, monkeypatch, kind, max_iter):
+        # every proposal is a model whose E-step raises NonFiniteLikelihood or
+        # scores below theta1; each costs an E-step and the cycle falls back
+        # to theta2, so the accepted points are plain EM's.  With max_iter 3
+        # the budget runs out on the first proposal: theta2 is then scored,
+        # as plain EM capped at 2 iterations scores its last model.
+        data, start = _left_to_right_case()
+        if kind == "nonfinite":  # channel 0's symbol 0 made impossible
+            b = start.emissions[0] * [0.0, 1.0, 1.0]
+            b /= b.sum(axis=1, keepdims=True)
+            poison = start.with_params(emissions=[b, start.emissions[1]])
+        else:  # emissions flat over their free entries
+            poison = start.with_params(
+                emissions=[(~m) / (~m).sum(axis=1, keepdims=True) for m in start.emission_masks]
+            )
+        real_stats = estimation.expected_stats
+        rejected = []  # the proposals' log-likelihoods, None where the E-step raised
+
+        def counting(model, *args, **kwargs):
+            if model is not poison:
+                return real_stats(model, *args, **kwargs)
+            rejected.append(None)
+            stats = real_stats(model, *args, **kwargs)
+            rejected[-1] = stats.loglik
+            return stats
+
+        monkeypatch.setattr(estimation, "_em_model", lambda template, x: poison)
+        monkeypatch.setattr(estimation, "expected_stats", counting)
+        res = fit_em(start, data, control=FitControl(em_max_iter=max_iter, em_rel_tol=1e-8))
+        monkeypatch.undo()
+        model, trace, steps = _plain_em(start, data, None, 2 if max_iter == 3 else max_iter, 1e-8)
+        if max_iter == 3:
+            assert len(rejected) == 1
+        else:
+            assert len(rejected) > 1
+        assert (None in rejected) == (kind == "nonfinite")
+        assert res.converged_by == ("max_iter" if max_iter == 3 else "em_tol")
+        assert res.em_iterations == steps + len(rejected)
+        assert res.loglik_trace == trace
+        assert not set(rejected) & set(res.loglik_trace)
+        for (got, _), (want, _) in zip(_hmm_arrays(res.model), _hmm_arrays(model)):
+            np.testing.assert_array_equal(got, want)
+        assert abs(res.loglik - log_likelihood(res.model, data)) < 1e-9
+
+    @pytest.mark.parametrize("max_iter", [5, 1000])
+    def test_local_step_starts_from_em_last_e_step(self, monkeypatch, max_iter):
+        data, start = _left_to_right_case()
+        control = FitControl(
+            em_max_iter=max_iter, em_rel_tol=1e-6, local_step=True, local_max_iter=5
+        )
+        real_stats, real_pass = estimation.expected_stats, estimation._scaled_pass
+        calls, forward_only = [], []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real_stats(*args, **kwargs)
+
+        def counting_pass(hmms, data, inits, threads, want, *args):
+            if want == "loglik":
+                forward_only.append(None)
+            return real_pass(hmms, data, inits, threads, want, *args)
+
+        monkeypatch.setattr(estimation, "expected_stats", counting)
+        monkeypatch.setattr(estimation, "_scaled_pass", counting_pass)
+        joint = fit_model(start, data, control=control)
+        n_joint, forward_joint = len(calls), len(forward_only)
+        em = fit_em(start, data, control=control)
+        n_em = len(calls) - n_joint
+        loc = fit_local(em.model, data, control=control)
+        n_local = len(calls) - n_joint - n_em
+        capped = em.converged_by == "max_iter"
+        assert capped == (max_iter == 5)
+        # a capped run scores its model by a full E-step instead of a
+        # forward pass; either way the local step does not repeat it
+        assert forward_joint == 0
+        assert len(forward_only) == capped
+        assert n_joint == n_em + n_local - (not capped)
+        assert joint.em_iterations == em.em_iterations
+        assert joint.local_iterations == loc.local_iterations
+        assert abs(joint.loglik - loc.loglik) <= 1e-9 * abs(loc.loglik)
+        assert joint.loglik_trace[: len(em.loglik_trace)] == em.loglik_trace
 
 
 class TestFitLocal:

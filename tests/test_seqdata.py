@@ -15,6 +15,7 @@ from markovseq import (
 from markovseq.errors import (
     DuplicateLabel,
     EmptyDataset,
+    InvalidJson,
     InvalidParameter,
     MissingCovariate,
     MissingTokenCollision,
@@ -143,6 +144,42 @@ class TestIngest:
         manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
         with pytest.raises(error):
             ingest_dataset(manifest)
+
+    @pytest.mark.parametrize("content", [b"", b"{not json", b"\xff\xfe{}"])
+    def test_manifest_that_is_not_json_raises_invalid_json(self, tmp_path, content):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(content)
+        with pytest.raises(InvalidJson, match="manifest .*manifest.json.* is not JSON"):
+            ingest_dataset(manifest)
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda doc: {"channels": "x", "subject_ids": []}, ShapeMismatch),
+            (lambda doc: {"subject_ids": doc["subject_ids"]}, ShapeMismatch),
+            (lambda doc: [doc], ShapeMismatch),
+            (lambda doc: {**doc, "channels": []}, EmptyDataset),
+            (lambda doc: {**doc, "channels": [["a", "b"]]}, ShapeMismatch),
+            (lambda doc: _edit_entry(doc, rows=_DROP), ShapeMismatch),
+            (lambda doc: _edit_entry(doc, rows=["ab", "b*"]), InvalidParameter),
+            (lambda doc: _edit_entry(doc, rows="ab"), InvalidParameter),
+            (lambda doc: _edit_entry(doc, alphabet="ab"), InvalidParameter),
+            (lambda doc: _edit_entry(doc, alphabet=_DROP), ShapeMismatch),
+            (lambda doc: _edit_entry(doc, name=_DROP), ShapeMismatch),
+            (lambda doc: _edit_entry(doc, name=7), InvalidParameter),
+            (lambda doc: _edit_entry(doc, missing_token=5), InvalidParameter),
+            (lambda doc: {**doc, "subject_ids": "s1"}, ShapeMismatch),
+            (lambda doc: {"channels": doc["channels"]}, ShapeMismatch),
+            (lambda doc: {**doc, "subject_ids": [1, 2]}, InvalidParameter),
+        ],
+    )
+    def test_malformed_dataset_document_raises_typed_error(self, edit, error):
+        alpha = define_alphabet(["a", "b"])
+        data = SequenceDataset(
+            (Channel("work", alpha, np.array([[0, 1], [1, MISSING]])),), ("s1", "s2")
+        )
+        with pytest.raises(error):
+            SequenceDataset.from_json(edit(data.to_json()))
 
     def test_roundtrip_through_json(self, tmp_path):
         manifest = write_manifest(
