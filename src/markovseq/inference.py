@@ -5,20 +5,14 @@ variables at every time point (the default, fastest), "log" keeps all
 quantities on the log scale (slower, robust to zero probabilities).  Both
 modes agree on per-subject log-likelihoods to well below 1e-9.
 
-Scaled mode runs one kernel, ``_scaled_pass``, over fixed 512-subject
-chunks in time-major layout, all clusters of a mixture at once, each
-started from w_ik * pi^k (a plain HMM is one cluster).  It serves
-log-likelihoods, posteriors of clusters and states and the E-step
-statistics.  Chunks write their own rows or partial sums, added in chunk
-order, so results are bit-identical for any thread count.  What a pass
-reads of the data (time-major chunk codes) and the scratch arrays it
-fills live in a ``_Workspace``: a fit builds one and passes it to every
-E-step, one-off calls build their own, and the numbers are the same
-either way.
-
-Log mode reduces with ``_logsumexp``, a numpy log-sum-exp that returns
-exactly what ``scipy.special.logsumexp`` does, so that this module needs
-numpy only.
+Every pass reads the data one way: the chunk codes of a ``_Workspace``,
+looked up in time-major (T, K, n, S) layout for all clusters of a mixture
+at once, each padded to S states and started from w_ik * pi^k (a plain
+HMM is one cluster).  ``_scaled_pass`` serves log-likelihoods, posteriors
+and the E-step statistics; ``_log_pass`` serves log mode and decoding, the
+latter on one thread.  Chunks write their own rows or partial sums, added
+in chunk order, so results are bit-identical for any thread count.  A fit
+builds one workspace for all its E-steps; one-off calls build their own.
 """
 
 from __future__ import annotations
@@ -51,7 +45,8 @@ _CHUNK = 512
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) over ``axis``, bit-identical to scipy.special.logsumexp.
+    """log(sum(exp(a))) over ``axis``, bit-identical to scipy.special.logsumexp,
+    so that this module needs numpy only.
 
     As there, the maximal terms are summed apart (the rest enters through
     log1p); a slice whose maximum is -inf, +inf or NaN returns that maximum.
@@ -134,26 +129,18 @@ def _emission_tables(model: HmmModel) -> list[np.ndarray]:
     return [np.vstack([b.T, np.ones(model.n_states)]) for b in model.emissions]
 
 
-def _lookup_emissions(tables, codes) -> np.ndarray:
-    """Product over channels of the table rows the codes select."""
-    out = np.take(tables[0], codes[0], axis=0)
-    for table, c in zip(tables[1:], codes[1:]):
-        out *= np.take(table, c, axis=0)
-    return out
-
-
 def emission_probs(model: HmmModel, data: SequenceDataset) -> np.ndarray:
     """Joint emission probability per (subject, time, state).
 
     Product over channels of b_s(y_itc); a missing channel contributes a
-    factor of 1 (an unobserved cell carries no state information).
+    factor of 1 (an unobserved cell carries no state information).  The
+    passes look up chunks instead (``_chunk_emissions``).
     """
-    return _lookup_emissions(_emission_tables(model), [ch.codes for ch in data.channels])
-
-
-def _log_emission_probs(model: HmmModel, data: SequenceDataset) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(emission_probs(model, data))
+    tables = _emission_tables(model)
+    out = np.take(tables[0], data.channels[0].codes, axis=0)
+    for table, ch in zip(tables[1:], data.channels[1:]):
+        out *= np.take(table, ch.codes, axis=0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -209,15 +196,15 @@ def _clusters_and_inits(m, data, design=None, subject_initials=None):
 
 
 class _Workspace:
-    """What the scaled kernel reads of one dataset, built once and reused by
-    every pass over it.
+    """What the passes read of one dataset, built once and reused by every
+    pass over it.
 
     ``codes[k][c]`` holds chunk k's channel c as a C-contiguous (T, n) intp
     array with MISSING replaced by M_c, the emission table's row of ones;
     the emission lookup and the emission counts both read it.  ``scratch[w]``
-    is worker w's dict of scratch arrays (see ``_buffer``), which every pass
-    overwrites.  A fit builds one workspace for all its E-steps and drops it
-    when it returns; one-off calls build a transient one.
+    is worker w's ``_Scratch``, which every pass overwrites.  A fit builds
+    one workspace for all its E-steps and drops it when it returns; one-off
+    calls build a transient one.
     """
 
     def __init__(self, data: SequenceDataset):
@@ -230,17 +217,60 @@ class _Workspace:
                 c[c == MISSING] = ch.alphabet.size
                 chunk.append(c)
             self.codes.append(chunk)
-        self.scratch: dict[int, dict] = {}
+        self.scratch: dict[int, _Scratch] = {}
 
 
-def _buffer(scratch: dict, name: str, shape, dtype=float) -> np.ndarray:
-    """A C-contiguous ``shape`` view of the scratch array ``name``, which
-    grows to the largest size asked of it (a short last chunk uses a prefix)."""
-    size = math.prod(shape)
-    flat = scratch.get(name)
-    if flat is None or flat.size < size:
-        flat = scratch[name] = np.empty(size, dtype)
-    return flat[:size].reshape(shape)
+class _Scratch(dict):
+    """One worker's scratch arrays by name: ``buf(name, shape, dtype)`` is a
+    C-contiguous ``shape`` view of array ``name``, which grows to the largest
+    size asked of it (a short last chunk uses a prefix)."""
+
+    def __call__(self, name: str, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self.get(name)
+        if flat is None or flat.size < size:
+            flat = self[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _pack(hmms, inits, n_subjects: int):
+    """Clusters ``hmms`` side by side, padded with zeros to S = max S_k
+    states: A (K, S, S), initial probabilities (K, N, S) from ``inits`` and
+    per channel an emission table whose row code*K + k holds cluster k."""
+    sizes = [h.n_states for h in hmms]
+    K, S = len(hmms), max(sizes)
+    A, init = np.zeros((K, S, S)), np.zeros((K, n_subjects, S))
+    tables = [np.zeros((b.shape[1] + 1, K, S)) for b in hmms[0].emissions]
+    for k, (h, p) in enumerate(zip(hmms, inits)):
+        A[k, : sizes[k], : sizes[k]] = h.transition
+        init[k, :, : sizes[k]] = p
+        for table, own in zip(tables, _emission_tables(h)):
+            table[:, k, : sizes[k]] = own
+    return sizes, A, init, [table.reshape(-1, S) for table in tables]
+
+
+def _chunk_emissions(tables, codes, buf, rows) -> np.ndarray:
+    """The product over channels of the table rows (see ``_pack``) that a
+    chunk's codes select, in buf's (T, K, n, S) array "e"; ``rows``, of that
+    shape and overwritten later by the caller, holds the later channels'."""
+    T, K, n, S = rows.shape
+    e = buf("e", rows.shape)
+    for c, (table, code) in enumerate(zip(tables, codes)):
+        index = code[:, None, :]
+        if K > 1:
+            index = np.multiply(index, K, out=buf("index", (T, K, n), np.intp))
+            index += np.arange(K)[:, None]
+        np.take(table, index, axis=0, out=rows if c else e, mode="clip")
+        if c:
+            e *= rows
+    return e
+
+
+def _side_by_side(out, values, sizes) -> None:
+    """Write (T, K, n, S) chunk ``values`` into ``out`` (n, T, sum S_k), the
+    real states of the clusters side by side as in ``combine_clusters``."""
+    for k, s in enumerate(sizes):
+        out[:, :, sum(sizes[:k]) : sum(sizes[: k + 1])] = values[:, k, :, :s].swapaxes(0, 1)
 
 
 def _forward(A, e, init, alpha, scaling, x):
@@ -294,8 +324,8 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     is one) with one (N, S_k) initial array each in ``inits``.
 
     Per fixed chunk of n subjects all clusters run at once in (T, K, n, S)
-    layout, padded to S states with zeros.  A cluster's log normalizers sum
-    to l_ik; loglik_i = logsumexp_k l_ik and rho_ik = exp(l_ik - loglik_i),
+    layout (``_pack``).  A cluster's log normalizers sum to l_ik;
+    loglik_i = logsumexp_k l_ik and rho_ik = exp(l_ik - loglik_i),
     exactly 1 for an HMM and 0 for an impossible pair (``_pair_logliks``).
     The backward pass starts from beta[T-1] = rho_ik, so alpha * beta and
     the E-step statistics come out weighted by rho.  ``want`` selects
@@ -313,21 +343,11 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     elif workspace.data is not data:
         raise ValueError("workspace was built for another dataset")
     N, T = data.n_subjects, data.n_time
-    sizes = [h.n_states for h in hmms]
-    K, S = len(hmms), max(sizes)
-    offsets = np.cumsum([0] + sizes)
-    A, init = np.zeros((K, S, S)), np.zeros((K, N, S))
-    tables = [np.zeros((b.shape[1] + 1, K, S)) for b in hmms[0].emissions]
-    for k, (h, p) in enumerate(zip(hmms, inits)):
-        A[k, : sizes[k], : sizes[k]] = h.transition
-        init[k, :, : sizes[k]] = p
-        for table, own in zip(tables, _emission_tables(h)):
-            table[:, k, : sizes[k]] = own
-    n_codes = [len(table) for table in tables]
-    tables = [table.reshape(-1, S) for table in tables]  # row code*K + k
+    sizes, A, init, tables = _pack(hmms, inits, N)
+    K, S = A.shape[:2]
     loglik, rho = np.empty(N), np.empty((N, K))
     if want == "full":
-        alpha_out, beta_out = np.empty((2, N, T, offsets[-1]))
+        alpha_out, beta_out = np.empty((2, N, T, sum(sizes)))
         scaling_out = np.empty((K, N, T))
     gamma1 = [np.empty((N, s)) for s in sizes]
     parts: list = [None] * len(workspace.codes)
@@ -336,9 +356,7 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
         a, b = span
         n = b - a
         codes = workspace.codes[ci]
-
-        def buf(name, shape, dtype=float):
-            return _buffer(workspace.scratch.setdefault(w, {}), name, shape, dtype)
+        buf = workspace.scratch.setdefault(w, _Scratch())
 
         def flat_rows(name, v):
             """(T', n, s) values as C-contiguous (T'*n, s) rows: a view of an
@@ -349,18 +367,8 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
                 v = out
             return v.reshape(-1, v.shape[-1])
 
-        # the product over channels of the table rows the codes select: row
-        # code*K + k holds cluster k, so the lookup lands in (T, K, n, S);
-        # alpha's scratch holds the later channels' rows until the forward pass
-        e, alpha = buf("e", (T, K, n, S)), buf("alpha", (T, K, n, S))
-        for c, (table, code) in enumerate(zip(tables, codes)):
-            index = code[:, None, :]
-            if K > 1:
-                index = np.multiply(index, K, out=buf("index", (T, K, n), np.intp))
-                index += np.arange(K)[:, None]
-            np.take(table, index, axis=0, out=alpha if c else e, mode="clip")
-            if c:
-                e *= alpha
+        alpha = buf("alpha", (T, K, n, S))
+        e = _chunk_emissions(tables, codes, buf, alpha)
         scaling = buf("scaling", (T, K, n))
         _forward(A, e, init[:, a:b], alpha, scaling, buf("x", (K, n, S)))
         ll = _pair_logliks(alpha, scaling, data, a)
@@ -377,10 +385,8 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
             W[t] /= scaling[t + 1, ..., None]
             np.matmul(W[t], A.swapaxes(1, 2), out=beta[t])
         if want == "full":
-            for k, s in enumerate(sizes):
-                cols = slice(offsets[k], offsets[k + 1])
-                alpha_out[a:b, :, cols] = alpha[:, k, :, :s].swapaxes(0, 1)
-                beta_out[a:b, :, cols] = beta[:, k, :, :s].swapaxes(0, 1)
+            _side_by_side(alpha_out[a:b], alpha, sizes)
+            _side_by_side(beta_out[a:b], beta, sizes)
             scaling_out[:, a:b] = scaling.transpose(1, 2, 0)
             return
         part = []
@@ -396,7 +402,7 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
             # a missing cell's code M_c lands in the last bin, which is dropped
             nums = [
                 np.stack([np.bincount(c.ravel(), g[j].ravel(), m)[:-1] for j in range(s)])
-                for c, m in zip(codes, n_codes)
+                for c, m in zip(codes, (len(table) // K for table in tables))
             ]
             part.append([xi * A[k, :s, :s], *nums])
         parts[ci] = part
@@ -410,56 +416,83 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     return loglik, rho, [(g, xi, nums) for g, (xi, *nums) in zip(gamma1, sums)]
 
 
-# The kernel's former name; perfbench/tracing.py looks it up when it installs
-# its counters.
-_fb_scaled = _scaled_pass
-
-
-def _fb_log(model, data, init, logE, threads, want_beta=True):
-    N, T, S = logE.shape
+def _log_pass(hmms, data, inits, threads=1, want="loglik"):
+    """``_scaled_pass`` in log space, on the same chunks and layout: the log
+    of the looked-up chunk, then ``_logsumexp`` over the from-state axis (for
+    ``"paths"`` the max, back-pointers to the lowest state reaching it).
+    l_ik (K, N), the last log alpha reduced likewise, is -inf for an
+    impossible pair.  ``want`` selects ``"loglik"``: (loglik_i = logsumexp_k
+    l_ik, l_ik); ``"full"``: (alpha, beta, loglik), log alpha and log beta
+    (N, T, sum S_k) side by side; ``"paths"``: (paths, l_ik), per cluster the
+    best paths (K, N, T).  A NaN log-likelihood raises NumericalUnderflow
+    for the lowest cluster's first such subject."""
+    workspace = _Workspace(data)
+    N, T = data.n_subjects, data.n_time
+    sizes, A, init, tables = _pack(hmms, inits, N)
+    K, S = A.shape[:2]
     with np.errstate(divide="ignore"):
-        logA = np.log(model.transition)
-        log_init = np.log(init)
-    la = np.empty((N, T, S))
-    lb = np.empty((N, T, S)) if want_beta else None
-    loglik = np.empty(N)
+        logA, log_init = np.log(A)[:, None], np.log(init)  # logA (K, 1, from, to)
+    ll = np.empty((K, N))
+    if want == "full":
+        alpha_out, beta_out = np.empty((2, N, T, sum(sizes)))
+    paths = np.empty((K, N, T), np.int64) if want == "paths" else None
 
-    def work(k, span, _worker):
+    def work(ci, span, w):
         a, b = span
-        e = logE[a:b]
-        la[a:b, 0] = log_init[a:b] + e[:, 0]
-        for t in range(1, T):
-            la[a:b, t] = (
-                _logsumexp(la[a:b, t - 1, :, None] + logA[None, :, :], axis=1) + e[:, t]
-            )
-        loglik[a:b] = _logsumexp(la[a:b, T - 1], axis=1)
-        if want_beta:
-            lb[a:b, T - 1] = 0.0
-            for t in range(T - 2, -1, -1):
-                lb[a:b, t] = _logsumexp(
-                    logA[None, :, :] + (e[:, t + 1] + lb[a:b, t + 1])[:, None, :],
-                    axis=2,
-                )
+        n = b - a
+        buf = workspace.scratch.setdefault(w, _Scratch())
+        la, cand = buf("alpha", (T, K, n, S)), buf("cand", (K, n, S, S))
+        le = _chunk_emissions(tables, workspace.codes[ci], buf, la)
+        back = None if paths is None else buf("back", (T, K, n, S), np.min_scalar_type(S - 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(le, out=le)
+            np.add(log_init[:, a:b], le[0], out=la[0])
+            for t in range(1, T):
+                np.add(la[t - 1, ..., None], logA, out=cand)  # (K, n, from, to)
+                if paths is None:
+                    np.add(_logsumexp(cand, axis=2), le[t], out=la[t])
+                    continue
+                # the max over the from states and the first state reaching it
+                np.copyto(la[t], cand[:, :, 0])
+                back[t] = 0
+                for f in range(1, S):
+                    np.copyto(back[t], f, where=cand[:, :, f] > la[t])
+                    np.maximum(la[t], cand[:, :, f], out=la[t])
+                la[t] += le[t]
+            if paths is None:
+                ll[:, a:b] = _logsumexp(la[T - 1], axis=2)
+            if want == "full":
+                lb = buf("beta", (T, K, n, S))
+                lb[T - 1] = 0.0
+                for t in range(T - 2, -1, -1):
+                    lb[t] = _logsumexp(logA + (le[t + 1] + lb[t + 1])[:, :, None], axis=3)
+                _side_by_side(alpha_out[a:b], la, sizes)
+                _side_by_side(beta_out[a:b], lb, sizes)
+        if paths is not None:
+            path = buf("path", (T, K, n), np.int64)
+            path[T - 1] = np.argmax(la[T - 1], axis=2)
+            ll[:, a:b] = np.take_along_axis(la[T - 1], path[T - 1][..., None], axis=2)[..., 0]
+            k, j = np.ogrid[:K, :n]
+            for t in range(T - 1, 0, -1):
+                path[t - 1] = back[t, k, j, path[t]]
+            paths[:, a:b] = path.transpose(1, 2, 0)
 
-    with np.errstate(invalid="ignore"):
-        _run_chunked(work, N, threads)
-    if np.any(np.isnan(loglik)):
-        i = int(np.argmax(np.isnan(loglik)))
-        raise NumericalUnderflow(
-            f"NaN log-likelihood for subject {data.subject_ids[i]!r}"
-        )
-    return la, lb, loglik
+    _run_chunked(work, N, threads)
+    if paths is not None:
+        return paths, ll
+    if np.isnan(ll).any():
+        i = np.argwhere(np.isnan(ll))[0, 1]
+        raise NumericalUnderflow(f"NaN log-likelihood for subject {data.subject_ids[i]!r}")
+    loglik = _logsumexp(ll, axis=0)
+    if want == "loglik":
+        return loglik, ll
+    return alpha_out, beta_out, loglik
 
 
-def _log_pass(hmms, data, inits, threads, want_beta=True):
-    """``_fb_log`` once per cluster: per cluster log alpha and log beta, l_ik
-    (K, N) and loglik_i = logsumexp_k l_ik (-inf if impossible everywhere)."""
-    runs = [
-        _fb_log(h, data, init, _log_emission_probs(h, data), threads, want_beta)
-        for h, init in zip(hmms, inits)
-    ]
-    ll = np.stack([run[2] for run in runs])
-    return [run[0] for run in runs], [run[1] for run in runs], ll, _logsumexp(ll, axis=0)
+# The kernels' former names; perfbench/tracing.py looks them up when it
+# installs its counters.
+_fb_scaled = _scaled_pass
+_fb_log = _log_pass
 
 
 def _require_possible(loglik: np.ndarray, data: SequenceDataset, what: str) -> None:
@@ -487,13 +520,8 @@ def forward_backward(
     if mode == "scaled":
         alpha, beta, scaling, loglik = _scaled_pass([model], data, init, threads, "full")
         return FBResult("scaled", alpha, beta, scaling[0], loglik)
-    la, lb, _, loglik = _log_pass([model], data, init, threads)
-    return FBResult("log", la[0], lb[0], None, loglik)
-
-
-def _loglik_subjects(m, data, subject_initials, mode, threads, design=None) -> np.ndarray:
-    """Per-subject log-likelihood via the forward passes only."""
-    return _forward_pass(m, data, design, mode, threads, subject_initials)[0]
+    alpha, beta, loglik = _log_pass([model], data, init, threads, "full")
+    return FBResult("log", alpha, beta, None, loglik)
 
 
 def _forward_pass(m, data, design, mode, threads, subject_initials=None):
@@ -503,7 +531,7 @@ def _forward_pass(m, data, design, mode, threads, subject_initials=None):
     hmms, inits = _clusters_and_inits(m, data, design, subject_initials)
     if mode == "scaled":
         return _scaled_pass(hmms, data, inits, threads)
-    _, _, ll, loglik = _log_pass(hmms, data, inits, threads, want_beta=False)
+    loglik, ll = _log_pass(hmms, data, inits, threads)
     with np.errstate(invalid="ignore"):
         return loglik, np.exp(ll - loglik).T
 
@@ -533,7 +561,7 @@ def log_likelihood(
     threads: int = 1,
 ) -> float:
     """Total log-likelihood; a mixture's is sum_i log sum_k w_ik P(Y_i | cluster k)."""
-    return float(_loglik_subjects(m, data, None, mode, threads, design).sum())
+    return float(_forward_pass(m, data, design, mode, threads)[0].sum())
 
 
 def posterior_state_probs(
@@ -554,33 +582,9 @@ def posterior_state_probs(
     if mode == "scaled":
         alpha, beta, _, _ = _scaled_pass(hmms, data, inits, threads, "full")
         return alpha * beta
-    las, lbs, _, loglik = _log_pass(hmms, data, inits, threads)
+    alpha, beta, loglik = _log_pass(hmms, data, inits, threads, "full")
     _require_possible(loglik, data, "posterior")
-    return np.concatenate(
-        [np.exp(la + lb - loglik[:, None, None]) for la, lb in zip(las, lbs)], axis=2
-    )
-
-
-def _viterbi_cluster(model: HmmModel, data: SequenceDataset, init: np.ndarray):
-    """Best path and its log-probability per subject for one cluster."""
-    logE = _log_emission_probs(model, data)
-    N, T, S = logE.shape
-    with np.errstate(divide="ignore"):
-        logA = np.log(model.transition)
-        log_init = np.log(init)
-    paths = np.empty((N, T), dtype=np.int64)
-    back = np.empty((N, T, S), dtype=np.int64)
-    delta = log_init + logE[:, 0]
-    with np.errstate(invalid="ignore"):
-        for t in range(1, T):
-            cand = delta[:, :, None] + logA[None, :, :]  # (N, from, to)
-            back[:, t] = np.argmax(cand, axis=1)  # first max = lowest index
-            delta = np.max(cand, axis=1) + logE[:, t]
-    last = np.argmax(delta, axis=1)
-    paths[:, T - 1] = last
-    for t in range(T - 1, 0, -1):
-        paths[:, t - 1] = back[np.arange(N), t, paths[:, t]]
-    return paths, delta[np.arange(N), last]
+    return np.exp(alpha + beta - loglik[:, None, None])
 
 
 def viterbi_paths(
@@ -593,28 +597,25 @@ def viterbi_paths(
 
     Each cluster of a mixture is decoded from log(w_ik * pi^k), a subject
     goes to the first cluster with the best path, and states are numbered as
-    in ``combine_clusters``.  A mixture rejects ``subject_initials``.
+    in ``combine_clusters``.  A mixture rejects ``subject_initials``.  The
+    chunks of the decoding run on one thread.
     """
     hmms, inits = _clusters_and_inits(m, data, design, subject_initials)
-    runs = [_viterbi_cluster(h, data, init) for h, init in zip(hmms, inits)]
-    joints = np.stack([joint for _, joint in runs], axis=1)  # (N, K)
+    paths, joints = _log_pass(hmms, data, inits, 1, "paths")  # joints (K, N)
     if np.any(np.isnan(joints)):
-        i = int(np.argmax(np.isnan(joints).any(axis=1)))
-        raise NumericalUnderflow(
-            f"NaN path log-probability for subject {data.subject_ids[i]!r}"
-        )
-    best = np.argmax(joints, axis=1)  # first max = lowest cluster
+        i = int(np.argmax(np.isnan(joints).any(axis=0)))
+        raise NumericalUnderflow(f"NaN path log-probability for subject {data.subject_ids[i]!r}")
+    best = np.argmax(joints, axis=0)  # first max = lowest cluster
     subjects = np.arange(data.n_subjects)
-    log_joint = joints[subjects, best]
+    log_joint = joints[best, subjects]
     if np.any(np.isneginf(log_joint)):
         i = int(np.argmax(np.isneginf(log_joint)))
         raise ImpossibleData(
             f"subject {data.subject_ids[i]!r} has zero probability under the model"
         )
     offsets = np.cumsum([0] + [h.n_states for h in hmms])
-    paths = np.stack([p for p, _ in runs])[best, subjects] + offsets[best, None]
     clusters = best if isinstance(m, MixtureModel) else None
-    return ViterbiResult(paths=paths, log_joint=log_joint, clusters=clusters)
+    return ViterbiResult(paths[best, subjects] + offsets[best, None], log_joint, clusters)
 
 
 @dataclass(frozen=True)
@@ -661,10 +662,8 @@ def cluster_logliks(
 ) -> np.ndarray:
     """log P(Y_i | cluster k) for every subject and cluster, in log mode, where
     impossible pairs are -inf: a reference apart from the scaled kernel."""
-    out = np.empty((data.n_subjects, mix.n_clusters))
-    for k, sub in enumerate(mix.clusters):
-        out[:, k] = _loglik_subjects(sub, data, None, "log", threads)
-    return out
+    inits = [_clusters_and_inits(sub, data)[1][0] for sub in mix.clusters]
+    return _log_pass(mix.clusters, data, inits, threads)[1].T
 
 
 def cluster_posterior_probs(

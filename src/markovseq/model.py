@@ -690,25 +690,57 @@ def _hmm_to_json(m: HmmModel) -> dict:
     }
 
 
-def _hmm_from_json(doc: dict) -> HmmModel:
-    alphabets = tuple(
-        Alphabet(tuple(a["labels"]), a.get("missing_token", "*"))
-        for a in doc["alphabets"]
-    )
-    masks = doc["zero_mask"]
+def _object(doc, where: str, keys) -> dict:
+    """``doc``, checked to be a JSON object that holds ``keys``; ShapeMismatch
+    otherwise."""
+    if not isinstance(doc, dict):
+        raise ShapeMismatch(f"{where} must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ShapeMismatch(f"{where} lacks {key!r}")
+    return doc
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ShapeMismatch(f"{where} must be a list")
+    return value
+
+
+def _strings(value, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InvalidParameter(f"{where} must be a list of strings")
+    return tuple(value)
+
+
+def _hmm_from_json(doc, where: str) -> HmmModel:
+    """The HMM of a model document; see ``model_from_json``."""
+    keys = ("state_names", "channel_names", "alphabets", "initial", "transition", "emissions")
+    doc = _object(doc, where, keys + ("zero_mask",))
+    alphabets = []
+    for c, a in enumerate(_list(doc["alphabets"], f"{where}: 'alphabets'")):
+        a = _object(a, f"{where}: alphabet {c}", ("labels",))
+        missing = a.get("missing_token", "*")
+        if not isinstance(missing, str):
+            raise InvalidParameter(f"{where}: alphabet {c}: 'missing_token' must be a string")
+        labels = _strings(a["labels"], f"{where}: alphabet {c}: 'labels'")
+        alphabets.append(Alphabet(labels, missing))
+    masks = _object(doc["zero_mask"], f"{where}: 'zero_mask'", keys[3:])
     return HmmModel(
-        state_names=tuple(doc["state_names"]),
-        channel_names=tuple(doc["channel_names"]),
-        alphabets=alphabets,
+        state_names=_strings(doc["state_names"], f"{where}: 'state_names'"),
+        channel_names=_strings(doc["channel_names"], f"{where}: 'channel_names'"),
+        alphabets=tuple(alphabets),
         initial=_parse_array(doc["initial"], "initial"),
         transition=_parse_array(doc["transition"], "transition"),
         emissions=tuple(
-            _parse_array(b, f"emission[{c}]") for c, b in enumerate(doc["emissions"])
+            _parse_array(b, f"emission[{c}]")
+            for c, b in enumerate(_list(doc["emissions"], f"{where}: 'emissions'"))
         ),
         initial_mask=_parse_mask(masks["initial"], "initial"),
         transition_mask=_parse_mask(masks["transition"], "transition"),
         emission_masks=tuple(
-            _parse_mask(mk, f"emission[{c}]") for c, mk in enumerate(masks["emissions"])
+            _parse_mask(mk, f"emission[{c}]")
+            for c, mk in enumerate(_list(masks["emissions"], f"{where}: mask 'emissions'"))
         ),
     )
 
@@ -726,12 +758,25 @@ def model_to_json(m: Model) -> dict:
     return _hmm_to_json(m)
 
 
-def model_from_json(doc: dict) -> Model:
-    if doc.get("type") == "mhmm":
-        return MixtureModel(
-            clusters=tuple(_hmm_from_json(c) for c in doc["clusters"]),
-            cluster_names=tuple(doc["cluster_names"]),
-            gamma=_parse_array(doc["gamma"], "gamma"),
-            design_names=tuple(doc["covariate_names"]),
-        )
-    return _hmm_from_json(doc)
+def model_from_json(doc) -> Model:
+    """The model a ``model_to_json`` document describes.
+
+    A document of the wrong structure (not an object, a key missing, a list
+    that is something else) raises ShapeMismatch, a name or token that is
+    not a string InvalidParameter; values are then checked as for any
+    model.
+    """
+    doc = _object(doc, "model document", ())
+    if doc.get("type") != "mhmm":
+        return _hmm_from_json(doc, "model document")
+    keys = ("clusters", "cluster_names", "gamma", "covariate_names")
+    doc = _object(doc, "mixture document", keys)
+    return MixtureModel(
+        clusters=tuple(
+            _hmm_from_json(c, f"cluster {k}")
+            for k, c in enumerate(_list(doc["clusters"], "mixture document: 'clusters'"))
+        ),
+        cluster_names=_strings(doc["cluster_names"], "mixture document: 'cluster_names'"),
+        gamma=_parse_array(doc["gamma"], "gamma"),
+        design_names=_strings(doc["covariate_names"], "mixture document: 'covariate_names'"),
+    )

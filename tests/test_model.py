@@ -307,7 +307,7 @@ class TestCombineClusters:
 
     def test_combined_loglik_matches_per_cluster_sum_per_subject(self):
         rng = np.random.default_rng(10)
-        from markovseq.inference import _loglik_subjects, cluster_logliks, cluster_prior_probs
+        from markovseq.inference import _forward_pass, cluster_logliks, cluster_prior_probs
         from scipy.special import logsumexp
 
         for _ in range(10):
@@ -316,7 +316,7 @@ class TestCombineClusters:
             w = cluster_prior_probs(mix, design)
             direct = logsumexp(np.log(w) + cluster_logliks(mix, data), axis=1)
             combined_model, initials = combine_clusters(mix, design)
-            per_subject = _loglik_subjects(combined_model, data, initials, "scaled", 1)
+            per_subject = _forward_pass(combined_model, data, None, "scaled", 1, initials)[0]
             rel = np.abs(per_subject - direct) / np.abs(direct)
             assert rel.max() < 1e-10
             assert abs(log_likelihood(mix, data, design) - direct.sum()) < 1e-9

@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,14 +25,15 @@ from markovseq import (
     model_from_json,
     model_to_json,
     posterior_state_probs,
+    viterbi_paths,
 )
 from markovseq.cli import main
 from markovseq import errors
-from markovseq.errors import MarkovSeqError, NumericalUnderflow
+from markovseq.errors import ImpossibleData, MarkovSeqError, NumericalUnderflow
 from markovseq.seqdata import MISSING
 
 from helpers import make_alphabets, random_dataset, write_manifest
-from oracles import enumerate_loglik, enumerate_posterior
+from oracles import enumerate_loglik, enumerate_posterior, enumerate_viterbi
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -118,6 +120,33 @@ def _agree(per_subject_oracle, scaled_call, log_total):
         assert log_total == -np.inf
 
 
+def _mixture_weights(mix, design):
+    X = design.X @ mix.gamma
+    w = np.exp(X - X.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _viterbi_agrees(decode, hmms, data, log_w):
+    """``decode()`` gives each subject a best path of its best cluster, by
+    enumerating every cluster's paths from log w_ik + log pi^k (ties within
+    the oracle's tolerance may go either way); with a subject impossible in
+    every cluster it raises ImpossibleData."""
+    runs = [enumerate_viterbi(h, data) for h in hmms]
+    joints = log_w + np.column_stack([joint for joint, _ in runs])
+    best = joints.max(axis=1)
+    if np.isneginf(best).any():
+        with pytest.raises(ImpossibleData):
+            decode()
+        return
+    res = decode()
+    np.testing.assert_allclose(res.log_joint, best, rtol=1e-10, atol=1e-12)
+    offsets = np.cumsum([0] + [h.n_states for h in hmms])
+    for i, path in enumerate(res.paths):
+        k = 0 if res.clusters is None else res.clusters[i]
+        assert joints[i, k] >= best[i] - 1e-10 * max(1.0, abs(best[i]))
+        assert tuple(path - offsets[k]) in runs[k][1][i]
+
+
 class TestModesAgreeWithEnumeration:
     @SETTINGS
     @given(hmm_and_data())
@@ -136,12 +165,25 @@ class TestModesAgreeWithEnumeration:
                 np.testing.assert_allclose(got, want, atol=1e-9)
 
     @SETTINGS
+    @given(hmm_and_data())
+    def test_hmm_viterbi(self, case):
+        model, data = case
+        log_w = np.zeros((data.n_subjects, 1))
+        _viterbi_agrees(lambda: viterbi_paths(model, data), [model], data, log_w)
+
+    @SETTINGS
+    @given(mixture_and_data())
+    def test_mixture_viterbi(self, case):
+        mix, design, data = case
+        log_w = np.log(_mixture_weights(mix, design))
+        decode = lambda: viterbi_paths(mix, data, design=design)  # noqa: E731
+        _viterbi_agrees(decode, mix.clusters, data, log_w)
+
+    @SETTINGS
     @given(mixture_and_data())
     def test_mixture_loglik(self, case):
         mix, design, data = case
-        X = design.X @ mix.gamma
-        w = np.exp(X - X.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
+        w = _mixture_weights(mix, design)
         liks = np.column_stack(
             [np.exp(enumerate_loglik(sub, data)) for sub in mix.clusters]
         )
@@ -273,6 +315,16 @@ def fuzzed_documents(draw):
     return doc
 
 
+def _assert_clean_exit(code, out):
+    """Exit 0, or exit 1 with a MarkovSeqError subclass last in run.log."""
+    last = (out / "run.log").read_text().splitlines()[-1]
+    if code != 0:
+        assert code == 1
+        name = re.match(r"error: (\w+): ", last)
+        assert name, last
+        assert issubclass(getattr(errors, name.group(1), type(None)), MarkovSeqError), last
+
+
 class TestCliFuzz:
     @SETTINGS
     @given(fuzzed_documents())
@@ -289,15 +341,10 @@ class TestCliFuzz:
                 ["loglik", "--manifest", str(manifest), "--model", str(tmp / "model.json"),
                  "--out", str(out)]
             )
-            last = (out / "run.log").read_text().splitlines()[-1]
+            _assert_clean_exit(code, out)
             if code == 0:
                 ll = json.loads((out / "loglik_result.json").read_text())["loglik"]
                 assert np.isfinite(ll)
-            else:
-                assert code == 1
-                name = re.match(r"error: (\w+): ", last)
-                assert name, last
-                assert issubclass(getattr(errors, name.group(1), type(None)), MarkovSeqError), last
 
 
 # ----------------------------------------------------------------------
@@ -313,16 +360,20 @@ FILES = {
 }
 KEYS = ["channels", "name", "csv", "alphabet", "missing_token", "covariates_csv", "id_column"]
 
-json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-2, 2)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from(sorted(FILES)),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3),
-    max_leaves=6,
-)
+
+def json_values(strings, keys):
+    """JSON values whose strings come from ``strings`` and whose object keys
+    come from ``keys``."""
+    return st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-2, 2)
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from(strings),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(keys), inner, max_size=3),
+        max_leaves=6,
+    )
 
 
 def _base_manifest(tmp):
@@ -355,14 +406,16 @@ def _slots(node):
 
 
 @st.composite
-def manifest_edits(draw):
-    """A list of edits, each a function of the document returning the new one."""
+def structure_edits(draw, strings, keys):
+    """A list of edits, each a function of the document returning the new one:
+    a value replaced, dropped or added anywhere, or the root replaced."""
+    values = json_values(strings, keys)
     edits = []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["replace"] * 4 + ["drop"] * 2 + ["add", "root"]))
-        value = draw(json_values)
+        value = draw(values)
         pick = draw(st.integers(0, 10**6))
-        key = draw(st.sampled_from(KEYS))
+        key = draw(st.sampled_from(keys))
 
         def edit(doc, kind=kind, value=value, pick=pick, key=key):
             slots = _slots(doc) if isinstance(doc, (dict, list)) else []
@@ -385,7 +438,7 @@ def manifest_edits(draw):
 
 class TestManifestFuzz:
     @settings(SETTINGS, max_examples=100)
-    @given(manifest_edits())
+    @given(structure_edits(sorted(FILES), KEYS))
     def test_validate_exits_cleanly(self, edits):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -395,11 +448,41 @@ class TestManifestFuzz:
             (tmp / "manifest.json").write_text(json.dumps(doc))
             out = tmp / "out"
             code = main(["validate", "--manifest", str(tmp / "manifest.json"), "--out", str(out)])
-            last = (out / "run.log").read_text().splitlines()[-1]
+            _assert_clean_exit(code, out)
             if code == 0:
                 assert (out / "validate_result.json").exists()
-            else:
-                assert code == 1
-                name = re.match(r"error: (\w+): ", last)
-                assert name, last
-                assert issubclass(getattr(errors, name.group(1), type(None)), MarkovSeqError), last
+
+
+# ----------------------------------------------------------------------
+# model documents edited in structure through the CLI
+# ----------------------------------------------------------------------
+
+MODEL_KEYS = [
+    "type", "state_names", "channel_names", "alphabets", "labels", "missing_token",
+    "initial", "transition", "emissions", "zero_mask", "clusters", "cluster_names",
+    "covariate_names", "gamma",
+]
+MODEL_STRINGS = ["hmm", "mhmm", "A", "B", "work", "c0m0", "c0m1", "*", "(Intercept)", "0.5"]
+
+
+class TestModelStructureFuzz:
+    @settings(SETTINGS, max_examples=100)
+    @given(st.sampled_from([0, 1]), structure_edits(MODEL_STRINGS, MODEL_KEYS))
+    def test_loglik_and_simulate_exit_cleanly(self, base, edits):
+        doc = _base_documents()[base]
+        for edit in edits:
+            doc = edit(doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            manifest = write_manifest(
+                tmp,
+                [("work", ["c0m0", "c0m1"], [["c0m0", "c0m1", "*"], ["c0m1", "c0m1", "c0m0"]])],
+            )
+            (tmp / "model.json").write_text(json.dumps(doc))
+            for argv in (
+                ["loglik", "--manifest", str(manifest)],
+                ["simulate", "--n-subjects", "3", "--n-time", "3", "--seed", "1"],
+            ):
+                out = tmp / argv[0]
+                code = main([*argv, "--model", str(tmp / "model.json"), "--out", str(out)])
+                _assert_clean_exit(code, out)
