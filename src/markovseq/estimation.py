@@ -20,6 +20,11 @@ Fitting is organized around three pieces:
 * ``loglik_gradient`` supplies the analytic gradient on that
   parameterization, assembled from forward-backward expectations.
 
+The M-step, the restart perturbation, SQUAREM's vector, the parameter map
+and the gradient all walk a model's probability rows in the one layout of
+``model._blocks``, a block of rows at a time; E-step counts come in the
+same layout (``_count_blocks``).
+
 Free probability entries may reach 0 during EM; packing such a model
 clamps the log-ratio coordinates at a large negative value, which leaves
 the likelihood unchanged to double precision.
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -52,7 +57,7 @@ from .inference import (
 # kept importable here: perfbench/tracing.py wraps these names in this module
 from .inference import _fb_scaled, emission_probs, log_likelihood  # noqa: F401
 from .model import combine_clusters  # noqa: F401
-from .model import HmmModel, MixtureModel, mixture_weights
+from .model import HmmModel, MixtureModel, _blocks, _with_blocks, mixture_weights
 from .seqdata import CovariateDesign, SequenceDataset
 
 Model = Union[HmmModel, MixtureModel]
@@ -92,7 +97,7 @@ class FitControl:
     threads: int = 1
 
     def __post_init__(self):
-        if self.em_rel_tol <= 0 or self.local_grad_tol <= 0:
+        if not (self.em_rel_tol > 0 and self.local_grad_tol > 0):  # NaN fails too
             raise DimensionMismatch("tolerances must be positive")
         if self.restarts < 0:
             raise DimensionMismatch("restarts must be >= 0")
@@ -198,46 +203,33 @@ def expected_stats(
     return stats[0]
 
 
-def _updated_rows(current, counts, flagged, what):
-    """Normalize expected-count rows; rows with no mass keep current values."""
-    out = current.copy()
-    totals = counts.sum(axis=-1)
-    for s in range(counts.shape[0]):
-        if totals[s] > 0:
-            out[s] = counts[s] / totals[s]
-        else:
-            flagged.add(f"{what} row {s}")
-    return out
-
-
-def _m_step_hmm(model: HmmModel, stats: EStats, flagged: set, prefix: str = "") -> HmmModel:
-    """Baum-Welch update of one HMM; ``prefix`` names its cluster in ``flagged``."""
-    pi_counts = stats.gamma1.sum(axis=0)
-    if pi_counts.sum() > 0:
-        initial = pi_counts / pi_counts.sum()
-    else:
-        initial = model.initial
-        flagged.add(f"{prefix}initial")
-    transition = _updated_rows(model.transition, stats.xi, flagged, f"{prefix}transition")
-    emissions = [
-        _updated_rows(b, num, flagged, f"{prefix}emission[{c}]")
-        for c, (b, num) in enumerate(zip(model.emissions, stats.emis_num))
+def _count_blocks(stats: EStats) -> list[np.ndarray]:
+    """An E-step's expected counts in ``_blocks`` order: per cluster the
+    initial-state counts as one row, the transition counts, then each
+    channel's symbol counts."""
+    return [
+        a
+        for st in stats.clusters or (stats,)
+        for a in (st.gamma1.sum(axis=0)[None], st.xi, *st.emis_num)
     ]
-    return model.with_params(initial=initial, transition=transition, emissions=emissions)
 
 
 def _m_step(m: Model, stats: EStats, design, flagged: set) -> Model:
-    """M-step: every cluster's HMM, then a mixture's covariate coefficients."""
-    if not isinstance(m, MixtureModel):
-        return _m_step_hmm(m, stats, flagged)
-    clusters = tuple(
-        _m_step_hmm(sub, st, flagged, f"cluster {k} ")
-        for k, (sub, st) in enumerate(zip(m.clusters, stats.clusters))
-    )
-    gamma = m.gamma
-    if m.n_clusters > 1:
+    """M-step: every count row normalized (rows without mass keep their
+    current values and are named in ``flagged``), then a mixture's
+    covariate coefficients."""
+    mixture = isinstance(m, MixtureModel)
+    values = []
+    for b, counts in zip(_blocks(m), _count_blocks(stats)):
+        totals = counts.sum(axis=-1, keepdims=True)
+        empty = np.flatnonzero(~(totals > 0))
+        prefix = f"cluster {b.cluster} {b.where}" if mixture else b.where
+        flagged.update(prefix if b.where == "initial" else f"{prefix} row {s}" for s in empty)
+        values.append(np.divide(counts, totals, out=b.values.copy(), where=totals > 0))
+    gamma = None
+    if mixture and m.n_clusters > 1:
         gamma = gamma_m_step(design, stats.rho, m.gamma).gamma
-    return replace(m, clusters=clusters, gamma=gamma)
+    return _with_blocks(m, values, gamma=gamma)
 
 
 # ----------------------------------------------------------------------
@@ -245,50 +237,24 @@ def _m_step(m: Model, stats: EStats, design, flagged: set) -> Model:
 # ----------------------------------------------------------------------
 
 
-def _perturb_row(row, mask, weight, rng):
-    free = ~mask
-    k = int(free.sum())
-    if k < 2:
-        return row
-    out = row.copy()
-    out[free] = (1.0 - weight) * row[free] + weight * rng.dirichlet(np.ones(k))
-    return out
-
-
-def _perturb_hmm(m: HmmModel, weight: float, rng) -> HmmModel:
-    initial = _perturb_row(m.initial, m.initial_mask, weight, rng)
-    transition = np.vstack(
-        [
-            _perturb_row(m.transition[s], m.transition_mask[s], weight, rng)
-            for s in range(m.n_states)
-        ]
-    )
-    emissions = []
-    for c, b in enumerate(m.emissions):
-        emissions.append(
-            np.vstack(
-                [
-                    _perturb_row(b[s], m.emission_masks[c][s], weight, rng)
-                    for s in range(m.n_states)
-                ]
-            )
-        )
-    return m.with_params(initial=initial, transition=transition, emissions=emissions)
-
-
 def _perturb(m: Model, weight: float, rng) -> Model:
-    if isinstance(m, MixtureModel):
-        return replace(
-            m, clusters=tuple(_perturb_hmm(c, weight, rng) for c in m.clusters)
-        )
-    return _perturb_hmm(m, weight, rng)
+    """Mix every row with at least two free entries with a Dirichlet(1) draw
+    over them, one draw per row in ``_blocks`` order."""
+    values = []
+    for b in _blocks(m):
+        out = b.values.copy()
+        for row, free in zip(out, ~b.mask):
+            k = int(free.sum())
+            if k >= 2:
+                row[free] = (1.0 - weight) * row[free] + weight * rng.dirichlet(np.ones(k))
+        values.append(out)
+    return _with_blocks(m, values)
 
 
 def _em_vector(m: Model) -> np.ndarray:
-    """Every probability of a model, cluster by cluster, then a mixture's
+    """Every probability of a model in ``_blocks`` order, then a mixture's
     gamma, as one flat vector (the space SQUAREM extrapolates in)."""
-    hmms = m.clusters if isinstance(m, MixtureModel) else (m,)
-    parts = [a.ravel() for h in hmms for a in (h.initial, h.transition, *h.emissions)]
+    parts = [b.values.ravel() for b in _blocks(m)]
     if isinstance(m, MixtureModel):
         parts.append(m.gamma.ravel())
     return np.concatenate(parts)
@@ -297,25 +263,12 @@ def _em_vector(m: Model) -> np.ndarray:
 def _em_model(template: Model, x: np.ndarray) -> Model:
     """The inverse of ``_em_vector``, checked like any new model: values that
     are not a valid model raise a MarkovSeqError."""
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        n = int(np.prod(shape))
-        pos += n
-        return x[pos - n : pos].reshape(shape)
-
-    def hmm(h):
-        return h.with_params(
-            initial=take(h.initial.shape),
-            transition=take(h.transition.shape),
-            emissions=[take(b.shape) for b in h.emissions],
-        )
-
-    if isinstance(template, MixtureModel):
-        clusters = tuple(hmm(h) for h in template.clusters)
-        return replace(template, clusters=clusters, gamma=take(template.gamma.shape))
-    return hmm(template)
+    blocks = _blocks(template)
+    *parts, rest = np.split(x, np.cumsum([b.values.size for b in blocks]))
+    values = [p.reshape(b.values.shape) for p, b in zip(parts, blocks)]
+    if not isinstance(template, MixtureModel):
+        return _with_blocks(template, values)
+    return _with_blocks(template, values, gamma=rest.reshape(template.gamma.shape))
 
 
 class _EmRun(NamedTuple):
@@ -477,75 +430,44 @@ def fit_em(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RowSpec:
-    kind: str  # "init" | "trans" | "emis"
-    cluster: int  # 0 for plain HMMs
-    channel: int  # -1 unless kind == "emis"
-    row: int
-    free: np.ndarray  # indices of free entries within the row
-    sl: slice  # coordinates in theta (len(free) - 1 wide)
-
-
 class ParameterMap:
     """Bijection between a model's free probabilities (+ gamma) and a flat
     vector.
 
-    Each probability row maps to ``len(free) - 1`` log-ratio coordinates,
-    a softmax anchored at the row's first free entry; masked entries have
-    no coordinates.  For mixtures the gamma columns 2..K are appended
-    column-major.  The vector length equals the model's free parameter
-    count.
+    Each probability row maps to ``free - 1`` log-ratio coordinates, a
+    softmax anchored at the row's first free entry; masked entries have no
+    coordinates.  Coordinates follow ``_blocks`` order, row by row.  For
+    mixtures the gamma columns 2..K are appended column-major.  The vector
+    length equals the model's free parameter count.
     """
 
     def __init__(self, model: Model):
         self.template = model
         self.is_mixture = isinstance(model, MixtureModel)
-        hmms = model.clusters if self.is_mixture else (model,)
-        self.rows: list[_RowSpec] = []
-        pos = 0
-
-        def add(kind, k, c, s, mask_row):
-            nonlocal pos
-            free = np.where(~mask_row)[0]
-            width = max(len(free) - 1, 0)
-            self.rows.append(_RowSpec(kind, k, c, s, free, slice(pos, pos + width)))
-            pos += width
-
-        for k, hmm in enumerate(hmms):
-            add("init", k, -1, 0, hmm.initial_mask)
-            for s in range(hmm.n_states):
-                add("trans", k, -1, s, hmm.transition_mask[s])
-            for c in range(hmm.n_channels):
-                for s in range(hmm.n_states):
-                    add("emis", k, c, s, hmm.emission_masks[c][s])
+        self.free, self.anchors, self.coords = [], [], []
+        for b in _blocks(model):
+            free = ~b.mask
+            anchor = free.argmax(axis=-1)[:, None]  # first free entry of each row
+            coord = free.copy()
+            np.put_along_axis(coord, anchor, False, axis=-1)
+            self.free.append(free)
+            self.anchors.append(anchor)
+            self.coords.append(coord)
+        self.ends = np.cumsum([c.sum() for c in self.coords])
+        self.n_params = int(self.ends[-1])
         if self.is_mixture:
             Q, K = model.gamma.shape
-            self.gamma_slice = slice(pos, pos + Q * (K - 1))
-            pos += Q * (K - 1)
-        else:
-            self.gamma_slice = slice(pos, pos)
-        self.n_params = pos
-
-    def _row_values(self, model, spec: _RowSpec) -> np.ndarray:
-        hmm = model.clusters[spec.cluster] if self.is_mixture else model
-        if spec.kind == "init":
-            return hmm.initial
-        if spec.kind == "trans":
-            return hmm.transition[spec.row]
-        return hmm.emissions[spec.channel][spec.row]
+            self.n_params += Q * (K - 1)
 
     def pack(self, model: Optional[Model] = None) -> np.ndarray:
         model = model if model is not None else self.template
-        theta = np.empty(self.n_params)
-        for spec in self.rows:
-            if len(spec.free) < 2:
-                continue
-            p = np.maximum(self._row_values(model, spec)[spec.free], _LOG_CLAMP)
-            theta[spec.sl] = np.log(p[1:]) - np.log(p[0])
+        parts = []
+        for b, anchor, coord in zip(_blocks(model), self.anchors, self.coords):
+            logp = np.log(np.maximum(b.values, _LOG_CLAMP))
+            parts.append((logp - np.take_along_axis(logp, anchor, axis=-1))[coord])
         if self.is_mixture:
-            theta[self.gamma_slice] = model.gamma[:, 1:].ravel(order="F")
-        return theta
+            parts.append(model.gamma[:, 1:].ravel(order="F"))
+        return np.concatenate(parts)
 
     def unpack(self, theta: np.ndarray) -> Model:
         theta = np.asarray(theta, dtype=float)
@@ -553,41 +475,19 @@ class ParameterMap:
             raise DimensionMismatch(
                 f"theta has shape {theta.shape}, expected ({self.n_params},)"
             )
-        hmms = self.template.clusters if self.is_mixture else (self.template,)
-        news = [
-            {
-                "initial": h.initial.copy(),
-                "transition": h.transition.copy(),
-                "emissions": [b.copy() for b in h.emissions],
-            }
-            for h in hmms
-        ]
-        for spec in self.rows:
-            if len(spec.free) == 0:
-                continue
-            if len(spec.free) == 1:
-                vals = np.ones(1)
-            else:
-                u = np.concatenate([[0.0], theta[spec.sl]])
-                u -= u.max()
-                e = np.exp(u)
-                vals = e / e.sum()
-            tgt = news[spec.cluster]
-            if spec.kind == "init":
-                tgt["initial"][spec.free] = vals
-            elif spec.kind == "trans":
-                tgt["transition"][spec.row, spec.free] = vals
-            else:
-                tgt["emissions"][spec.channel][spec.row, spec.free] = vals
-        rebuilt = [
-            h.with_params(**params) for h, params in zip(hmms, news)
-        ]
-        if self.is_mixture:
-            Q, K = self.template.gamma.shape
-            gamma = np.zeros((Q, K))
-            gamma[:, 1:] = theta[self.gamma_slice].reshape(Q, K - 1, order="F")
-            return replace(self.template, clusters=tuple(rebuilt), gamma=gamma)
-        return rebuilt[0]
+        *parts, rest = np.split(theta, self.ends)
+        values = []
+        for free, coord, t in zip(self.free, self.coords, parts):
+            u = np.where(free, 0.0, -np.inf)  # masked entries get exp(-inf) = 0
+            u[coord] = t
+            u -= u.max(axis=-1, keepdims=True)
+            e = np.exp(u)
+            values.append(e / e.sum(axis=-1, keepdims=True))
+        if not self.is_mixture:
+            return _with_blocks(self.template, values)
+        gamma = np.zeros_like(self.template.gamma)
+        gamma[:, 1:] = rest.reshape(gamma.shape[0], -1, order="F")
+        return _with_blocks(self.template, values, gamma=gamma)
 
 
 def _gradient_at(model: Model, data, design, pmap: ParameterMap, threads=1, workspace=None):
@@ -597,30 +497,19 @@ def _gradient_at(model: Model, data, design, pmap: ParameterMap, threads=1, work
 
 
 def _gradient(model: Model, stats: EStats, design, pmap: ParameterMap):
-    """Analytic gradient and log-likelihood from an E-step at ``model``."""
-    hmms = model.clusters if pmap.is_mixture else (model,)
-    per_cluster = stats.clusters or (stats,)
-    grad = np.empty(pmap.n_params)
-    for spec in pmap.rows:
-        if len(spec.free) < 2:
-            continue
-        hmm, st = hmms[spec.cluster], per_cluster[spec.cluster]
-        if spec.kind == "init":
-            counts = st.gamma1.sum(axis=0)
-            probs = hmm.initial
-        elif spec.kind == "trans":
-            counts = st.xi[spec.row]
-            probs = hmm.transition[spec.row]
-        else:
-            counts = st.emis_num[spec.channel][spec.row]
-            probs = hmm.emissions[spec.channel][spec.row]
-        total = counts[spec.free].sum()
-        grad[spec.sl] = counts[spec.free][1:] - probs[spec.free][1:] * total
+    """Analytic gradient and log-likelihood from an E-step at ``model``:
+    per row, counts minus probabilities times the row's total count, over
+    the row's coordinates."""
+    parts = []
+    blocks = zip(_blocks(model), _count_blocks(stats), pmap.free, pmap.coords)
+    for b, counts, free, coord in blocks:
+        counts = np.where(free, counts, 0.0)
+        parts.append((counts - b.values * counts.sum(axis=-1, keepdims=True))[coord])
     if pmap.is_mixture:
         w = mixture_weights(model.gamma, design.X)
         g_gamma = design.X.T @ (stats.rho - w)  # (Q, K)
-        grad[pmap.gamma_slice] = g_gamma[:, 1:].ravel(order="F")
-    return grad, stats.loglik
+        parts.append(g_gamma[:, 1:].ravel(order="F"))
+    return np.concatenate(parts), stats.loglik
 
 
 def loglik_gradient(

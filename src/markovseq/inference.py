@@ -31,7 +31,13 @@ from .errors import (
     NonInvertibleHessian,
     NumericalUnderflow,
 )
-from .model import HmmModel, MixtureModel, count_parameters, mixture_weights
+from .model import (
+    HmmModel,
+    MixtureModel,
+    _checked_rows,
+    count_parameters,
+    mixture_weights,
+)
 
 # kept importable here: perfbench/tracing.py wraps this name in this module
 from .model import combine_clusters  # noqa: F401
@@ -170,15 +176,18 @@ class ViterbiResult:
 
 
 def _resolve_initials(model, data, subject_initials):
+    """Each subject's initial vector: the model's, or the rows of
+    ``subject_initials``, checked as a model's initial row is."""
     if subject_initials is None:
         return np.broadcast_to(model.initial, (data.n_subjects, model.n_states))
-    subject_initials = np.asarray(subject_initials, dtype=float)
+    subject_initials = np.array(subject_initials, dtype=float)
     if subject_initials.shape != (data.n_subjects, model.n_states):
         raise AlphabetMismatch(
             f"subject_initials shape {subject_initials.shape}, expected "
             f"({data.n_subjects}, {model.n_states})"
         )
-    return subject_initials
+    mask = np.zeros(subject_initials.shape, dtype=bool)
+    return _checked_rows(subject_initials, mask, "subject_initials")
 
 
 def _clusters_and_inits(m, data, design=None, subject_initials=None):

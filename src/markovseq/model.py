@@ -7,18 +7,28 @@ probability row must be non-negative and sum to one within ``ROW_TOL``;
 rows inside the tolerance are silently renormalized, rows outside it are
 rejected.  Entries marked in a ``*_mask`` are structural zeros: they must
 hold exactly 0, are never touched by estimation and do not count as free
-parameters.  The builders mark every zero entry they are given.
+parameters.  The builders mark every zero entry they are given.  State
+names, and a mixture's cluster names, must be distinct.
+
+Every operation that walks a model's probability rows (trimming, the
+parameter count, and in ``estimation`` the M-step, the restart
+perturbation, SQUAREM's vector and the local step's parameter map and
+gradient) reads them through one layout, ``_blocks``: per cluster the
+initial vector as one row, the transition matrix, then each channel's
+emission matrix, each a 2-D block of rows with its mask.  ``_with_blocks``
+builds the model back from per-block arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DuplicateLabel,
     GammaReferenceNotZero,
     InvalidParameter,
     MultichannelNotAllowed,
@@ -112,6 +122,8 @@ class HmmModel:
                 f"{len(emissions)} emission matrices, {len(emasks)} masks, {len(self.alphabets)} "
                 f"alphabets and {len(self.channel_names)} channel names; need one per channel"
             )
+        if len(set(self.state_names)) != S:
+            raise DuplicateLabel(f"duplicate state names: {tuple(self.state_names)}")
         for c, (b, a) in enumerate(zip(emissions, self.alphabets)):
             if b.shape != (S, a.size):
                 raise DimensionMismatch(
@@ -175,6 +187,8 @@ class MixtureModel:
             raise DimensionMismatch("mixture needs at least one cluster")
         if len(self.cluster_names) != len(clusters):
             raise DimensionMismatch("one name per cluster required")
+        if len(set(self.cluster_names)) != len(clusters):
+            raise DuplicateLabel(f"duplicate cluster names: {self.cluster_names}")
         ref = clusters[0]
         for m in clusters[1:]:
             if m.n_channels != ref.n_channels or m.alphabets != ref.alphabets:
@@ -218,6 +232,52 @@ class ParamCount:
 
 
 Model = Union[HmmModel, MixtureModel]
+
+
+# ----------------------------------------------------------------------
+# probability rows: the one layout every row-wise operation walks
+# ----------------------------------------------------------------------
+
+
+class _Block(NamedTuple):
+    cluster: int  # 0 for a plain HMM
+    where: str  # "initial", "transition" or "emission[c]", as errors name it
+    values: np.ndarray  # (rows, width); the initial vector is one row
+    mask: np.ndarray  # structural zeros, same shape
+
+
+def _blocks(m: Model) -> list[_Block]:
+    """A model's probability arrays in layout order: per cluster the initial
+    vector, the transition matrix, then each channel's emission matrix.
+    Values and masks are read-only views of the model's arrays."""
+    hmms = m.clusters if isinstance(m, MixtureModel) else (m,)
+    blocks = []
+    for k, h in enumerate(hmms):
+        blocks.append(_Block(k, "initial", h.initial[None], h.initial_mask[None]))
+        blocks.append(_Block(k, "transition", h.transition, h.transition_mask))
+        blocks += [
+            _Block(k, f"emission[{c}]", b, mk)
+            for c, (b, mk) in enumerate(zip(h.emissions, h.emission_masks))
+        ]
+    return blocks
+
+
+def _with_blocks(m: Model, values, masks=None, gamma=None) -> Model:
+    """``m`` with new per-block values in ``_blocks`` order, and new masks or
+    a mixture's new ``gamma`` when given; checked like any new model."""
+    hmms = m.clusters if isinstance(m, MixtureModel) else (m,)
+    n = 2 + hmms[0].n_channels
+    rebuilt = []
+    for k, h in enumerate(hmms):
+        (initial,), transition, *emissions = values[k * n : (k + 1) * n]
+        fields = dict(initial=initial, transition=transition, emissions=tuple(emissions))
+        if masks is not None:
+            (imask,), tmask, *emasks = masks[k * n : (k + 1) * n]
+            fields.update(initial_mask=imask, transition_mask=tmask, emission_masks=tuple(emasks))
+        rebuilt.append(replace(h, **fields))
+    if not isinstance(m, MixtureModel):
+        return rebuilt[0]
+    return replace(m, clusters=tuple(rebuilt), gamma=m.gamma if gamma is None else gamma)
 
 
 # ----------------------------------------------------------------------
@@ -530,86 +590,38 @@ def separate_clusters(mix: MixtureModel) -> list[HmmModel]:
 # ----------------------------------------------------------------------
 
 
-def _trim_row(row, mask, tol, where, idx):
-    drop = row < tol
-    if np.all(drop):
-        raise RowAnnihilated(f"{where} row {idx}: every entry below tol={tol}")
-    if not np.any(drop):
-        return row, mask
-    new_row = np.where(drop, 0.0, row)
-    removed = row[drop & ~mask].sum()
-    if removed > 0:
-        new_row = new_row / new_row.sum()
-    return new_row, mask | drop
-
-
-def _trim_hmm(m: HmmModel, tol: float) -> HmmModel:
-    if tol == 0:
-        return m
-    initial, imask = _trim_row(m.initial, m.initial_mask, tol, "initial", 0)
-    t_rows, t_masks = zip(
-        *(
-            _trim_row(m.transition[s], m.transition_mask[s], tol, "transition", s)
-            for s in range(m.n_states)
-        )
-    )
-    emissions, emasks = [], []
-    for c, b in enumerate(m.emissions):
-        rows, masks = zip(
-            *(
-                _trim_row(b[s], m.emission_masks[c][s], tol, f"emission[{c}]", s)
-                for s in range(m.n_states)
-            )
-        )
-        emissions.append(np.vstack(rows))
-        emasks.append(np.vstack(masks))
-    return HmmModel(
-        state_names=m.state_names,
-        channel_names=m.channel_names,
-        alphabets=m.alphabets,
-        initial=initial,
-        transition=np.vstack(t_rows),
-        emissions=tuple(emissions),
-        initial_mask=imask,
-        transition_mask=np.vstack(t_masks),
-        emission_masks=tuple(emasks),
-    )
-
-
 def trim_model(m: Model, tol: float) -> Model:
     """Zero out probabilities below ``tol``, mark them structural, renormalize.
 
     ``tol=0`` returns the model unchanged.  Raises ``RowAnnihilated`` if a
-    whole row falls below the threshold.
+    whole row falls below the threshold.  A row is renormalized only when
+    a dropped entry held probability.
     """
-    if tol < 0:
+    if not (tol >= 0):  # written so that NaN fails too
         raise DimensionMismatch("tol must be >= 0")
-    if isinstance(m, MixtureModel):
-        return replace(m, clusters=tuple(_trim_hmm(c, tol) for c in m.clusters))
-    return _trim_hmm(m, tol)
-
-
-def _row_free(mask_row) -> int:
-    free = int(np.sum(~mask_row))
-    return max(free - 1, 0)
-
-
-def _hmm_param_count(m: HmmModel) -> int:
-    p = _row_free(m.initial_mask)
-    p += sum(_row_free(m.transition_mask[s]) for s in range(m.n_states))
-    for mask in m.emission_masks:
-        p += sum(_row_free(mask[s]) for s in range(m.n_states))
-    return p
+    if tol == 0:
+        return m
+    values, masks = [], []
+    for b in _blocks(m):
+        drop = b.values < tol
+        dead = drop.all(axis=-1)
+        if dead.any():
+            raise RowAnnihilated(f"{b.where} row {np.argmax(dead)}: every entry below tol={tol}")
+        kept = np.where(drop, 0.0, b.values)
+        renorm = (drop & (b.values > 0)).any(axis=-1)
+        kept[renorm] /= kept[renorm].sum(axis=-1, keepdims=True)
+        values.append(kept)
+        masks.append(b.mask | drop)
+    return _with_blocks(m, values, masks)
 
 
 def count_parameters(m: Model, data: SequenceDataset) -> ParamCount:
     """Free parameter count (sum-to-one and structural-zero adjusted) and
     the missing-adjusted data size used by information criteria."""
+    # every row has a free entry (a row of structural zeros cannot sum to 1)
+    p = sum(int((~b.mask).sum()) - len(b.mask) for b in _blocks(m))
     if isinstance(m, MixtureModel):
-        p = sum(_hmm_param_count(c) for c in m.clusters)
         p += len(m.design_names) * (m.n_clusters - 1)
-    else:
-        p = _hmm_param_count(m)
     return ParamCount(p=p, nobs=effective_size(data))
 
 

@@ -4,12 +4,14 @@ import copy
 import json
 
 import numpy as np
+from hypothesis import strategies as st
 
 from markovseq import (
     Alphabet,
     Channel,
     CovariateDesign,
     SequenceDataset,
+    HmmModel,
     build_hmm,
     build_mhmm,
 )
@@ -34,6 +36,75 @@ def random_hmm(rng, n_states, sizes, left_to_right=False):
         transition = rng.dirichlet(np.ones(S), size=S)
     emissions = [rng.dirichlet(np.ones(m), size=S) for m in sizes]
     return build_hmm(alphabets, initial=initial, transition=transition, emissions=emissions)
+
+
+@st.composite
+def masked_rows(draw, n_rows, width):
+    """A (n_rows, width) row-stochastic matrix and its structural-zero mask;
+    each row keeps at least one free entry."""
+    values = np.zeros((n_rows, width))
+    mask = np.zeros((n_rows, width), dtype=bool)
+    for s in range(n_rows):
+        free = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+        free[draw(st.integers(0, width - 1))] = True
+        weights = draw(
+            st.lists(st.floats(0.05, 1.0), min_size=width, max_size=width)
+        )
+        row = np.where(free, weights, 0.0)
+        values[s] = row / row.sum()
+        mask[s] = ~np.asarray(free)
+    return values, mask
+
+
+@st.composite
+def masked_hmms(draw, sizes):
+    """An HMM of 1-3 states whose every row has random structural zeros."""
+    S = draw(st.integers(1, 3))
+    initial, imask = draw(masked_rows(1, S))
+    transition, tmask = draw(masked_rows(S, S))
+    emissions = [draw(masked_rows(S, m)) for m in sizes]
+    return HmmModel(
+        state_names=tuple(f"State {s + 1}" for s in range(S)),
+        channel_names=tuple(f"Channel {c + 1}" for c in range(len(sizes))),
+        alphabets=make_alphabets(sizes),
+        initial=initial[0],
+        transition=transition,
+        emissions=tuple(b for b, _ in emissions),
+        initial_mask=imask[0],
+        transition_mask=tmask,
+        emission_masks=tuple(m for _, m in emissions),
+    )
+
+
+channel_sizes = st.lists(st.integers(1, 3), min_size=1, max_size=2)
+
+
+@st.composite
+def hmm_and_data(draw):
+    """A masked HMM and a small dataset for it."""
+    sizes = draw(channel_sizes)
+    model = draw(masked_hmms(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, t = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return model, random_dataset(rng, model, n, t, missing_rate=draw(st.sampled_from([0.0, 0.3])))
+
+
+@st.composite
+def mixture_and_data(draw):
+    """A mixture of 1-3 masked HMMs with a covariate, its design and a small
+    dataset."""
+    sizes = draw(channel_sizes)
+    K = draw(st.integers(1, 3))
+    clusters = [draw(masked_hmms(sizes)) for _ in range(K)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    X = np.column_stack([np.ones(n), rng.normal(size=n)])
+    design = CovariateDesign(("(Intercept)", "x1"), X)
+    gamma = rng.normal(size=(2, K))
+    gamma[:, 0] = 0.0
+    mix = build_mhmm(clusters, covariates=design, gamma=gamma)
+    data = random_dataset(rng, clusters[0], n, t, missing_rate=draw(st.sampled_from([0.0, 0.3])))
+    return mix, design, data
 
 
 def with_unchecked_emissions(model, emissions):

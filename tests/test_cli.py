@@ -209,6 +209,41 @@ class TestLoglik:
         assert code == 1
         assert capsys.readouterr().err.startswith("RowSumError")
 
+    def test_duplicate_state_names_exit_one(self, workspace):
+        tmp_path, manifest = workspace
+        two_state = build_hmm(
+            _coin_model().alphabets,
+            initial=[0.5, 0.5],
+            transition=[[0.9, 0.1], [0.1, 0.9]],
+            emissions=[[0.6, 0.4], [0.4, 0.6]],
+            channel_names=("work",),
+        )
+        doc = model_to_json(two_state)
+        doc["state_names"] = ["S", "S"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(
+            ["loglik", "--manifest", str(manifest), "--model", str(bad), "--out", str(out)]
+        )
+        assert code == 1
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.startswith("error: DuplicateLabel: ")
+
+    @pytest.mark.parametrize(
+        "flags", [["fit", "--em-rel-tol", "nan"], ["trim", "--trim-tol", "nan"]]
+    )
+    def test_nan_tolerance_exits_one(self, workspace, flags):
+        tmp_path, manifest = workspace
+        mpath = _model_file(tmp_path, _coin_model())
+        out = tmp_path / "out"
+        code = main(
+            [*flags, "--manifest", str(manifest), "--model", str(mpath), "--out", str(out)]
+        )
+        assert code == 1
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.startswith("error: DimensionMismatch: ")
+
     @pytest.mark.parametrize("where", ["gamma", "zero_mask"])
     def test_invalid_parameter_on_load_exits_one(self, workspace, capsys, where):
         tmp_path, manifest = workspace

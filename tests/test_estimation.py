@@ -24,7 +24,7 @@ from markovseq import (
 )
 import markovseq.estimation as estimation
 from markovseq.estimation import FitControl, _gamma_hessian, _m_step, _perturb, expected_stats
-from markovseq.errors import RankDeficientDesign
+from markovseq.errors import DimensionMismatch, RankDeficientDesign
 from markovseq.inference import _clusters_and_inits, _scaled_pass
 from markovseq.seqdata import MISSING
 
@@ -98,6 +98,14 @@ class TestChunkedEStep:
             np.testing.assert_allclose(got.xi, xi, rtol=1e-12)
             for g, w in zip(got.emis_num, emis_num):
                 np.testing.assert_allclose(g, w, rtol=1e-12)
+
+
+class TestFitControl:
+    @pytest.mark.parametrize("field", ["em_rel_tol", "local_grad_tol"])
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1e-8])
+    def test_tolerance_must_be_positive(self, field, value):
+        with pytest.raises(DimensionMismatch, match="tolerances must be positive"):
+            FitControl(**{field: value})
 
 
 class TestFitEm:

@@ -26,8 +26,10 @@ from markovseq.errors import (
     AlphabetMismatch,
     DegenerateData,
     ImpossibleData,
+    NegativeProbability,
     NonInvertibleHessian,
     NumericalUnderflow,
+    RowSumError,
 )
 from markovseq.estimation import expected_stats
 from markovseq.inference import (
@@ -509,6 +511,43 @@ class TestMixturePath:
                 got.clusters, np.searchsorted(offsets, want.paths[:, 0], side="right") - 1
             )
         assert (got.clusters == 0).all()
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ([0.2, 0.2], RowSumError),
+            ([1.2, -0.2], NegativeProbability),
+            ([np.nan, 1.0], RowSumError),
+        ],
+    )
+    def test_subject_initials_rows_checked(self, row, error):
+        rng = np.random.default_rng(164)
+        model = random_hmm(rng, 2, [3])
+        data = random_dataset(rng, model, 3, 4)
+        initials = np.full((3, 2), 0.5)
+        initials[1] = row
+        calls = [
+            lambda: forward_backward(model, data, "scaled", subject_initials=initials),
+            lambda: forward_backward(model, data, "log", subject_initials=initials),
+            lambda: viterbi_paths(model, data, subject_initials=initials),
+        ]
+        for call in calls:
+            with pytest.raises(error, match="subject_initials row 1"):
+                call()
+
+    def test_subject_initials_renormalized_on_a_copy(self):
+        # a row inside the tolerance is renormalized as a model's row is,
+        # and the caller's array is left alone
+        rng = np.random.default_rng(165)
+        model = random_hmm(rng, 2, [3])
+        data = random_dataset(rng, model, 3, 4)
+        initials = np.full((3, 2), 0.5)
+        initials[1, 0] += 5e-9
+        given = initials.copy()
+        got = forward_backward(model, data, subject_initials=initials)
+        want = forward_backward(model, data, subject_initials=initials / initials.sum(1)[:, None])
+        np.testing.assert_array_equal(initials, given)
+        np.testing.assert_array_equal(got.loglik_per_subject, want.loglik_per_subject)
 
     def test_subject_initials_rejected_for_mixture(self):
         rng = np.random.default_rng(163)

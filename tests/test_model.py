@@ -24,6 +24,7 @@ from markovseq import (
 )
 from markovseq.errors import (
     DimensionMismatch,
+    DuplicateLabel,
     GammaReferenceNotZero,
     InvalidParameter,
     MultichannelNotAllowed,
@@ -32,7 +33,7 @@ from markovseq.errors import (
     RowSumError,
     ShapeMismatch,
 )
-from markovseq.estimation import EStats, _m_step_hmm
+from markovseq.estimation import EStats, _m_step
 from markovseq.seqdata import MISSING
 
 from helpers import (
@@ -355,6 +356,12 @@ class TestTrim:
         with pytest.raises(RowAnnihilated):
             trim_model(m, 0.01)
 
+    @pytest.mark.parametrize("tol", [np.nan, -0.01])
+    def test_nan_or_negative_tol_rejected(self, tol):
+        m = random_hmm(np.random.default_rng(14), 2, [3])
+        with pytest.raises(DimensionMismatch, match="tol must be >= 0"):
+            trim_model(m, tol)
+
     def test_trim_applies_to_every_cluster_of_a_mixture(self):
         a = make_alphabets([2])
         sub = build_hmm(
@@ -600,7 +607,7 @@ class TestOneValidationPoint:
             rho=np.ones((1, 1)),
         )
         with pytest.raises(NegativeProbability, match="transition row 0"):
-            _m_step_hmm(m, stats, set())
+            _m_step(m, stats, None, set())
 
     def test_direct_construction_checks_rows(self):
         m = _two_state_model()
@@ -705,3 +712,37 @@ class TestMixtureValues:
         empty = CovariateDesign(("(Intercept)",), np.ones((0, 1)))
         with pytest.raises(DimensionMismatch, match="covariate design has no rows"):
             combine_clusters(mix, empty)
+
+
+class TestDuplicateNames:
+    def test_build_hmm_rejects_duplicate_state_names(self):
+        with pytest.raises(DuplicateLabel, match="state names"):
+            build_hmm(
+                make_alphabets([2]),
+                initial=[0.5, 0.5],
+                transition=[[0.5, 0.5], [0.5, 0.5]],
+                emissions=[[0.5, 0.5], [0.5, 0.5]],
+                state_names=["A", "A"],
+            )
+
+    def test_build_mhmm_rejects_duplicate_cluster_names(self):
+        sub = random_hmm(np.random.default_rng(35), 2, [2])
+        with pytest.raises(DuplicateLabel, match="cluster names"):
+            build_mhmm([sub, sub], cluster_names=["C", "C"])
+
+    def test_model_from_json_rejects_duplicate_state_names(self):
+        doc = json.loads(json.dumps(model_to_json(random_hmm(np.random.default_rng(36), 2, [2]))))
+        doc["state_names"] = ["A", "A"]
+        with pytest.raises(DuplicateLabel, match="state names"):
+            model_from_json(doc)
+
+    def test_model_from_json_rejects_duplicate_cluster_names(self):
+        mix, _ = random_mixture(np.random.default_rng(37), 2, 2, [2], n_subjects=3)
+        doc = json.loads(json.dumps(model_to_json(mix)))
+        doc["cluster_names"] = ["C", "C"]
+        with pytest.raises(DuplicateLabel, match="cluster names"):
+            model_from_json(doc)
+        doc["cluster_names"] = ["C", "D"]
+        doc["clusters"][1]["state_names"] = ["S", "S"]
+        with pytest.raises(DuplicateLabel, match="state names"):
+            model_from_json(doc)

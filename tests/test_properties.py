@@ -17,14 +17,17 @@ from hypothesis import strategies as st
 from markovseq import (
     Alphabet,
     Channel,
-    CovariateDesign,
     HmmModel,
+    MixtureModel,
+    ParameterMap,
     SequenceDataset,
     build_mhmm,
+    count_parameters,
     log_likelihood,
     model_from_json,
     model_to_json,
     posterior_state_probs,
+    trim_model,
     viterbi_paths,
 )
 from markovseq.cli import main
@@ -32,75 +35,17 @@ from markovseq import errors
 from markovseq.errors import ImpossibleData, MarkovSeqError, NumericalUnderflow
 from markovseq.seqdata import MISSING
 
-from helpers import make_alphabets, random_dataset, write_manifest
+from helpers import (
+    channel_sizes,
+    hmm_and_data,
+    make_alphabets,
+    masked_hmms,
+    mixture_and_data,
+    write_manifest,
+)
 from oracles import enumerate_loglik, enumerate_posterior, enumerate_viterbi
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
-
-
-@st.composite
-def rows(draw, n_rows, width):
-    """A (n_rows, width) row-stochastic matrix and its structural-zero mask;
-    each row keeps at least one free entry."""
-    values = np.zeros((n_rows, width))
-    mask = np.zeros((n_rows, width), dtype=bool)
-    for s in range(n_rows):
-        free = draw(st.lists(st.booleans(), min_size=width, max_size=width))
-        free[draw(st.integers(0, width - 1))] = True
-        weights = draw(
-            st.lists(st.floats(0.05, 1.0), min_size=width, max_size=width)
-        )
-        row = np.where(free, weights, 0.0)
-        values[s] = row / row.sum()
-        mask[s] = ~np.asarray(free)
-    return values, mask
-
-
-@st.composite
-def hmms(draw, sizes):
-    S = draw(st.integers(1, 3))
-    initial, imask = draw(rows(1, S))
-    transition, tmask = draw(rows(S, S))
-    emissions = [draw(rows(S, m)) for m in sizes]
-    return HmmModel(
-        state_names=tuple(f"State {s + 1}" for s in range(S)),
-        channel_names=tuple(f"Channel {c + 1}" for c in range(len(sizes))),
-        alphabets=make_alphabets(sizes),
-        initial=initial[0],
-        transition=transition,
-        emissions=tuple(b for b, _ in emissions),
-        initial_mask=imask[0],
-        transition_mask=tmask,
-        emission_masks=tuple(m for _, m in emissions),
-    )
-
-
-channel_sizes = st.lists(st.integers(1, 3), min_size=1, max_size=2)
-
-
-@st.composite
-def hmm_and_data(draw):
-    sizes = draw(channel_sizes)
-    model = draw(hmms(sizes))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, t = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    return model, random_dataset(rng, model, n, t, missing_rate=draw(st.sampled_from([0.0, 0.3])))
-
-
-@st.composite
-def mixture_and_data(draw):
-    sizes = draw(channel_sizes)
-    K = draw(st.integers(1, 3))
-    clusters = [draw(hmms(sizes)) for _ in range(K)]
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    X = np.column_stack([np.ones(n), rng.normal(size=n)])
-    design = CovariateDesign(("(Intercept)", "x1"), X)
-    gamma = rng.normal(size=(2, K))
-    gamma[:, 0] = 0.0
-    mix = build_mhmm(clusters, covariates=design, gamma=gamma)
-    data = random_dataset(rng, clusters[0], n, t, missing_rate=draw(st.sampled_from([0.0, 0.3])))
-    return mix, design, data
 
 
 def _agree(per_subject_oracle, scaled_call, log_total):
@@ -197,9 +142,60 @@ class TestModesAgreeWithEnumeration:
         )
 
 
+def _hmms(m):
+    return m.clusters if isinstance(m, MixtureModel) else (m,)
+
+
+def _probabilities(m):
+    return [a for h in _hmms(m) for a in (h.initial, h.transition, *h.emissions)]
+
+
+def _masks(m):
+    return [a for h in _hmms(m) for a in (h.initial_mask, h.transition_mask, *h.emission_masks)]
+
+
+# (model, data) from a generated masked HMM or mixture
+models_and_data = st.one_of(
+    hmm_and_data(), mixture_and_data().map(lambda case: (case[0], case[2]))
+)
+
+
+class TestRowLayout:
+    """The parameter map, the parameter count and trimming walk a model's
+    rows alike, whatever its structural zeros."""
+
+    @SETTINGS
+    @given(models_and_data)
+    def test_unpack_inverts_pack(self, case):
+        m, _ = case
+        pmap = ParameterMap(m)
+        back = pmap.unpack(pmap.pack(m))
+        for got, want in zip(_probabilities(back), _probabilities(m)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for got, want in zip(_masks(back), _masks(m)):
+            np.testing.assert_array_equal(got, want)
+        if isinstance(m, MixtureModel):
+            np.testing.assert_array_equal(back.gamma, m.gamma)
+
+    @SETTINGS
+    @given(models_and_data)
+    def test_map_length_is_free_parameter_count(self, case):
+        m, data = case
+        assert ParameterMap(m).n_params == count_parameters(m, data).p
+
+    @SETTINGS
+    @given(models_and_data, st.floats(0.0, 0.3))
+    def test_trimming_only_adds_structural_zeros(self, case, tol):
+        m, data = case
+        trimmed = trim_model(m, tol)
+        for new, old in zip(_masks(trimmed), _masks(m)):
+            assert (new | old == new).all()
+        assert count_parameters(trimmed, data).p <= count_parameters(m, data).p
+
+
 class TestRoundTrips:
     @SETTINGS
-    @given(channel_sizes.flatmap(hmms))
+    @given(channel_sizes.flatmap(masked_hmms))
     def test_hmm_json_bit_for_bit(self, model):
         doc = model_to_json(model)
         back = model_from_json(json.loads(json.dumps(doc)))
