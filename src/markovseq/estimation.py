@@ -159,7 +159,10 @@ class EStats:
     to rho_ik); its own ``gamma1``, ``xi`` and ``emis_num`` are None.
     ``xi`` and ``emis_num`` are summed over subjects chunk by chunk in chunk
     order, so results do not depend on the thread count; within a chunk
-    ``emis_num`` holds one bincount of the codes per state and channel.
+    ``xi`` is one matrix product of the state-major alpha and backward
+    terms over all its time points and subjects, and ``emis_num`` holds one
+    bincount of the codes per state and channel, weighted by that state's
+    contiguous block of posteriors.
     They do not depend on whether a fit's workspace was passed either:
     each pass rewrites every scratch array it reads.  Emission updates
     normalize by the numerator row sums (expected occupancy of observed

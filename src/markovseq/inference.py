@@ -6,10 +6,15 @@ quantities on the log scale (slower, robust to zero probabilities).  Both
 modes agree on per-subject log-likelihoods to well below 1e-9.
 
 Every pass reads the data one way: the chunk codes of a ``_Workspace``,
-looked up in time-major (T, K, n, S) layout for all clusters of a mixture
-at once, each padded to S states and started from w_ik * pi^k (a plain
-HMM is one cluster).  ``_scaled_pass`` serves log-likelihoods, posteriors
-and the E-step statistics; ``_log_pass`` serves log mode and decoding, the
+looked up for all clusters of a mixture at once, each padded to S states
+and started from w_ik * pi^k (a plain HMM is one cluster).  Chunk arrays
+are state-major, (K, S, T, n), with the n subjects innermost, so every
+step of the recursions, every normalizer and every reduction over states
+runs on contiguous rows of subjects, and each state's posteriors over the
+chunk are one contiguous block.  One lookup serves the leading channels
+through their joint code (``_leading_group``); the later ones are looked
+up one by one.  ``_scaled_pass`` serves log-likelihoods, posteriors and
+the E-step statistics; ``_log_pass`` serves log mode and decoding, the
 latter on one thread.  Chunks write their own rows or partial sums, added
 in chunk order, so results are bit-identical for any thread count.  A fit
 builds one workspace for all its E-steps; one-off calls build their own.
@@ -48,6 +53,9 @@ Model = Union[HmmModel, MixtureModel]
 # Chunk size is fixed (not derived from the thread count) so that per-subject
 # floating-point results never depend on how work was distributed.
 _CHUNK = 512
+# At most this many joint codes for the leading channels that one emission
+# lookup serves (``_leading_group``)
+_JOINT_CODES = 1024
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -204,28 +212,48 @@ def _clusters_and_inits(m, data, design=None, subject_initials=None):
     return m.clusters, [w[:, k : k + 1] * sub.initial for k, sub in enumerate(m.clusters)]
 
 
+def _leading_group(code_counts) -> int:
+    """How many leading channels one emission lookup serves: channel 0 and
+    the channels after it while their code counts M_c + 1 multiply to at
+    most ``_JOINT_CODES``."""
+    g, product = 1, code_counts[0]
+    while g < len(code_counts) and product * code_counts[g] <= _JOINT_CODES:
+        product *= code_counts[g]
+        g += 1
+    return g
+
+
 class _Workspace:
     """What the passes read of one dataset, built once and reused by every
     pass over it.
 
     ``codes[k][c]`` holds chunk k's channel c as a C-contiguous (T, n) intp
     array with MISSING replaced by M_c, the emission table's row of ones;
-    the emission lookup and the emission counts both read it.  ``scratch[w]``
-    is worker w's ``_Scratch``, which every pass overwrites.  A fit builds
-    one workspace for all its E-steps and drops it when it returns; one-off
-    calls build a transient one.
+    the emission counts read it, in ``code_counts[c]`` = M_c + 1 bins.
+    ``lookup[k]`` holds what the emission lookup reads: the joint code of
+    the leading channel group (``_leading_group``), c_0 * (M_1 + 1) + c_1
+    and so on in channel order, then the codes of the later channels one
+    by one.  ``scratch[w]`` is worker w's ``_Scratch``, which every pass
+    overwrites.  A fit builds one workspace for all its E-steps and drops
+    it when it returns; one-off calls build a transient one.
     """
 
     def __init__(self, data: SequenceDataset):
         self.data = data
-        self.codes = []
+        counts = self.code_counts = [ch.alphabet.size + 1 for ch in data.channels]
+        group = _leading_group(counts)
+        self.codes, self.lookup = [], []
         for a, b in _chunk_spans(data.n_subjects):
             chunk = []
             for ch in data.channels:
                 c = ch.codes[a:b].T.astype(np.intp, order="C")
                 c[c == MISSING] = ch.alphabet.size
                 chunk.append(c)
+            joint = chunk[0]
+            for c in range(1, group):
+                joint = joint * counts[c] + chunk[c]
             self.codes.append(chunk)
+            self.lookup.append([joint, *chunk[group:]])
         self.scratch: dict[int, _Scratch] = {}
 
 
@@ -244,57 +272,64 @@ class _Scratch(dict):
 
 def _pack(hmms, inits, n_subjects: int):
     """Clusters ``hmms`` side by side, padded with zeros to S = max S_k
-    states: A (K, S, S), initial probabilities (K, N, S) from ``inits`` and
-    per channel an emission table whose row code*K + k holds cluster k."""
+    states: A (K, S, S), initial probabilities (K, S, N) from ``inits`` and
+    the emission tables that ``_Workspace.lookup`` indexes, each (K, S,
+    codes).  The leading group's table is the outer product of its channels'
+    tables, multiplied left to right in channel order, so a joint code
+    selects the same product that looking the channels up one by one
+    would."""
     sizes = [h.n_states for h in hmms]
     K, S = len(hmms), max(sizes)
-    A, init = np.zeros((K, S, S)), np.zeros((K, n_subjects, S))
-    tables = [np.zeros((b.shape[1] + 1, K, S)) for b in hmms[0].emissions]
+    A, init = np.zeros((K, S, S)), np.zeros((K, S, n_subjects))
+    tables = [np.zeros((K, S, b.shape[1] + 1)) for b in hmms[0].emissions]
     for k, (h, p) in enumerate(zip(hmms, inits)):
         A[k, : sizes[k], : sizes[k]] = h.transition
-        init[k, :, : sizes[k]] = p
+        init[k, : sizes[k]] = p.T
         for table, own in zip(tables, _emission_tables(h)):
-            table[:, k, : sizes[k]] = own
-    return sizes, A, init, [table.reshape(-1, S) for table in tables]
+            table[k, : sizes[k]] = own.T
+    group = _leading_group([table.shape[2] for table in tables])
+    joint = tables[0]
+    for table in tables[1:group]:
+        joint = (joint[..., None] * table[:, :, None]).reshape(K, S, -1)
+    return sizes, A, init, [joint, *tables[group:]]
 
 
-def _chunk_emissions(tables, codes, buf, rows) -> np.ndarray:
-    """The product over channels of the table rows (see ``_pack``) that a
-    chunk's codes select, in buf's (T, K, n, S) array "e"; ``rows``, of that
-    shape and overwritten later by the caller, holds the later channels'."""
-    T, K, n, S = rows.shape
+def _chunk_emissions(tables, lookup, buf, rows) -> np.ndarray:
+    """The product of the table entries (see ``_pack``) that a chunk's
+    ``lookup`` codes select, in buf's (K, S, T, n) array "e"; ``rows``, of
+    that shape and overwritten later by the caller, holds the later
+    lookups'."""
     e = buf("e", rows.shape)
-    for c, (table, code) in enumerate(zip(tables, codes)):
-        index = code[:, None, :]
-        if K > 1:
-            index = np.multiply(index, K, out=buf("index", (T, K, n), np.intp))
-            index += np.arange(K)[:, None]
-        np.take(table, index, axis=0, out=rows if c else e, mode="clip")
+    for c, (table, code) in enumerate(zip(tables, lookup)):
+        np.take(table, code, axis=2, out=rows if c else e, mode="clip")
         if c:
             e *= rows
     return e
 
 
 def _side_by_side(out, values, sizes) -> None:
-    """Write (T, K, n, S) chunk ``values`` into ``out`` (n, T, sum S_k), the
+    """Write (K, S, T, n) chunk ``values`` into ``out`` (n, T, sum S_k), the
     real states of the clusters side by side as in ``combine_clusters``."""
     for k, s in enumerate(sizes):
-        out[:, :, sum(sizes[:k]) : sum(sizes[: k + 1])] = values[:, k, :, :s].swapaxes(0, 1)
+        out[:, :, sum(sizes[:k]) : sum(sizes[: k + 1])] = values[k, :s].T
 
 
 def _forward(A, e, init, alpha, scaling, x):
     """Scaled forward pass of K clusters at once: A (K, S, S), emissions e
-    (T, K, n, S) and init (K, n, S) fill alpha (T, K, n, S) and normalizers
-    ``scaling`` (T, K, n); x (K, n, S) is scratch."""
-    ones = np.ones(e.shape[3])
+    (K, S, T, n) and init (K, S, n) fill alpha (K, S, T, n) and normalizers
+    ``scaling`` (K, T, n), each a sum over the states in state order; x (K,
+    S, n) is scratch, which keeps every step's arithmetic on contiguous
+    rows."""
+    to_from = A.swapaxes(1, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(init, e[0], out=x)
-        for t in range(e.shape[0]):
+        np.multiply(init, e[:, :, 0], out=x)
+        for t in range(e.shape[2]):
             if t:
-                np.matmul(alpha[t - 1], A, out=x)
-                x *= e[t]
-            np.matmul(x, ones, out=scaling[t])
-            np.divide(x, scaling[t, ..., None], out=alpha[t])
+                np.matmul(to_from, alpha[:, :, t - 1], out=x)
+                np.multiply(x, e[:, :, t], out=x)
+            c = scaling[:, t]
+            np.add.reduce(x, 1, out=c)
+            np.divide(x, c[:, None], out=alpha[:, :, t])
 
 
 def _pair_logliks(alpha, c, data: SequenceDataset, a: int) -> np.ndarray:
@@ -306,14 +341,14 @@ def _pair_logliks(alpha, c, data: SequenceDataset, a: int) -> np.ndarray:
     t its last cluster fell), raises for the chunk's earliest (t, subject).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        ll = np.log(c).sum(axis=0)
+        ll = np.log(c).sum(axis=1)
     hit = ~np.isfinite(ll)  # some normalizer of the pair is not in (0, inf)
     if hit.any():
         bad = ~((c > 0) & (c < np.inf))
-        t0 = np.argmax(bad, axis=0)
-        first = np.take_along_axis(c, t0[None], axis=0)[0]
-        c[:, hit] = 1.0
-        alpha[:, hit] = 0.0
+        t0 = np.argmax(bad, axis=1)
+        first = np.take_along_axis(c, t0[:, None], axis=1)[:, 0]
+        c.swapaxes(0, 1)[:, hit] = 1.0
+        alpha.transpose(1, 2, 0, 3)[:, :, hit] = 0.0
         ll[hit] = -np.inf
         # (t, j, 0, normalizer) for a bad value, (t, j, 1, 0.0) for no cluster left
         faults = [(t0[k, j], j, 0, first[k, j]) for k, j in np.argwhere(hit & (first != 0))]
@@ -332,8 +367,9 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     """The scaled forward-backward kernel over clusters ``hmms`` (a plain HMM
     is one) with one (N, S_k) initial array each in ``inits``.
 
-    Per fixed chunk of n subjects all clusters run at once in (T, K, n, S)
-    layout (``_pack``).  A cluster's log normalizers sum to l_ik;
+    Per fixed chunk of n subjects all clusters run at once in state-major
+    (K, S, T, n) layout (``_pack``), so every step works on contiguous rows
+    of n subjects.  A cluster's log normalizers sum to l_ik;
     loglik_i = logsumexp_k l_ik and rho_ik = exp(l_ik - loglik_i),
     exactly 1 for an HMM and 0 for an impossible pair (``_pair_logliks``).
     The backward pass starts from beta[T-1] = rho_ik, so alpha * beta and
@@ -364,54 +400,39 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     def work(ci, span, w):
         a, b = span
         n = b - a
-        codes = workspace.codes[ci]
         buf = workspace.scratch.setdefault(w, _Scratch())
-
-        def flat_rows(name, v):
-            """(T', n, s) values as C-contiguous (T'*n, s) rows: a view of an
-            HMM's arrays, a copy into scratch of a mixture's."""
-            if not v.flags.c_contiguous:
-                out = buf(name, v.shape)
-                np.copyto(out, v)
-                v = out
-            return v.reshape(-1, v.shape[-1])
-
-        alpha = buf("alpha", (T, K, n, S))
-        e = _chunk_emissions(tables, codes, buf, alpha)
-        scaling = buf("scaling", (T, K, n))
-        _forward(A, e, init[:, a:b], alpha, scaling, buf("x", (K, n, S)))
+        alpha = buf("alpha", (K, S, T, n))
+        e = _chunk_emissions(tables, workspace.lookup[ci], buf, alpha)
+        scaling = buf("scaling", (K, T, n))
+        x = buf("x", (K, S, n))
+        _forward(A, e, init[:, :, a:b], alpha, scaling, x)
         ll = _pair_logliks(alpha, scaling, data, a)
         loglik[a:b] = _logsumexp(ll, axis=0)
         r = np.exp(ll - loglik[a:b])
         rho[a:b] = r.T
         if want == "loglik":
             return
-        # W[t] = e[t+1] * beta[t+1] / scaling[t+1], so beta[t] = W[t] @ A.T
-        beta, W = buf("beta", (T, K, n, S)), buf("W", (T - 1, K, n, S))
-        beta[T - 1] = r[..., None]
+        # W[t] = e[t+1] * beta[t+1] / scaling[t+1], so beta[t] = A @ W[t]
+        beta, W = buf("beta", (K, S, T, n)), buf("W", (K, S, T - 1, n))
+        beta[:, :, T - 1] = r[:, None]
         for t in range(T - 2, -1, -1):
-            np.multiply(e[t + 1], beta[t + 1], out=W[t])
-            W[t] /= scaling[t + 1, ..., None]
-            np.matmul(W[t], A.swapaxes(1, 2), out=beta[t])
+            np.multiply(e[:, :, t + 1], beta[:, :, t + 1], out=x)
+            np.divide(x, scaling[:, None, t + 1], out=W[:, :, t])
+            np.matmul(A, W[:, :, t], out=beta[:, :, t])
         if want == "full":
             _side_by_side(alpha_out[a:b], alpha, sizes)
             _side_by_side(beta_out[a:b], beta, sizes)
-            scaling_out[:, a:b] = scaling.transpose(1, 2, 0)
+            scaling_out[:, a:b] = scaling.swapaxes(1, 2)
             return
+        g = np.multiply(alpha, beta, out=e)  # the state posteriors; e is spent
         part = []
         for k, s in enumerate(sizes):
-            # the state posteriors state-major (s, T, n), so that each state's
-            # bincount weights are contiguous
-            g = buf("g", (s, T, n))
-            np.multiply(
-                alpha[:, k, :, :s].transpose(2, 0, 1), beta[:, k, :, :s].transpose(2, 0, 1), out=g
-            )
-            gamma1[k][a:b] = g[:, 0].T
-            xi = flat_rows("xa", alpha[:-1, k, :, :s]).T @ flat_rows("xw", W[:, k, :, :s])
+            gamma1[k][a:b] = g[k, :s, 0].T
+            xi = alpha[k, :s, :-1].reshape(s, -1) @ W[k, :s].reshape(s, -1).T
             # a missing cell's code M_c lands in the last bin, which is dropped
             nums = [
-                np.stack([np.bincount(c.ravel(), g[j].ravel(), m)[:-1] for j in range(s)])
-                for c, m in zip(codes, (len(table) // K for table in tables))
+                np.stack([np.bincount(c.ravel(), g[k, j].ravel(), m)[:-1] for j in range(s)])
+                for c, m in zip(workspace.codes[ci], workspace.code_counts)
             ]
             part.append([xi * A[k, :s, :s], *nums])
         parts[ci] = part
@@ -426,21 +447,22 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
 
 
 def _log_pass(hmms, data, inits, threads=1, want="loglik"):
-    """``_scaled_pass`` in log space, on the same chunks and layout: the log
-    of the looked-up chunk, then ``_logsumexp`` over the from-state axis (for
-    ``"paths"`` the max, back-pointers to the lowest state reaching it).
-    l_ik (K, N), the last log alpha reduced likewise, is -inf for an
-    impossible pair.  ``want`` selects ``"loglik"``: (loglik_i = logsumexp_k
-    l_ik, l_ik); ``"full"``: (alpha, beta, loglik), log alpha and log beta
-    (N, T, sum S_k) side by side; ``"paths"``: (paths, l_ik), per cluster the
-    best paths (K, N, T).  A NaN log-likelihood raises NumericalUnderflow
-    for the lowest cluster's first such subject."""
+    """``_scaled_pass`` in log space, on the same chunks and state-major
+    layout: the log of the looked-up chunk, then ``_logsumexp`` over the
+    from-state axis (for ``"paths"`` the max, back-pointers to the lowest
+    state reaching it), each over contiguous rows of n subjects.  l_ik (K,
+    N), the last log alpha reduced likewise, is -inf for an impossible
+    pair.  ``want`` selects ``"loglik"``: (loglik_i = logsumexp_k l_ik,
+    l_ik); ``"full"``: (alpha, beta, loglik), log alpha and log beta (N, T,
+    sum S_k) side by side; ``"paths"``: (paths, l_ik), per cluster the best
+    paths (K, N, T).  A NaN log-likelihood raises NumericalUnderflow for the
+    lowest cluster's first such subject."""
     workspace = _Workspace(data)
     N, T = data.n_subjects, data.n_time
     sizes, A, init, tables = _pack(hmms, inits, N)
     K, S = A.shape[:2]
     with np.errstate(divide="ignore"):
-        logA, log_init = np.log(A)[:, None], np.log(init)  # logA (K, 1, from, to)
+        logA, log_init = np.log(A)[..., None], np.log(init)  # logA (K, from, to, 1)
     ll = np.empty((K, N))
     if want == "full":
         alpha_out, beta_out = np.empty((2, N, T, sum(sizes)))
@@ -450,41 +472,48 @@ def _log_pass(hmms, data, inits, threads=1, want="loglik"):
         a, b = span
         n = b - a
         buf = workspace.scratch.setdefault(w, _Scratch())
-        la, cand = buf("alpha", (T, K, n, S)), buf("cand", (K, n, S, S))
-        le = _chunk_emissions(tables, workspace.codes[ci], buf, la)
-        back = None if paths is None else buf("back", (T, K, n, S), np.min_scalar_type(S - 1))
+        la, cand = buf("alpha", (K, S, T, n)), buf("cand", (K, S, S, n))
+        le = _chunk_emissions(tables, workspace.lookup[ci], buf, la)
+        if paths is not None:
+            back = buf("back", (K, S, T, n), np.min_scalar_type(S - 1))
+            # one step's running max, the first from-state reaching it, and
+            # a comparison, each contiguous
+            best, arg = buf("best", (K, S, n)), buf("arg", (K, S, n), back.dtype)
+            up = buf("up", (K, S, n), bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log(le, out=le)
-            np.add(log_init[:, a:b], le[0], out=la[0])
+            np.add(log_init[:, :, a:b], le[:, :, 0], out=la[:, :, 0])
             for t in range(1, T):
-                np.add(la[t - 1, ..., None], logA, out=cand)  # (K, n, from, to)
+                np.add(la[:, :, t - 1, None], logA, out=cand)  # (K, from, to, n)
                 if paths is None:
-                    np.add(_logsumexp(cand, axis=2), le[t], out=la[t])
+                    np.add(_logsumexp(cand, axis=1), le[:, :, t], out=la[:, :, t])
                     continue
                 # the max over the from states and the first state reaching it
-                np.copyto(la[t], cand[:, :, 0])
-                back[t] = 0
+                np.copyto(best, cand[:, 0])
+                arg[...] = 0
                 for f in range(1, S):
-                    np.copyto(back[t], f, where=cand[:, :, f] > la[t])
-                    np.maximum(la[t], cand[:, :, f], out=la[t])
-                la[t] += le[t]
+                    np.copyto(arg, f, where=np.greater(cand[:, f], best, out=up))
+                    np.maximum(best, cand[:, f], out=best)
+                np.add(best, le[:, :, t], out=la[:, :, t])
+                back[:, :, t] = arg
             if paths is None:
-                ll[:, a:b] = _logsumexp(la[T - 1], axis=2)
+                ll[:, a:b] = _logsumexp(la[:, :, T - 1], axis=1)
             if want == "full":
-                lb = buf("beta", (T, K, n, S))
-                lb[T - 1] = 0.0
+                lb = buf("beta", (K, S, T, n))
+                lb[:, :, T - 1] = 0.0
                 for t in range(T - 2, -1, -1):
-                    lb[t] = _logsumexp(logA + (le[t + 1] + lb[t + 1])[:, :, None], axis=3)
+                    np.add(logA, (le[:, :, t + 1] + lb[:, :, t + 1])[:, None], out=cand)
+                    lb[:, :, t] = _logsumexp(cand, axis=2)
                 _side_by_side(alpha_out[a:b], la, sizes)
                 _side_by_side(beta_out[a:b], lb, sizes)
         if paths is not None:
-            path = buf("path", (T, K, n), np.int64)
-            path[T - 1] = np.argmax(la[T - 1], axis=2)
-            ll[:, a:b] = np.take_along_axis(la[T - 1], path[T - 1][..., None], axis=2)[..., 0]
+            path = buf("path", (K, T, n), np.int64)
+            path[:, T - 1] = np.argmax(la[:, :, T - 1], axis=1)
+            ll[:, a:b] = np.take_along_axis(la[:, :, T - 1], path[:, T - 1][:, None], axis=1)[:, 0]
             k, j = np.ogrid[:K, :n]
             for t in range(T - 1, 0, -1):
-                path[t - 1] = back[t, k, j, path[t]]
-            paths[:, a:b] = path.transpose(1, 2, 0)
+                path[:, t - 1] = back[k, path[:, t], t, j]
+            paths[:, a:b] = path.swapaxes(1, 2)
 
     _run_chunked(work, N, threads)
     if paths is not None:

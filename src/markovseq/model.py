@@ -124,6 +124,9 @@ class HmmModel:
             )
         if len(set(self.state_names)) != S:
             raise DuplicateLabel(f"duplicate state names: {tuple(self.state_names)}")
+        if len(set(self.channel_names)) != len(self.channel_names):
+            # simulate writes one dataset_<name>.csv per channel
+            raise DuplicateLabel(f"duplicate channel names: {tuple(self.channel_names)}")
         for c, (b, a) in enumerate(zip(emissions, self.alphabets)):
             if b.shape != (S, a.size):
                 raise DimensionMismatch(
@@ -189,6 +192,10 @@ class MixtureModel:
             raise DimensionMismatch("one name per cluster required")
         if len(set(self.cluster_names)) != len(clusters):
             raise DuplicateLabel(f"duplicate cluster names: {self.cluster_names}")
+        combined = _combined_state_names(self.cluster_names, clusters)
+        if len(set(combined)) != len(combined):
+            twice = sorted({name for name in combined if combined.count(name) > 1})
+            raise DuplicateLabel(f"combined state names {twice} name more than one state")
         ref = clusters[0]
         for m in clusters[1:]:
             if m.n_channels != ref.n_channels or m.alphabets != ref.alphabets:
@@ -532,6 +539,11 @@ def mixture_weights(gamma: np.ndarray, X: np.ndarray) -> np.ndarray:
     return w
 
 
+def _combined_state_names(cluster_names, clusters) -> tuple[str, ...]:
+    """The names of a mixture's states side by side: ``cluster:state``."""
+    return tuple(f"{c}:{s}" for c, m in zip(cluster_names, clusters) for s in m.state_names)
+
+
 def combine_clusters(
     mix: MixtureModel, design: CovariateDesign
 ) -> tuple[HmmModel, np.ndarray]:
@@ -548,12 +560,10 @@ def combine_clusters(
     transition = np.zeros((S_total, S_total))
     tmask = np.ones((S_total, S_total), dtype=bool)
     initial_mask = np.concatenate([m.initial_mask for m in mix.clusters])
-    state_names = []
     for k, m in enumerate(mix.clusters):
         o = offsets[k]
         transition[o : o + m.n_states, o : o + m.n_states] = m.transition
         tmask[o : o + m.n_states, o : o + m.n_states] = m.transition_mask
-        state_names.extend(f"{mix.cluster_names[k]}:{s}" for s in m.state_names)
     emissions = tuple(
         np.vstack([m.emissions[c] for m in mix.clusters])
         for c in range(mix.clusters[0].n_channels)
@@ -567,7 +577,7 @@ def combine_clusters(
         [w[:, k : k + 1] * m.initial[None, :] for k, m in enumerate(mix.clusters)]
     )
     combined = HmmModel(
-        state_names=tuple(state_names),
+        state_names=_combined_state_names(mix.cluster_names, mix.clusters),
         channel_names=mix.clusters[0].channel_names,
         alphabets=mix.clusters[0].alphabets,
         initial=subject_initials.mean(axis=0),

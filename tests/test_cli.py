@@ -661,6 +661,20 @@ class TestSummaryAndSimulate:
         assert last.startswith("error: InvalidParameter:") != accepted
         assert (out / "dataset.json").exists() == accepted
 
+    def test_simulate_rejects_duplicate_channel_names(self, tmp_path):
+        # both channels would be written to one dataset_x.csv
+        doc = model_to_json(random_hmm(np.random.default_rng(4), 2, [2, 3]))
+        doc["channel_names"] = ["x", "x"]
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(doc))
+        out = tmp_path / "sim"
+        argv = ["simulate", "--model", str(mpath), "--n-subjects", "3", "--n-time", "4",
+                "--out", str(out)]
+        assert main(argv) == 1
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.startswith("error: DuplicateLabel: duplicate channel names")
+        assert not (out / "dataset_x.csv").exists()
+
     @pytest.mark.parametrize("size", [("0", "4"), ("3", "0")])
     def test_simulate_rejects_size_below_one(self, tmp_path, size):
         mpath = _model_file(tmp_path, random_hmm(np.random.default_rng(4), 2, [2]))

@@ -746,3 +746,43 @@ class TestDuplicateNames:
         doc["clusters"][1]["state_names"] = ["S", "S"]
         with pytest.raises(DuplicateLabel, match="state names"):
             model_from_json(doc)
+
+    def test_build_hmm_rejects_duplicate_channel_names(self):
+        with pytest.raises(DuplicateLabel, match="channel names"):
+            build_hmm(make_alphabets([2, 3]), n_states=2, channel_names=["x", "x"], rng_seed=1)
+
+    def test_model_from_json_rejects_duplicate_channel_names(self):
+        hmm = random_hmm(np.random.default_rng(38), 2, [2, 3])
+        doc = json.loads(json.dumps(model_to_json(hmm)))
+        doc["channel_names"] = ["x", "x"]
+        with pytest.raises(DuplicateLabel, match="channel names"):
+            model_from_json(doc)
+
+    @staticmethod
+    def _colliding_clusters():
+        """Cluster ``a`` with state ``b:c`` and cluster ``a:b`` with state
+        ``c``: both combine to ``a:b:c``."""
+        alphabets = make_alphabets([2])
+        one = dict(initial=[1.0], transition=[[1.0]], emissions=[[[0.5, 0.5]]])
+        return [
+            build_hmm(alphabets, state_names=["b:c"], **one),
+            build_hmm(alphabets, state_names=["c"], **one),
+        ]
+
+    def test_build_mhmm_rejects_colliding_combined_state_names(self):
+        clusters = self._colliding_clusters()
+        with pytest.raises(DuplicateLabel, match="'a:b:c'"):
+            build_mhmm(clusters, cluster_names=["a", "a:b"])
+        # the same states under names that do not collide
+        mix = build_mhmm(clusters, cluster_names=["a", "b"])
+        assert combine_clusters(mix, CovariateDesign.intercept(1))[0].state_names == (
+            "a:b:c",
+            "b:c",
+        )
+
+    def test_model_from_json_rejects_colliding_combined_state_names(self):
+        mix = build_mhmm(self._colliding_clusters(), cluster_names=["a", "b"])
+        doc = json.loads(json.dumps(model_to_json(mix)))
+        doc["cluster_names"] = ["a", "a:b"]
+        with pytest.raises(DuplicateLabel, match="'a:b:c'"):
+            model_from_json(doc)
