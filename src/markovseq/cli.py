@@ -4,8 +4,9 @@ Every subcommand writes a machine-readable ``<command>_result.json`` plus a
 human-readable ``run.log`` into the output directory.  Artifacts are a
 deterministic function of the inputs and flags; in particular the thread
 count never appears in them, so reruns with different ``--threads`` are
-byte-identical.  Exit codes: 0 success, 1 data/model errors (the error
-name goes to stderr), 2 usage errors.
+byte-identical.  Exit codes: 0 success, 2 usage errors, 1 a ``MarkovSeqError``
+(bad data or model, or ``UnreadableFile`` for an input file that cannot be
+read), named on stderr and last in ``run.log``; anything else is a bug.
 """
 
 from __future__ import annotations
@@ -533,9 +534,7 @@ def main(argv=None) -> int:
     log: list[str] = [f"markovseq {args.command}"]
     try:
         code = _HANDLERS[args.command](args, out, log)
-    except (MarkovSeqError, OSError, ValueError, KeyError) as err:
-        # OSError/ValueError/KeyError: unreadable files, or model documents
-        # with missing fields or values of the wrong kind
+    except MarkovSeqError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         log.append(f"error: {type(err).__name__}: {err}")
         _write_log(out, log)

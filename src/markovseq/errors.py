@@ -40,6 +40,11 @@ class InvalidJson(MarkovSeqError):
     the file."""
 
 
+class UnreadableFile(MarkovSeqError):
+    """An input file that cannot be opened, is not UTF-8 text, or (a CSV
+    file) cannot be parsed as CSV; the message names the file."""
+
+
 # -- model construction -------------------------------------------------
 
 
@@ -70,8 +75,8 @@ class GammaReferenceNotZero(MarkovSeqError):
 class InvalidParameter(MarkovSeqError):
     """A parameter value outside its domain: a non-zero value at a
     structural zero, a non-finite covariate coefficient, a model entry that
-    is not a number, a manifest value of the wrong type, or a simulation
-    size below 1 or missing rate outside [0, 1]."""
+    is not a number, a manifest value of the wrong type, a negative seed,
+    or a simulation size below 1 or missing rate outside [0, 1]."""
 
 
 class RowAnnihilated(MarkovSeqError):

@@ -34,13 +34,14 @@ from __future__ import annotations
 
 from collections import deque
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidParameter,
     MarkovSeqError,
     NonFiniteLikelihood,
     NonInvertibleHessian,
@@ -101,28 +102,14 @@ class FitControl:
             raise DimensionMismatch("tolerances must be positive")
         if self.restarts < 0:
             raise DimensionMismatch("restarts must be >= 0")
+        if self.restarts and self.seed < 0:  # numpy seeds only from integers >= 0
+            raise InvalidParameter(f"restarts need a seed >= 0, got {self.seed!r}")
         if not (0 < self.restart_perturb <= 1):
             raise DimensionMismatch("restart_perturb must be in (0, 1]")
 
-    def to_dict(self, include_threads: bool = False) -> dict:
-        d = {
-            "em_max_iter": self.em_max_iter,
-            "em_rel_tol": self.em_rel_tol,
-            "restarts": self.restarts,
-            "restart_perturb": self.restart_perturb,
-            "local_step": self.local_step,
-            "local_max_iter": self.local_max_iter,
-            "local_grad_tol": self.local_grad_tol,
-            "seed": self.seed,
-        }
-        if include_threads:
-            d["threads"] = self.threads
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitControl":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
+    def to_dict(self) -> dict:
+        """Every setting but ``threads``, which never changes results."""
+        return {k: v for k, v in asdict(self).items() if k != "threads"}
 
 
 @dataclass

@@ -42,6 +42,10 @@ from .seqdata import (
     Alphabet,
     CovariateDesign,
     SequenceDataset,
+    _alphabet,
+    _list,
+    _object,
+    _strings,
     effective_size,
 )
 
@@ -652,15 +656,15 @@ def _fmt_array(a: np.ndarray):
 
 def _nested(rows, where: str):
     """Shape and row-major leaves of a JSON value: a number, or equal-length
-    lists nested to any depth.  Ragged rows raise ``ShapeMismatch``."""
-    if not isinstance(rows, list):
-        return (), [rows]
-    parts = [_nested(r, where) for r in rows]
-    shapes = {shape for shape, _ in parts}
-    if len(shapes) > 1:
-        raise ShapeMismatch(f"{where} has rows of unequal length")
-    inner = shapes.pop() if shapes else ()
-    return (len(rows),) + inner, [v for _, leaves in parts for v in leaves]
+    lists nested to any depth, walked one level at a time.  Ragged rows
+    raise ``ShapeMismatch``."""
+    shape, level = (), [rows]
+    while any(isinstance(r, list) for r in level):
+        if not all(isinstance(r, list) and len(r) == len(level[0]) for r in level):
+            raise ShapeMismatch(f"{where} has rows of unequal length")
+        shape += (len(level[0]),)
+        level = [v for r in level for v in r]
+    return shape, level
 
 
 def _parse_array(rows, where: str) -> np.ndarray:
@@ -685,6 +689,8 @@ def _parse_mask(rows, where: str) -> np.ndarray:
     for v in leaves:
         if not (isinstance(v, int) and v in (0, 1)):
             raise InvalidParameter(f"{where} mask entry {v!r} is not a boolean, 0 or 1")
+    if len(shape) > 2:  # as HmmModel would; numpy cannot shape a mask of 33 or more axes
+        raise DimensionMismatch(f"{where} mask has {len(shape)} axes, expected at most 2")
     return np.array(leaves, dtype=bool).reshape(shape)
 
 
@@ -712,46 +718,18 @@ def _hmm_to_json(m: HmmModel) -> dict:
     }
 
 
-def _object(doc, where: str, keys) -> dict:
-    """``doc``, checked to be a JSON object that holds ``keys``; ShapeMismatch
-    otherwise."""
-    if not isinstance(doc, dict):
-        raise ShapeMismatch(f"{where} must be a JSON object")
-    for key in keys:
-        if key not in doc:
-            raise ShapeMismatch(f"{where} lacks {key!r}")
-    return doc
-
-
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ShapeMismatch(f"{where} must be a list")
-    return value
-
-
-def _strings(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise InvalidParameter(f"{where} must be a list of strings")
-    return tuple(value)
-
-
 def _hmm_from_json(doc, where: str) -> HmmModel:
     """The HMM of a model document; see ``model_from_json``."""
     keys = ("state_names", "channel_names", "alphabets", "initial", "transition", "emissions")
     doc = _object(doc, where, keys + ("zero_mask",))
-    alphabets = []
-    for c, a in enumerate(_list(doc["alphabets"], f"{where}: 'alphabets'")):
-        a = _object(a, f"{where}: alphabet {c}", ("labels",))
-        missing = a.get("missing_token", "*")
-        if not isinstance(missing, str):
-            raise InvalidParameter(f"{where}: alphabet {c}: 'missing_token' must be a string")
-        labels = _strings(a["labels"], f"{where}: alphabet {c}: 'labels'")
-        alphabets.append(Alphabet(labels, missing))
     masks = _object(doc["zero_mask"], f"{where}: 'zero_mask'", keys[3:])
     return HmmModel(
         state_names=_strings(doc["state_names"], f"{where}: 'state_names'"),
         channel_names=_strings(doc["channel_names"], f"{where}: 'channel_names'"),
-        alphabets=tuple(alphabets),
+        alphabets=tuple(
+            _alphabet(a, "labels", f"{where}: alphabet {c}")
+            for c, a in enumerate(_list(doc["alphabets"], f"{where}: 'alphabets'"))
+        ),
         initial=_parse_array(doc["initial"], "initial"),
         transition=_parse_array(doc["transition"], "transition"),
         emissions=tuple(
@@ -788,7 +766,7 @@ def model_from_json(doc) -> Model:
     not a string InvalidParameter; values are then checked as for any
     model.
     """
-    doc = _object(doc, "model document", ())
+    doc = _object(doc, "model document")
     if doc.get("type") != "mhmm":
         return _hmm_from_json(doc, "model document")
     keys = ("clusters", "cluster_names", "gamma", "covariate_names")

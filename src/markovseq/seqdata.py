@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -26,6 +27,7 @@ from .errors import (
     MissingTokenCollision,
     ShapeMismatch,
     UnknownToken,
+    UnreadableFile,
 )
 
 #: Sentinel code for a missing observation; never a valid alphabet code.
@@ -206,21 +208,11 @@ class SequenceDataset:
         """Read the form ``to_json`` writes.  A document of the wrong
         structure raises ShapeMismatch, EmptyDataset or InvalidParameter
         (see ``_channel_specs``)."""
-        specs = _channel_specs(doc, "dataset document", "rows")
-        ids = doc.get("subject_ids")
-        if not isinstance(ids, list):
-            raise ShapeMismatch("dataset document needs a 'subject_ids' list")
-        if not all(isinstance(s, str) for s in ids):
-            raise InvalidParameter("'subject_ids' must be a list of strings")
-        channels = []
-        for i, spec in enumerate(specs):
-            rows = spec["rows"]
-            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-                raise InvalidParameter(f"channel entry {i}: 'rows' must be a list of token lists")
-            alpha = define_alphabet(spec["alphabet"], spec.get("missing_token", "*"))
-            codes = _code_rows(alpha, rows, spec["name"])
-            channels.append(Channel(spec["name"], alpha, codes))
-        return cls(tuple(channels), tuple(ids))
+        specs = _channel_specs(doc, "dataset document", "rows", _token_rows)
+        where = "dataset document: 'subject_ids'"
+        ids = _strings(_list(doc.get("subject_ids"), where), where)
+        channels = [Channel(name, a, _code_rows(a, rows, name)) for name, rows, a in specs]
+        return cls(tuple(channels), ids)
 
 
 @dataclass(frozen=True)
@@ -256,35 +248,121 @@ class CovariateDesign:
         return cls((INTERCEPT_NAME,), np.ones((n_subjects, 1)))
 
 
-def _read_wide_csv(path: Path):
-    """Read a wide sequence CSV: header row, then one row of id + T tokens."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+def _object(doc, where: str, keys=()) -> dict:
+    """``doc``, checked to be a JSON object that holds ``keys``; ShapeMismatch
+    otherwise."""
+    if not isinstance(doc, dict):
+        raise ShapeMismatch(f"{where} must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ShapeMismatch(f"{where} lacks {key!r}")
+    return doc
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ShapeMismatch(f"{where} must be a list")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidParameter(f"{where} must be a string, not {type(value).__name__}")
+    return value
+
+
+def _strings(value, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InvalidParameter(f"{where} must be a list of strings")
+    return tuple(value)
+
+
+def _token_rows(value, where: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise InvalidParameter(f"{where} must be a list of token lists")
+    return value
+
+
+def _alphabet(entry, key: str, where: str) -> Alphabet:
+    """The alphabet of ``entry``, a JSON object as ``where`` names it: the
+    labels under ``key`` and its "missing_token" ("*" when absent)."""
+    entry = _object(entry, where, (key,))
+    missing = _string(entry.get("missing_token", "*"), f"{where}: 'missing_token'")
+    return Alphabet(_strings(entry[key], f"{where}: {key!r}"), missing)
+
+
+def _channel_specs(doc, what: str, source: str, check) -> list[tuple[str, object, Alphabet]]:
+    """The channels of ``doc``, a manifest or a dataset document as ``what``
+    names it, as (name, source value, alphabet) triples.  Each channel entry
+    needs ``name``, ``alphabet`` and ``source`` (the manifest's "csv", the
+    dataset document's "rows"), whose value ``check(value, where)`` returns
+    checked.  A malformed structure raises ShapeMismatch (or EmptyDataset for
+    no channels), a value of the wrong type InvalidParameter."""
+    entries = _list(_object(doc, what, ("channels",))["channels"], f"{what}: 'channels'")
+    if not entries:
+        raise EmptyDataset(f"{what} lists no channels")
+    specs = []
+    for i, entry in enumerate(entries):
+        where = f"channel entry {i}"
+        entry = _object(entry, where, ("name", source, "alphabet"))
+        name = _string(entry["name"], f"{where}: 'name'")
+        value = check(entry[source], f"{where}: {source!r}")
+        specs.append((name, value, _alphabet(entry, "alphabet", where)))
+    return specs
+
+
+@contextmanager
+def _open_text(path, what: str):
+    """``path`` open as UTF-8 text for a ``with`` block that only reads it.  A
+    file that cannot be opened or read, or is not UTF-8, raises
+    UnreadableFile naming it as the ``what`` it should hold."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, ValueError) as err:  # ValueError: not UTF-8, or a NUL in the path
+        reason = getattr(err, "strerror", None) or err  # strerror leaves out the path
+        raise UnreadableFile(f"{what} {str(path)!r} cannot be read: {reason}") from err
+
+
+def _read_json(path, what: str):
+    """The JSON document in the file ``path``; a file that is not UTF-8 JSON
+    raises InvalidJson naming it as the ``what`` it should hold."""
+    with _open_text(path, what) as fh:
+        # ValueError: not UTF-8, not JSON, or too long an integer; RecursionError: too deep
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as err:
+            raise InvalidJson(f"{what} {str(path)!r} is not JSON: {err}") from err
+
+
+def _read_table(path, what: str, empty=ShapeMismatch) -> tuple[list[str], list[list[str]]]:
+    """The header and data rows of the CSV file ``path``, blank lines skipped.
+    A file without a data row raises ``empty``, rows of unequal width
+    ShapeMismatch, a file that csv cannot parse UnreadableFile."""
+    name = f"{what} {str(path)!r}"
+    with _open_text(path, what) as fh:
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except csv.Error as err:  # e.g. a field longer than csv.field_size_limit()
+            raise UnreadableFile(f"{name} is not CSV: {err}") from err
     if len(rows) < 2:
-        raise ShapeMismatch(f"{path}: expected a header row and at least one subject")
+        raise empty(f"{name} needs a header row and at least one data row")
     header, data = rows[0], rows[1:]
-    width = len(header)
-    for i, row in enumerate(data):
-        if len(row) != width:
-            raise ShapeMismatch(f"{path}: row {i + 1} has {len(row)} fields, expected {width}")
-    ids = [row[0] for row in data]
-    cells = [list(map(str.strip, row[1:])) for row in data]
-    return ids, cells
+    for i, row in enumerate(data, 1):
+        if len(row) != len(header):
+            raise ShapeMismatch(f"{name}: row {i} has {len(row)} fields, expected {len(header)}")
+    return header, data
+
+
+def _read_wide_csv(path: Path, what: str):
+    """Read a wide sequence CSV: header row, then one row of id + T tokens."""
+    _, data = _read_table(path, what)
+    return [row[0] for row in data], [list(map(str.strip, row[1:])) for row in data]
 
 
 def _load_covariates(path: Path, subject_ids: Sequence[str]) -> CovariateDesign:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if len(rows) < 2:
-        raise MissingCovariate(f"{path}: no covariate rows")
-    header, data = rows[0], rows[1:]
-    by_id = {}
-    for row in data:
-        if len(row) != len(header):
-            raise ShapeMismatch(f"{path}: ragged covariate row {row!r}")
-        by_id[row[0]] = row[1:]
+    header, data = _read_table(path, "covariate CSV", MissingCovariate)
+    by_id = {row[0]: row[1:] for row in data}
     X = np.ones((len(subject_ids), len(header)))
     for i, sid in enumerate(subject_ids):
         if sid not in by_id:
@@ -296,50 +374,7 @@ def _load_covariates(path: Path, subject_ids: Sequence[str]) -> CovariateDesign:
                 raise MissingCovariate(
                     f"{path}: non-numeric covariate {cell!r} for subject {sid!r}"
                 ) from None
-    names = (INTERCEPT_NAME, *header[1:])
-    return CovariateDesign(names, X)
-
-
-def _channel_specs(doc, what: str, source: str) -> list[dict]:
-    """The channel entries of ``doc``, a manifest or a dataset document, as
-    ``what`` names it, checked for the keys and types the readers use: each
-    entry needs ``name``, ``alphabet`` and ``source`` (the manifest's
-    "csv", the dataset document's "rows").  A malformed structure raises
-    ShapeMismatch (or EmptyDataset for no channels), a value of the wrong
-    type InvalidParameter."""
-    if not isinstance(doc, dict):
-        raise ShapeMismatch(f"{what} must be a JSON object")
-    specs = doc.get("channels")
-    if not isinstance(specs, list):
-        raise ShapeMismatch(f"{what} needs a 'channels' list")
-    if not specs:
-        raise EmptyDataset(f"{what} lists no channels")
-    for i, spec in enumerate(specs):
-        if not isinstance(spec, dict):
-            raise ShapeMismatch(f"channel entry {i} must be a JSON object")
-        for key in ("name", source, "alphabet"):
-            if key not in spec:
-                raise ShapeMismatch(f"channel entry {i} lacks {key!r}")
-        for key in ("name", "csv", "missing_token"):
-            if key in spec and not isinstance(spec[key], str):
-                raise InvalidParameter(
-                    f"channel entry {i}: {key!r} must be a string, "
-                    f"not {type(spec[key]).__name__}"
-                )
-        labels = spec["alphabet"]
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise InvalidParameter(f"channel entry {i}: 'alphabet' must be a list of strings")
-    return specs
-
-
-def _read_json(path, what: str):
-    """The JSON document in the file ``path``; a file that is not UTF-8 JSON
-    raises InvalidJson naming it as the ``what`` it should hold."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise InvalidJson(f"{what} {str(path)!r} is not JSON: {err}") from err
+    return CovariateDesign((INTERCEPT_NAME, *header[1:]), X)
 
 
 def ingest_dataset(manifest_path) -> tuple[SequenceDataset, Optional[CovariateDesign]]:
@@ -350,7 +385,7 @@ def ingest_dataset(manifest_path) -> tuple[SequenceDataset, Optional[CovariateDe
     manifest.  All channels must agree on subject ids and sequence length.
     A manifest that is not JSON raises InvalidJson; one of the wrong
     structure raises ShapeMismatch, EmptyDataset or InvalidParameter (see
-    ``_channel_specs``).
+    ``_channel_specs``); a file that cannot be read UnreadableFile.
 
     Returns
     -------
@@ -358,32 +393,24 @@ def ingest_dataset(manifest_path) -> tuple[SequenceDataset, Optional[CovariateDe
     """
     manifest_path = Path(manifest_path)
     manifest = _read_json(manifest_path, "manifest")
-    specs = _channel_specs(manifest, "manifest", "csv")
+    specs = _channel_specs(manifest, "manifest", "csv", _string)
     cov = manifest.get("covariates_csv")
-    if cov is not None and not isinstance(cov, str):
-        raise InvalidParameter(f"'covariates_csv' must be a string, not {type(cov).__name__}")
+    if cov is not None:
+        _string(cov, "manifest: 'covariates_csv'")
     base = manifest_path.parent
     channels = []
     ref_ids = None
-    for spec in specs:
-        alpha = define_alphabet(spec["alphabet"], spec.get("missing_token", "*"))
-        ids, cells = _read_wide_csv(base / spec["csv"])
+    for name, csv_name, alpha in specs:
+        ids, cells = _read_wide_csv(base / csv_name, f"channel {name!r} CSV")
         if ref_ids is None:
             ref_ids = ids
         elif ids != ref_ids:
-            raise ShapeMismatch(
-                f"channel {spec['name']!r}: subject ids disagree with first channel"
-            )
+            raise ShapeMismatch(f"channel {name!r}: subject ids disagree with first channel")
         if channels and len(cells[0]) != channels[0].codes.shape[1]:
-            raise ShapeMismatch(
-                f"channel {spec['name']!r}: sequence length disagrees with first channel"
-            )
-        codes = _code_rows(alpha, cells, spec["name"])
-        channels.append(Channel(spec["name"], alpha, codes))
+            raise ShapeMismatch(f"channel {name!r}: sequence length disagrees with first channel")
+        channels.append(Channel(name, alpha, _code_rows(alpha, cells, name)))
     data = SequenceDataset(tuple(channels), tuple(ref_ids))
-    design = None
-    if manifest.get("covariates_csv"):
-        design = _load_covariates(base / manifest["covariates_csv"], data.subject_ids)
+    design = _load_covariates(base / cov, data.subject_ids) if cov else None
     return data, design
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ShapeMismatch
 from .model import HmmModel, MixtureModel, build_mhmm, mixture_weights
 from .seqdata import (
     MISSING,
@@ -52,9 +52,9 @@ class SimSpec:
 
     def __post_init__(self):
         if min(self.n_subjects, self.n_time, self.n_states, self.n_clusters) < 1:
-            raise ValueError("all dimensions must be positive")
+            raise InvalidParameter("all dimensions must be positive")
         if any(m < 1 for m in self.n_symbols):
-            raise ValueError("every channel needs at least one symbol")
+            raise InvalidParameter("every channel needs at least one symbol")
 
 
 def _default_alphabets(n_symbols) -> tuple[Alphabet, ...]:
@@ -158,7 +158,9 @@ def _lockstep(u, cum_init, cum_trans, cum_emis, n_time, missing_rate):
     return z, codes
 
 
-def _check_request(n_subjects, n_time, missing_rate) -> None:
+def _check_request(n_subjects, n_time, seed, missing_rate) -> None:
+    if seed < 0:  # numpy seeds only from integers >= 0
+        raise InvalidParameter(f"seed must be >= 0, got {seed!r}")
     if n_subjects < 1 or n_time < 1:
         raise InvalidParameter(
             f"n_subjects and n_time must be positive, got {n_subjects!r} and {n_time!r}"
@@ -226,7 +228,7 @@ def simulate_hmm_data(
     missing_rate: float = 0.0,
 ) -> tuple[SequenceDataset, np.ndarray]:
     """Sample observations and hidden paths from a fixed HMM."""
-    _check_request(n_subjects, n_time, missing_rate)
+    _check_request(n_subjects, n_time, seed, missing_rate)
     paths, codes, _ = _simulate(
         [_tables(model)], (0,), None, n_subjects, n_time, seed, missing_rate
     )
@@ -247,11 +249,11 @@ def simulate_mhmm_data(
     blocks stacked), and 0-based cluster labels.  With a single cluster the
     output is identical to ``simulate_hmm_data`` on that cluster.
     """
-    _check_request(n_subjects, n_time, missing_rate)
+    _check_request(n_subjects, n_time, seed, missing_rate)
     if design is None:
         design = CovariateDesign.intercept(n_subjects)
     if design.n_subjects != n_subjects:
-        raise ValueError("design rows must match n_subjects")
+        raise ShapeMismatch(f"{design.n_subjects} design rows for {n_subjects} subjects")
     w = mixture_weights(mix.gamma, design.X)
     cum_w = _cumulative_rows(w) if mix.n_clusters > 1 else None
     paths, codes, labels = _simulate(

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -195,7 +196,8 @@ class TestLoglik:
         )
         assert code == 1
         last = (out / "run.log").read_text().splitlines()[-1]
-        assert last.startswith("error: FileNotFoundError")
+        nope = str(tmp_path / "nope.json")
+        assert last.startswith(f"error: UnreadableFile: manifest {nope!r} cannot be read: ")
 
     def test_model_row_not_summing_to_one_exits_one(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, [("work", ["a", "b"], [["a", "b"]])])
@@ -276,6 +278,73 @@ class TestLoglik:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("ShapeMismatch")
+
+
+class TestUnreadableInput:
+    """Each input file of a run, broken in turn: exit 1 with a typed error
+    that names the file."""
+
+    @staticmethod
+    def _loglik(tmp_path, broken=None, content=None):
+        manifest = write_manifest(
+            tmp_path,
+            [("work", ["a", "b"], [["a", "b"], ["b", "a"]])],
+            covariate_rows=[[0.5], [1.0]],
+            covariate_names=["age"],
+        )
+        model = _model_file(tmp_path, _coin_model())
+        if broken is not None:
+            (tmp_path / broken).unlink()
+            if content == "directory":
+                (tmp_path / broken).mkdir()
+            elif content is not None:
+                (tmp_path / broken).write_bytes(content)
+        out = tmp_path / "out"
+        code = main(
+            ["loglik", "--manifest", str(manifest), "--model", str(model), "--out", str(out)]
+        )
+        return code, (out / "run.log").read_text().splitlines()[-1]
+
+    def test_intact_files_exit_zero(self, tmp_path):
+        assert self._loglik(tmp_path)[0] == 0
+
+    @pytest.mark.parametrize("content", [None, "directory", b"id,t1,t2\ns1,a,\xff\n"])
+    @pytest.mark.parametrize(
+        "broken", ["work.csv", "covariates.csv", "manifest.json", "model.json"]
+    )
+    def test_missing_directory_or_not_utf8_exits_one(self, tmp_path, broken, content):
+        code, last = self._loglik(tmp_path, broken, content)
+        assert code == 1
+        # a manifest or model file that is not UTF-8 is not JSON either
+        not_json = isinstance(content, bytes) and broken.endswith(".json")
+        error = "InvalidJson" if not_json else "UnreadableFile"
+        assert last.startswith(f"error: {error}: ")
+        assert repr(str(tmp_path / broken)) in last
+
+    @pytest.mark.parametrize("broken", ["work.csv", "covariates.csv"])
+    def test_field_over_csv_limit_exits_one(self, tmp_path, broken):
+        cell = "a" * (csv.field_size_limit() + 1)
+        code, last = self._loglik(tmp_path, broken, f"id,t1,t2\ns1,a,{cell}\n".encode())
+        assert code == 1
+        assert last.startswith("error: UnreadableFile: ")
+        assert "field larger than field limit" in last
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n-subjects", "2", "--n-time", "3", "--seed", "-1"],
+        ["fit", "--manifest", "MANIFEST", "--restarts", "1", "--seed", "-5"],
+    ],
+)
+def test_negative_seed_exits_one(workspace, argv):
+    tmp_path, manifest = workspace
+    mpath = _model_file(tmp_path, _coin_model())
+    out = tmp_path / "out"
+    argv = [str(manifest) if a == "MANIFEST" else a for a in argv]
+    assert main([*argv, "--model", str(mpath), "--out", str(out)]) == 1
+    last = (out / "run.log").read_text().splitlines()[-1]
+    assert last.startswith("error: InvalidParameter: ") and "seed" in last
 
 
 class TestFit:

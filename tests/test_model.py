@@ -498,6 +498,19 @@ class TestSerialization:
         with pytest.raises(ShapeMismatch, match="rows of unequal length"):
             model_from_json(doc)
 
+    @pytest.mark.parametrize("key", ["initial", "zero_mask"])
+    def test_deeply_nested_array_rejected_on_load(self, key):
+        doc = json.loads(json.dumps(model_to_json(_two_state_model())))
+        deep = 1
+        for _ in range(5000):
+            deep = [deep]
+        if key == "initial":
+            doc["initial"] = deep
+        else:
+            doc["zero_mask"]["initial"] = deep
+        with pytest.raises((InvalidParameter, DimensionMismatch), match="initial"):
+            model_from_json(doc)
+
     @pytest.mark.parametrize("bad", ["x", "", None, {"p": 1}])
     def test_non_numeric_entry_rejected_on_load(self, bad):
         doc = json.loads(json.dumps(model_to_json(_two_state_model())))

@@ -347,13 +347,15 @@ class TestCliFuzz:
 # fuzzed manifest documents through the CLI
 # ----------------------------------------------------------------------
 
-# Every string the fuzzer writes names a file that exists, so a mutated
-# "csv" entry reads some CSV: a missing file is an OSError, reported as such,
-# and not a malformed manifest.
+# The strings the fuzzer writes name files, so a mutated "csv" or
+# "covariates_csv" entry reads a copy of one of the manifest's CSVs, a file
+# that does not exist (GONE) or a directory (FOLDER).
 FILES = {
     "work.csv": "work", "home.csv": "home", "covariates.csv": "cov",
     "a": "work", "b": "home", "x": "cov", "y": "work", "*": "cov",
 }
+GONE, FOLDER = "gone.csv", "folder"
+NAMES = sorted(FILES) + [GONE, FOLDER]
 KEYS = ["channels", "name", "csv", "alphabet", "missing_token", "covariates_csv", "id_column"]
 
 
@@ -387,6 +389,7 @@ def _base_manifest(tmp):
     for name, source in FILES.items():
         src = {"cov": "covariates.csv"}.get(source, f"{source}.csv")
         (tmp / name).write_bytes((tmp / src).read_bytes())
+    (tmp / FOLDER).mkdir()
     return json.loads((tmp / "manifest.json").read_text())
 
 
@@ -432,13 +435,19 @@ def structure_edits(draw, strings, keys):
     return edits
 
 
+# files named in place of channel 0's or 1's CSV (0, 1) or the covariate CSV (None)
+named_files = st.dictionaries(st.sampled_from([0, 1, None]), st.sampled_from(NAMES), max_size=3)
+
+
 class TestManifestFuzz:
-    @settings(SETTINGS, max_examples=100)
-    @given(structure_edits(sorted(FILES), KEYS))
-    def test_validate_exits_cleanly(self, edits):
+    @staticmethod
+    def _validate(files, edits):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             doc = _base_manifest(tmp)
+            for c, name in files.items():
+                entry = doc if c is None else doc["channels"][c]
+                entry["covariates_csv" if c is None else "csv"] = name
             for edit in edits:
                 doc = edit(doc)
             (tmp / "manifest.json").write_text(json.dumps(doc))
@@ -447,6 +456,16 @@ class TestManifestFuzz:
             _assert_clean_exit(code, out)
             if code == 0:
                 assert (out / "validate_result.json").exists()
+
+    @settings(SETTINGS, max_examples=100)
+    @given(named_files, structure_edits(NAMES, KEYS))
+    def test_validate_exits_cleanly(self, files, edits):
+        self._validate(files, edits)
+
+    @settings(SETTINGS, max_examples=50)
+    @given(named_files)
+    def test_validate_reads_named_files_cleanly(self, files):
+        self._validate(files, [])
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from markovseq.errors import (
     MissingTokenCollision,
     ShapeMismatch,
     UnknownToken,
+    UnreadableFile,
 )
 from markovseq.seqdata import MISSING, _code_rows
 
@@ -150,6 +151,21 @@ class TestIngest:
         manifest = tmp_path / "manifest.json"
         manifest.write_bytes(content)
         with pytest.raises(InvalidJson, match="manifest .*manifest.json.* is not JSON"):
+            ingest_dataset(manifest)
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, '{"channels": ' + "1" * 5000 + "}"], ids=["deep", "long int"]
+    )
+    def test_json_python_cannot_parse_raises_invalid_json(self, tmp_path, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        with pytest.raises(InvalidJson, match="manifest .*manifest.json.* is not JSON"):
+            ingest_dataset(manifest)
+
+    def test_nul_in_csv_path_raises_unreadable_file(self, tmp_path):
+        manifest = write_manifest(tmp_path, [("work", ["a", "b"], [["a", "b"]])])
+        manifest.write_text(json.dumps(_edit_entry(json.loads(manifest.read_text()), csv="w\0")))
+        with pytest.raises(UnreadableFile, match="channel 'work' CSV .* cannot be read"):
             ingest_dataset(manifest)
 
     @pytest.mark.parametrize(

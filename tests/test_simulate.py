@@ -10,7 +10,7 @@ from markovseq import (
     simulate_mhmm_data,
     simulate_parameters,
 )
-from markovseq.errors import InvalidParameter
+from markovseq.errors import InvalidParameter, ShapeMismatch
 from markovseq.seqdata import MISSING
 
 from helpers import make_alphabets, random_hmm
@@ -141,6 +141,14 @@ class TestSimulateMhmm:
             assert (paths[i] < offsets[k + 1]).all()
 
 
+_SPEC = dict(n_subjects=4, n_time=3, seed=0, n_states=2, n_symbols=(3,))
+
+
+def _simulate_with_design_rows(n_rows):
+    mix = build_mhmm([random_hmm(np.random.default_rng(5), 2, [3])] * 2)
+    return simulate_mhmm_data(mix, CovariateDesign.intercept(n_rows), 4, 3, 0)
+
+
 class TestMissingRateRange:
     @pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5])
     def test_rate_outside_unit_interval_rejected(self, rate):
@@ -157,6 +165,20 @@ class TestMissingRateRange:
             simulate_hmm_data(model, n_subjects, n_time, 0)
         with pytest.raises(InvalidParameter, match="n_subjects and n_time"):
             simulate_mhmm_data(build_mhmm([model, model]), None, n_subjects, n_time, 0)
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: SimSpec(**{**_SPEC, "n_subjects": 0}), InvalidParameter),
+            (lambda: SimSpec(**{**_SPEC, "n_states": 0}), InvalidParameter),
+            (lambda: SimSpec(**{**_SPEC, "n_symbols": (3, 0)}), InvalidParameter),
+            (lambda: _simulate_with_design_rows(3), ShapeMismatch),
+        ],
+        ids=["n_subjects", "n_states", "n_symbols", "design rows"],
+    )
+    def test_bad_request_raises_typed_error(self, call, error):
+        with pytest.raises(error):
+            call()
 
     def test_unit_interval_ends_accepted(self):
         model = random_hmm(np.random.default_rng(5), 2, [3, 2])
