@@ -367,25 +367,51 @@ def _cmd_viterbi(args, out: Path, log) -> int:
     return 0
 
 
+# Size of the row matrix for one block of subjects in _posterior_csv; it keeps
+# the block's temporaries at a few MB, so the stage's peak memory does not grow.
+_BLOCK_BYTES = 1 << 18
+
+
+def _byte_rows(texts) -> np.ndarray:
+    """UTF-8 ``texts`` as the rows of a uint8 matrix, padded with 0xFF."""
+    raw = [t.encode() for t in texts]
+    width = max(1, max(map(len, raw), default=0))
+    rows = np.frombuffer(b"".join(r.ljust(width, b"\xff") for r in raw), np.uint8)
+    return rows.reshape(len(raw), width)
+
+
 def _posterior_csv(subject_ids, state_names, post) -> str:
     """Posterior table text for an (N, T, S) array of state probabilities.
 
-    One ``subject_id,t,p_1,...,p_S`` row per cell.  Each subject's T rows
-    come from one %-format call; ``'%.17g' % v`` renders v exactly as
-    ``format(v, '.17g')`` does.
+    One ``subject_id,t,p_1,...,p_S`` row per cell, each probability as the
+    bytes of ``'%.17g' % p``, computed for a block of subjects at a time by
+    ``floattext.g17_fields`` (exact double-double digits, with '%.17g'
+    itself as the fallback within 2**-40 of a tie or a decade edge and for
+    inf and nan).  A block's rows are laid out as a byte matrix of about
+    ``_BLOCK_BYTES``: id, ``,t,`` and fields, padded with 0xFF, which is
+    then deleted.
     """
-    _, T, S = post.shape
-    block = ("%s" + ",".join(["%.17g"] * S) + "\n") * T
-    width = S + 1
-    times = [f",{t}," for t in range(1, T + 1)]
-    parts = ["subject_id,t," + ",".join(state_names) + "\n"]
-    for sid, probs in zip(subject_ids, post):
-        cells = [None] * (T * width)
-        cells[0::width] = [sid + t for t in times]
-        for s, column in enumerate(probs.T.tolist()):
-            cells[s + 1 :: width] = column
-        parts.append(block % tuple(cells))
-    return "".join(parts)
+    # imported here, so that stages writing no posterior CSV never compile it
+    from .floattext import WIDTH, g17_fields
+
+    N, T, S = post.shape
+    ids = _byte_rows(subject_ids)
+    times = _byte_rows([f",{t}," for t in range(1, T + 1)])
+    seps = np.full(S, ord(","), np.uint8)
+    seps[-1:] = ord("\n")
+    head = ids.shape[1] + times.shape[1]
+    width = head + S * WIDTH
+    text = bytearray(("subject_id,t," + ",".join(state_names) + "\n").encode())
+    step = max(1, _BLOCK_BYTES // max(1, T * width))
+    for i in range(0, N, step):
+        fields = g17_fields(post[i : i + step], seps)
+        n = fields.shape[0]
+        rows = np.empty((n, T, width), np.uint8)
+        rows[:, :, : ids.shape[1]] = ids[i : i + n, None]
+        rows[:, :, ids.shape[1] : head] = times
+        rows[:, :, head:] = fields.reshape(n, T, S * WIDTH)
+        text += rows.tobytes().translate(None, b"\xff")
+    return text.decode()
 
 
 def _cmd_posterior(args, out: Path, log) -> int:

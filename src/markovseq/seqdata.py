@@ -362,7 +362,17 @@ def _read_wide_csv(path: Path, what: str):
 
 def _load_covariates(path: Path, subject_ids: Sequence[str]) -> CovariateDesign:
     header, data = _read_table(path, "covariate CSV", MissingCovariate)
-    by_id = {row[0]: row[1:] for row in data}
+    names = (INTERCEPT_NAME, *header[1:])
+    if len(set(names)) != len(names):
+        raise DuplicateLabel(
+            f"{path}: covariate columns must be distinct and not {INTERCEPT_NAME!r}: "
+            f"{list(header[1:])}"
+        )
+    by_id = {}
+    for row in data:
+        if row[0] in by_id:
+            raise ShapeMismatch(f"{path}: covariate rows for subject {row[0]!r} repeat")
+        by_id[row[0]] = row[1:]
     X = np.ones((len(subject_ids), len(header)))
     for i, sid in enumerate(subject_ids):
         if sid not in by_id:
@@ -374,7 +384,7 @@ def _load_covariates(path: Path, subject_ids: Sequence[str]) -> CovariateDesign:
                 raise MissingCovariate(
                     f"{path}: non-numeric covariate {cell!r} for subject {sid!r}"
                 ) from None
-    return CovariateDesign((INTERCEPT_NAME, *header[1:]), X)
+    return CovariateDesign(names, X)
 
 
 def ingest_dataset(manifest_path) -> tuple[SequenceDataset, Optional[CovariateDesign]]:

@@ -51,6 +51,7 @@ class SimSpec:
     left_to_right: bool = False
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if min(self.n_subjects, self.n_time, self.n_states, self.n_clusters) < 1:
             raise InvalidParameter("all dimensions must be positive")
         if any(m < 1 for m in self.n_symbols):
@@ -158,9 +159,13 @@ def _lockstep(u, cum_init, cum_trans, cum_emis, n_time, missing_rate):
     return z, codes
 
 
-def _check_request(n_subjects, n_time, seed, missing_rate) -> None:
+def _check_seed(seed) -> None:
     if seed < 0:  # numpy seeds only from integers >= 0
         raise InvalidParameter(f"seed must be >= 0, got {seed!r}")
+
+
+def _check_request(n_subjects, n_time, seed, missing_rate) -> None:
+    _check_seed(seed)
     if n_subjects < 1 or n_time < 1:
         raise InvalidParameter(
             f"n_subjects and n_time must be positive, got {n_subjects!r} and {n_time!r}"

@@ -331,6 +331,30 @@ class TestUnreadableInput:
 
 
 @pytest.mark.parametrize(
+    "text, error",
+    [
+        ("id,x\ns1,1\ns2,2\ns1,5\n", "ShapeMismatch"),
+        ("id,x,x\ns1,1,2\ns2,3,4\n", "DuplicateLabel"),
+        ("id,(Intercept)\ns1,1\ns2,1\n", "DuplicateLabel"),
+    ],
+    ids=["repeated id", "repeated column", "intercept column"],
+)
+def test_validate_rejects_covariate_duplicates(tmp_path, capsys, text, error):
+    manifest = write_manifest(
+        tmp_path,
+        [("work", ["a", "b"], [["a", "b"], ["b", "a"]])],
+        covariate_rows=[[0.5], [1.0]],
+        covariate_names=["x"],
+    )
+    (tmp_path / "covariates.csv").write_text(text)
+    out = tmp_path / "out"
+    assert main(["validate", "--manifest", str(manifest), "--out", str(out)]) == 1
+    last = (out / "run.log").read_text().splitlines()[-1]
+    assert last.startswith(f"error: {error}: ")
+    assert f"{error}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "--n-subjects", "2", "--n-time", "3", "--seed", "-1"],
@@ -590,6 +614,27 @@ class TestPosterior:
                 lines.append(f"{sid},{t + 1},{vals}")
         want = "\n".join(lines) + "\n"
         assert _posterior_csv(ids, names, post).encode() == want.encode()
+
+    @pytest.mark.parametrize("mode", ["scaled", "logspace"])
+    @pytest.mark.parametrize("mixture", [False, True])
+    def test_csv_stdout_matches_file(self, workspace, capsys, mode, mixture):
+        tmp_path, manifest = workspace
+        clusters = [
+            build_hmm(_coin_model().alphabets, n_states=2, rng_seed=k, channel_names=("work",))
+            for k in (1, 2)
+        ]
+        model = build_mhmm(clusters, gamma=[[0.0, 0.2]]) if mixture else clusters[0]
+        mpath = _model_file(tmp_path, model)
+        out = tmp_path / "out"
+        code = main(
+            ["posterior", "--manifest", str(manifest), "--model", str(mpath), "--out", str(out),
+             "--mode", mode, "--format", "csv"]
+        )
+        assert code == 0
+        text = (out / "posterior.csv").read_bytes()
+        assert text.count(b"\n") == 1 + 2 * 4
+        assert capsys.readouterr().out.encode() == text
+
 
 class TestSummaryAndSimulate:
     def test_summary_requires_mixture(self, workspace, capsys):

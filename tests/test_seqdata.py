@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,26 @@ class TestIngest:
         )
         with pytest.raises(error):
             SequenceDataset.from_json(edit(data.to_json()))
+
+    @pytest.mark.parametrize(
+        "text, error, named",
+        [
+            ("id,x\ns1,1\ns2,2\ns1,5\n", ShapeMismatch, "'s1'"),
+            ("id,x,x\ns1,1,2\ns2,3,4\n", DuplicateLabel, "'x', 'x'"),
+            ("id,(Intercept)\ns1,1\ns2,1\n", DuplicateLabel, "'(Intercept)'"),
+        ],
+        ids=["repeated id", "repeated column", "intercept column"],
+    )
+    def test_covariate_csv_duplicates_rejected(self, tmp_path, text, error, named):
+        manifest = write_manifest(
+            tmp_path,
+            [("work", ["a", "b"], [["a", "b"], ["b", "a"]])],
+            covariate_rows=[[1.5], [-0.5]],
+            covariate_names=["x"],
+        )
+        (tmp_path / "covariates.csv").write_text(text)
+        with pytest.raises(error, match=re.escape(named)):
+            ingest_dataset(manifest)
 
     def test_roundtrip_through_json(self, tmp_path):
         manifest = write_manifest(

@@ -180,6 +180,11 @@ class TestMissingRateRange:
         with pytest.raises(error):
             call()
 
+    def test_negative_spec_seed_rejected_before_drawing(self):
+        with pytest.raises(InvalidParameter, match=r"seed must be >= 0, got -1"):
+            SimSpec(10, 5, -1, 2, (3,))
+        assert SimSpec(10, 5, 0, 2, (3,)).seed == 0
+
     def test_unit_interval_ends_accepted(self):
         model = random_hmm(np.random.default_rng(5), 2, [3, 2])
         none, _ = simulate_hmm_data(model, 4, 3, 0, missing_rate=0.0)
