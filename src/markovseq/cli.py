@@ -5,8 +5,10 @@ human-readable ``run.log`` into the output directory.  Artifacts are a
 deterministic function of the inputs and flags; in particular the thread
 count never appears in them, so reruns with different ``--threads`` are
 byte-identical.  Exit codes: 0 success, 2 usage errors, 1 a ``MarkovSeqError``
-(bad data or model, or ``UnreadableFile`` for an input file that cannot be
-read), named on stderr and last in ``run.log``; anything else is a bug.
+(bad data or model, ``UnreadableFile`` for an input file that cannot be read,
+or ``UnwritableOutput`` for an ``--out`` directory or artifact that cannot be
+written), named on stderr and last in ``run.log`` where that can be written;
+anything else is a bug.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import MarkovSeqError, MissingCovariate
+from .errors import MarkovSeqError, MissingCovariate, UnwritableOutput
 from .estimation import FitControl, fit_model
 from .inference import (
     information_criteria,
@@ -132,16 +135,28 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
+@contextmanager
+def _writing(path: Path):
+    """A ``with`` block that creates or writes ``path``, the output directory
+    or an artifact in it; an OSError raises UnwritableOutput naming it."""
+    try:
+        yield
+    except OSError as err:
+        reason = err.strerror or err  # strerror leaves out the path
+        raise UnwritableOutput(f"output {str(path)!r} cannot be written: {reason}") from err
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _writing(path):
+        path.write_text(text, encoding="utf-8")
+
+
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
 def _write_log(out: Path, lines) -> None:
-    with open(out / "run.log", "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    _write_text(out / "run.log", "".join(line + "\n" for line in lines))
 
 
 def _load_model(path):
@@ -198,14 +213,14 @@ def _dataset_json(data: SequenceDataset) -> str:
 
 def _write_dataset_files(data: SequenceDataset, out: Path, stem: str):
     """Dataset JSON + per-channel wide CSVs + a manifest that re-ingests them."""
-    (out / f"{stem}.json").write_text(_dataset_json(data) + "\n", encoding="utf-8")
+    _write_text(out / f"{stem}.json", _dataset_json(data) + "\n")
     channel_entries = []
     for ch in data.channels:
         fname = f"{stem}_{_safe_name(ch.name)}.csv"
-        with open(out / fname, "w", encoding="utf-8") as fh:
-            fh.write("id," + ",".join(f"t{t + 1}" for t in range(data.n_time)) + "\n")
-            for sid, toks in zip(data.subject_ids, ch.alphabet.tokens(ch.codes).tolist()):
-                fh.write(sid + "," + ",".join(toks) + "\n")
+        lines = ["id," + ",".join(f"t{t + 1}" for t in range(data.n_time))]
+        for sid, toks in zip(data.subject_ids, ch.alphabet.tokens(ch.codes).tolist()):
+            lines.append(sid + "," + ",".join(toks))
+        _write_text(out / fname, "\n".join(lines) + "\n")
         channel_entries.append(
             {
                 "name": ch.name,
@@ -351,7 +366,7 @@ def _cmd_viterbi(args, out: Path, log) -> int:
     if res.clusters is not None:
         clusters = [model.cluster_names[k] for k in res.clusters]
     text = _paths_csv(data.subject_ids, _state_names_for(model, design), res.paths, clusters)
-    (out / "paths.csv").write_text(text, encoding="utf-8")
+    _write_text(out / "paths.csv", text)
     _write_json(
         out / "viterbi_result.json",
         {
@@ -420,7 +435,7 @@ def _cmd_posterior(args, out: Path, log) -> int:
     design = _resolve_design(model, cov, data.n_subjects)
     post = posterior_state_probs(model, data, design, _inference_mode(args), args.threads)
     text = _posterior_csv(data.subject_ids, _state_names_for(model, design), post)
-    (out / "posterior.csv").write_text(text, encoding="utf-8")
+    _write_text(out / "posterior.csv", text)
     _write_json(out / "posterior_result.json", {"posterior_csv": "posterior.csv"})
     log.append(f"posterior: wrote {data.n_subjects * data.n_time} rows")
     if args.format == "csv":
@@ -439,7 +454,7 @@ def _cmd_summary(args, out: Path, log) -> int:
     design = _resolve_design(model, cov, data.n_subjects)
     report = mixture_summary(model, data, design, _inference_mode(args))
     text = report.to_text()
-    (out / "summary.txt").write_text(text, encoding="utf-8")
+    _write_text(out / "summary.txt", text)
     _write_json(out / "summary_result.json", report.to_dict())
     log.append(f"summary: loglik {report.loglik!r}, bic {report.bic!r}")
     log.extend(report.diagnostics)
@@ -459,16 +474,14 @@ def _cmd_simulate(args, out: Path, log) -> int:
             f"{sid},{model.cluster_names[labels[i]]}"
             for i, sid in enumerate(data.subject_ids)
         ]
-        (out / "clusters.csv").write_text("\n".join(clines) + "\n", encoding="utf-8")
+        _write_text(out / "clusters.csv", "\n".join(clines) + "\n")
     else:
         data, paths = simulate_hmm_data(
             model, args.n_subjects, args.n_time, args.seed, args.missing_rate
         )
         names = model.state_names
     _write_dataset_files(data, out, "dataset")
-    (out / "paths.csv").write_text(
-        _paths_csv(data.subject_ids, names, paths), encoding="utf-8"
-    )
+    _write_text(out / "paths.csv", _paths_csv(data.subject_ids, names, paths))
     _write_json(
         out / "simulate_result.json",
         {
@@ -527,7 +540,7 @@ def _cmd_trim(args, out: Path, log) -> int:
 def _cmd_plot(args, out: Path, log) -> int:
     data, _ = ingest_dataset(args.manifest)
     svg = render_state_distribution_svg(data)
-    (out / "plot.svg").write_text(svg, encoding="utf-8")
+    _write_text(out / "plot.svg", svg)
     _write_json(out / "plot_result.json", {"svg": "plot.svg"})
     log.append(f"plot: {data.n_channels} panels")
     _emit(args, [log[-1]], {"svg": "plot.svg"})
@@ -556,17 +569,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     log: list[str] = [f"markovseq {args.command}"]
     try:
+        with _writing(out):
+            out.mkdir(parents=True, exist_ok=True)
         code = _HANDLERS[args.command](args, out, log)
+        _write_log(out, log)
+        return code
     except MarkovSeqError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         log.append(f"error: {type(err).__name__}: {err}")
-        _write_log(out, log)
+        with suppress(UnwritableOutput):  # e.g. no --out directory; stderr has the error
+            _write_log(out, log)
         return 1
-    _write_log(out, log)
-    return code
 
 
 def entry_point() -> None:

@@ -45,6 +45,11 @@ class UnreadableFile(MarkovSeqError):
     file) cannot be parsed as CSV; the message names the file."""
 
 
+class UnwritableOutput(MarkovSeqError):
+    """An output directory that cannot be created, or an artifact in it
+    that cannot be written; the message names the path."""
+
+
 # -- model construction -------------------------------------------------
 
 

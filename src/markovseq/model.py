@@ -196,6 +196,8 @@ class MixtureModel:
             raise DimensionMismatch("one name per cluster required")
         if len(set(self.cluster_names)) != len(clusters):
             raise DuplicateLabel(f"duplicate cluster names: {self.cluster_names}")
+        if len(set(self.design_names)) != len(self.design_names):
+            raise DuplicateLabel(f"duplicate covariate names: {self.design_names}")
         combined = _combined_state_names(self.cluster_names, clusters)
         if len(set(combined)) != len(combined):
             twice = sorted({name for name in combined if combined.count(name) > 1})

@@ -5,6 +5,11 @@ channels.  Each channel has its own alphabet of categorical labels;
 observations are stored as integer codes with ``MISSING`` (-1) marking
 unobserved cells.  Sequences of unequal length are represented by leading
 or trailing missing codes.
+
+A channel CSV of plain ASCII is coded by a byte-level numpy path; every
+other channel CSV, and every covariate CSV, goes through the ``csv``
+module.  Both give the same ids, codes and typed errors: the byte path
+declines any file on which they could differ.
 """
 
 from __future__ import annotations
@@ -228,6 +233,8 @@ class CovariateDesign:
         object.__setattr__(self, "names", names)
         if X.ndim != 2 or X.shape[1] != len(names):
             raise ShapeMismatch("design matrix columns must match names")
+        if len(set(names)) != len(names):
+            raise DuplicateLabel(f"duplicate covariate names: {names}")
         if not np.all(np.isfinite(X)):
             raise MissingCovariate("covariates must be completely observed")
         if not np.all(X[:, 0] == 1.0):
@@ -360,6 +367,72 @@ def _read_wide_csv(path: Path, what: str):
     return [row[0] for row in data], [list(map(str.strip, row[1:])) for row in data]
 
 
+# Byte classes for _code_csv_bytes: 0 declines the file, 1 is part of a field,
+# 2 ends a field, 3 ends a field and a row.  Only printable ASCII other than
+# space and '"' is part of a field; tab, '\r', NUL and bytes >= 0x7f decline.
+_BYTE_CLASS = np.zeros(256, np.uint8)
+_BYTE_CLASS[0x21:0x7F] = 1
+_BYTE_CLASS[[ord('"'), ord(","), ord("\n")]] = 0, 2, 3
+# _KEY_MASK[n] keeps the first n bytes of a little-endian uint64
+_KEY_MASK = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+
+
+def _code_csv_bytes(path: Path, alpha: Alphabet):
+    """The ``(ids, codes)`` that ``_read_wide_csv`` and ``_code_rows`` give for
+    the wide CSV ``path``, computed from its bytes in numpy; or None, and the
+    caller takes that path, which also raises every error.
+
+    It codes a file only if its bytes are newlines and printable ASCII other
+    than space and '"', it has a data row, and it has no blank line, empty
+    field, ragged row, field over ``csv.field_size_limit()`` or token other
+    than a label or the missing token, each of at most 8 bytes.  On such a
+    file ``csv.reader`` and ``str.strip`` cannot differ from splitting on
+    commas and newlines.  Each token is packed into a uint64 key and found by
+    ``np.searchsorted`` among the keys of the labels and the missing token.
+    """
+    table = {}
+    for code, label in ((MISSING, alpha.missing_token), *enumerate(alpha.labels)):
+        raw = label.encode()
+        if len(raw) > 8 or b"\0" in raw:  # a NUL would alias a shorter key
+            return None
+        table[int.from_bytes(raw, "little")] = code
+    try:
+        text = path.read_bytes()
+    except (OSError, ValueError):  # ValueError: a NUL in the path
+        return None
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    padded = np.frombuffer(text + bytes(8), np.uint8)  # 8 bytes readable from each byte
+    cls = np.take(_BYTE_CLASS, padded[: len(text)])
+    ends = np.flatnonzero(cls >= 2)
+    rows = np.flatnonzero(cls[ends] == 3)
+    width, n_rows = int(rows[0]) + 1, len(rows)
+    if (
+        not cls.all()
+        or n_rows < 2
+        or len(ends) != n_rows * width
+        or not np.array_equal(rows, np.arange(width - 1, len(ends), width))
+    ):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lens = ends - starts
+    if lens.min() == 0 or lens.max() > csv.field_size_limit():
+        return None
+    starts = starts.reshape(n_rows, width)[1:]
+    lens = lens.reshape(n_rows, width)[1:]
+    if width > 1 and lens[:, 1:].max() > 8:
+        return None
+    windows = np.ndarray((len(text),), "<u8", padded, strides=(1,))
+    keys = np.take(windows, starts[:, 1:]) & np.take(_KEY_MASK, lens[:, 1:])
+    known = np.array(sorted(table), np.uint64)
+    at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+    if not np.array_equal(np.take(known, at), keys):
+        return None
+    codes = np.take(np.array([table[k] for k in known.tolist()], np.int64), at)
+    ids = [text[s : s + n].decode() for s, n in zip(starts[:, 0].tolist(), lens[:, 0].tolist())]
+    return ids, codes
+
+
 def _load_covariates(path: Path, subject_ids: Sequence[str]) -> CovariateDesign:
     header, data = _read_table(path, "covariate CSV", MissingCovariate)
     names = (INTERCEPT_NAME, *header[1:])
@@ -393,6 +466,8 @@ def ingest_dataset(manifest_path) -> tuple[SequenceDataset, Optional[CovariateDe
     The manifest lists channels as ``{"name", "csv", "alphabet",
     "missing_token"}`` entries; CSV paths are resolved relative to the
     manifest.  All channels must agree on subject ids and sequence length.
+    A plain ASCII channel CSV is coded from its bytes (``_code_csv_bytes``),
+    any other through the ``csv`` module, with the same result and errors.
     A manifest that is not JSON raises InvalidJson; one of the wrong
     structure raises ShapeMismatch, EmptyDataset or InvalidParameter (see
     ``_channel_specs``); a file that cannot be read UnreadableFile.
@@ -411,14 +486,15 @@ def ingest_dataset(manifest_path) -> tuple[SequenceDataset, Optional[CovariateDe
     channels = []
     ref_ids = None
     for name, csv_name, alpha in specs:
-        ids, cells = _read_wide_csv(base / csv_name, f"channel {name!r} CSV")
+        coded = _code_csv_bytes(base / csv_name, alpha)
+        ids, cells = coded or _read_wide_csv(base / csv_name, f"channel {name!r} CSV")
         if ref_ids is None:
             ref_ids = ids
         elif ids != ref_ids:
             raise ShapeMismatch(f"channel {name!r}: subject ids disagree with first channel")
         if channels and len(cells[0]) != channels[0].codes.shape[1]:
             raise ShapeMismatch(f"channel {name!r}: sequence length disagrees with first channel")
-        channels.append(Channel(name, alpha, _code_rows(alpha, cells, name)))
+        channels.append(Channel(name, alpha, cells if coded else _code_rows(alpha, cells, name)))
     data = SequenceDataset(tuple(channels), tuple(ref_ids))
     design = _load_covariates(base / cov, data.subject_ids) if cov else None
     return data, design

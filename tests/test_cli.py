@@ -13,6 +13,7 @@ import markovseq
 from markovseq import (
     Alphabet,
     Channel,
+    CovariateDesign,
     SequenceDataset,
     build_hmm,
     build_mhmm,
@@ -328,6 +329,55 @@ class TestUnreadableInput:
         assert code == 1
         assert last.startswith("error: UnreadableFile: ")
         assert "field larger than field limit" in last
+
+
+class TestUnwritableOutput:
+    """An --out that cannot be created, or an artifact in it that cannot be
+    written: exit 1 with a typed error that names the path."""
+
+    @staticmethod
+    def _loglik(tmp_path, manifest, out):
+        mpath = _model_file(tmp_path, _coin_model())
+        return main(["loglik", "--manifest", str(manifest), "--model", str(mpath),
+                     "--out", str(out)])
+
+    def test_out_under_a_file_exits_one(self, workspace, capsys):
+        tmp_path, manifest = workspace
+        out = tmp_path / "work.csv" / "sub"
+        assert self._loglik(tmp_path, manifest, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"UnwritableOutput: output {str(out)!r} cannot be written: ")
+
+    @pytest.mark.parametrize("artifact", ["loglik_result.json", "run.log"])
+    def test_artifact_that_cannot_be_written_exits_one(self, workspace, capsys, artifact):
+        tmp_path, manifest = workspace
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        assert self._loglik(tmp_path, manifest, out) == 1
+        named = f"UnwritableOutput: output {str(out / artifact)!r} cannot be written: "
+        assert capsys.readouterr().err.startswith(named)
+        if artifact != "run.log":
+            assert (out / "run.log").read_text().splitlines()[-1].startswith("error: " + named)
+
+
+def test_repeated_covariate_names_in_model_exit_one(tmp_path, capsys):
+    manifest = write_manifest(
+        tmp_path,
+        [("work", ["a", "b"], [["a", "b"], ["b", "a"]])],
+        covariate_rows=[[0.5, 1.0], [1.0, -1.0]],
+        covariate_names=["x", "y"],
+    )
+    design = CovariateDesign(("(Intercept)", "x", "y"), np.ones((2, 3)))
+    doc = model_to_json(build_mhmm([_coin_model(), _coin_model()], covariates=design))
+    doc["covariate_names"] = ["(Intercept)", "x", "x"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["loglik", "--manifest", str(manifest), "--model", str(bad), "--out", str(out)])
+    assert code == 1
+    last = (out / "run.log").read_text().splitlines()[-1]
+    assert last.startswith("error: DuplicateLabel: duplicate covariate names")
+    assert capsys.readouterr().err.startswith("DuplicateLabel")
 
 
 @pytest.mark.parametrize(

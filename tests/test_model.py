@@ -8,6 +8,7 @@ from markovseq import (
     Channel,
     CovariateDesign,
     HmmModel,
+    MixtureModel,
     ParameterMap,
     SequenceDataset,
     build_hmm,
@@ -758,6 +759,25 @@ class TestDuplicateNames:
         doc["cluster_names"] = ["C", "D"]
         doc["clusters"][1]["state_names"] = ["S", "S"]
         with pytest.raises(DuplicateLabel, match="state names"):
+            model_from_json(doc)
+
+    def test_covariate_design_rejects_duplicate_names(self):
+        with pytest.raises(DuplicateLabel, match="covariate names"):
+            CovariateDesign(("(Intercept)", "x", "x"), np.ones((3, 3)))
+
+    def test_build_mhmm_rejects_duplicate_covariate_names(self):
+        sub = random_hmm(np.random.default_rng(39), 2, [2])
+        names = ("(Intercept)", "x", "x")
+        with pytest.raises(DuplicateLabel, match="covariate names"):
+            build_mhmm([sub, sub], covariates=CovariateDesign(names, np.ones((3, 3))))
+        with pytest.raises(DuplicateLabel, match="covariate names"):
+            MixtureModel((sub, sub), ("C", "D"), np.zeros((3, 2)), names)
+
+    def test_model_from_json_rejects_duplicate_covariate_names(self):
+        mix, _ = random_mixture(np.random.default_rng(40), 2, 2, [2], n_subjects=3, n_covariates=3)
+        doc = json.loads(json.dumps(model_to_json(mix)))
+        doc["covariate_names"] = ["(Intercept)", "x1", "x1"]
+        with pytest.raises(DuplicateLabel, match="covariate names"):
             model_from_json(doc)
 
     def test_build_hmm_rejects_duplicate_channel_names(self):

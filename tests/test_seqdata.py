@@ -1,30 +1,40 @@
+import csv
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovseq import (
     Alphabet,
     Channel,
     SequenceDataset,
+    build_hmm,
     define_alphabet,
     effective_size,
     ingest_dataset,
     mc_to_sc,
+    model_to_json,
 )
+from markovseq import seqdata
+from markovseq.cli import main
 from markovseq.errors import (
     DuplicateLabel,
     EmptyDataset,
     InvalidJson,
     InvalidParameter,
+    MarkovSeqError,
     MissingCovariate,
     MissingTokenCollision,
     ShapeMismatch,
     UnknownToken,
     UnreadableFile,
 )
-from markovseq.seqdata import MISSING, _code_rows
+from markovseq.seqdata import MISSING, _code_csv_bytes, _code_rows, _read_wide_csv
 
 from helpers import write_manifest
 
@@ -316,6 +326,197 @@ class TestCodeRows:
         doc = data.to_json()
         doc["channels"][0]["rows"] = [[self.alpha.token(int(c)) for c in r] for r in ch.codes]
         assert json.dumps(data.to_json(), indent=2) == json.dumps(doc, indent=2)
+
+
+def _csv_module_path(path, alpha):
+    """The ``(ids, codes)`` of ``_read_wide_csv`` and ``_code_rows``, or None
+    where they raise."""
+    try:
+        ids, cells = _read_wide_csv(path, "channel 'ch' CSV")
+        return ids, _code_rows(alpha, cells, "ch")
+    except MarkovSeqError:
+        return None
+
+
+def _assert_byte_path_exact(path, alpha):
+    """``_code_csv_bytes`` on ``path`` declines or equals the csv module path."""
+    got = _code_csv_bytes(path, alpha)
+    if got is not None:
+        want = _csv_module_path(path, alpha)
+        assert want is not None
+        assert type(got[0]) is list and got[0] == want[0]
+        assert got[1].dtype == np.int64 and got[1].shape == want[1].shape
+        np.testing.assert_array_equal(got[1], want[1])
+    return got
+
+
+# pools for generated channel CSVs: the plain entries can take the byte path;
+# the odd ones make the csv module and a plain split differ, or make it raise
+_PLAIN_IDS = ["s1", "s2", "s3", "S-4", "s" * 16]
+_ODD_IDS = [" s5", "s6\t", "s\r7", "\u00e98", '"s9"', '"s,10"', "", "s" * 17]
+_PLAIN_LABELS = ["a", "b", "c1", "12345678", "A"]
+_ODD_LABELS = ["123456789", "\u00e9", "x y", "b ", " a", '"a"', "a\r", "a\0"]
+_ODD_TOKENS = [" a", "a\t", "b ", '"a"', '"a,b"', "", "q", "123456789", "\u00e9", "a\r"]
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+@st.composite
+def channel_csvs(draw):
+    """(file bytes, alphabet, small field limit) for a wide channel CSV.  Each
+    odd feature is on in about one file of six: odd labels, ids or tokens
+    (quotes, padding, CR, non-ASCII, empty, unknown, over 8 bytes or over the
+    field limit), ragged rows, blank lines, a trailing comma, CRLF or CR line
+    ends and a BOM."""
+    rarely = st.sampled_from([False] * 5 + [True])
+    labels = _PLAIN_LABELS + (_ODD_LABELS if draw(rarely) else [])
+    labels = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
+    missing = draw(st.sampled_from(["*", "NA"] + (["", "123456789"] if draw(rarely) else [])))
+    if missing in labels:
+        missing = "*"
+    ids = _PLAIN_IDS + (_ODD_IDS if draw(rarely) else [])
+    tokens = labels + [missing] + (_ODD_TOKENS if draw(rarely) else [])
+    ragged = draw(rarely)
+    width = draw(st.integers(1, 4))
+    lines = ["id," + ",".join(f"t{t}" for t in range(1, width))] if width > 1 else ["id"]
+    for _ in range(draw(st.integers(0, 4))):
+        n = max(0, width - 1 + (draw(st.sampled_from([-1, 0, 1])) if ragged else 0))
+        cells = draw(st.lists(st.sampled_from(tokens), min_size=n, max_size=n))
+        lines.append(",".join([draw(st.sampled_from(ids)), *cells]))
+    if draw(rarely):
+        for _ in range(draw(st.integers(1, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), "")
+    if draw(rarely):
+        lines[-1] += ","
+    eol = draw(st.sampled_from(["\r\n", "\r"])) if draw(rarely) else "\n"
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    if draw(rarely):
+        text = "\ufeff" + text
+    return text.encode(), Alphabet(tuple(labels), missing), draw(st.booleans())
+
+
+class TestCodeCsvBytes:
+    """The byte-level channel coder against the csv module path it stands for."""
+
+    plain = "id,t1,t2,t3\ns1,b,*,a\ns2,*,b1,a\n"
+    alpha = define_alphabet(["a", "b", "b1"])
+
+    def _code(self, tmp_path, text, alpha=None):
+        path = tmp_path / "ch.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        return _assert_byte_path_exact(path, alpha or self.alpha)
+
+    @staticmethod
+    def _check(text, alpha, small_limit):
+        limit = csv.field_size_limit()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ch.csv"
+            path.write_bytes(text)
+            try:
+                if small_limit:
+                    csv.field_size_limit(16)
+                return _assert_byte_path_exact(path, alpha)
+            finally:
+                csv.field_size_limit(limit)
+
+    @SETTINGS
+    @given(channel_csvs())
+    def test_generated_files_decline_or_match_csv_module(self, case):
+        self._check(*case)
+
+    @SETTINGS
+    @given(channel_csvs(), st.integers(0, 10**6), st.binary(min_size=1, max_size=2))
+    def test_inserted_bytes_decline_or_match_csv_module(self, case, where, extra):
+        text, alpha, small_limit = case
+        at = where % (len(text) + 1)
+        self._check(text[:at] + extra + text[at:], alpha, small_limit)
+
+    def test_plain_file_takes_byte_path(self, tmp_path):
+        ids, codes = self._code(tmp_path, self.plain)
+        assert ids == ["s1", "s2"]
+        np.testing.assert_array_equal(codes, [[1, MISSING, 0], [MISSING, 2, 0]])
+        assert self._code(tmp_path, self.plain[:-1]) is not None  # no final newline
+
+    # Each edit alone makes the file decline.  Where a label is added, it is
+    # one that a plain split would match and the csv module would not.
+    @pytest.mark.parametrize(
+        "edit, label",
+        [
+            (lambda t: t.replace("b1", "b "), "b "),  # space
+            (lambda t: t.replace("b1", "b\t"), "b\t"),  # tab
+            (lambda t: t.replace("\n", "\r\n"), "a\r"),  # CRLF
+            (lambda t: t.replace("s2", "s\r2"), None),  # CR
+            (lambda t: t.replace("s2", '"s2"'), None),  # quote
+            (lambda t: t.replace("s2", "s\x002"), None),  # NUL
+            (lambda t: t.replace("s2", "s\x7f"), None),  # DEL
+            (lambda t: t.replace("s2", "s\u00e9"), None),  # non-ASCII id
+            (lambda t: t.encode().replace(b"t3", b"t\xff"), None),  # not UTF-8
+            (lambda t: "\ufeff" + t, None),  # BOM
+            (lambda t: t.split("\n")[0] + "\n", None),  # header only
+            (lambda t: "", None),  # empty file
+            (lambda t: "\n" + t, None),  # leading blank line
+            (lambda t: t.replace("\ns2", "\n\ns2"), None),  # inner blank line
+            (lambda t: t + "\n", None),  # trailing blank line
+            (lambda t: t.replace(",*,a\n", ",*\n"), None),  # ragged row
+            (lambda t: t.replace(",*,a\ns2,", ",*\na,a,"), None),  # ragged rows, same total
+            (lambda t: t.replace("b1,a\n", "b1,a,\n"), None),  # trailing comma
+            (lambda t: t.replace(",b,", ",,"), None),  # empty field
+            (lambda t: t.replace("b1", "b12345678"), None),  # token over 8 bytes
+            (lambda t: t.replace("b1", "q"), None),  # unknown token
+            (lambda t: t.replace("s1", "s" * (csv.field_size_limit() + 1)), None),  # long id
+        ],
+    )
+    def test_declines(self, tmp_path, edit, label):
+        labels = [*self.alpha.labels, *([label] if label else [])]
+        assert self._code(tmp_path, edit(self.plain), define_alphabet(labels)) is None
+
+    def test_declines_label_over_8_bytes_or_with_nul(self, tmp_path):
+        for labels in (["a", "b", "b1", "b12345678"], ["a", "b", "b1", "a\0"]):
+            assert self._code(tmp_path, self.plain, define_alphabet(labels)) is None
+
+    def test_declines_unreadable_path(self, tmp_path):
+        assert _code_csv_bytes(tmp_path / "absent.csv", self.alpha) is None
+        assert _code_csv_bytes(tmp_path, self.alpha) is None
+        assert _code_csv_bytes(Path("w\0"), self.alpha) is None
+
+    def test_id_at_the_field_limit_takes_byte_path(self, tmp_path):
+        long_id = "s" * csv.field_size_limit()
+        ids, _ = self._code(tmp_path, self.plain.replace("s1", long_id))
+        assert ids == [long_id, "s2"]
+
+    def test_simulated_channel_files_take_byte_path(self, tmp_path, monkeypatch):
+        alphabets = [define_alphabet(["a1", "a2", "a3"]), define_alphabet(["b1", "b2"])]
+        model = build_hmm(alphabets, n_states=2, rng_seed=3)
+        (tmp_path / "model.json").write_text(json.dumps(model_to_json(model)))
+        argv = ["simulate", "--model", str(tmp_path / "model.json"), "--n-subjects", "40",
+                "--n-time", "12", "--seed", "1", "--missing-rate", "0.1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        manifest = tmp_path / "dataset_manifest.json"
+        for entry in json.loads(manifest.read_text())["channels"]:
+            alpha = Alphabet(tuple(entry["alphabet"]), entry["missing_token"])
+            assert self._code(tmp_path, (tmp_path / entry["csv"]).read_bytes(), alpha)
+        want, _ = ingest_dataset(manifest)
+
+        def no_csv_module(*args):
+            raise AssertionError("a simulated channel CSV fell back to the csv module")
+
+        monkeypatch.setattr(seqdata, "_read_wide_csv", no_csv_module)
+        got, _ = ingest_dataset(manifest)
+        assert got.subject_ids == want.subject_ids
+        for a, b in zip(got.channels, want.channels):
+            np.testing.assert_array_equal(a.codes, b.codes)
+
+    def test_padded_benchmark_shaped_file_takes_byte_path(self, tmp_path):
+        # the wide CSV layout of perfbench's data writer: trailing "*" padding
+        # for unequal lengths and about 5 % missing cells, "\n" line ends
+        rng = np.random.default_rng(5)
+        alpha = define_alphabet([f"a{j + 1}" for j in range(6)])
+        cells = np.array([*alpha.labels, "*"])[rng.integers(0, 6, size=(200, 50))]
+        cells[rng.random(cells.shape) < 0.05] = "*"
+        cells[np.arange(50)[None, :] >= rng.integers(30, 51, size=200)[:, None]] = "*"
+        lines = ["id," + ",".join(f"t{t + 1}" for t in range(50))]
+        lines += [f"s{i + 1}," + ",".join(row) for i, row in enumerate(cells)]
+        ids, codes = self._code(tmp_path, "\n".join(lines) + "\n", alpha)
+        assert ids[-1] == "s200" and (codes == MISSING).mean() > 0.15
 
 
 def _two_channel_dataset():
