@@ -33,7 +33,6 @@ the likelihood unchanged to double precision.
 from __future__ import annotations
 
 from collections import deque
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -64,10 +63,6 @@ from .seqdata import CovariateDesign, SequenceDataset
 Model = Union[HmmModel, MixtureModel]
 
 _LOG_CLAMP = 1e-290  # free entries at exactly 0 map to log-odds ~ -668
-# Inside fit_model, fit_em leaves here the best run's model, its final E-step
-# and the kernel workspace, and fit_local starts from them when it is given
-# that model; a context variable keeps both public signatures as they are
-_EM_HANDOFF: ContextVar[Optional[dict]] = ContextVar("_EM_HANDOFF", default=None)
 
 # SQUAREM halves a rejected step length alpha toward -1 (the plain EM step)
 # and takes the EM step once alpha is within 1/16 of it
@@ -102,6 +97,9 @@ class FitControl:
             raise DimensionMismatch("tolerances must be positive")
         if self.restarts < 0:
             raise DimensionMismatch("restarts must be >= 0")
+        for name in ("em_max_iter", "local_max_iter"):
+            if getattr(self, name) < 0:
+                raise InvalidParameter(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.restarts and self.seed < 0:  # numpy seeds only from integers >= 0
             raise InvalidParameter(f"restarts need a seed >= 0, got {self.seed!r}")
         if not (0 < self.restart_perturb <= 1):
@@ -119,7 +117,8 @@ class FitResult:
     ``em_iterations`` counts the E-steps of the best EM run, rejected SQUAREM
     proposals included (the count ``em_max_iter`` caps); ``loglik_trace``
     holds the log-likelihood of every accepted EM point, then of every
-    accepted local-step iterate.
+    accepted local-step iterate.  ``fit_em`` reports no local iterations and
+    ``fit_local`` no restarts or E-steps; ``fit_model`` merges the two.
     """
 
     model: Model
@@ -268,7 +267,6 @@ class _EmRun(NamedTuple):
     converged_by: str
     trace: list[float]
     diagnostics: list[str]
-    stats: Optional[EStats]  # the run's last E-step, at ``model``, if it ended on one
 
 
 def _em_once(m: Model, data, design, control: FitControl, workspace) -> _EmRun:
@@ -289,8 +287,8 @@ def _em_once(m: Model, data, design, control: FitControl, workspace) -> _EmRun:
     stops by tolerance when an EM map (not an extrapolation) changes the
     log-likelihood by less than ``em_rel_tol`` relative, and by the cap after
     ``em_max_iter`` E-steps, rejected proposals included.  The model a capped
-    run holds then (the start or an EM map's output) is scored by one more
-    pass, which is not counted.
+    run holds then (the start or an EM map's output) is scored by a forward
+    pass in the workspace, which is not counted.
     """
     flagged: set = set()
     trace: list[float] = []
@@ -312,23 +310,23 @@ def _em_once(m: Model, data, design, control: FitControl, workspace) -> _EmRun:
         trace.append(ll)
         return em_map and prev is not None and abs(ll - prev) / (abs(ll) + 0.1) < control.em_rel_tol
 
-    def done(model, stats, converged_by):
+    def done(model, converged_by):
         diagnostics = [f"empty_posterior: {w} kept at current values" for w in sorted(flagged)]
-        return _EmRun(model, trace[-1], e_steps, converged_by, trace, diagnostics, stats)
+        return _EmRun(model, trace[-1], e_steps, converged_by, trace, diagnostics)
 
     cap = control.em_max_iter
     current = m  # the point whose E-step comes next
     while e_steps < cap:
         stats0 = e_step(current)
         if accepted(stats0):
-            return done(current, stats0, "em_tol")
+            return done(current, "em_tol")
         theta1 = _m_step(current, stats0, design, flagged)
         if e_steps == cap:
             current = theta1
             break
         stats1 = e_step(theta1)
         if accepted(stats1):
-            return done(theta1, stats1, "em_tol")
+            return done(theta1, "em_tol")
         theta2 = _m_step(theta1, stats1, design, flagged)
         x0 = _em_vector(current)
         r = _em_vector(theta1) - x0
@@ -353,22 +351,14 @@ def _em_once(m: Model, data, design, control: FitControl, workspace) -> _EmRun:
                 break
             point, stats = theta2, e_step(theta2)
         if accepted(stats, em_map=point is theta2):
-            return done(point, stats, "em_tol")
+            return done(point, "em_tol")
         current = _m_step(point, stats, design, flagged)
-    # E-step cap: score the last EM map's output so loglik matches it.  Inside
-    # fit_model the local step starts from this, so it is a full E-step;
-    # otherwise a forward pass, as log_likelihood would but in the workspace
-    stats = None
-    if _EM_HANDOFF.get() is not None:
-        stats = expected_stats(
-            current, data, threads=control.threads, design=design, workspace=workspace
-        )
-        trace.append(stats.loglik)
-    else:
-        hmms, inits = _clusters_and_inits(current, data, design)
-        ll = _scaled_pass(hmms, data, inits, control.threads, "loglik", workspace)[0]
-        trace.append(float(ll.sum()))
-    return done(current, stats, "max_iter")
+    # E-step cap: score the last EM map's output by a forward pass, as
+    # log_likelihood would but in the workspace
+    hmms, inits = _clusters_and_inits(current, data, design)
+    ll = _scaled_pass(hmms, data, inits, control.threads, "loglik", workspace)[0]
+    trace.append(float(ll.sum()))
+    return done(current, "max_iter")
 
 
 def fit_em(
@@ -400,9 +390,6 @@ def fit_em(
             start = _perturb(m, control.restart_perturb, np.random.default_rng(control.seed + r))
         runs.append(_em_once(start, data, design, control, workspace))
     best = max(runs, key=lambda run: run.loglik)
-    handoff = _EM_HANDOFF.get()
-    if handoff is not None:
-        handoff.update(model=best.model, stats=best.stats, workspace=workspace)
     return FitResult(
         model=best.model,
         loglik=best.loglik,
@@ -480,16 +467,11 @@ class ParameterMap:
         return _with_blocks(self.template, values, gamma=gamma)
 
 
-def _gradient_at(model: Model, data, design, pmap: ParameterMap, threads=1, workspace=None):
-    """Analytic gradient and log-likelihood at the model's current values."""
+def _gradient(model: Model, data, design, pmap: ParameterMap, threads=1, workspace=None):
+    """Analytic gradient and log-likelihood at the model's current values,
+    from one E-step: per row, counts minus probabilities times the row's
+    total count, over the row's coordinates."""
     stats = expected_stats(model, data, threads=threads, design=design, workspace=workspace)
-    return _gradient(model, stats, design, pmap)
-
-
-def _gradient(model: Model, stats: EStats, design, pmap: ParameterMap):
-    """Analytic gradient and log-likelihood from an E-step at ``model``:
-    per row, counts minus probabilities times the row's total count, over
-    the row's coordinates."""
     parts = []
     blocks = zip(_blocks(model), _count_blocks(stats), pmap.free, pmap.coords)
     for b, counts, free, coord in blocks:
@@ -520,7 +502,7 @@ def loglik_gradient(
         design = _mixture_design(m, data, design)
     if theta is not None:
         m = pmap.unpack(theta)
-    return _gradient_at(m, data, design, pmap, threads)[0]
+    return _gradient(m, data, design, pmap, threads)[0]
 
 
 # L-BFGS settings: scipy's default memory (maxcor) and the usual weak-Wolfe
@@ -618,27 +600,22 @@ def fit_local(
     ``local_max_iter`` iterations; a failed line search returns the last
     accepted iterate with a diagnostic.  Each iterate improves on the one
     before, so the final log-likelihood never falls below the starting one.
-    All gradient evaluations share one kernel workspace.  Inside
-    ``fit_model`` the first value and gradient come from EM's last E-step,
-    at the model EM returned, and the workspace is EM's.
+    All gradient evaluations share one kernel workspace, built here.  The
+    first value and gradient are those of ``m`` itself, and without an
+    accepted step ``m`` is returned.
     """
     control = control or FitControl()
     if isinstance(m, MixtureModel):
         design = _mixture_design(m, data, design)
     pmap = ParameterMap(m)
-    handoff = _EM_HANDOFF.get() or {}
-    start = handoff.get("stats") if handoff.get("model") is m else None
-    workspace = handoff["workspace"] if start is not None else _Workspace(data)
+    workspace = _Workspace(data)
     trace: list[float] = []
 
     def objective(theta):
+        # m itself first: its round trip through the coordinates can move the last bits
+        model = pmap.unpack(theta) if trace else m
         try:
-            if not trace and start is not None:
-                grad, ll = _gradient(m, start, design, pmap)
-            else:
-                grad, ll = _gradient_at(
-                    pmap.unpack(theta), data, design, pmap, control.threads, workspace
-                )
+            grad, ll = _gradient(model, data, design, pmap, control.threads, workspace)
         except NonFiniteLikelihood:
             grad, ll = np.zeros_like(theta), -np.inf
         if not trace:
@@ -659,7 +636,7 @@ def fit_local(
     if failed:
         diagnostics.append("line_search_failure: returning best point found")
     return FitResult(
-        model=pmap.unpack(theta),
+        model=pmap.unpack(theta) if n_iter else m,
         loglik=trace[-1],
         restart_logliks=[],
         em_iterations=0,
@@ -676,21 +653,18 @@ def fit_model(
     design: Optional[CovariateDesign] = None,
     control: Optional[FitControl] = None,
 ) -> FitResult:
-    """EM (with restarts) followed by the local ascent when requested.
+    """``fit_em``, then ``fit_local`` from its model when ``local_step`` is set.
 
-    The local step starts from EM's last E-step instead of repeating it;
-    for that, a capped EM run scores its final model by a full E-step rather
-    than a forward pass.
+    The merged result has EM's restart log-likelihoods, E-step count and
+    diagnostics first, and the local step's model, log-likelihood,
+    iterations and stopping reason; its trace is EM's followed by the local
+    step's accepted iterates.
     """
     control = control or FitControl()
+    em = fit_em(m, data, design, control)
     if not control.local_step:
-        return fit_em(m, data, design, control)
-    token = _EM_HANDOFF.set({})
-    try:
-        em = fit_em(m, data, design, control)
-        loc = fit_local(em.model, data, design, control)
-    finally:
-        _EM_HANDOFF.reset(token)
+        return em
+    loc = fit_local(em.model, data, design, control)
     return FitResult(
         model=loc.model,
         loglik=loc.loglik,

@@ -33,6 +33,7 @@ from .errors import (
     AlphabetMismatch,
     DegenerateData,
     ImpossibleData,
+    InvalidParameter,
     NonInvertibleHessian,
     NumericalUnderflow,
 )
@@ -75,12 +76,12 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _normalize_mode(mode: str) -> str:
-    m = mode.lower()
+    m = mode.lower() if isinstance(mode, str) else mode
     if m in ("scaled", "scaling"):
         return "scaled"
     if m in ("log", "logspace", "log_space"):
         return "log"
-    raise ValueError(f"unknown mode {mode!r}")
+    raise InvalidParameter(f"unknown mode {mode!r}")
 
 
 def _check_compatible(model: HmmModel, data: SequenceDataset) -> None:

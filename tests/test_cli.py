@@ -421,6 +421,25 @@ def test_negative_seed_exits_one(workspace, argv):
     assert last.startswith("error: InvalidParameter: ") and "seed" in last
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--em-max-iter", "-3"], "em_max_iter"),
+        (["--local-step", "--local-max-iter", "-1"], "local_max_iter"),
+    ],
+)
+def test_negative_iteration_cap_exits_one(workspace, capsys, flags, name):
+    tmp_path, manifest = workspace
+    mpath = _model_file(tmp_path, _coin_model())
+    out = tmp_path / "out"
+    argv = ["fit", "--manifest", str(manifest), "--model", str(mpath), *flags]
+    assert main([*argv, "--out", str(out)]) == 1
+    last = (out / "run.log").read_text().splitlines()[-1]
+    assert last == f"error: InvalidParameter: {name} must be >= 0, got {flags[-1]}"
+    assert capsys.readouterr().err.startswith("InvalidParameter")
+    assert not (out / "fit_result.json").exists()
+
+
 class TestFit:
     def test_fit_writes_artifacts_and_increases_loglik(self, workspace, capsys):
         tmp_path, manifest = workspace

@@ -23,8 +23,15 @@ from markovseq import (
     simulate_mhmm_data,
 )
 import markovseq.estimation as estimation
-from markovseq.estimation import FitControl, _gamma_hessian, _m_step, _perturb, expected_stats
-from markovseq.errors import DimensionMismatch, RankDeficientDesign
+from markovseq.estimation import (
+    FitControl,
+    _em_vector,
+    _gamma_hessian,
+    _m_step,
+    _perturb,
+    expected_stats,
+)
+from markovseq.errors import DimensionMismatch, InvalidParameter, RankDeficientDesign
 from markovseq.inference import _clusters_and_inits, _scaled_pass
 from markovseq.seqdata import MISSING
 
@@ -106,6 +113,20 @@ class TestFitControl:
     def test_tolerance_must_be_positive(self, field, value):
         with pytest.raises(DimensionMismatch, match="tolerances must be positive"):
             FitControl(**{field: value})
+
+    @pytest.mark.parametrize("field", ["em_max_iter", "local_max_iter"])
+    def test_iteration_caps_must_be_non_negative(self, field):
+        with pytest.raises(InvalidParameter, match=f"{field} must be >= 0, got -1"):
+            FitControl(**{field: -1})
+        assert getattr(FitControl(**{field: 0}), field) == 0
+
+    def test_zero_caps_return_the_start(self):
+        data, start = _left_to_right_case()
+        control = FitControl(em_max_iter=0, local_step=True, local_max_iter=0)
+        res = fit_model(start, data, control=control)
+        assert _em_vector(res.model).tobytes() == _em_vector(start).tobytes()
+        assert (res.em_iterations, res.local_iterations) == (0, 0)
+        assert res.loglik_trace == [log_likelihood(start, data)]
 
 
 class TestFitEm:
@@ -428,43 +449,70 @@ class TestSquarem:
             np.testing.assert_array_equal(got, want)
         assert abs(res.loglik - log_likelihood(res.model, data)) < 1e-9
 
-    @pytest.mark.parametrize("max_iter", [5, 1000])
-    def test_local_step_starts_from_em_last_e_step(self, monkeypatch, max_iter):
-        data, start = _left_to_right_case()
-        control = FitControl(
-            em_max_iter=max_iter, em_rel_tol=1e-6, local_step=True, local_max_iter=5
-        )
-        real_stats, real_pass = estimation.expected_stats, estimation._scaled_pass
-        calls, forward_only = [], []
+
+def _fit_hmm_like_case():
+    """Four sticky states, two channels of 6 and 4 symbols, 5 % missing cells
+    and trailing-missing padding, as in perfbench's ``fit_hmm``, with a start
+    halfway between the truth and a random model."""
+    rng = np.random.default_rng(17)
+    truth = random_hmm(rng, 4, [6, 4])
+    truth = truth.with_params(transition=0.8 * np.eye(4) + 0.2 * truth.transition)
+    data = random_dataset(rng, truth, 150, 20, missing_rate=0.05)
+    pad = np.arange(20)[None, :] >= rng.integers(12, 21, size=150)[:, None]
+    channels = tuple(
+        Channel(ch.name, ch.alphabet, np.where(pad, MISSING, ch.codes)) for ch in data.channels
+    )
+    rand = random_hmm(rng, 4, [6, 4])
+    start = truth.with_params(
+        initial=(truth.initial + rand.initial) / 2,
+        transition=(truth.transition + rand.transition) / 2,
+        emissions=[(a + b) / 2 for a, b in zip(truth.emissions, rand.emissions)],
+    )
+    return SequenceDataset(channels, data.subject_ids), start
+
+
+class TestFitModel:
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("case", ["hmm_tol_restarts", "hmm_capped", "mixture_capped"])
+    def test_equals_fit_em_then_fit_local(self, monkeypatch, case, threads):
+        design = None
+        if case == "hmm_tol_restarts":
+            data, start = _fit_hmm_like_case()
+            settings = dict(restarts=1, em_rel_tol=1e-6)
+        elif case == "hmm_capped":
+            data, start = _left_to_right_case()
+            settings = dict(em_max_iter=5)
+        else:
+            data, design, start = _covariate_mixture_case()
+            settings = dict(em_max_iter=5)
+        control = FitControl(**settings, local_step=True, local_max_iter=5, threads=threads)
+        real_stats = estimation.expected_stats
+        calls = []
 
         def counting(*args, **kwargs):
             calls.append(None)
             return real_stats(*args, **kwargs)
 
-        def counting_pass(hmms, data, inits, threads, want, *args):
-            if want == "loglik":
-                forward_only.append(None)
-            return real_pass(hmms, data, inits, threads, want, *args)
-
         monkeypatch.setattr(estimation, "expected_stats", counting)
-        monkeypatch.setattr(estimation, "_scaled_pass", counting_pass)
-        joint = fit_model(start, data, control=control)
-        n_joint, forward_joint = len(calls), len(forward_only)
-        em = fit_em(start, data, control=control)
+        joint = fit_model(start, data, design, control)
+        n_joint = len(calls)
+        em = fit_em(start, data, design, control)
         n_em = len(calls) - n_joint
-        loc = fit_local(em.model, data, control=control)
+        loc = fit_local(em.model, data, design, control)
         n_local = len(calls) - n_joint - n_em
-        capped = em.converged_by == "max_iter"
-        assert capped == (max_iter == 5)
-        # a capped run scores its model by a full E-step instead of a
-        # forward pass; either way the local step does not repeat it
-        assert forward_joint == 0
-        assert len(forward_only) == capped
-        assert n_joint == n_em + n_local - (not capped)
+        assert em.converged_by == ("max_iter" if "capped" in case else "em_tol")
+        assert loc.local_iterations > 0
+        assert n_joint == n_em + n_local
+        assert _em_vector(joint.model).tobytes() == _em_vector(loc.model).tobytes()
+        assert joint.loglik == loc.loglik
+        assert joint.restart_logliks == em.restart_logliks
         assert joint.em_iterations == em.em_iterations
         assert joint.local_iterations == loc.local_iterations
-        assert abs(joint.loglik - loc.loglik) <= 1e-9 * abs(loc.loglik)
-        assert joint.loglik_trace[: len(em.loglik_trace)] == em.loglik_trace
+        assert joint.converged_by == loc.converged_by
+        # the local step's first point is EM's model, so its first value is EM's last
+        assert loc.loglik_trace[0] == em.loglik
+        assert joint.loglik_trace == em.loglik_trace + loc.loglik_trace[1:]
+        assert joint.diagnostics == em.diagnostics + loc.diagnostics
 
 
 class TestFitLocal:
@@ -491,6 +539,22 @@ class TestFitLocal:
         res = fit_local(m, data, control=FitControl(local_grad_tol=1e-8))
         assert res.local_iterations == 0
         assert res.converged_by == "grad_tol"
+
+    def test_first_point_is_the_given_model(self, monkeypatch):
+        # not its round trip through the coordinates, which can move the
+        # last bits and so the whole path of the ascent
+        data, start = _left_to_right_case()
+        real_stats = estimation.expected_stats
+        seen = []
+
+        def recording(model, *args, **kwargs):
+            seen.append(model)
+            return real_stats(model, *args, **kwargs)
+
+        monkeypatch.setattr(estimation, "expected_stats", recording)
+        res = fit_local(start, data, control=FitControl(local_max_iter=0))
+        assert len(seen) == 1 and seen[0] is start
+        assert res.loglik_trace == [real_stats(start, data).loglik]
 
     def test_never_decreases_after_em(self):
         rng = np.random.default_rng(210)

@@ -26,6 +26,8 @@ from markovseq.errors import (
     AlphabetMismatch,
     DegenerateData,
     ImpossibleData,
+    InvalidParameter,
+    MarkovSeqError,
     NegativeProbability,
     NonInvertibleHessian,
     NumericalUnderflow,
@@ -86,6 +88,14 @@ class TestForwardBackward:
     def test_all_missing_subject_contributes_zero(self):
         ll = log_likelihood(_coin_model(), _coin_data("**"))
         assert ll == 0.0
+
+    def test_unknown_mode_is_a_typed_error(self):
+        with pytest.raises(InvalidParameter, match="unknown mode 'bogus'") as info:
+            log_likelihood(_coin_model(), _coin_data("01"), mode="bogus")
+        assert isinstance(info.value, MarkovSeqError)
+        for mode in ("bogus", None):
+            with pytest.raises(InvalidParameter, match="unknown mode"):
+                forward_backward(_coin_model(), _coin_data("01"), mode=mode)
 
     @pytest.mark.parametrize("mode", ["scaled", "log"])
     def test_matches_path_enumeration(self, mode):

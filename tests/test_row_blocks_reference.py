@@ -489,7 +489,7 @@ def _check_all(m, data, design, rng):
     except NonFiniteLikelihood:  # generated data can be impossible under the model
         stats = None
     if stats is not None:
-        grad, ll = _gradient(m, stats, design, pmap)
+        grad, ll = _gradient(m, data, design, pmap)
         want_grad, want_ll = _ref_gradient(m, stats, design, ref)
         _same_bits(grad, want_grad)
         assert ll == want_ll
@@ -652,7 +652,7 @@ def test_wide_masked_rows_within_stated_tolerance():
     got, want = pmap.unpack(moved), ref.unpack(moved)
     np.testing.assert_allclose(_em_vector(got), _ref_em_vector(want), rtol=1e-15, atol=0)
     stats = expected_stats(m, data)
-    grad, want = _gradient(m, stats, None, pmap)[0], _ref_gradient(m, stats, None, ref)[0]
+    grad, want = _gradient(m, data, None, pmap)[0], _ref_gradient(m, stats, None, ref)[0]
     np.testing.assert_allclose(grad, want, rtol=0, atol=4 * np.spacing(float(N * T)))
     got_flags, want_flags = set(), set()
     _same_model(_m_step(m, stats, None, got_flags), _ref_m_step(m, stats, None, want_flags))
