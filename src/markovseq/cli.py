@@ -35,11 +35,14 @@ from .inference import (
 )
 from .model import (
     MixtureModel,
-    combine_clusters,
+    _combined_state_names,
     model_from_json,
     model_to_json,
     trim_model,
 )
+
+# kept importable here: perfbench/tracing.py wraps this name in this module
+from .model import combine_clusters  # noqa: F401
 from .seqdata import (
     CovariateDesign,
     SequenceDataset,
@@ -163,10 +166,6 @@ def _load_model(path):
     return model_from_json(_read_json(path, "model file"))
 
 
-def _inference_mode(args) -> str:
-    return "log" if args.mode == "logspace" else "scaled"
-
-
 def _resolve_design(model, cov, n_subjects):
     """Match a loaded covariate table to the columns the model expects."""
     if not isinstance(model, MixtureModel):
@@ -285,7 +284,7 @@ def _cmd_fit(args, out: Path, log) -> int:
         threads=args.threads,
     )
     res = fit_model(model, data, design, control)
-    ic = information_criteria(res.model, data, design, _inference_mode(args))
+    ic = information_criteria(res.model, data, design, args.mode)
     _write_json(out / "model_fitted.json", model_to_json(res.model))
     result = {
         "loglik": res.loglik,
@@ -311,7 +310,7 @@ def _cmd_loglik(args, out: Path, log) -> int:
     data, cov = ingest_dataset(args.manifest)
     model = _load_model(args.model)
     design = _resolve_design(model, cov, data.n_subjects)
-    ll = log_likelihood(model, data, design, _inference_mode(args), args.threads)
+    ll = log_likelihood(model, data, design, args.mode, args.threads)
     _write_json(out / "loglik_result.json", {"loglik": ll})
     log.append(f"loglik {ll!r}")
     _emit(args, [str(ll)], {"loglik": ll})
@@ -322,7 +321,7 @@ def _cmd_bic(args, out: Path, log) -> int:
     data, cov = ingest_dataset(args.manifest)
     model = _load_model(args.model)
     design = _resolve_design(model, cov, data.n_subjects)
-    ic = information_criteria(model, data, design, _inference_mode(args))
+    ic = information_criteria(model, data, design, args.mode)
     result = {"loglik": ic.loglik, "p": ic.p, "nobs": ic.nobs, "bic": ic.bic}
     _write_json(out / "bic_result.json", result)
     log.append(f"bic {ic.bic!r} (p={ic.p}, nobs={ic.nobs!r})")
@@ -330,9 +329,9 @@ def _cmd_bic(args, out: Path, log) -> int:
     return 0
 
 
-def _state_names_for(model, design):
+def _state_names(model):
     if isinstance(model, MixtureModel):
-        return combine_clusters(model, design)[0].state_names
+        return _combined_state_names(model.cluster_names, model.clusters)
     return model.state_names
 
 
@@ -365,7 +364,7 @@ def _cmd_viterbi(args, out: Path, log) -> int:
     clusters = None
     if res.clusters is not None:
         clusters = [model.cluster_names[k] for k in res.clusters]
-    text = _paths_csv(data.subject_ids, _state_names_for(model, design), res.paths, clusters)
+    text = _paths_csv(data.subject_ids, _state_names(model), res.paths, clusters)
     _write_text(out / "paths.csv", text)
     _write_json(
         out / "viterbi_result.json",
@@ -433,8 +432,8 @@ def _cmd_posterior(args, out: Path, log) -> int:
     data, cov = ingest_dataset(args.manifest)
     model = _load_model(args.model)
     design = _resolve_design(model, cov, data.n_subjects)
-    post = posterior_state_probs(model, data, design, _inference_mode(args), args.threads)
-    text = _posterior_csv(data.subject_ids, _state_names_for(model, design), post)
+    post = posterior_state_probs(model, data, design, args.mode, args.threads)
+    text = _posterior_csv(data.subject_ids, _state_names(model), post)
     _write_text(out / "posterior.csv", text)
     _write_json(out / "posterior_result.json", {"posterior_csv": "posterior.csv"})
     log.append(f"posterior: wrote {data.n_subjects * data.n_time} rows")
@@ -452,7 +451,7 @@ def _cmd_summary(args, out: Path, log) -> int:
         print("usage error: summary requires a mixture model", file=sys.stderr)
         return 2
     design = _resolve_design(model, cov, data.n_subjects)
-    report = mixture_summary(model, data, design, _inference_mode(args))
+    report = mixture_summary(model, data, design, args.mode)
     text = report.to_text()
     _write_text(out / "summary.txt", text)
     _write_json(out / "summary_result.json", report.to_dict())
@@ -468,7 +467,6 @@ def _cmd_simulate(args, out: Path, log) -> int:
         data, paths, labels = simulate_mhmm_data(
             model, None, args.n_subjects, args.n_time, args.seed, args.missing_rate
         )
-        names = combine_clusters(model, CovariateDesign.intercept(args.n_subjects))[0].state_names
         clines = ["subject_id,cluster"]
         clines += [
             f"{sid},{model.cluster_names[labels[i]]}"
@@ -479,9 +477,8 @@ def _cmd_simulate(args, out: Path, log) -> int:
         data, paths = simulate_hmm_data(
             model, args.n_subjects, args.n_time, args.seed, args.missing_rate
         )
-        names = model.state_names
     _write_dataset_files(data, out, "dataset")
-    _write_text(out / "paths.csv", _paths_csv(data.subject_ids, names, paths))
+    _write_text(out / "paths.csv", _paths_csv(data.subject_ids, _state_names(model), paths))
     _write_json(
         out / "simulate_result.json",
         {
@@ -524,9 +521,8 @@ def _cmd_trim(args, out: Path, log) -> int:
     if args.manifest:
         data, cov = ingest_dataset(args.manifest)
         design = _resolve_design(model, cov, data.n_subjects)
-        mode = _inference_mode(args)
-        result["loglik_before"] = log_likelihood(model, data, design, mode)
-        result["loglik_after"] = log_likelihood(trimmed, data, design, mode)
+        result["loglik_before"] = log_likelihood(model, data, design, args.mode)
+        result["loglik_after"] = log_likelihood(trimmed, data, design, args.mode)
         log.append(
             f"trim: loglik {result['loglik_before']!r} -> {result['loglik_after']!r}"
         )

@@ -49,7 +49,6 @@ from .errors import (
 )
 from .inference import (
     _clusters_and_inits,
-    _mixture_design,
     _scaled_pass,
     _Workspace,
 )
@@ -57,7 +56,7 @@ from .inference import (
 # kept importable here: perfbench/tracing.py wraps these names in this module
 from .inference import _fb_scaled, emission_probs, log_likelihood  # noqa: F401
 from .model import combine_clusters  # noqa: F401
-from .model import HmmModel, MixtureModel, _blocks, _with_blocks, mixture_weights
+from .model import HmmModel, MixtureModel, _blocks, _mixture_design, _with_blocks, mixture_weights
 from .seqdata import CovariateDesign, SequenceDataset
 
 Model = Union[HmmModel, MixtureModel]
@@ -79,7 +78,7 @@ class FitControl:
     (rejected ones included) as well as its EM maps; ``em_rel_tol`` stops a
     run when one EM map changes the log-likelihood by less than that,
     relative.  ``threads`` only distributes per-subject work and never
-    changes results.
+    changes results.  The counts and ``seed`` must be integers.
     """
 
     em_max_iter: int = 1000
@@ -93,6 +92,10 @@ class FitControl:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("em_max_iter", "restarts", "local_max_iter", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
         if not (self.em_rel_tol > 0 and self.local_grad_tol > 0):  # NaN fails too
             raise DimensionMismatch("tolerances must be positive")
         if self.restarts < 0:
@@ -380,7 +383,7 @@ def fit_em(
     """
     control = control or FitControl()
     if isinstance(m, MixtureModel):
-        design = _mixture_design(m, data, design)
+        design = _mixture_design(m, data.n_subjects, design)
     workspace = _Workspace(data)
     runs = []
     for r in range(control.restarts + 1):
@@ -499,7 +502,7 @@ def loglik_gradient(
     """
     pmap = ParameterMap(m)
     if isinstance(m, MixtureModel):
-        design = _mixture_design(m, data, design)
+        design = _mixture_design(m, data.n_subjects, design)
     if theta is not None:
         m = pmap.unpack(theta)
     return _gradient(m, data, design, pmap, threads)[0]
@@ -606,7 +609,7 @@ def fit_local(
     """
     control = control or FitControl()
     if isinstance(m, MixtureModel):
-        design = _mixture_design(m, data, design)
+        design = _mixture_design(m, data.n_subjects, design)
     pmap = ParameterMap(m)
     workspace = _Workspace(data)
     trace: list[float] = []
@@ -777,7 +780,7 @@ def covariate_standard_errors(
     Uses the same analytic Hessian as the Newton step for gamma, evaluated
     at the estimate; the reference column's errors are zero.
     """
-    design = _mixture_design(mix, data, design)
+    design = _mixture_design(mix, data.n_subjects, design)
     Q, K = mix.gamma.shape
     se = np.zeros((Q, K))
     if K == 1:

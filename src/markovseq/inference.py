@@ -41,6 +41,7 @@ from .model import (
     HmmModel,
     MixtureModel,
     _checked_rows,
+    _mixture_design,
     count_parameters,
     mixture_weights,
 )
@@ -207,7 +208,7 @@ def _clusters_and_inits(m, data, design=None, subject_initials=None):
         return (m,), [_resolve_initials(m, data, subject_initials)]
     if subject_initials is not None:
         raise AlphabetMismatch("a mixture takes no subject_initials, only a design")
-    w = mixture_weights(m.gamma, _mixture_design(m, data, design).X)
+    w = mixture_weights(m.gamma, _mixture_design(m, data.n_subjects, design).X)
     for sub in m.clusters:
         _check_compatible(sub, data)
     return m.clusters, [w[:, k : k + 1] * sub.initial for k, sub in enumerate(m.clusters)]
@@ -575,23 +576,6 @@ def _forward_pass(m, data, design, mode, threads, subject_initials=None):
         return loglik, np.exp(ll - loglik).T
 
 
-def _mixture_design(mix: MixtureModel, data, design: Optional[CovariateDesign]):
-    if design is None:
-        if len(mix.design_names) != 1:
-            raise DegenerateData(
-                "mixture with covariates needs a design matrix at inference time"
-            )
-        return CovariateDesign.intercept(data.n_subjects)
-    if design.n_subjects != data.n_subjects:
-        raise AlphabetMismatch("design rows must match the number of subjects")
-    if design.names != mix.design_names:
-        raise AlphabetMismatch(
-            f"design columns {design.names} do not match model covariates "
-            f"{mix.design_names}"
-        )
-    return design
-
-
 def log_likelihood(
     m: Model,
     data: SequenceDataset,
@@ -799,7 +783,7 @@ def mixture_summary(
     """
     from .estimation import covariate_standard_errors  # local: avoids import cycle
 
-    design = _mixture_design(mix, data, design)
+    design = _mixture_design(mix, data.n_subjects, design)
     loglik, post = _forward_pass(mix, data, design, mode, 1)
     _require_possible(loglik, data, "summary")
     ic = _criteria(mix, data, float(loglik.sum()))

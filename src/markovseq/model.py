@@ -7,8 +7,9 @@ probability row must be non-negative and sum to one within ``ROW_TOL``;
 rows inside the tolerance are silently renormalized, rows outside it are
 rejected.  Entries marked in a ``*_mask`` are structural zeros: they must
 hold exactly 0, are never touched by estimation and do not count as free
-parameters.  The builders mark every zero entry they are given.  State
-names, and a mixture's cluster names, must be distinct.
+parameters.  Every builder of a fresh model goes through ``build_hmm``,
+which marks every zero entry it is given.  State names, and a mixture's
+cluster names, must be distinct.
 
 Every operation that walks a model's probability rows (trimming, the
 parameter count, and in ``estimation`` the M-step, the restart
@@ -27,6 +28,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    AlphabetMismatch,
+    DegenerateData,
     DimensionMismatch,
     DuplicateLabel,
     GammaReferenceNotZero,
@@ -230,13 +233,6 @@ class MixtureModel:
         sizes = [m.n_states for m in self.clusters]
         return tuple(int(x) for x in np.concatenate([[0], np.cumsum(sizes)[:-1]]))
 
-    def cluster_of_state(self, state: int) -> int:
-        offsets = self.state_offsets
-        for k in range(self.n_clusters - 1, -1, -1):
-            if state >= offsets[k]:
-                return k
-        raise IndexError(state)
-
 
 @dataclass(frozen=True)
 class ParamCount:
@@ -407,18 +403,7 @@ def build_mm(data: SequenceDataset) -> HmmModel:
         else:
             transition[s, s] = 1.0
 
-    identity = np.eye(M)
-    return HmmModel(
-        state_names=ch.alphabet.labels,
-        channel_names=(ch.name,),
-        alphabets=(ch.alphabet,),
-        initial=initial,
-        transition=transition,
-        emissions=(identity,),
-        initial_mask=initial == 0.0,
-        transition_mask=transition == 0.0,
-        emission_masks=(identity == 0.0,),
-    )
+    return build_hmm(data, initial, transition, [np.eye(M)], state_names=ch.alphabet.labels)
 
 
 def build_mhmm(
@@ -486,45 +471,32 @@ def build_restricted_mixture(
         raise DimensionMismatch(f"unknown restricted mixture kind {kind!r}")
     alphabets, channel_names = _data_meta(data_meta)
     rng = np.random.default_rng(rng_seed)
-    clusters = []
     if kind == "mmm":
         if len(alphabets) != 1:
             raise MultichannelNotAllowed("the data must be in a single-channel format")
         M = alphabets[0].size
-        identity = np.eye(M)
-        for _ in range(n_clusters):
-            clusters.append(
-                HmmModel(
-                    state_names=alphabets[0].labels,
-                    channel_names=channel_names,
-                    alphabets=alphabets,
-                    initial=rng.dirichlet(np.ones(M)),
-                    transition=rng.dirichlet(np.ones(M), size=M),
-                    emissions=(identity,),
-                    initial_mask=np.zeros(M, dtype=bool),
-                    transition_mask=np.zeros((M, M), dtype=bool),
-                    emission_masks=(identity == 0.0,),
-                )
+        clusters = [
+            build_hmm(
+                alphabets,
+                rng.dirichlet(np.ones(M)),
+                rng.dirichlet(np.ones(M), size=M),
+                [np.eye(M)],
+                state_names=alphabets[0].labels,
+                channel_names=channel_names,
             )
+            for _ in range(n_clusters)
+        ]
     else:
-        for _ in range(n_clusters):
-            clusters.append(
-                HmmModel(
-                    state_names=("State 1",),
-                    channel_names=channel_names,
-                    alphabets=alphabets,
-                    initial=np.ones(1),
-                    transition=np.ones((1, 1)),
-                    emissions=tuple(
-                        rng.dirichlet(np.ones(a.size), size=1) for a in alphabets
-                    ),
-                    initial_mask=np.zeros(1, dtype=bool),
-                    transition_mask=np.zeros((1, 1), dtype=bool),
-                    emission_masks=tuple(
-                        np.zeros((1, a.size), dtype=bool) for a in alphabets
-                    ),
-                )
+        clusters = [
+            build_hmm(
+                alphabets,
+                np.ones(1),
+                np.ones((1, 1)),
+                [rng.dirichlet(np.ones(a.size), size=1) for a in alphabets],
+                channel_names=channel_names,
             )
+            for _ in range(n_clusters)
+        ]
     return build_mhmm(clusters, covariates=covariates)
 
 
@@ -543,6 +515,27 @@ def mixture_weights(gamma: np.ndarray, X: np.ndarray) -> np.ndarray:
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)
     return w
+
+
+def _mixture_design(
+    mix: MixtureModel, n_subjects: int, design: Optional[CovariateDesign]
+) -> CovariateDesign:
+    """The design of ``n_subjects`` subjects under ``mix``: ``design``, checked
+    against the model's covariates, or the intercept when none is given."""
+    if design is None:
+        if len(mix.design_names) != 1:
+            raise DegenerateData(
+                f"mixture with covariates {mix.design_names[1:]} needs a design matrix"
+            )
+        return CovariateDesign.intercept(n_subjects)
+    if design.n_subjects != n_subjects:
+        raise AlphabetMismatch("design rows must match the number of subjects")
+    if design.names != mix.design_names:
+        raise AlphabetMismatch(
+            f"design columns {design.names} do not match model covariates "
+            f"{mix.design_names}"
+        )
+    return design
 
 
 def _combined_state_names(cluster_names, clusters) -> tuple[str, ...]:

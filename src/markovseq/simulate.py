@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch
-from .model import HmmModel, MixtureModel, build_mhmm, mixture_weights
+from .model import HmmModel, MixtureModel, _mixture_design, build_hmm, build_mhmm, mixture_weights
 from .seqdata import (
     MISSING,
     Alphabet,
@@ -64,34 +64,21 @@ def _default_alphabets(n_symbols) -> tuple[Alphabet, ...]:
     )
 
 
-def _random_transition(rng, S: int, left_to_right: bool):
+def _random_transition(rng, S: int, left_to_right: bool) -> np.ndarray:
     if not left_to_right:
-        A = rng.dirichlet(np.ones(S), size=S)
-        return A, A == 0.0
+        return rng.dirichlet(np.ones(S), size=S)
     A = np.zeros((S, S))
-    mask = np.ones((S, S), dtype=bool)
     for s in range(S):
         A[s, s:] = rng.dirichlet(np.ones(S - s))
-        mask[s, s:] = False
-    return A, mask
+    return A
 
 
 def _random_hmm(rng, spec: SimSpec, alphabets) -> HmmModel:
     S = spec.n_states
     initial = rng.dirichlet(np.ones(S))
-    transition, tmask = _random_transition(rng, S, spec.left_to_right)
+    transition = _random_transition(rng, S, spec.left_to_right)
     emissions = tuple(rng.dirichlet(np.ones(a.size), size=S) for a in alphabets)
-    return HmmModel(
-        state_names=tuple(f"State {s + 1}" for s in range(S)),
-        channel_names=tuple(f"Channel {c + 1}" for c in range(len(alphabets))),
-        alphabets=alphabets,
-        initial=initial,
-        transition=transition,
-        emissions=emissions,
-        initial_mask=np.zeros(S, dtype=bool),
-        transition_mask=tmask,
-        emission_masks=tuple(np.zeros((S, a.size), dtype=bool) for a in alphabets),
-    )
+    return build_hmm(alphabets, initial, transition, emissions)
 
 
 def simulate_parameters(spec: SimSpec):
@@ -252,14 +239,14 @@ def simulate_mhmm_data(
 
     Returns the dataset, hidden paths in the combined state space (cluster
     blocks stacked), and 0-based cluster labels.  With a single cluster the
-    output is identical to ``simulate_hmm_data`` on that cluster.
+    output is identical to ``simulate_hmm_data`` on that cluster.  A design
+    is checked as for inference; ``None`` stands for the intercept, so a
+    mixture with covariates needs one.
     """
     _check_request(n_subjects, n_time, seed, missing_rate)
-    if design is None:
-        design = CovariateDesign.intercept(n_subjects)
-    if design.n_subjects != n_subjects:
+    if design is not None and design.n_subjects != n_subjects:
         raise ShapeMismatch(f"{design.n_subjects} design rows for {n_subjects} subjects")
-    w = mixture_weights(mix.gamma, design.X)
+    w = mixture_weights(mix.gamma, _mixture_design(mix, n_subjects, design).X)
     cum_w = _cumulative_rows(w) if mix.n_clusters > 1 else None
     paths, codes, labels = _simulate(
         [_tables(sub) for sub in mix.clusters],

@@ -869,6 +869,20 @@ class TestSummaryAndSimulate:
         assert last.startswith("error: InvalidParameter: n_subjects and n_time")
         assert not (out / "dataset.json").exists()
 
+    def test_simulate_rejects_mixture_with_covariates(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        covariates = CovariateDesign(("(Intercept)", "age"), np.ones((2, 2)))
+        mix = build_mhmm([random_hmm(rng, 2, [2]), random_hmm(rng, 2, [2])], covariates)
+        mpath = _model_file(tmp_path, mix)
+        out = tmp_path / "sim"
+        argv = ["simulate", "--model", str(mpath), "--n-subjects", "5", "--n-time", "4",
+                "--out", str(out)]
+        assert main(argv) == 1
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.startswith("error: DegenerateData: mixture with covariates")
+        assert "DegenerateData" in capsys.readouterr().err
+        assert not (out / "dataset.json").exists()
+
     def test_simulate_deterministic(self, tmp_path):
         rng = np.random.default_rng(4)
         model = random_hmm(rng, 2, [2])

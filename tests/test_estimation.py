@@ -120,6 +120,16 @@ class TestFitControl:
             FitControl(**{field: -1})
         assert getattr(FitControl(**{field: 0}), field) == 0
 
+    @pytest.mark.parametrize("field", ["em_max_iter", "restarts", "local_max_iter", "seed"])
+    @pytest.mark.parametrize("value", [0.5, 2.5, 3.0, np.float64(2.0), "2", None, True])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(InvalidParameter, match=f"{field} must be an integer"):
+            FitControl(**{field: value})
+
+    @pytest.mark.parametrize("field", ["em_max_iter", "restarts", "local_max_iter", "seed"])
+    def test_numpy_integer_counts_accepted(self, field):
+        assert FitControl(**{field: np.int64(2)}) == FitControl(**{field: 2})
+
     def test_zero_caps_return_the_start(self):
         data, start = _left_to_right_case()
         control = FitControl(em_max_iter=0, local_step=True, local_max_iter=0)

@@ -6,11 +6,17 @@ from markovseq import (
     SimSpec,
     build_hmm,
     build_mhmm,
+    log_likelihood,
     simulate_hmm_data,
     simulate_mhmm_data,
     simulate_parameters,
 )
-from markovseq.errors import InvalidParameter, ShapeMismatch
+from markovseq.errors import (
+    AlphabetMismatch,
+    DegenerateData,
+    InvalidParameter,
+    ShapeMismatch,
+)
 from markovseq.seqdata import MISSING
 
 from helpers import make_alphabets, random_hmm
@@ -139,6 +145,40 @@ class TestSimulateMhmm:
             k = labels[i]
             assert (paths[i] >= offsets[k]).all()
             assert (paths[i] < offsets[k + 1]).all()
+
+
+class TestMixtureDesign:
+    """``simulate_mhmm_data`` checks a design as inference does."""
+
+    @staticmethod
+    def _covariate_mixture():
+        rng = np.random.default_rng(7)
+        covariates = CovariateDesign(("(Intercept)", "x"), np.ones((4, 2)))
+        gamma = np.array([[0.0, 0.3], [0.0, -1.2]])
+        mix = build_mhmm([random_hmm(rng, 2, [3]), random_hmm(rng, 2, [3])], covariates, gamma)
+        data, _ = simulate_hmm_data(mix.clusters[0], 4, 3, 0)
+        return mix, data
+
+    @pytest.mark.parametrize(
+        "names, error",
+        [(None, DegenerateData), (("(Intercept)", "y"), AlphabetMismatch)],
+        ids=["no design", "wrong columns"],
+    )
+    def test_design_not_matching_the_model_raises_as_inference_does(self, names, error):
+        mix, data = self._covariate_mixture()
+        design = None if names is None else CovariateDesign(names, np.ones((4, 2)))
+        with pytest.raises(error):
+            simulate_mhmm_data(mix, design, 4, 3, 0)
+        with pytest.raises(error):
+            log_likelihood(mix, data, design)
+
+    def test_matching_design_simulates(self):
+        mix, _ = self._covariate_mixture()
+        X = np.column_stack([np.ones(6), np.linspace(-3, 3, 6)])
+        data, paths, labels = simulate_mhmm_data(
+            mix, CovariateDesign(("(Intercept)", "x"), X), 6, 3, 0
+        )
+        assert data.n_subjects == 6 and paths.shape == (6, 3) and labels.shape == (6,)
 
 
 _SPEC = dict(n_subjects=4, n_time=3, seed=0, n_states=2, n_symbols=(3,))
