@@ -55,8 +55,13 @@ from .simulate import simulate_hmm_data, simulate_mhmm_data
 from .svgplot import render_state_distribution_svg
 
 
-def _default_threads() -> int:
-    return int(os.environ.get("MARKOVSEQ_THREADS", "1"))
+def _thread_count(text: str) -> int:
+    """argparse type of ``--threads`` and ``MARKOVSEQ_THREADS``: an integer >= 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"--threads and MARKOVSEQ_THREADS must be an integer >= 1, got {text!r}"
+        )
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--threads",
-            type=int,
-            default=_default_threads(),
+            type=_thread_count,
+            default=os.environ.get("MARKOVSEQ_THREADS", "1"),
             help="worker threads (default from MARKOVSEQ_THREADS); never changes results",
         )
         p.add_argument(
@@ -166,12 +171,11 @@ def _load_model(path):
     return model_from_json(_read_json(path, "model file"))
 
 
-def _resolve_design(model, cov, n_subjects):
-    """Match a loaded covariate table to the columns the model expects."""
-    if not isinstance(model, MixtureModel):
+def _resolve_design(model, cov):
+    """The columns of a loaded covariate table that the model expects, or None
+    where it expects none: an HMM, or a mixture on the intercept alone."""
+    if not isinstance(model, MixtureModel) or len(model.design_names) == 1:
         return None
-    if model.design_names == ("(Intercept)",):
-        return CovariateDesign.intercept(n_subjects)
     if cov is None:
         raise MissingCovariate(
             f"model expects covariates {model.design_names[1:]}, manifest has none"
@@ -182,6 +186,13 @@ def _resolve_design(model, cov, n_subjects):
             raise MissingCovariate(f"covariate {name!r} not found in manifest data")
         cols.append(cov.names.index(name))
     return CovariateDesign(model.design_names, cov.X[:, cols])
+
+
+def _inputs(args):
+    """A stage's dataset, model and design, from ``--manifest`` and ``--model``."""
+    data, cov = ingest_dataset(args.manifest)
+    model = _load_model(args.model)
+    return data, model, _resolve_design(model, cov)
 
 
 def _dataset_json(data: SequenceDataset) -> str:
@@ -269,9 +280,7 @@ def _cmd_validate(args, out: Path, log) -> int:
 
 
 def _cmd_fit(args, out: Path, log) -> int:
-    data, cov = ingest_dataset(args.manifest)
-    model = _load_model(args.model)
-    design = _resolve_design(model, cov, data.n_subjects)
+    data, model, design = _inputs(args)
     control = FitControl(
         em_max_iter=args.em_max_iter,
         em_rel_tol=args.em_rel_tol,
@@ -307,9 +316,7 @@ def _cmd_fit(args, out: Path, log) -> int:
 
 
 def _cmd_loglik(args, out: Path, log) -> int:
-    data, cov = ingest_dataset(args.manifest)
-    model = _load_model(args.model)
-    design = _resolve_design(model, cov, data.n_subjects)
+    data, model, design = _inputs(args)
     ll = log_likelihood(model, data, design, args.mode, args.threads)
     _write_json(out / "loglik_result.json", {"loglik": ll})
     log.append(f"loglik {ll!r}")
@@ -318,9 +325,7 @@ def _cmd_loglik(args, out: Path, log) -> int:
 
 
 def _cmd_bic(args, out: Path, log) -> int:
-    data, cov = ingest_dataset(args.manifest)
-    model = _load_model(args.model)
-    design = _resolve_design(model, cov, data.n_subjects)
+    data, model, design = _inputs(args)
     ic = information_criteria(model, data, design, args.mode)
     result = {"loglik": ic.loglik, "p": ic.p, "nobs": ic.nobs, "bic": ic.bic}
     _write_json(out / "bic_result.json", result)
@@ -357,9 +362,7 @@ def _paths_csv(subject_ids, names, paths, clusters=None) -> str:
 
 
 def _cmd_viterbi(args, out: Path, log) -> int:
-    data, cov = ingest_dataset(args.manifest)
-    model = _load_model(args.model)
-    design = _resolve_design(model, cov, data.n_subjects)
+    data, model, design = _inputs(args)
     res = viterbi_paths(model, data, design=design)
     clusters = None
     if res.clusters is not None:
@@ -429,9 +432,7 @@ def _posterior_csv(subject_ids, state_names, post) -> str:
 
 
 def _cmd_posterior(args, out: Path, log) -> int:
-    data, cov = ingest_dataset(args.manifest)
-    model = _load_model(args.model)
-    design = _resolve_design(model, cov, data.n_subjects)
+    data, model, design = _inputs(args)
     post = posterior_state_probs(model, data, design, args.mode, args.threads)
     text = _posterior_csv(data.subject_ids, _state_names(model), post)
     _write_text(out / "posterior.csv", text)
@@ -445,12 +446,10 @@ def _cmd_posterior(args, out: Path, log) -> int:
 
 
 def _cmd_summary(args, out: Path, log) -> int:
-    data, cov = ingest_dataset(args.manifest)
-    model = _load_model(args.model)
+    data, model, design = _inputs(args)
     if not isinstance(model, MixtureModel):
         print("usage error: summary requires a mixture model", file=sys.stderr)
         return 2
-    design = _resolve_design(model, cov, data.n_subjects)
     report = mixture_summary(model, data, design, args.mode)
     text = report.to_text()
     _write_text(out / "summary.txt", text)
@@ -520,7 +519,7 @@ def _cmd_trim(args, out: Path, log) -> int:
     result = {"trim_tol": args.trim_tol, "model": "model_trimmed.json"}
     if args.manifest:
         data, cov = ingest_dataset(args.manifest)
-        design = _resolve_design(model, cov, data.n_subjects)
+        design = _resolve_design(model, cov)
         result["loglik_before"] = log_likelihood(model, data, design, args.mode)
         result["loglik_after"] = log_likelihood(trimmed, data, design, args.mode)
         log.append(

@@ -48,6 +48,7 @@ from .errors import (
     RankDeficientDesign,
 )
 from .inference import (
+    _check_threads,
     _clusters_and_inits,
     _scaled_pass,
     _Workspace,
@@ -77,8 +78,8 @@ class FitControl:
     ``em_max_iter`` caps the E-steps of each EM run, SQUAREM's proposals
     (rejected ones included) as well as its EM maps; ``em_rel_tol`` stops a
     run when one EM map changes the log-likelihood by less than that,
-    relative.  ``threads`` only distributes per-subject work and never
-    changes results.  The counts and ``seed`` must be integers.
+    relative.  ``threads``, an integer >= 1, only distributes per-subject
+    work and never changes results.  The counts and ``seed`` must be integers.
     """
 
     em_max_iter: int = 1000
@@ -107,6 +108,7 @@ class FitControl:
             raise InvalidParameter(f"restarts need a seed >= 0, got {self.seed!r}")
         if not (0 < self.restart_perturb <= 1):
             raise DimensionMismatch("restart_perturb must be in (0, 1]")
+        _check_threads(self.threads)
 
     def to_dict(self) -> dict:
         """Every setting but ``threads``, which never changes results."""
@@ -382,8 +384,7 @@ def fit_em(
     the E-steps of each run and ``em_iterations`` reports the best run's.
     """
     control = control or FitControl()
-    if isinstance(m, MixtureModel):
-        design = _mixture_design(m, data.n_subjects, design)
+    design = _mixture_design(m, data.n_subjects, design)
     workspace = _Workspace(data)
     runs = []
     for r in range(control.restarts + 1):
@@ -501,8 +502,7 @@ def loglik_gradient(
     the vector length equals the free parameter count.
     """
     pmap = ParameterMap(m)
-    if isinstance(m, MixtureModel):
-        design = _mixture_design(m, data.n_subjects, design)
+    design = _mixture_design(m, data.n_subjects, design)
     if theta is not None:
         m = pmap.unpack(theta)
     return _gradient(m, data, design, pmap, threads)[0]
@@ -608,8 +608,7 @@ def fit_local(
     accepted step ``m`` is returned.
     """
     control = control or FitControl()
-    if isinstance(m, MixtureModel):
-        design = _mixture_design(m, data.n_subjects, design)
+    design = _mixture_design(m, data.n_subjects, design)
     pmap = ParameterMap(m)
     workspace = _Workspace(data)
     trace: list[float] = []

@@ -106,6 +106,13 @@ def _chunk_spans(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + _CHUNK, n)) for a in range(0, max(n, 1), _CHUNK)]
 
 
+def _check_threads(threads) -> None:
+    """Raise InvalidParameter unless ``threads`` is an integer >= 1 (a numpy
+    integer passes, a bool does not)."""
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise InvalidParameter(f"threads must be an integer >= 1, got {threads!r}")
+
+
 def _run_chunked(fn, n_subjects: int, threads: int) -> None:
     """Call ``fn(k, (a, b), w)`` for every chunk k, which covers subjects
     a..b-1, on worker w.
@@ -114,8 +121,9 @@ def _run_chunked(fn, n_subjects: int, threads: int) -> None:
     order, one at a time, so per-worker scratch is never shared.  A failure
     raises the error of the lowest failing chunk, as a serial run would.
     """
+    _check_threads(threads)
     spans = _chunk_spans(n_subjects)
-    workers = max(1, min(threads, len(spans)))
+    workers = min(threads, len(spans))
 
     def run(w):
         for k in range(w, len(spans), workers):
@@ -672,12 +680,7 @@ def _criteria(m: Model, data: SequenceDataset, ll: float) -> InformationCriteria
 
 def cluster_prior_probs(mix: MixtureModel, design: CovariateDesign) -> np.ndarray:
     """Prior cluster membership probabilities w_ik from the covariates."""
-    if design.n_columns != len(mix.design_names):
-        raise AlphabetMismatch(
-            f"design has {design.n_columns} columns, model expects "
-            f"{len(mix.design_names)}"
-        )
-    return mixture_weights(mix.gamma, design.X)
+    return mixture_weights(mix.gamma, _mixture_design(mix, design.n_subjects, design).X)
 
 
 def cluster_logliks(

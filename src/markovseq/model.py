@@ -518,22 +518,25 @@ def mixture_weights(gamma: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _mixture_design(
-    mix: MixtureModel, n_subjects: int, design: Optional[CovariateDesign]
-) -> CovariateDesign:
-    """The design of ``n_subjects`` subjects under ``mix``: ``design``, checked
-    against the model's covariates, or the intercept when none is given."""
+    m: Model, n_subjects: int, design: Optional[CovariateDesign]
+) -> Optional[CovariateDesign]:
+    """The design ``m`` evaluates ``n_subjects`` subjects under: None for an
+    HMM; for a mixture ``design``, checked against the model's covariates, or
+    the intercept when none is given."""
+    if not isinstance(m, MixtureModel):
+        return None
     if design is None:
-        if len(mix.design_names) != 1:
+        if len(m.design_names) != 1:
             raise DegenerateData(
-                f"mixture with covariates {mix.design_names[1:]} needs a design matrix"
+                f"mixture with covariates {m.design_names[1:]} needs a design matrix"
             )
         return CovariateDesign.intercept(n_subjects)
     if design.n_subjects != n_subjects:
-        raise AlphabetMismatch("design rows must match the number of subjects")
-    if design.names != mix.design_names:
+        raise ShapeMismatch(f"{design.n_subjects} design rows for {n_subjects} subjects")
+    if design.names != m.design_names:
         raise AlphabetMismatch(
             f"design columns {design.names} do not match model covariates "
-            f"{mix.design_names}"
+            f"{m.design_names}"
         )
     return design
 
@@ -554,6 +557,7 @@ def combine_clusters(
     """
     if design.n_subjects == 0:
         raise DimensionMismatch("the covariate design has no rows; it needs one per subject")
+    design = _mixture_design(mix, design.n_subjects, design)
     S_total = mix.n_states_total
     offsets = mix.state_offsets
     transition = np.zeros((S_total, S_total))

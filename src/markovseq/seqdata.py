@@ -510,17 +510,16 @@ def mc_to_sc(data: SequenceDataset, separator: str = "/") -> SequenceDataset:
     """
     if data.n_channels == 1:
         return data
-    stacked = np.stack([ch.codes for ch in data.channels])  # (C, N, T)
-    all_observed = np.all(stacked != MISSING, axis=0)
-    tuples = sorted({tuple(stacked[:, i, t]) for i, t in np.argwhere(all_observed)})
-    index = {tup: k for k, tup in enumerate(tuples)}
+    stacked = np.stack([ch.codes for ch in data.channels], axis=-1)  # (N, T, C)
+    all_observed = np.all(stacked != MISSING, axis=-1)
+    # rows come back sorted lexicographically, as sorted() orders tuples
+    tuples, inverse = np.unique(stacked[all_observed], axis=0, return_inverse=True)
     labels = tuple(
         separator.join(ch.alphabet.labels[c] for ch, c in zip(data.channels, tup))
-        for tup in tuples
+        for tup in tuples.tolist()
     )
     codes = np.full((data.n_subjects, data.n_time), MISSING, dtype=np.int64)
-    for i, t in np.argwhere(all_observed):
-        codes[i, t] = index[tuple(stacked[:, i, t])]
+    codes[all_observed] = inverse.reshape(-1)
     name = separator.join(data.channel_names)
     missing_token = data.channels[0].alphabet.missing_token
     channel = Channel(name, Alphabet(labels, missing_token), codes)

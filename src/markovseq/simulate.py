@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParameter, ShapeMismatch
+from .errors import InvalidParameter
 from .model import HmmModel, MixtureModel, _mixture_design, build_hmm, build_mhmm, mixture_weights
 from .seqdata import (
     MISSING,
@@ -244,8 +244,6 @@ def simulate_mhmm_data(
     mixture with covariates needs one.
     """
     _check_request(n_subjects, n_time, seed, missing_rate)
-    if design is not None and design.n_subjects != n_subjects:
-        raise ShapeMismatch(f"{design.n_subjects} design rows for {n_subjects} subjects")
     w = mixture_weights(mix.gamma, _mixture_design(mix, n_subjects, design).X)
     cum_w = _cumulative_rows(w) if mix.n_clusters > 1 else None
     paths, codes, labels = _simulate(

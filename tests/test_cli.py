@@ -883,6 +883,43 @@ class TestSummaryAndSimulate:
         assert "DegenerateData" in capsys.readouterr().err
         assert not (out / "dataset.json").exists()
 
+    @pytest.mark.parametrize(
+        "stage", ["fit", "loglik", "bic", "viterbi", "posterior", "summary"]
+    )
+    def test_covariate_mixture_without_manifest_covariates_exits_one(
+        self, workspace, capsys, stage
+    ):
+        tmp_path, manifest = workspace
+        covariates = CovariateDesign(("(Intercept)", "age"), np.ones((2, 2)))
+        mix = build_mhmm([_coin_model(), _coin_model()], covariates)
+        out = tmp_path / stage
+        argv = [stage, "--manifest", str(manifest), "--model", str(_model_file(tmp_path, mix)),
+                "--out", str(out)]
+        assert main(argv) == 1
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last == "error: MissingCovariate: model expects covariates ('age',), manifest has none"
+        assert capsys.readouterr().err.startswith("MissingCovariate")
+
+    def test_intercept_mixture_ignores_manifest_covariates(self, tmp_path):
+        manifest = write_manifest(
+            tmp_path,
+            [("work", ["a", "b"], [["a", "a", "b"], ["b", "a", "a"], ["a", "b", "b"]])],
+            covariate_rows=[[0.2], [1.4], [-0.7]],
+            covariate_names=["age"],
+        )
+        clusters = [
+            build_hmm(_coin_model().alphabets, n_states=2, rng_seed=s, channel_names=("work",))
+            for s in (5, 6)
+        ]
+        mix = build_mhmm(clusters)
+        out = tmp_path / "out"
+        argv = ["loglik", "--manifest", str(manifest), "--model", str(_model_file(tmp_path, mix)),
+                "--out", str(out)]
+        assert main(argv) == 0
+        data, _ = markovseq.ingest_dataset(manifest)
+        got = json.loads((out / "loglik_result.json").read_text())["loglik"]
+        assert got == markovseq.log_likelihood(mix, data)
+
     def test_simulate_deterministic(self, tmp_path):
         rng = np.random.default_rng(4)
         model = random_hmm(rng, 2, [2])

@@ -573,6 +573,79 @@ class TestMcToSc:
                 assert part in a.labels
 
 
+def _mc_to_sc_reference(data, separator="/"):
+    """mc_to_sc as it was before np.unique: a per-cell set of code tuples,
+    sorted, then a per-cell lookup."""
+    if data.n_channels == 1:
+        return data
+    stacked = np.stack([ch.codes for ch in data.channels])  # (C, N, T)
+    all_observed = np.all(stacked != MISSING, axis=0)
+    tuples = sorted({tuple(stacked[:, i, t]) for i, t in np.argwhere(all_observed)})
+    index = {tup: k for k, tup in enumerate(tuples)}
+    labels = tuple(
+        separator.join(ch.alphabet.labels[c] for ch, c in zip(data.channels, tup))
+        for tup in tuples
+    )
+    codes = np.full((data.n_subjects, data.n_time), MISSING, dtype=np.int64)
+    for i, t in np.argwhere(all_observed):
+        codes[i, t] = index[tuple(stacked[:, i, t])]
+    name = separator.join(data.channel_names)
+    missing_token = data.channels[0].alphabet.missing_token
+    channel = Channel(name, Alphabet(labels, missing_token), codes)
+    return SequenceDataset((channel,), data.subject_ids)
+
+
+def _coded_dataset(rng, sizes, n_subjects, n_time, missing_rate, high=None):
+    """Channels of random codes; ``high`` caps every channel's codes to
+    fewer symbols than its alphabet has."""
+    channels = []
+    for c, m in enumerate(sizes):
+        codes = rng.integers(0, high or m, size=(n_subjects, n_time))
+        codes[rng.random(codes.shape) < missing_rate] = MISSING
+        channels.append(Channel(f"ch{c}", Alphabet(tuple(f"s{j}" for j in range(m))), codes))
+    return SequenceDataset(tuple(channels), tuple(f"id{i}" for i in range(n_subjects)))
+
+
+class TestMcToScAgainstReference:
+    """The np.unique mc_to_sc returns what the per-cell loops returned."""
+
+    @pytest.mark.parametrize(
+        "sizes, missing_rate, high",
+        [
+            ((3, 4), 0.0, None),
+            ((2, 5), 0.1, None),
+            ((3, 2, 4), 0.2, None),
+            ((12, 11, 3), 0.1, None),
+            ((3, 4, 2), 0.3, 1),
+        ],
+        ids=["2ch", "2ch-missing", "3ch-missing", "3ch-wide", "one-tuple"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_output(self, sizes, missing_rate, high, seed):
+        data = _coded_dataset(np.random.default_rng(seed), sizes, 40, 9, missing_rate, high)
+        got, want = mc_to_sc(data, "+"), _mc_to_sc_reference(data, "+")
+        assert got.channels[0].alphabet == want.channels[0].alphabet
+        assert got.channels[0].name == want.channels[0].name
+        assert got.subject_ids == want.subject_ids
+        assert got.channels[0].codes.dtype == want.channels[0].codes.dtype
+        np.testing.assert_array_equal(got.channels[0].codes, want.channels[0].codes)
+        if high == 1:
+            assert got.channels[0].alphabet.labels == ("s0+s0+s0",)
+
+    def test_no_fully_observed_cell_raises_the_same_error(self):
+        a = Alphabet(("x", "y"))
+        data = SequenceDataset(
+            (
+                Channel("a", a, np.array([[0, MISSING], [MISSING, 1]])),
+                Channel("b", a, np.array([[MISSING, 1], [0, MISSING]])),
+            ),
+            ("s1", "s2"),
+        )
+        with pytest.raises(MarkovSeqError) as want:
+            _mc_to_sc_reference(data)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            mc_to_sc(data)
+
 class TestEffectiveSize:
     def test_fully_observed_equals_nt(self):
         a = Alphabet(("a", "b"))
