@@ -22,8 +22,8 @@ Fitting is organized around three pieces:
 
 The M-step, the restart perturbation, SQUAREM's vector, the parameter map
 and the gradient all walk a model's probability rows in the one layout of
-``model._blocks``, a block of rows at a time; E-step counts come in the
-same layout (``_count_blocks``).
+``model._blocks``, a block of rows at a time, and so do the counts of an
+E-step record (``EStats``), which the kernel returns in that layout.
 
 Free probability entries may reach 0 during EM; packing such a model
 clamps the log-ratio coordinates at a large negative value, which leaves
@@ -145,28 +145,21 @@ class FitResult:
 class EStats:
     """Forward-backward expectations (scaled mode) for one E-step.
 
-    A mixture's ``clusters`` hold one EStats per cluster, weighted by the
-    posterior cluster probabilities ``rho`` (cluster k's ``gamma1`` rows sum
-    to rho_ik); its own ``gamma1``, ``xi`` and ``emis_num`` are None.
-    ``xi`` and ``emis_num`` are summed over subjects chunk by chunk in chunk
-    order, so results do not depend on the thread count; within a chunk
-    ``xi`` is one matrix product of the state-major alpha and backward
-    terms over all its time points and subjects, and ``emis_num`` holds one
-    bincount of the codes per state and channel, weighted by that state's
-    contiguous block of posteriors.
-    They do not depend on whether a fit's workspace was passed either:
-    each pass rewrites every scratch array it reads.  Emission updates
-    normalize by the numerator row sums (expected occupancy of observed
-    cells).
+    ``counts`` holds one array per ``model._blocks`` block, in that order:
+    per cluster the expected initial-state counts as one (1, S_k) row, the
+    expected transitions (S_k, S_k), then each channel's expected symbol
+    counts (S_k, M_c), whose row sums are the expected occupancy of
+    observed cells.  A mixture's counts are weighted by the posterior
+    cluster probabilities ``rho``, so cluster k's initial row sums to
+    sum_i rho_ik.  The initial rows are summed over all subjects at once,
+    the other counts chunk by chunk in chunk order (see ``_scaled_pass``),
+    so they depend neither on the thread count nor on whether a fit's
+    workspace was passed.
     """
 
     loglik: float
-    loglik_per_subject: np.ndarray
-    gamma1: Optional[np.ndarray]  # (N, S) state posterior at t=0
-    xi: Optional[np.ndarray]  # (S, S) expected transition counts
-    emis_num: Optional[list[np.ndarray]]  # per channel (S, M_c) expected symbol counts
     rho: np.ndarray  # (N, K) posterior cluster probabilities; ones (N, 1) for an HMM
-    clusters: tuple["EStats", ...] = ()
+    counts: list[np.ndarray]
 
 
 def expected_stats(
@@ -187,25 +180,10 @@ def expected_stats(
     """
     hmms, inits = _clusters_and_inits(model, data, design, subject_initials)
     try:
-        ll, rho, per_cluster = _scaled_pass(hmms, data, inits, threads, "stats", workspace)
+        ll, rho, counts = _scaled_pass(hmms, data, inits, threads, "stats", workspace)
     except NumericalUnderflow as err:
         raise NonFiniteLikelihood(str(err)) from err
-    total = float(ll.sum())
-    stats = [EStats(total, ll, *cluster, rho) for cluster in per_cluster]
-    if isinstance(model, MixtureModel):
-        return EStats(total, ll, None, None, None, rho, tuple(stats))
-    return stats[0]
-
-
-def _count_blocks(stats: EStats) -> list[np.ndarray]:
-    """An E-step's expected counts in ``_blocks`` order: per cluster the
-    initial-state counts as one row, the transition counts, then each
-    channel's symbol counts."""
-    return [
-        a
-        for st in stats.clusters or (stats,)
-        for a in (st.gamma1.sum(axis=0)[None], st.xi, *st.emis_num)
-    ]
+    return EStats(float(ll.sum()), rho, counts)
 
 
 def _m_step(m: Model, stats: EStats, design, flagged: set) -> Model:
@@ -214,7 +192,7 @@ def _m_step(m: Model, stats: EStats, design, flagged: set) -> Model:
     covariate coefficients."""
     mixture = isinstance(m, MixtureModel)
     values = []
-    for b, counts in zip(_blocks(m), _count_blocks(stats)):
+    for b, counts in zip(_blocks(m), stats.counts):
         totals = counts.sum(axis=-1, keepdims=True)
         empty = np.flatnonzero(~(totals > 0))
         prefix = f"cluster {b.cluster} {b.where}" if mixture else b.where
@@ -471,13 +449,12 @@ class ParameterMap:
         return _with_blocks(self.template, values, gamma=gamma)
 
 
-def _gradient(model: Model, data, design, pmap: ParameterMap, threads=1, workspace=None):
-    """Analytic gradient and log-likelihood at the model's current values,
-    from one E-step: per row, counts minus probabilities times the row's
+def _gradient(model: Model, stats: EStats, pmap: ParameterMap, design) -> np.ndarray:
+    """Analytic gradient at the model's current values from its E-step
+    record ``stats``: per row, counts minus probabilities times the row's
     total count, over the row's coordinates."""
-    stats = expected_stats(model, data, threads=threads, design=design, workspace=workspace)
     parts = []
-    blocks = zip(_blocks(model), _count_blocks(stats), pmap.free, pmap.coords)
+    blocks = zip(_blocks(model), stats.counts, pmap.free, pmap.coords)
     for b, counts, free, coord in blocks:
         counts = np.where(free, counts, 0.0)
         parts.append((counts - b.values * counts.sum(axis=-1, keepdims=True))[coord])
@@ -485,7 +462,7 @@ def _gradient(model: Model, data, design, pmap: ParameterMap, threads=1, workspa
         w = mixture_weights(model.gamma, design.X)
         g_gamma = design.X.T @ (stats.rho - w)  # (Q, K)
         parts.append(g_gamma[:, 1:].ravel(order="F"))
-    return np.concatenate(parts), stats.loglik
+    return np.concatenate(parts)
 
 
 def loglik_gradient(
@@ -505,7 +482,7 @@ def loglik_gradient(
     design = _mixture_design(m, data.n_subjects, design)
     if theta is not None:
         m = pmap.unpack(theta)
-    return _gradient(m, data, design, pmap, threads)[0]
+    return _gradient(m, expected_stats(m, data, threads=threads, design=design), pmap, design)
 
 
 # L-BFGS settings: scipy's default memory (maxcor) and the usual weak-Wolfe
@@ -617,7 +594,10 @@ def fit_local(
         # m itself first: its round trip through the coordinates can move the last bits
         model = pmap.unpack(theta) if trace else m
         try:
-            grad, ll = _gradient(model, data, design, pmap, control.threads, workspace)
+            stats = expected_stats(
+                model, data, threads=control.threads, design=design, workspace=workspace
+            )
+            grad, ll = _gradient(model, stats, pmap, design), stats.loglik
         except NonFiniteLikelihood:
             grad, ll = np.zeros_like(theta), -np.inf
         if not trace:

@@ -42,6 +42,7 @@ from .model import (
     MixtureModel,
     _checked_rows,
     _mixture_design,
+    _prior_weights,
     count_parameters,
     mixture_weights,
 )
@@ -387,8 +388,9 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     ``"loglik"``: (loglik (N,), rho (N, K)) from the forward pass only;
     ``"full"``: (alpha, beta, scaling, loglik), alpha and beta (N, T, sum
     S_k) side by side as in ``combine_clusters``, normalizers (K, N, T);
-    ``"stats"``: (loglik, rho, per_cluster), per cluster the t=0 posterior
-    (N, S_k), expected transitions (S_k, S_k) and per channel emission
+    ``"stats"``: (loglik, rho, counts), counts in ``model._blocks`` order:
+    per cluster the t=0 posteriors summed over all N subjects at once (1,
+    S_k), expected transitions (S_k, S_k) and per channel emission
     numerators (S_k, M_c), the last two summed chunk by chunk in order.
     ``workspace`` is a ``_Workspace`` of ``data`` to reuse; by default the
     pass builds its own.
@@ -453,7 +455,8 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     if want == "full":
         return alpha_out, beta_out, scaling_out, loglik
     sums = [[sum(arrays) for arrays in zip(*cluster)] for cluster in zip(*parts)]
-    return loglik, rho, [(g, xi, nums) for g, (xi, *nums) in zip(gamma1, sums)]
+    counts = [a for g, rest in zip(gamma1, sums) for a in (g.sum(axis=0)[None], *rest)]
+    return loglik, rho, counts
 
 
 def _log_pass(hmms, data, inits, threads=1, want="loglik"):
@@ -680,7 +683,7 @@ def _criteria(m: Model, data: SequenceDataset, ll: float) -> InformationCriteria
 
 def cluster_prior_probs(mix: MixtureModel, design: CovariateDesign) -> np.ndarray:
     """Prior cluster membership probabilities w_ik from the covariates."""
-    return mixture_weights(mix.gamma, _mixture_design(mix, design.n_subjects, design).X)
+    return _prior_weights(mix, design, "cluster_prior_probs")
 
 
 def cluster_logliks(

@@ -1,13 +1,13 @@
 """HMM and mixture-HMM construction, validation, and transformation.
 
 Every model is checked in one place, ``HmmModel.__post_init__``, whichever
-path built it: the builders, the JSON loader, ``with_params`` (so the
-M-step and the local step), trimming and ``combine_clusters``.  Each
-probability row must be non-negative and sum to one within ``ROW_TOL``;
-rows inside the tolerance are silently renormalized, rows outside it are
-rejected.  Entries marked in a ``*_mask`` are structural zeros: they must
-hold exactly 0, are never touched by estimation and do not count as free
-parameters.  Every builder of a fresh model goes through ``build_hmm``,
+path built it: the builders, the JSON loader, ``with_params``,
+``_with_blocks`` (so the M-step and the local step), trimming and
+``combine_clusters``.  Each probability row must be non-negative and sum
+to one within ``ROW_TOL``; rows inside the tolerance are silently
+renormalized, rows outside it are rejected.  Entries marked in a
+``*_mask`` are structural zeros: they must hold exactly 0, are never
+touched by estimation and do not count as free parameters.  Every builder of a fresh model goes through ``build_hmm``,
 which marks every zero entry it is given.  State names, and a mixture's
 cluster names, must be distinct.
 
@@ -541,6 +541,17 @@ def _mixture_design(
     return design
 
 
+def _prior_weights(m: Model, design: Optional[CovariateDesign], caller: str) -> np.ndarray:
+    """Prior cluster probabilities w_ik for a function given a mixture and a
+    design alone, whose rows are the subjects: any other model raises
+    InvalidParameter, and no design DegenerateData."""
+    if not isinstance(m, MixtureModel):
+        raise InvalidParameter(f"{caller} takes a MixtureModel, got {type(m).__name__}")
+    if design is None:
+        raise DegenerateData(f"{caller} needs a covariate design, one row per subject")
+    return mixture_weights(m.gamma, _mixture_design(m, design.n_subjects, design).X)
+
+
 def _combined_state_names(cluster_names, clusters) -> tuple[str, ...]:
     """The names of a mixture's states side by side: ``cluster:state``."""
     return tuple(f"{c}:{s}" for c, m in zip(cluster_names, clusters) for s in m.state_names)
@@ -555,9 +566,9 @@ def combine_clusters(
     exact structural zeros.  Returns the combined model together with the
     per-subject initial vectors (w_i1*pi^1, ..., w_iK*pi^K).
     """
-    if design.n_subjects == 0:
+    w = _prior_weights(mix, design, "combine_clusters")
+    if w.shape[0] == 0:
         raise DimensionMismatch("the covariate design has no rows; it needs one per subject")
-    design = _mixture_design(mix, design.n_subjects, design)
     S_total = mix.n_states_total
     offsets = mix.state_offsets
     transition = np.zeros((S_total, S_total))
@@ -575,7 +586,6 @@ def combine_clusters(
         np.vstack([m.emission_masks[c] for m in mix.clusters])
         for c in range(mix.clusters[0].n_channels)
     )
-    w = mixture_weights(mix.gamma, design.X)
     subject_initials = np.hstack(
         [w[:, k : k + 1] * m.initial[None, :] for k, m in enumerate(mix.clusters)]
     )

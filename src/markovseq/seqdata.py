@@ -510,16 +510,21 @@ def mc_to_sc(data: SequenceDataset, separator: str = "/") -> SequenceDataset:
     """
     if data.n_channels == 1:
         return data
-    stacked = np.stack([ch.codes for ch in data.channels], axis=-1)  # (N, T, C)
-    all_observed = np.all(stacked != MISSING, axis=-1)
-    # rows come back sorted lexicographically, as sorted() orders tuples
-    tuples, inverse = np.unique(stacked[all_observed], axis=0, return_inverse=True)
+    all_observed = np.all([ch.observed for ch in data.channels], axis=0)
+    cells = [ch.codes[all_observed] for ch in data.channels]
+    # rank the tuples as sorted() orders them, a channel at a time (rank * M_c
+    # + code < cells * M_c, so no key overflows)
+    inverse = 0
+    for ch, c in zip(data.channels, cells):
+        _, inverse = np.unique(inverse * ch.alphabet.size + c, return_inverse=True)
+    first = np.zeros(inverse.max(initial=-1) + 1, dtype=np.intp)
+    first[inverse] = np.arange(inverse.size)  # a cell of each combination
     labels = tuple(
         separator.join(ch.alphabet.labels[c] for ch, c in zip(data.channels, tup))
-        for tup in tuples.tolist()
+        for tup in zip(*(c[first].tolist() for c in cells))
     )
     codes = np.full((data.n_subjects, data.n_time), MISSING, dtype=np.int64)
-    codes[all_observed] = inverse.reshape(-1)
+    codes[all_observed] = inverse
     name = separator.join(data.channel_names)
     missing_token = data.channels[0].alphabet.missing_token
     channel = Channel(name, Alphabet(labels, missing_token), codes)

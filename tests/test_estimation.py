@@ -16,6 +16,7 @@ from markovseq import (
     fit_em,
     fit_local,
     fit_model,
+    forward_backward,
     gamma_m_step,
     log_likelihood,
     loglik_gradient,
@@ -27,12 +28,13 @@ from markovseq.estimation import (
     FitControl,
     _em_vector,
     _gamma_hessian,
+    _gradient,
     _m_step,
     _perturb,
     expected_stats,
 )
 from markovseq.errors import DimensionMismatch, InvalidParameter, RankDeficientDesign
-from markovseq.inference import _clusters_and_inits, _scaled_pass
+from markovseq.inference import _clusters_and_inits, _scaled_pass, _Workspace
 from markovseq.seqdata import MISSING
 
 from helpers import make_alphabets, random_dataset, random_hmm, random_mixture, uneven_mixture
@@ -99,11 +101,9 @@ class TestChunkedEStep:
         loglik, gamma1, xi, emis_num = _reference_stats(model, data)
         for threads in (1, 3):
             got = expected_stats(model, data, threads=threads)
-            np.testing.assert_allclose(got.loglik_per_subject, loglik, rtol=1e-12)
             assert abs(got.loglik - loglik.sum()) <= 1e-12 * abs(loglik.sum())
-            np.testing.assert_allclose(got.gamma1, gamma1, rtol=1e-12)
-            np.testing.assert_allclose(got.xi, xi, rtol=1e-12)
-            for g, w in zip(got.emis_num, emis_num):
+            want = [gamma1.sum(axis=0)[None], xi, *emis_num]
+            for g, w in zip(got.counts, want, strict=True):
                 np.testing.assert_allclose(g, w, rtol=1e-12)
 
 
@@ -193,7 +193,9 @@ class TestFitEm:
         data = random_dataset(rng, mix.clusters[0], 30, 8, missing_rate=0.1)
         got = fit_em(mix, data, design, FitControl(em_max_iter=1)).model
         combined, initials = combine_clusters(mix, design)
-        stats = expected_stats(combined, data, initials)
+        (pi_counts,), xi, *emis_num = expected_stats(combined, data, initials).counts
+        fb = forward_backward(combined, data, subject_initials=initials)
+        gamma1 = (fb.alpha * fb.beta)[:, 0]
         blocks = [slice(o, o + sub.n_states) for o, sub in zip(mix.state_offsets, mix.clusters)]
 
         def rows(counts):
@@ -201,11 +203,11 @@ class TestFitEm:
 
         for k, block in enumerate(blocks):
             new = got.clusters[k]
-            np.testing.assert_allclose(new.initial, rows(stats.gamma1[:, block].sum(axis=0)), rtol=1e-12)
-            np.testing.assert_allclose(new.transition, rows(stats.xi[block, block]), rtol=1e-12)
-            for b, num in zip(new.emissions, stats.emis_num):
+            np.testing.assert_allclose(new.initial, rows(pi_counts[block]), rtol=1e-12)
+            np.testing.assert_allclose(new.transition, rows(xi[block, block]), rtol=1e-12)
+            for b, num in zip(new.emissions, emis_num):
                 np.testing.assert_allclose(b, rows(num[block]), rtol=1e-12)
-        rho = np.stack([stats.gamma1[:, block].sum(axis=1) for block in blocks], axis=1)
+        rho = np.stack([gamma1[:, block].sum(axis=1) for block in blocks], axis=1)
         want = gamma_m_step(design, rho, mix.gamma).gamma
         np.testing.assert_allclose(got.gamma, want, rtol=1e-12)
 
@@ -525,6 +527,25 @@ class TestFitModel:
         assert joint.diagnostics == em.diagnostics + loc.diagnostics
 
 
+class TestGradientOfARecord:
+    @pytest.mark.parametrize("case", ["hmm", "mixture"])
+    def test_equals_loglik_gradient_to_the_bit(self, case):
+        """``_gradient`` of an E-step record, taken in a fit's workspace at
+        three threads, is ``loglik_gradient`` at the start and at a moved
+        point."""
+        if case == "hmm":
+            (data, start), design = _left_to_right_case(), None
+        else:
+            data, design, start = _covariate_mixture_case()
+        pmap = ParameterMap(start)
+        theta = pmap.pack() + np.random.default_rng(5).normal(scale=0.3, size=pmap.n_params)
+        workspace = _Workspace(data)
+        for m, at in [(start, None), (pmap.unpack(theta), theta)]:
+            stats = expected_stats(m, data, threads=3, design=design, workspace=workspace)
+            got = _gradient(m, stats, pmap, design)
+            assert got.tobytes() == loglik_gradient(start, data, design, theta=at).tobytes()
+
+
 class TestFitLocal:
     def test_binomial_mle_recovered(self):
         data = _single_channel_data([["A", "A", "B", "A"]])
@@ -565,6 +586,35 @@ class TestFitLocal:
         res = fit_local(start, data, control=FitControl(local_max_iter=0))
         assert len(seen) == 1 and seen[0] is start
         assert res.loglik_trace == [real_stats(start, data).loglik]
+
+    @pytest.mark.parametrize("case", ["hmm", "mixture"])
+    def test_one_e_step_per_objective_evaluation(self, monkeypatch, case):
+        if case == "hmm":
+            (data, start), design = _left_to_right_case(), None
+        else:
+            data, design, start = _covariate_mixture_case()
+        real_stats, real_lbfgs = estimation.expected_stats, estimation._lbfgs
+        e_steps, evaluations = [], []
+
+        def counting(*args, **kwargs):
+            e_steps.append(None)
+            return real_stats(*args, **kwargs)
+
+        def counted_lbfgs(fun, *args):
+            def counted(theta):
+                evaluations.append(None)
+                return fun(theta)
+
+            return real_lbfgs(counted, *args)
+
+        monkeypatch.setattr(estimation, "expected_stats", counting)
+        monkeypatch.setattr(estimation, "_lbfgs", counted_lbfgs)
+        res = fit_local(start, data, design, FitControl(local_max_iter=5))
+        assert res.local_iterations > 0
+        assert len(e_steps) == len(evaluations) > res.local_iterations
+        e_steps.clear()
+        loglik_gradient(start, data, design)
+        assert len(e_steps) == 1
 
     def test_never_decreases_after_em(self):
         rng = np.random.default_rng(210)

@@ -4,7 +4,8 @@
 so each bad design raises one error class whichever entry point is given it:
 no design for a mixture with covariates raises DegenerateData, columns other
 than the model's AlphabetMismatch, and a row count other than the number of
-subjects ShapeMismatch.
+subjects ShapeMismatch.  The entry points that take a design alone raise
+InvalidParameter for a model that is not a mixture.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from markovseq import (
     simulate_mhmm_data,
     viterbi_paths,
 )
-from markovseq.errors import AlphabetMismatch, DegenerateData, ShapeMismatch
+from markovseq.errors import AlphabetMismatch, DegenerateData, InvalidParameter, ShapeMismatch
 from markovseq.model import _mixture_design
 
 from helpers import random_dataset, random_hmm
@@ -56,7 +57,8 @@ ENTRY_POINTS = {
         mix, d, data.n_subjects, data.n_time, 0
     ),
 }
-# these take a design alone, so it sets the subject count and cannot be None
+# these take a design alone, so it sets the subject count and cannot be wrong
+# in its row count
 DESIGN_ONLY = {"cluster_prior_probs", "combine_clusters"}
 
 # bad design name -> (design for the ("(Intercept)", "x") mixture, error)
@@ -72,7 +74,7 @@ BAD_DESIGNS = {
         ShapeMismatch,
     ),
 }
-NOT_APPLICABLE = {"none", "wrong row count"}
+NOT_APPLICABLE = {"wrong row count"}
 
 
 def _columns(n_rows, n_columns):
@@ -104,6 +106,13 @@ def test_bad_design_raises_one_class_at_every_entry_point(entry, bad):
     make, error = BAD_DESIGNS[bad]
     with pytest.raises(error):
         ENTRY_POINTS[entry](mix, data, make())
+
+
+@pytest.mark.parametrize("entry", sorted(DESIGN_ONLY))
+def test_design_only_entry_points_reject_an_hmm(entry):
+    mix, data, design = _covariate_mixture()
+    with pytest.raises(InvalidParameter, match="takes a MixtureModel, got HmmModel"):
+        ENTRY_POINTS[entry](mix.clusters[0], data, design)
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)

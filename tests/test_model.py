@@ -614,11 +614,8 @@ class TestOneValidationPoint:
         m = _two_state_model()
         stats = EStats(
             loglik=0.0,
-            loglik_per_subject=np.zeros(1),
-            gamma1=np.array([[0.5, 0.5]]),
-            xi=np.array([[2.0, -1.0], [1.0, 1.0]]),
-            emis_num=[np.ones((2, 2))],
             rho=np.ones((1, 1)),
+            counts=[np.array([[0.5, 0.5]]), np.array([[2.0, -1.0], [1.0, 1.0]]), np.ones((2, 2))],
         )
         with pytest.raises(NegativeProbability, match="transition row 0"):
             _m_step(m, stats, None, set())

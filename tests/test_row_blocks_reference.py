@@ -4,6 +4,9 @@ The ``_Ref*``/``_ref_*`` code below is the parameter map, gradient, M-step,
 restart perturbation, SQUAREM vector, trimming and parameter count as they
 were when each walked a model's probability rows one at a time, frozen
 here.  The library now walks whole blocks of rows (``model._blocks``).
+The frozen gradient and M-step read an E-step per cluster (``gamma1``,
+``xi``, ``emis_num``); ``_per_cluster`` shows them the library's flat
+E-step record in that layout.
 
 On a dense HMM, a left-to-right HMM, a K = 3 mixture of 2, 4 and 3 states
 with a covariate, and models whose rows have exactly one free entry (an
@@ -20,6 +23,7 @@ normalizer and the gradient's row totals may differ in the last bits
 """
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -462,6 +466,21 @@ def _outcome(call):
         return None, (type(err), str(err))
 
 
+def _per_cluster(m, stats):
+    """An E-step record in the per-cluster layout the frozen references
+    read: an HMM's counts as ``gamma1`` (its initial row, whose sum over
+    axis 0 is itself), ``xi`` and ``emis_num``, a mixture's one such view
+    per cluster in ``clusters``."""
+    n = len(stats.counts) // len(m.clusters if isinstance(m, MixtureModel) else (m,))
+    views = [
+        SimpleNamespace(gamma1=counts[0], xi=counts[1], emis_num=counts[2:])
+        for counts in (stats.counts[i : i + n] for i in range(0, len(stats.counts), n))
+    ]
+    if isinstance(m, MixtureModel):
+        return SimpleNamespace(loglik=stats.loglik, rho=stats.rho, clusters=tuple(views))
+    return SimpleNamespace(loglik=stats.loglik, rho=stats.rho, clusters=(), **vars(views[0]))
+
+
 def _agree(got_call, want_call):
     """Both calls build the same model bit for bit, or raise the same error;
     returns the model, or None."""
@@ -489,14 +508,12 @@ def _check_all(m, data, design, rng):
     except NonFiniteLikelihood:  # generated data can be impossible under the model
         stats = None
     if stats is not None:
-        grad, ll = _gradient(m, data, design, pmap)
-        want_grad, want_ll = _ref_gradient(m, stats, design, ref)
-        _same_bits(grad, want_grad)
-        assert ll == want_ll
+        old = _per_cluster(m, stats)
+        _same_bits(_gradient(m, stats, pmap, design), _ref_gradient(m, old, design, ref)[0])
         got_flags, want_flags = set(), set()
         _agree(
             lambda: _m_step(m, stats, design, got_flags),
-            lambda: _ref_m_step(m, stats, design, want_flags),
+            lambda: _ref_m_step(m, old, design, want_flags),
         )
         assert got_flags == want_flags
 
@@ -548,17 +565,13 @@ def test_cases_reach_what_they_name():
 def _starved(stats, mixture):
     """A copy of E-step counts with no mass in chosen rows: the initial
     counts, transition row 1 and emission row 0 of channel 1 (of cluster 1
-    in a mixture)."""
-    per_cluster = list(stats.clusters or (stats,))
-    k = 1 if mixture else 0
-    st_ = per_cluster[k]
-    xi, emis = st_.xi.copy(), [b.copy() for b in st_.emis_num]
-    xi[1] = 0.0
-    emis[1][0] = 0.0
-    per_cluster[k] = replace(st_, gamma1=np.zeros_like(st_.gamma1), xi=xi, emis_num=emis)
-    if mixture:
-        return replace(stats, clusters=tuple(per_cluster))
-    return per_cluster[0]
+    in a mixture), each model here having two channels."""
+    counts = [a.copy() for a in stats.counts]
+    initial, transition, _, emission_1 = counts[4:8] if mixture else counts[:4]
+    initial[...] = 0.0
+    transition[1] = 0.0
+    emission_1[0] = 0.0
+    return replace(stats, counts=counts)
 
 
 @pytest.mark.parametrize("case", ["dense", "mixture_2_4_3"])
@@ -567,7 +580,8 @@ def test_empty_posterior_diagnostics_unchanged(case):
     mixture = isinstance(m, MixtureModel)
     stats = _starved(expected_stats(m, data, design=design), mixture)
     got, want = set(), set()
-    _same_model(_m_step(m, stats, design, got), _ref_m_step(m, stats, design, want))
+    old = _per_cluster(m, stats)
+    _same_model(_m_step(m, stats, design, got), _ref_m_step(m, old, design, want))
     prefix = "cluster 1 " if mixture else ""
     assert got == want == {
         f"{prefix}initial", f"{prefix}transition row 1", f"{prefix}emission[1] row 0"
@@ -652,10 +666,11 @@ def test_wide_masked_rows_within_stated_tolerance():
     got, want = pmap.unpack(moved), ref.unpack(moved)
     np.testing.assert_allclose(_em_vector(got), _ref_em_vector(want), rtol=1e-15, atol=0)
     stats = expected_stats(m, data)
-    grad, want = _gradient(m, data, None, pmap)[0], _ref_gradient(m, stats, None, ref)[0]
+    old = _per_cluster(m, stats)
+    grad, want = _gradient(m, stats, pmap, None), _ref_gradient(m, old, None, ref)[0]
     np.testing.assert_allclose(grad, want, rtol=0, atol=4 * np.spacing(float(N * T)))
     got_flags, want_flags = set(), set()
-    _same_model(_m_step(m, stats, None, got_flags), _ref_m_step(m, stats, None, want_flags))
+    _same_model(_m_step(m, stats, None, got_flags), _ref_m_step(m, old, None, want_flags))
     assert got_flags == want_flags
     for seed in (1, 2):
         _same_model(

@@ -617,8 +617,9 @@ class TestMcToScAgainstReference:
             ((3, 2, 4), 0.2, None),
             ((12, 11, 3), 0.1, None),
             ((3, 4, 2), 0.3, 1),
+            ((300,) * 8, 0.1, None),  # 300 ** 8 combinations overflow int64
         ],
-        ids=["2ch", "2ch-missing", "3ch-missing", "3ch-wide", "one-tuple"],
+        ids=["2ch", "2ch-missing", "3ch-missing", "3ch-wide", "one-tuple", "8ch-beyond-int64"],
     )
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equal_output(self, sizes, missing_rate, high, seed):

@@ -16,8 +16,10 @@ the leading group's bound:
 * the emission products are identical to the bit everywhere: a joint code
   selects the outer-product entry b_0 * b_1, formed left to right as the
   per-channel lookups multiplied it;
-* where no cluster has more than 3 states, the log-likelihoods, rho, gamma1
-  and emission counts are identical to the bit as well;
+* where no cluster has more than 3 states, the log-likelihoods, rho, the
+  initial-state counts (the frozen kernel's t=0 posteriors summed over the
+  subjects, ``_in_block_order``) and emission counts are identical to the
+  bit as well;
 * every output agrees to a relative ``RTOL`` = 1e-13.  The forward
   normalizer is now a sum over the state axis in state order; the frozen
   kernel took it as a matrix-vector product, which BLAS groups in pairs
@@ -247,6 +249,16 @@ CASES = {
 BIT_IDENTICAL = {"hmm_1", "small_mixture", "wide_channels"}
 
 
+def _in_block_order(ref):
+    """The frozen ``"stats"`` result with its per-cluster tuples flattened
+    into the order the kernel now returns its counts in: per cluster the
+    t=0 posteriors summed over the subjects as one row, the transitions,
+    then each channel's emission counts."""
+    loglik, rho, per_cluster = ref
+    counts = [a for g1, xi, nums in per_cluster for a in (g1.sum(axis=0)[None], xi, *nums)]
+    return loglik, rho, counts
+
+
 def _arrays(result):
     if isinstance(result, (tuple, list)):
         return [a for item in result for a in _arrays(item)]
@@ -273,6 +285,8 @@ def test_scaled_pass_matches_reference(case, threads):
     for want in ("loglik", "full", "stats"):
         got = _scaled_pass(hmms, data, inits, threads, want, workspace)
         ref = _ref_scaled_pass(hmms, data, inits, 1, want)
+        if want == "stats":
+            ref = _in_block_order(ref)
         for g, r in zip(_arrays(got), _arrays(ref), strict=True):
             _close(g, r)
         if case not in BIT_IDENTICAL:
@@ -280,9 +294,11 @@ def test_scaled_pass_matches_reference(case, threads):
         assert _bits(got[-1:] if want == "full" else got[:2]) == _bits(
             ref[-1:] if want == "full" else ref[:2]
         )
-        if want == "stats":
-            for (g1, _, nums), (ref_g1, _, ref_nums) in zip(got[2], ref[2], strict=True):
-                assert _bits([g1, *nums]) == _bits([ref_g1, *ref_nums])
+        if want == "stats":  # all but the transitions (every n-th block, from 1)
+            n = 2 + data.n_channels
+            assert _bits(got[2][i] for i in range(len(got[2])) if i % n != 1) == _bits(
+                ref[2][i] for i in range(len(ref[2])) if i % n != 1
+            )
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

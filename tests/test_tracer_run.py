@@ -59,6 +59,11 @@ def test_traced_pipeline_reports_nonzero_work(tmp_path):
         "simulate.draw_s",
     ):
         assert metrics[name][0] > 0, name
+    # every EM E-step and every local objective evaluation, the first included,
+    # is one expected_stats call
+    assert metrics["estimation.estep_calls"][0] >= (
+        metrics["estimation.em_iterations"][0] + metrics["estimation.local_iters"][0] + 1
+    )
     fit = json.loads((tmp_path / "fit" / "fit_result.json").read_text())
     assert metrics["estimation.local_iters"][0] == fit["local_iterations"]
     assert metrics["estimation.restart_best_ratio"][0] > 0
