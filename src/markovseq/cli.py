@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager, suppress
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -281,17 +282,8 @@ def _cmd_validate(args, out: Path, log) -> int:
 
 def _cmd_fit(args, out: Path, log) -> int:
     data, model, design = _inputs(args)
-    control = FitControl(
-        em_max_iter=args.em_max_iter,
-        em_rel_tol=args.em_rel_tol,
-        restarts=args.restarts,
-        restart_perturb=args.restart_perturb,
-        local_step=args.local_step,
-        local_max_iter=args.local_max_iter,
-        local_grad_tol=args.local_grad_tol,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    # each FitControl field has the flag of its name; FitControl checks them
+    control = FitControl(**{f.name: getattr(args, f.name) for f in fields(FitControl)})
     res = fit_model(model, data, design, control)
     ic = information_criteria(res.model, data, design, args.mode)
     _write_json(out / "model_fitted.json", model_to_json(res.model))

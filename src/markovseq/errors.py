@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all markovseq modules."""
+"""Exception hierarchy shared by all markovseq modules, and one check per kind of argument."""
+
+import numbers
 
 
 class MarkovSeqError(Exception):
@@ -54,7 +56,7 @@ class UnwritableOutput(MarkovSeqError):
 
 
 class DimensionMismatch(MarkovSeqError):
-    pass
+    """Shapes only: arrays, or counts of states, channels or clusters, that do not fit."""
 
 
 class RowSumError(MarkovSeqError):
@@ -78,10 +80,9 @@ class GammaReferenceNotZero(MarkovSeqError):
 
 
 class InvalidParameter(MarkovSeqError):
-    """A parameter value outside its domain: a non-zero value at a
-    structural zero, a non-finite covariate coefficient, a model entry that
-    is not a number, a manifest value of the wrong type, a negative seed,
-    or a simulation size below 1 or missing rate outside [0, 1]."""
+    """A value that is not of its kind or lies outside its domain: an
+    argument that fails its check below, or a model or manifest value
+    outside its domain (a non-zero value at a structural zero, say)."""
 
 
 class RowAnnihilated(MarkovSeqError):
@@ -131,3 +132,45 @@ class NonInvertibleHessian(MarkovSeqError):
 
 class EmptyDataset(MarkovSeqError):
     pass
+
+
+# -- argument checks: one per kind, run at public entry points only --------
+
+
+def check_count(value, name: str, low: int, optional: bool = False):
+    """``value`` as an int: an integer >= ``low`` (a numpy integer is one, a
+    bool is not), or None where ``optional``."""
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
+    if value < low:
+        raise InvalidParameter(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
+
+
+def check_real(value, name: str, low: float, high: float, open_low: bool = False) -> float:
+    """``value`` as a float: a real number (not a bool) in [low, high], or in
+    (low, high] where ``open_low``.  NaN is in no range; ``high`` may be inf."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (low < value if open_low else low <= value) and value <= high):
+        interval = f"{'(' if open_low else '['}{low:g}, {high:g}]"
+        raise InvalidParameter(f"{name} must be a number in {interval}, got {value!r}")
+    return float(value)
+
+
+def check_text(value, name: str, choices=()) -> str:
+    """``value`` if it is a string; with ``choices``, its lower-case form,
+    which must be one of them."""
+    if choices and not (isinstance(value, str) and value.lower() in choices):
+        raise InvalidParameter(f"unknown {name} {value!r}, expected one of {', '.join(choices)}")
+    if not isinstance(value, str):
+        raise InvalidParameter(f"{name} must be a string, not {type(value).__name__}")
+    return value.lower() if choices else value
+
+
+def check_instance(value, kind: type, caller: str):
+    """``value`` if it is a ``kind``; the error names ``caller``, which takes it."""
+    if not isinstance(value, kind):
+        raise InvalidParameter(f"{caller} takes a {kind.__name__}, got {type(value).__name__}")
+    return value

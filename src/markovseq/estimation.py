@@ -40,15 +40,16 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InvalidParameter,
     MarkovSeqError,
     NonFiniteLikelihood,
     NonInvertibleHessian,
     NumericalUnderflow,
     RankDeficientDesign,
+    check_count,
+    check_instance,
+    check_real,
 )
 from .inference import (
-    _check_threads,
     _clusters_and_inits,
     _scaled_pass,
     _Workspace,
@@ -79,7 +80,7 @@ class FitControl:
     (rejected ones included) as well as its EM maps; ``em_rel_tol`` stops a
     run when one EM map changes the log-likelihood by less than that,
     relative.  ``threads``, an integer >= 1, only distributes per-subject
-    work and never changes results.  The counts and ``seed`` must be integers.
+    work and never changes results.  The counts and ``seed`` are integers >= 0.
     """
 
     em_max_iter: int = 1000
@@ -93,22 +94,16 @@ class FitControl:
     threads: int = 1
 
     def __post_init__(self):
+        # kept as the checks return them, plain ints and floats, so to_dict is JSON
         for name in ("em_max_iter", "restarts", "local_max_iter", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-        if not (self.em_rel_tol > 0 and self.local_grad_tol > 0):  # NaN fails too
-            raise DimensionMismatch("tolerances must be positive")
-        if self.restarts < 0:
-            raise DimensionMismatch("restarts must be >= 0")
-        for name in ("em_max_iter", "local_max_iter"):
-            if getattr(self, name) < 0:
-                raise InvalidParameter(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if self.restarts and self.seed < 0:  # numpy seeds only from integers >= 0
-            raise InvalidParameter(f"restarts need a seed >= 0, got {self.seed!r}")
-        if not (0 < self.restart_perturb <= 1):
-            raise DimensionMismatch("restart_perturb must be in (0, 1]")
-        _check_threads(self.threads)
+            setattr(self, name, check_count(getattr(self, name), name, 0))
+        self.threads = check_count(self.threads, "threads", 1)
+        for name in ("em_rel_tol", "local_grad_tol"):
+            setattr(self, name, check_real(getattr(self, name), name, 0, np.inf, open_low=True))
+        self.restart_perturb = check_real(
+            self.restart_perturb, "restart_perturb", 0, 1, open_low=True
+        )
+        check_instance(self.local_step, bool, "FitControl.local_step")
 
     def to_dict(self) -> dict:
         """Every setting but ``threads``, which never changes results."""
@@ -361,7 +356,7 @@ def fit_em(
     same fixed points as plain EM in fewer E-steps; ``em_max_iter`` caps
     the E-steps of each run and ``em_iterations`` reports the best run's.
     """
-    control = control or FitControl()
+    control = FitControl() if control is None else check_instance(control, FitControl, "fit_em")
     design = _mixture_design(m, data.n_subjects, design)
     workspace = _Workspace(data)
     runs = []
@@ -478,6 +473,7 @@ def loglik_gradient(
     model's current values.  Coordinates follow ``ParameterMap`` order and
     the vector length equals the free parameter count.
     """
+    threads = check_count(threads, "threads", 1)
     pmap = ParameterMap(m)
     design = _mixture_design(m, data.n_subjects, design)
     if theta is not None:
@@ -584,7 +580,7 @@ def fit_local(
     first value and gradient are those of ``m`` itself, and without an
     accepted step ``m`` is returned.
     """
-    control = control or FitControl()
+    control = FitControl() if control is None else check_instance(control, FitControl, "fit_local")
     design = _mixture_design(m, data.n_subjects, design)
     pmap = ParameterMap(m)
     workspace = _Workspace(data)
@@ -642,7 +638,7 @@ def fit_model(
     iterations and stopping reason; its trace is EM's followed by the local
     step's accepted iterates.
     """
-    control = control or FitControl()
+    control = FitControl() if control is None else check_instance(control, FitControl, "fit_model")
     em = fit_em(m, data, design, control)
     if not control.local_step:
         return em
@@ -710,12 +706,16 @@ def gamma_m_step(
     """
     X = design.X
     weights = np.asarray(weights, dtype=float)
-    if weights.shape[0] != X.shape[0]:
+    gamma = np.array(gamma_init, dtype=float)
+    if weights.ndim != 2 or weights.shape[0] != X.shape[0]:
         raise DimensionMismatch("weights rows must match design rows")
+    Q, K = X.shape[1], weights.shape[1]
+    if gamma.shape != (Q, K):
+        raise DimensionMismatch(f"gamma_init shape {gamma.shape}, expected {(Q, K)}")
+    max_iter = check_count(max_iter, "max_iter", 0)
+    grad_tol = check_real(grad_tol, "grad_tol", 0, np.inf)
     if np.linalg.matrix_rank(X) < X.shape[1]:
         raise RankDeficientDesign("design matrix is rank deficient")
-    Q, K = gamma_init.shape
-    gamma = np.asarray(gamma_init, dtype=float).copy()
     gamma[:, 0] = 0.0
     diagnostics: list[str] = []
     if K == 1:
@@ -759,6 +759,7 @@ def covariate_standard_errors(
     Uses the same analytic Hessian as the Newton step for gamma, evaluated
     at the estimate; the reference column's errors are zero.
     """
+    check_instance(mix, MixtureModel, "covariate_standard_errors")
     design = _mixture_design(mix, data.n_subjects, design)
     Q, K = mix.gamma.shape
     se = np.zeros((Q, K))

@@ -33,9 +33,11 @@ from .errors import (
     AlphabetMismatch,
     DegenerateData,
     ImpossibleData,
-    InvalidParameter,
     NonInvertibleHessian,
     NumericalUnderflow,
+    check_count,
+    check_instance,
+    check_text,
 )
 from .model import (
     HmmModel,
@@ -77,21 +79,14 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.where(np.isfinite(mx), out, mx).squeeze(axis)
 
 
+_MODES = dict(scaled="scaled", scaling="scaled", log="log", logspace="log", log_space="log")
+
+
 def _normalize_mode(mode: str) -> str:
-    m = mode.lower() if isinstance(mode, str) else mode
-    if m in ("scaled", "scaling"):
-        return "scaled"
-    if m in ("log", "logspace", "log_space"):
-        return "log"
-    raise InvalidParameter(f"unknown mode {mode!r}")
+    return _MODES[check_text(mode, "mode", _MODES)]
 
 
 def _check_compatible(model: HmmModel, data: SequenceDataset) -> None:
-    if isinstance(model, MixtureModel):
-        raise AlphabetMismatch(
-            "mixtures have no single state space here; embed one with "
-            "combine_clusters or call the mixture-aware operations"
-        )
     if model.n_channels != data.n_channels:
         raise AlphabetMismatch(
             f"model has {model.n_channels} channels, data has {data.n_channels}"
@@ -107,13 +102,6 @@ def _chunk_spans(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + _CHUNK, n)) for a in range(0, max(n, 1), _CHUNK)]
 
 
-def _check_threads(threads) -> None:
-    """Raise InvalidParameter unless ``threads`` is an integer >= 1 (a numpy
-    integer passes, a bool does not)."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise InvalidParameter(f"threads must be an integer >= 1, got {threads!r}")
-
-
 def _run_chunked(fn, n_subjects: int, threads: int) -> None:
     """Call ``fn(k, (a, b), w)`` for every chunk k, which covers subjects
     a..b-1, on worker w.
@@ -122,7 +110,6 @@ def _run_chunked(fn, n_subjects: int, threads: int) -> None:
     order, one at a time, so per-worker scratch is never shared.  A failure
     raises the error of the lowest failing chunk, as a serial run would.
     """
-    _check_threads(threads)
     spans = _chunk_spans(n_subjects)
     workers = min(threads, len(spans))
 
@@ -565,7 +552,8 @@ def forward_backward(
 
     ``subject_initials`` overrides the model's initial vector per subject.
     """
-    mode = _normalize_mode(mode)
+    check_instance(model, HmmModel, "forward_backward")
+    mode, threads = _normalize_mode(mode), check_count(threads, "threads", 1)
     _check_compatible(model, data)
     init = [_resolve_initials(model, data, subject_initials)]
     if mode == "scaled":
@@ -578,7 +566,7 @@ def forward_backward(
 def _forward_pass(m, data, design, mode, threads, subject_initials=None):
     """Per-subject log-likelihoods and rho (N, K) from forward passes only; in
     log mode a subject impossible in every cluster gets -inf and NaN rho."""
-    mode = _normalize_mode(mode)
+    mode, threads = _normalize_mode(mode), check_count(threads, "threads", 1)
     hmms, inits = _clusters_and_inits(m, data, design, subject_initials)
     if mode == "scaled":
         return _scaled_pass(hmms, data, inits, threads)
@@ -611,7 +599,7 @@ def posterior_state_probs(
     s of cluster k means cluster k and state s.  Every (subject, time)
     slice sums to one.
     """
-    mode = _normalize_mode(mode)
+    mode, threads = _normalize_mode(mode), check_count(threads, "threads", 1)
     hmms, inits = _clusters_and_inits(m, data, design)
     if mode == "scaled":
         alpha, beta, _, _ = _scaled_pass(hmms, data, inits, threads, "full")
@@ -702,6 +690,7 @@ def cluster_posterior_probs(
     threads: int = 1,
 ) -> np.ndarray:
     """Posterior cluster membership probabilities (scaled mode); rows sum to one."""
+    check_instance(mix, MixtureModel, "cluster_posterior_probs")
     return _forward_pass(mix, data, design, "scaled", threads)[1]
 
 
@@ -789,6 +778,7 @@ def mixture_summary(
     """
     from .estimation import covariate_standard_errors  # local: avoids import cycle
 
+    check_instance(mix, MixtureModel, "mixture_summary")
     design = _mixture_design(mix, data.n_subjects, design)
     loglik, post = _forward_pass(mix, data, design, mode, 1)
     _require_possible(loglik, data, "summary")

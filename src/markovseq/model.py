@@ -39,6 +39,10 @@ from .errors import (
     RowAnnihilated,
     RowSumError,
     ShapeMismatch,
+    check_count,
+    check_instance,
+    check_real,
+    check_text,
 )
 from .seqdata import (
     MISSING,
@@ -344,10 +348,8 @@ def build_hmm(
         transition = np.asarray(transition, dtype=float)
         emissions = [np.asarray(b, dtype=float) for b in emissions]
     else:
-        if n_states is None:
-            raise DimensionMismatch("give either full parameters or n_states")
-        S = int(n_states)
-        rng = np.random.default_rng(rng_seed)
+        S = check_count(n_states, "n_states", 1)
+        rng = np.random.default_rng(check_count(rng_seed, "rng_seed", 0, optional=True))
         initial = rng.dirichlet(np.ones(S))
         transition = rng.dirichlet(np.ones(S), size=S)
         emissions = [rng.dirichlet(np.ones(a.size), size=S) for a in alphabets]
@@ -466,11 +468,10 @@ def build_restricted_mixture(
     clusters have one hidden state, a transition fixed to the scalar 1,
     and free emission rows; any channel count is allowed.
     """
-    kind = kind.lower()
-    if kind not in ("mmm", "lcm"):
-        raise DimensionMismatch(f"unknown restricted mixture kind {kind!r}")
+    kind = check_text(kind, "kind", ("mmm", "lcm"))
+    n_clusters = check_count(n_clusters, "n_clusters", 1)
     alphabets, channel_names = _data_meta(data_meta)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(check_count(rng_seed, "rng_seed", 0, optional=True))
     if kind == "mmm":
         if len(alphabets) != 1:
             raise MultichannelNotAllowed("the data must be in a single-channel format")
@@ -545,8 +546,7 @@ def _prior_weights(m: Model, design: Optional[CovariateDesign], caller: str) -> 
     """Prior cluster probabilities w_ik for a function given a mixture and a
     design alone, whose rows are the subjects: any other model raises
     InvalidParameter, and no design DegenerateData."""
-    if not isinstance(m, MixtureModel):
-        raise InvalidParameter(f"{caller} takes a MixtureModel, got {type(m).__name__}")
+    check_instance(m, MixtureModel, caller)
     if design is None:
         raise DegenerateData(f"{caller} needs a covariate design, one row per subject")
     return mixture_weights(m.gamma, _mixture_design(m, design.n_subjects, design).X)
@@ -605,7 +605,7 @@ def combine_clusters(
 
 def separate_clusters(mix: MixtureModel) -> list[HmmModel]:
     """Return the K cluster submodels as standalone HMMs."""
-    return list(mix.clusters)
+    return list(check_instance(mix, MixtureModel, "separate_clusters").clusters)
 
 
 # ----------------------------------------------------------------------
@@ -620,8 +620,7 @@ def trim_model(m: Model, tol: float) -> Model:
     whole row falls below the threshold.  A row is renormalized only when
     a dropped entry held probability.
     """
-    if not (tol >= 0):  # written so that NaN fails too
-        raise DimensionMismatch("tol must be >= 0")
+    tol = check_real(tol, "tol", 0, np.inf)
     if tol == 0:
         return m
     values, masks = [], []

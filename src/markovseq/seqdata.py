@@ -33,6 +33,7 @@ from .errors import (
     ShapeMismatch,
     UnknownToken,
     UnreadableFile,
+    check_text,
 )
 
 #: Sentinel code for a missing observation; never a valid alphabet code.
@@ -55,6 +56,7 @@ class Alphabet:
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
         object.__setattr__(self, "labels", labels)
+        check_text(self.missing_token, "missing_token")
         if len(labels) == 0:
             raise DuplicateLabel("alphabet needs at least one label")
         if len(set(labels)) != len(labels):
@@ -272,12 +274,6 @@ def _list(value, where: str) -> list:
     return value
 
 
-def _string(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise InvalidParameter(f"{where} must be a string, not {type(value).__name__}")
-    return value
-
-
 def _strings(value, where: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise InvalidParameter(f"{where} must be a list of strings")
@@ -294,7 +290,7 @@ def _alphabet(entry, key: str, where: str) -> Alphabet:
     """The alphabet of ``entry``, a JSON object as ``where`` names it: the
     labels under ``key`` and its "missing_token" ("*" when absent)."""
     entry = _object(entry, where, (key,))
-    missing = _string(entry.get("missing_token", "*"), f"{where}: 'missing_token'")
+    missing = check_text(entry.get("missing_token", "*"), f"{where}: 'missing_token'")
     return Alphabet(_strings(entry[key], f"{where}: {key!r}"), missing)
 
 
@@ -312,7 +308,7 @@ def _channel_specs(doc, what: str, source: str, check) -> list[tuple[str, object
     for i, entry in enumerate(entries):
         where = f"channel entry {i}"
         entry = _object(entry, where, ("name", source, "alphabet"))
-        name = _string(entry["name"], f"{where}: 'name'")
+        name = check_text(entry["name"], f"{where}: 'name'")
         value = check(entry[source], f"{where}: {source!r}")
         specs.append((name, value, _alphabet(entry, "alphabet", where)))
     return specs
@@ -478,10 +474,10 @@ def ingest_dataset(manifest_path) -> tuple[SequenceDataset, Optional[CovariateDe
     """
     manifest_path = Path(manifest_path)
     manifest = _read_json(manifest_path, "manifest")
-    specs = _channel_specs(manifest, "manifest", "csv", _string)
+    specs = _channel_specs(manifest, "manifest", "csv", check_text)
     cov = manifest.get("covariates_csv")
     if cov is not None:
-        _string(cov, "manifest: 'covariates_csv'")
+        check_text(cov, "manifest: 'covariates_csv'")
     base = manifest_path.parent
     channels = []
     ref_ids = None
@@ -508,6 +504,7 @@ def mc_to_sc(data: SequenceDataset, separator: str = "/") -> SequenceDataset:
     tuples and joined with ``separator``.  Any time point with at least one
     missing channel becomes missing in the combined channel.
     """
+    check_text(separator, "separator")
     if data.n_channels == 1:
         return data
     all_observed = np.all([ch.observed for ch in data.channels], axis=0)

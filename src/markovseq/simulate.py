@@ -18,12 +18,13 @@ uniform, then steps each cluster's subjects with that cluster's tables.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import check_count, check_instance, check_real
 from .model import HmmModel, MixtureModel, _mixture_design, build_hmm, build_mhmm, mixture_weights
 from .seqdata import (
     MISSING,
@@ -51,11 +52,11 @@ class SimSpec:
     left_to_right: bool = False
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        if min(self.n_subjects, self.n_time, self.n_states, self.n_clusters) < 1:
-            raise InvalidParameter("all dimensions must be positive")
-        if any(m < 1 for m in self.n_symbols):
-            raise InvalidParameter("every channel needs at least one symbol")
+        for name in ("n_subjects", "n_time", "n_states", "n_clusters"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
+        symbols = check_instance(self.n_symbols, Sequence, "SimSpec.n_symbols")
+        object.__setattr__(self, "n_symbols", tuple(check_count(m, "n_symbols", 1) for m in symbols))
 
 
 def _default_alphabets(n_symbols) -> tuple[Alphabet, ...]:
@@ -89,7 +90,7 @@ def simulate_parameters(spec: SimSpec):
     with an intercept-only design and standard-normal gamma coefficients
     (reference column zero).
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(check_instance(spec, SimSpec, "simulate_parameters").seed)
     alphabets = _default_alphabets(spec.n_symbols)
     if spec.n_clusters == 1:
         return _random_hmm(rng, spec, alphabets)
@@ -146,30 +147,27 @@ def _lockstep(u, cum_init, cum_trans, cum_emis, n_time, missing_rate):
     return z, codes
 
 
-def _check_seed(seed) -> None:
-    if seed < 0:  # numpy seeds only from integers >= 0
-        raise InvalidParameter(f"seed must be >= 0, got {seed!r}")
+def _simulate(model, design, n_subjects, n_time, seed, missing_rate):
+    """Dataset, paths and labels drawn from an HMM or a mixture; both public
+    functions check their arguments here.
 
-
-def _check_request(n_subjects, n_time, seed, missing_rate) -> None:
-    _check_seed(seed)
-    if n_subjects < 1 or n_time < 1:
-        raise InvalidParameter(
-            f"n_subjects and n_time must be positive, got {n_subjects!r} and {n_time!r}"
-        )
-    if not 0.0 <= missing_rate <= 1.0:  # also rejects NaN
-        raise InvalidParameter(f"missing_rate must be in [0, 1], got {missing_rate!r}")
-
-
-def _simulate(tables, offsets, cum_w, n_subjects, n_time, seed, missing_rate):
-    """Paths, per-channel codes and labels for clusters given as CDF tables.
-
-    ``cum_w`` holds each subject's cumulative cluster weights, or is None
-    for a single cluster, which draws no label.  Subjects go in blocks of
-    ``_BLOCK``: each subject fills one row with its whole stream in one
-    call, then the block's subjects of each cluster step in lockstep with
-    that cluster's tables.
+    A mixture of K > 1 clusters labels each subject from its cumulative
+    cluster weights; a single cluster (an HMM is one) draws no label.
+    Subjects go in blocks of ``_BLOCK``: each subject fills one row with its
+    whole stream in one call, then the block's subjects of each cluster step
+    in lockstep with that cluster's CDF tables.
     """
+    n_subjects = check_count(n_subjects, "n_subjects", 1)
+    n_time = check_count(n_time, "n_time", 1)
+    seed = check_count(seed, "seed", 0)
+    missing_rate = check_real(missing_rate, "missing_rate", 0, 1)
+    design = _mixture_design(model, n_subjects, design)
+    hmms, offsets, cum_w = (model,), (0,), None
+    if design is not None:  # a mixture
+        hmms, offsets = model.clusters, model.state_offsets
+        if model.n_clusters > 1:
+            cum_w = _cumulative_rows(mixture_weights(model.gamma, design.X))
+    tables = [_tables(h) for h in hmms]
     n_channels = len(tables[0][2])
     lead = 0 if cum_w is None else 1
     width = lead + n_time * (1 + n_channels * (2 if missing_rate > 0 else 1))
@@ -192,16 +190,9 @@ def _simulate(tables, offsets, cum_w, n_subjects, n_time, seed, missing_rate):
             paths[block][members] = z + offsets[k]
             for out, c in zip(codes, obs):
                 out[block][members] = c
-    return paths, codes, labels
-
-
-def _assemble_dataset(model: HmmModel, codes) -> SequenceDataset:
-    channels = tuple(
-        Channel(name, alpha, c)
-        for name, alpha, c in zip(model.channel_names, model.alphabets, codes)
-    )
-    ids = tuple(f"s{i + 1}" for i in range(len(codes[0])))
-    return SequenceDataset(channels, ids)
+    channels = zip(hmms[0].channel_names, hmms[0].alphabets, codes)
+    ids = tuple(f"s{i + 1}" for i in range(n_subjects))
+    return SequenceDataset(tuple(Channel(*c) for c in channels), ids), paths, labels
 
 
 def _tables(model: HmmModel):
@@ -220,11 +211,8 @@ def simulate_hmm_data(
     missing_rate: float = 0.0,
 ) -> tuple[SequenceDataset, np.ndarray]:
     """Sample observations and hidden paths from a fixed HMM."""
-    _check_request(n_subjects, n_time, seed, missing_rate)
-    paths, codes, _ = _simulate(
-        [_tables(model)], (0,), None, n_subjects, n_time, seed, missing_rate
-    )
-    return _assemble_dataset(model, codes), paths
+    check_instance(model, HmmModel, "simulate_hmm_data")
+    return _simulate(model, None, n_subjects, n_time, seed, missing_rate)[:2]
 
 
 def simulate_mhmm_data(
@@ -243,16 +231,5 @@ def simulate_mhmm_data(
     is checked as for inference; ``None`` stands for the intercept, so a
     mixture with covariates needs one.
     """
-    _check_request(n_subjects, n_time, seed, missing_rate)
-    w = mixture_weights(mix.gamma, _mixture_design(mix, n_subjects, design).X)
-    cum_w = _cumulative_rows(w) if mix.n_clusters > 1 else None
-    paths, codes, labels = _simulate(
-        [_tables(sub) for sub in mix.clusters],
-        mix.state_offsets,
-        cum_w,
-        n_subjects,
-        n_time,
-        seed,
-        missing_rate,
-    )
-    return _assemble_dataset(mix.clusters[0], codes), paths, labels
+    check_instance(mix, MixtureModel, "simulate_mhmm_data")
+    return _simulate(mix, design, n_subjects, n_time, seed, missing_rate)

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset
+from .errors import EmptyDataset, check_instance
 from .seqdata import MISSING, SequenceDataset
 
 #: Fixed qualitative palette (12 colors), cycled when a channel has more states.
@@ -62,6 +62,7 @@ def render_state_distribution_svg(
     list per channel; channels with any missing cells get an extra hatched
     legend entry.
     """
+    check_instance(data, SequenceDataset, "render_state_distribution_svg")
     if data.n_subjects == 0 or data.n_time == 0:
         raise EmptyDataset("nothing to plot")
     N, T, C = data.n_subjects, data.n_time, data.n_channels

@@ -245,7 +245,7 @@ class TestLoglik:
         )
         assert code == 1
         last = (out / "run.log").read_text().splitlines()[-1]
-        assert last.startswith("error: DimensionMismatch: ")
+        assert last.startswith("error: InvalidParameter: ")
 
     @pytest.mark.parametrize("where", ["gamma", "zero_mask"])
     def test_invalid_parameter_on_load_exits_one(self, workspace, capsys, where):
@@ -866,7 +866,8 @@ class TestSummaryAndSimulate:
                 "--n-time", size[1], "--out", str(out)]
         assert main(argv) == 1
         last = (out / "run.log").read_text().splitlines()[-1]
-        assert last.startswith("error: InvalidParameter: n_subjects and n_time")
+        name = "n_subjects" if size[0] == "0" else "n_time"
+        assert last.startswith(f"error: InvalidParameter: {name} must be >= 1, got 0")
         assert not (out / "dataset.json").exists()
 
     def test_simulate_rejects_mixture_with_covariates(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from markovseq.estimation import (
     _perturb,
     expected_stats,
 )
-from markovseq.errors import DimensionMismatch, InvalidParameter, RankDeficientDesign
+from markovseq.errors import InvalidParameter, RankDeficientDesign
 from markovseq.inference import _clusters_and_inits, _scaled_pass, _Workspace
 from markovseq.seqdata import MISSING
 
@@ -111,7 +113,7 @@ class TestFitControl:
     @pytest.mark.parametrize("field", ["em_rel_tol", "local_grad_tol"])
     @pytest.mark.parametrize("value", [np.nan, 0.0, -1e-8])
     def test_tolerance_must_be_positive(self, field, value):
-        with pytest.raises(DimensionMismatch, match="tolerances must be positive"):
+        with pytest.raises(InvalidParameter, match=rf"{field} must be a number in \(0, inf\]"):
             FitControl(**{field: value})
 
     @pytest.mark.parametrize("field", ["em_max_iter", "local_max_iter"])
@@ -129,6 +131,16 @@ class TestFitControl:
     @pytest.mark.parametrize("field", ["em_max_iter", "restarts", "local_max_iter", "seed"])
     def test_numpy_integer_counts_accepted(self, field):
         assert FitControl(**{field: np.int64(2)}) == FitControl(**{field: 2})
+
+    def test_settings_round_trip_through_json(self):
+        counts = dict(em_max_iter=np.int64(3), restarts=np.int32(2), local_max_iter=np.uint8(4))
+        control = FitControl(**counts, seed=np.int16(5), em_rel_tol=np.float32(0.5), local_step=True)
+        doc = json.loads(json.dumps(control.to_dict()))
+        assert doc == {**FitControl().to_dict(), **counts, "seed": 5, "em_rel_tol": 0.5,
+                       "local_step": True}
+        assert all(type(v) in (int, float, bool) for v in control.to_dict().values())
+        with pytest.raises(InvalidParameter, match="local_step takes a bool, got str"):
+            FitControl(local_step="yes")
 
     def test_zero_caps_return_the_start(self):
         data, start = _left_to_right_case()

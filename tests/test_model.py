@@ -360,7 +360,7 @@ class TestTrim:
     @pytest.mark.parametrize("tol", [np.nan, -0.01])
     def test_nan_or_negative_tol_rejected(self, tol):
         m = random_hmm(np.random.default_rng(14), 2, [3])
-        with pytest.raises(DimensionMismatch, match="tol must be >= 0"):
+        with pytest.raises(InvalidParameter, match=r"tol must be a number in \[0, inf\]"):
             trim_model(m, tol)
 
     def test_trim_applies_to_every_cluster_of_a_mixture(self):

@@ -201,9 +201,9 @@ class TestMissingRateRange:
     @pytest.mark.parametrize("n_subjects, n_time", [(0, 3), (4, 0), (-1, 3)])
     def test_size_below_one_rejected(self, n_subjects, n_time):
         model = random_hmm(np.random.default_rng(5), 2, [3])
-        with pytest.raises(InvalidParameter, match="n_subjects and n_time"):
+        with pytest.raises(InvalidParameter, match=r"(n_subjects|n_time) must be >= 1"):
             simulate_hmm_data(model, n_subjects, n_time, 0)
-        with pytest.raises(InvalidParameter, match="n_subjects and n_time"):
+        with pytest.raises(InvalidParameter, match=r"(n_subjects|n_time) must be >= 1"):
             simulate_mhmm_data(build_mhmm([model, model]), None, n_subjects, n_time, 0)
 
     @pytest.mark.parametrize(

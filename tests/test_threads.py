@@ -58,7 +58,7 @@ def models_and_data():
 def test_library_rejects_a_count_that_is_not_an_integer_from_one(
     models_and_data, entry, threads
 ):
-    with pytest.raises(InvalidParameter, match="threads must be an integer >= 1"):
+    with pytest.raises(InvalidParameter, match=r"threads must be (an integer )?>= 1"):
         ENTRY_POINTS[entry](*models_and_data, threads)
 
 
@@ -73,7 +73,7 @@ def test_numpy_integer_count_gives_the_one_thread_result(models_and_data, entry)
 
 @pytest.mark.parametrize("threads", BAD_COUNTS, ids=repr)
 def test_fit_control_rejects_a_count_that_is_not_an_integer_from_one(threads):
-    with pytest.raises(InvalidParameter, match="threads must be an integer >= 1"):
+    with pytest.raises(InvalidParameter, match=r"threads must be (an integer )?>= 1"):
         FitControl(threads=threads)
 
 
