@@ -93,11 +93,8 @@ class RowAnnihilated(MarkovSeqError):
 
 
 class NumericalUnderflow(MarkovSeqError):
-    """Scaled forward pass hit a zero or non-finite normalizer (or log-space
-    produced NaN).
-
-    Log-space mode is more robust; retry with mode="log".
-    """
+    """A NaN log-likelihood, or a scaled forward pass that underflowed for a
+    possible subject where the call needs its posteriors or E-step statistics."""
 
 
 class AlphabetMismatch(MarkovSeqError):
@@ -105,7 +102,7 @@ class AlphabetMismatch(MarkovSeqError):
 
 
 class ImpossibleData(MarkovSeqError):
-    pass
+    """A subject the model gives zero probability, where a call divides by its likelihood."""
 
 
 class DegenerateData(MarkovSeqError):
@@ -113,10 +110,6 @@ class DegenerateData(MarkovSeqError):
 
 
 # -- estimation ----------------------------------------------------------
-
-
-class NonFiniteLikelihood(MarkovSeqError):
-    pass
 
 
 class RankDeficientDesign(MarkovSeqError):
@@ -169,8 +162,10 @@ def check_text(value, name: str, choices=()) -> str:
     return value.lower() if choices else value
 
 
-def check_instance(value, kind: type, caller: str):
-    """``value`` if it is a ``kind``; the error names ``caller``, which takes it."""
+def check_instance(value, kind, caller: str):
+    """``value`` if it is a ``kind``, a type or a tuple of types; the error
+    names ``caller``, which takes it."""
     if not isinstance(value, kind):
-        raise InvalidParameter(f"{caller} takes a {kind.__name__}, got {type(value).__name__}")
+        kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise InvalidParameter(f"{caller} takes a {kinds}, got {type(value).__name__}")
     return value

@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    ImpossibleData,
     MarkovSeqError,
-    NonFiniteLikelihood,
     NonInvertibleHessian,
     NumericalUnderflow,
     RankDeficientDesign,
@@ -70,7 +70,7 @@ _LOG_CLAMP = 1e-290  # free entries at exactly 0 map to log-odds ~ -668
 _SQUAREM_MIN_STEP = -1.0 - 1.0 / 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitControl:
     """Knobs for the EM and local-ascent steps.
 
@@ -81,6 +81,7 @@ class FitControl:
     run when one EM map changes the log-likelihood by less than that,
     relative.  ``threads``, an integer >= 1, only distributes per-subject
     work and never changes results.  The counts and ``seed`` are integers >= 0.
+    The settings are frozen once checked.
     """
 
     em_max_iter: int = 1000
@@ -94,16 +95,14 @@ class FitControl:
     threads: int = 1
 
     def __post_init__(self):
-        # kept as the checks return them, plain ints and floats, so to_dict is JSON
-        for name in ("em_max_iter", "restarts", "local_max_iter", "seed"):
-            setattr(self, name, check_count(getattr(self, name), name, 0))
-        self.threads = check_count(self.threads, "threads", 1)
-        for name in ("em_rel_tol", "local_grad_tol"):
-            setattr(self, name, check_real(getattr(self, name), name, 0, np.inf, open_low=True))
-        self.restart_perturb = check_real(
-            self.restart_perturb, "restart_perturb", 0, 1, open_low=True
-        )
+        # stored as the checks return them, plain ints and floats, so to_dict is JSON
+        lows = dict(em_max_iter=0, restarts=0, local_max_iter=0, seed=0, threads=1)
+        checked = {name: check_count(getattr(self, name), name, low) for name, low in lows.items()}
+        for name, high in dict(em_rel_tol=np.inf, local_grad_tol=np.inf, restart_perturb=1).items():
+            checked[name] = check_real(getattr(self, name), name, 0, high, open_low=True)
         check_instance(self.local_step, bool, "FitControl.local_step")
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         """Every setting but ``threads``, which never changes results."""
@@ -170,14 +169,11 @@ def expected_stats(
     ``subject_initials`` overrides a plain HMM's initial vectors; a mixture
     takes them from ``design``.  ``workspace``, built once per fit from
     ``data``, carries the kernel's chunk codes and scratch arrays from one
-    E-step to the next; without it the pass builds its own.  Where the
-    kernel raises NumericalUnderflow this raises NonFiniteLikelihood.
+    E-step to the next; without it the pass builds its own.  A subject the
+    model cannot produce raises ImpossibleData, as the kernel decides.
     """
     hmms, inits = _clusters_and_inits(model, data, design, subject_initials)
-    try:
-        ll, rho, counts = _scaled_pass(hmms, data, inits, threads, "stats", workspace)
-    except NumericalUnderflow as err:
-        raise NonFiniteLikelihood(str(err)) from err
+    ll, rho, counts = _scaled_pass(hmms, data, inits, threads, "stats", workspace)
     return EStats(float(ll.sum()), rho, counts)
 
 
@@ -254,7 +250,7 @@ def _em_once(m: Model, data, design, control: FitControl, workspace) -> _EmRun:
     sets r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and
     alpha = min(-|r| / |v|, -1), and proposes theta0 - 2 alpha r + alpha^2 v
     in the space of ``_em_vector``.  The proposal is accepted if it is a
-    valid model whose E-step is finite and whose log-likelihood is at least
+    valid model whose E-step does not raise and whose log-likelihood is at least
     theta1's; otherwise alpha is halved toward -1, where the proposal is
     theta2, the plain EM step, which is taken without a test.  One EM map from
     the accepted point starts the next cycle.  Masked entries and gamma's
@@ -282,8 +278,6 @@ def _em_once(m: Model, data, design, control: FitControl, workspace) -> _EmRun:
     def accepted(stats, em_map=True):
         """Record an accepted point; True when the EM map into it has converged."""
         ll = stats.loglik
-        if not np.isfinite(ll):
-            raise NonFiniteLikelihood(f"log-likelihood became {ll!r} during EM")
         prev = trace[-1] if trace else None
         trace.append(ll)
         return em_map and prev is not None and abs(ll - prev) / (abs(ll) + 0.1) < control.em_rel_tol
@@ -318,7 +312,7 @@ def _em_once(m: Model, data, design, control: FitControl, workspace) -> _EmRun:
                 with np.errstate(over="ignore", invalid="ignore"):
                     point = _em_model(current, x0 - 2.0 * alpha * r + alpha * alpha * v)
                 stats = e_step(point)
-            except MarkovSeqError:  # not a valid model, or NonFiniteLikelihood
+            except MarkovSeqError:  # not a valid model, or an E-step that raised
                 stats = None
             if stats is not None and stats.loglik >= stats1.loglik:
                 break
@@ -357,8 +351,8 @@ def fit_em(
     the E-steps of each run and ``em_iterations`` reports the best run's.
     """
     control = FitControl() if control is None else check_instance(control, FitControl, "fit_em")
-    design = _mixture_design(m, data.n_subjects, design)
     workspace = _Workspace(data)
+    design = _mixture_design(m, data.n_subjects, design)
     runs = []
     for r in range(control.restarts + 1):
         if r == 0:
@@ -396,7 +390,7 @@ class ParameterMap:
     """
 
     def __init__(self, model: Model):
-        self.template = model
+        self.template = check_instance(model, (HmmModel, MixtureModel), "ParameterMap")
         self.is_mixture = isinstance(model, MixtureModel)
         self.free, self.anchors, self.coords = [], [], []
         for b in _blocks(model):
@@ -475,10 +469,10 @@ def loglik_gradient(
     """
     threads = check_count(threads, "threads", 1)
     pmap = ParameterMap(m)
-    design = _mixture_design(m, data.n_subjects, design)
     if theta is not None:
         m = pmap.unpack(theta)
-    return _gradient(m, expected_stats(m, data, threads=threads, design=design), pmap, design)
+    stats = expected_stats(m, data, threads=threads, design=design)
+    return _gradient(m, stats, pmap, _mixture_design(m, data.n_subjects, design))
 
 
 # L-BFGS settings: scipy's default memory (maxcor) and the usual weak-Wolfe
@@ -578,12 +572,13 @@ def fit_local(
     before, so the final log-likelihood never falls below the starting one.
     All gradient evaluations share one kernel workspace, built here.  The
     first value and gradient are those of ``m`` itself, and without an
-    accepted step ``m`` is returned.
+    accepted step ``m`` is returned.  A trial point whose E-step raises
+    ImpossibleData or NumericalUnderflow scores +inf; at ``m`` the error
+    stands.
     """
     control = FitControl() if control is None else check_instance(control, FitControl, "fit_local")
+    pmap, workspace = ParameterMap(m), _Workspace(data)
     design = _mixture_design(m, data.n_subjects, design)
-    pmap = ParameterMap(m)
-    workspace = _Workspace(data)
     trace: list[float] = []
 
     def objective(theta):
@@ -593,14 +588,13 @@ def fit_local(
             stats = expected_stats(
                 model, data, threads=control.threads, design=design, workspace=workspace
             )
-            grad, ll = _gradient(model, stats, pmap, design), stats.loglik
-        except NonFiniteLikelihood:
-            grad, ll = np.zeros_like(theta), -np.inf
+        except (ImpossibleData, NumericalUnderflow):
+            if not trace:
+                raise
+            return np.inf, np.zeros_like(theta)
         if not trace:
-            if not np.isfinite(ll):
-                raise NonFiniteLikelihood("starting point has non-finite log-likelihood")
-            trace.append(ll)
-        return -ll, -grad
+            trace.append(stats.loglik)
+        return -stats.loglik, -_gradient(model, stats, pmap, design)
 
     theta, grad, n_iter, failed = _lbfgs(
         objective,
@@ -760,6 +754,7 @@ def covariate_standard_errors(
     at the estimate; the reference column's errors are zero.
     """
     check_instance(mix, MixtureModel, "covariate_standard_errors")
+    check_instance(data, SequenceDataset, "covariate_standard_errors")
     design = _mixture_design(mix, data.n_subjects, design)
     Q, K = mix.gamma.shape
     se = np.zeros((Q, K))

@@ -18,6 +18,8 @@ the E-step statistics; ``_log_pass`` serves log mode and decoding, the
 latter on one thread.  Chunks write their own rows or partial sums, added
 in chunk order, so results are bit-identical for any thread count.  A fit
 builds one workspace for all its E-steps; one-off calls build their own.
+A subject the model cannot produce has log-likelihood -inf in both modes;
+``_require_possible`` decides, in one place, which calls raise for it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .model import (
 
 # kept importable here: perfbench/tracing.py wraps this name in this module
 from .model import combine_clusters  # noqa: F401
-from .seqdata import MISSING, CovariateDesign, SequenceDataset
+from .seqdata import MISSING, Channel, CovariateDesign, SequenceDataset
 
 Model = Union[HmmModel, MixtureModel]
 
@@ -88,9 +90,7 @@ def _normalize_mode(mode: str) -> str:
 
 def _check_compatible(model: HmmModel, data: SequenceDataset) -> None:
     if model.n_channels != data.n_channels:
-        raise AlphabetMismatch(
-            f"model has {model.n_channels} channels, data has {data.n_channels}"
-        )
+        raise AlphabetMismatch(f"model has {model.n_channels} channels, data has {data.n_channels}")
     for c, (ma, da) in enumerate(zip(model.alphabets, data.alphabets)):
         if ma.labels != da.labels:
             raise AlphabetMismatch(
@@ -161,7 +161,8 @@ class FBResult:
 
     In scaled mode ``alpha[i, t]`` sums to 1, ``beta`` is scaled by the
     same per-time constants (so ``alpha * beta`` is the state posterior)
-    and ``loglik_per_subject[i] == log(scaling[i]).sum()``.  In log mode
+    and ``loglik_per_subject[i] == log(scaling[i]).sum()``, for a subject
+    the model can produce (see ``forward_backward``).  In log mode
     ``alpha``/``beta`` hold log values and ``scaling`` is None.
     """
 
@@ -181,30 +182,27 @@ class ViterbiResult:
     clusters: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def _resolve_initials(model, data, subject_initials):
-    """Each subject's initial vector: the model's, or the rows of
-    ``subject_initials``, checked as a model's initial row is."""
-    if subject_initials is None:
-        return np.broadcast_to(model.initial, (data.n_subjects, model.n_states))
-    subject_initials = np.array(subject_initials, dtype=float)
-    if subject_initials.shape != (data.n_subjects, model.n_states):
-        raise AlphabetMismatch(
-            f"subject_initials shape {subject_initials.shape}, expected "
-            f"({data.n_subjects}, {model.n_states})"
-        )
-    mask = np.zeros(subject_initials.shape, dtype=bool)
-    return _checked_rows(subject_initials, mask, "subject_initials")
-
-
 def _clusters_and_inits(m, data, design=None, subject_initials=None):
     """The cluster HMMs of a model (a plain HMM is one) and per cluster its
-    (N, S_k) initial array; cluster k of a mixture starts from w_ik * pi^k."""
+    (N, S_k) initial array: a plain HMM's initial row, or the rows of
+    ``subject_initials``, checked as a model's initial row is; cluster k of a
+    mixture starts from w_ik * pi^k.  Every pass of an entry point starts
+    here, so its model and data arguments are checked here."""
+    check_instance(m, (HmmModel, MixtureModel), "the model argument")
+    check_instance(data, SequenceDataset, "the data argument")
+    N = data.n_subjects
     if not isinstance(m, MixtureModel):
         _check_compatible(m, data)
-        return (m,), [_resolve_initials(m, data, subject_initials)]
+        shape = (N, m.n_states)
+        if subject_initials is None:
+            return (m,), [np.broadcast_to(m.initial, shape)]
+        rows = np.array(subject_initials, dtype=float)
+        if rows.shape != shape:
+            raise AlphabetMismatch(f"subject_initials shape {rows.shape}, expected {shape}")
+        return (m,), [_checked_rows(rows, np.zeros(shape, dtype=bool), "subject_initials")]
     if subject_initials is not None:
         raise AlphabetMismatch("a mixture takes no subject_initials, only a design")
-    w = mixture_weights(m.gamma, _mixture_design(m, data.n_subjects, design).X)
+    w = mixture_weights(m.gamma, _mixture_design(m, N, design).X)
     for sub in m.clusters:
         _check_compatible(sub, data)
     return m.clusters, [w[:, k : k + 1] * sub.initial for k, sub in enumerate(m.clusters)]
@@ -237,7 +235,7 @@ class _Workspace:
     """
 
     def __init__(self, data: SequenceDataset):
-        self.data = data
+        self.data = check_instance(data, SequenceDataset, "the data argument")
         counts = self.code_counts = [ch.alphabet.size + 1 for ch in data.channels]
         group = _leading_group(counts)
         self.codes, self.lookup = [], []
@@ -330,34 +328,20 @@ def _forward(A, e, init, alpha, scaling, x):
             np.divide(x, c[:, None], out=alpha[:, :, t])
 
 
-def _pair_logliks(alpha, c, data: SequenceDataset, a: int) -> np.ndarray:
-    """l_ik (K, n) of a chunk's subjects a, a+1, ... from the forward pass.
-
-    A first bad normalizer that is zero makes the pair impossible: l_ik =
-    -inf, alpha 0 and normalizers 1, so the backward pass gives zeros.  One
-    negative or not finite, or a subject impossible in every cluster (at the
-    t its last cluster fell), raises for the chunk's earliest (t, subject).
-    """
+def _pair_logliks(alpha, c) -> np.ndarray:
+    """l_ik (K, n) of a chunk's subjects: the sum of the log normalizers c
+    (K, T, n).  A pair whose first normalizer outside (0, inf) is zero gets
+    -inf (impossible, or underflowed: see ``_scaled_pass``), one negative or
+    not finite NaN; either way its alpha become 0 and its normalizers 1."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ll = np.log(c).sum(axis=1)
     hit = ~np.isfinite(ll)  # some normalizer of the pair is not in (0, inf)
     if hit.any():
         bad = ~((c > 0) & (c < np.inf))
-        t0 = np.argmax(bad, axis=1)
-        first = np.take_along_axis(c, t0[:, None], axis=1)[:, 0]
+        first = np.take_along_axis(c, np.argmax(bad, axis=1)[:, None], axis=1)[:, 0]
+        ll[hit] = np.where(first[hit] == 0, -np.inf, np.nan)
         c.swapaxes(0, 1)[:, hit] = 1.0
         alpha.transpose(1, 2, 0, 3)[:, :, hit] = 0.0
-        ll[hit] = -np.inf
-        # (t, j, 0, normalizer) for a bad value, (t, j, 1, 0.0) for no cluster left
-        faults = [(t0[k, j], j, 0, first[k, j]) for k, j in np.argwhere(hit & (first != 0))]
-        faults += [(t0[:, j].max(), j, 1, 0.0) for j in np.flatnonzero(hit.all(axis=0))]
-        if faults:
-            t, j, gone, v = min(faults)
-            what = "zero" if gone else f"invalid ({v!r})"
-            raise NumericalUnderflow(
-                f"{what} forward normalizer for subject {data.subject_ids[a + j]!r} "
-                f"at t={t}; consider mode='log'"
-            )
     return ll
 
 
@@ -371,7 +355,11 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     loglik_i = logsumexp_k l_ik and rho_ik = exp(l_ik - loglik_i),
     exactly 1 for an HMM and 0 for an impossible pair (``_pair_logliks``).
     The backward pass starts from beta[T-1] = rho_ik, so alpha * beta and
-    the E-step statistics come out weighted by rho.  ``want`` selects
+    the E-step statistics come out weighted by rho (0 at -inf).  A NaN l_ik
+    raises; a subject at -inf in every cluster is scored again by
+    ``_log_pass``: -inf there means impossible (``"stats"`` raises), a finite
+    value an underflow, which ``"loglik"`` returns and the others raise as
+    NumericalUnderflow.  ``want`` selects
     ``"loglik"``: (loglik (N,), rho (N, K)) from the forward pass only;
     ``"full"``: (alpha, beta, scaling, loglik), alpha and beta (N, T, sum
     S_k) side by side as in ``combine_clusters``, normalizers (K, N, T);
@@ -389,7 +377,7 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     N, T = data.n_subjects, data.n_time
     sizes, A, init, tables = _pack(hmms, inits, N)
     K, S = A.shape[:2]
-    loglik, rho = np.empty(N), np.empty((N, K))
+    loglik, rho, pairs = np.empty(N), np.empty((N, K)), np.empty((K, N))
     if want == "full":
         alpha_out, beta_out = np.empty((2, N, T, sum(sizes)))
         scaling_out = np.empty((K, N, T))
@@ -405,12 +393,14 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
         scaling = buf("scaling", (K, T, n))
         x = buf("x", (K, S, n))
         _forward(A, e, init[:, :, a:b], alpha, scaling, x)
-        ll = _pair_logliks(alpha, scaling, data, a)
+        ll = pairs[:, a:b] = _pair_logliks(alpha, scaling)
         loglik[a:b] = _logsumexp(ll, axis=0)
-        r = np.exp(ll - loglik[a:b])
+        with np.errstate(invalid="ignore"):  # -inf - -inf for a subject at -inf
+            r = np.exp(ll - loglik[a:b])
         rho[a:b] = r.T
         if want == "loglik":
             return
+        r[:, np.isneginf(loglik[a:b])] = 0.0
         # W[t] = e[t+1] * beta[t+1] / scaling[t+1], so beta[t] = A @ W[t]
         beta, W = buf("beta", (K, S, T, n)), buf("W", (K, S, T - 1, n))
         beta[:, :, T - 1] = r[:, None]
@@ -437,8 +427,22 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
         parts[ci] = part
 
     _run_chunked(work, N, threads)
+    _require_possible(pairs, data, divides=False)
+    lost = np.flatnonzero(np.isneginf(loglik))
+    if lost.size:
+        channels = [Channel(ch.name, ch.alphabet, ch.codes[lost]) for ch in data.channels]
+        subjects = SequenceDataset(channels, [data.subject_ids[i] for i in lost])
+        scores, ll = _log_pass(hmms, subjects, [p[lost] for p in inits], threads)
+        if want != "loglik" and np.isfinite(scores).any():
+            sid = subjects.subject_ids[np.argmax(np.isfinite(scores))]
+            raise NumericalUnderflow(f"scaled forward pass underflows for subject {sid!r}")
+        loglik[lost] = scores
+        with np.errstate(invalid="ignore"):
+            rho[lost] = np.exp(ll - scores).T
     if want == "loglik":
         return loglik, rho
+    if want == "stats":
+        _require_possible(loglik, data)
     if want == "full":
         return alpha_out, beta_out, scaling_out, loglik
     sums = [[sum(arrays) for arrays in zip(*cluster)] for cluster in zip(*parts)]
@@ -455,8 +459,7 @@ def _log_pass(hmms, data, inits, threads=1, want="loglik"):
     pair.  ``want`` selects ``"loglik"``: (loglik_i = logsumexp_k l_ik,
     l_ik); ``"full"``: (alpha, beta, loglik), log alpha and log beta (N, T,
     sum S_k) side by side; ``"paths"``: (paths, l_ik), per cluster the best
-    paths (K, N, T).  A NaN log-likelihood raises NumericalUnderflow for the
-    lowest cluster's first such subject."""
+    paths (K, N, T).  A NaN l_ik raises (``_require_possible``)."""
     workspace = _Workspace(data)
     N, T = data.n_subjects, data.n_time
     sizes, A, init, tables = _pack(hmms, inits, N)
@@ -518,9 +521,7 @@ def _log_pass(hmms, data, inits, threads=1, want="loglik"):
     _run_chunked(work, N, threads)
     if paths is not None:
         return paths, ll
-    if np.isnan(ll).any():
-        i = np.argwhere(np.isnan(ll))[0, 1]
-        raise NumericalUnderflow(f"NaN log-likelihood for subject {data.subject_ids[i]!r}")
+    _require_possible(ll, data, divides=False)
     loglik = _logsumexp(ll, axis=0)
     if want == "loglik":
         return loglik, ll
@@ -533,12 +534,20 @@ _fb_scaled = _scaled_pass
 _fb_log = _log_pass
 
 
-def _require_possible(loglik: np.ndarray, data: SequenceDataset, what: str) -> None:
-    if np.any(np.isneginf(loglik)):
-        i = int(np.argmax(np.isneginf(loglik)))
-        raise NumericalUnderflow(
-            f"{what} undefined: subject {data.subject_ids[i]!r} has zero likelihood"
-        )
+def _require_possible(ll, data: SequenceDataset, what="log-likelihood", divides=True) -> None:
+    """The one rule for data the model cannot produce, in both modes: ``ll``
+    holds log values per cluster and subject (K, N), or per subject (N,).  A
+    NaN raises NumericalUnderflow for the lowest cluster's first such subject.
+    Where the caller ``divides`` by the likelihood, the lowest subject at -inf
+    in every cluster raises ImpossibleData; forward-only results report -inf."""
+    ll = np.atleast_2d(ll)
+    if np.isnan(ll).any():
+        i = np.argwhere(np.isnan(ll))[0, 1]
+        raise NumericalUnderflow(f"NaN {what} for subject {data.subject_ids[i]!r}")
+    impossible = np.isneginf(ll).all(axis=0)
+    if divides and impossible.any():
+        sid = data.subject_ids[np.argmax(impossible)]
+        raise ImpossibleData(f"subject {sid!r} has zero probability under the model")
 
 
 def forward_backward(
@@ -551,21 +560,23 @@ def forward_backward(
     """Run the forward-backward recursions for every subject.
 
     ``subject_initials`` overrides the model's initial vector per subject.
+    A subject the model cannot produce gets log-likelihood -inf and alpha
+    and beta 0 (-inf in log mode).
     """
     check_instance(model, HmmModel, "forward_backward")
     mode, threads = _normalize_mode(mode), check_count(threads, "threads", 1)
-    _check_compatible(model, data)
-    init = [_resolve_initials(model, data, subject_initials)]
+    hmms, inits = _clusters_and_inits(model, data, subject_initials=subject_initials)
     if mode == "scaled":
-        alpha, beta, scaling, loglik = _scaled_pass([model], data, init, threads, "full")
+        alpha, beta, scaling, loglik = _scaled_pass(hmms, data, inits, threads, "full")
         return FBResult("scaled", alpha, beta, scaling[0], loglik)
-    alpha, beta, loglik = _log_pass([model], data, init, threads, "full")
+    alpha, beta, loglik = _log_pass(hmms, data, inits, threads, "full")
+    alpha[np.isneginf(loglik)] = beta[np.isneginf(loglik)] = -np.inf
     return FBResult("log", alpha, beta, None, loglik)
 
 
 def _forward_pass(m, data, design, mode, threads, subject_initials=None):
     """Per-subject log-likelihoods and rho (N, K) from forward passes only; in
-    log mode a subject impossible in every cluster gets -inf and NaN rho."""
+    either mode a subject impossible in every cluster gets -inf and NaN rho."""
     mode, threads = _normalize_mode(mode), check_count(threads, "threads", 1)
     hmms, inits = _clusters_and_inits(m, data, design, subject_initials)
     if mode == "scaled":
@@ -601,12 +612,10 @@ def posterior_state_probs(
     """
     mode, threads = _normalize_mode(mode), check_count(threads, "threads", 1)
     hmms, inits = _clusters_and_inits(m, data, design)
-    if mode == "scaled":
-        alpha, beta, _, _ = _scaled_pass(hmms, data, inits, threads, "full")
-        return alpha * beta
-    alpha, beta, loglik = _log_pass(hmms, data, inits, threads, "full")
-    _require_possible(loglik, data, "posterior")
-    return np.exp(alpha + beta - loglik[:, None, None])
+    run = _scaled_pass if mode == "scaled" else _log_pass
+    alpha, beta, *_, loglik = run(hmms, data, inits, threads, "full")
+    _require_possible(loglik, data)
+    return alpha * beta if mode == "scaled" else np.exp(alpha + beta - loglik[:, None, None])
 
 
 def viterbi_paths(
@@ -624,17 +633,10 @@ def viterbi_paths(
     """
     hmms, inits = _clusters_and_inits(m, data, design, subject_initials)
     paths, joints = _log_pass(hmms, data, inits, 1, "paths")  # joints (K, N)
-    if np.any(np.isnan(joints)):
-        i = int(np.argmax(np.isnan(joints).any(axis=0)))
-        raise NumericalUnderflow(f"NaN path log-probability for subject {data.subject_ids[i]!r}")
-    best = np.argmax(joints, axis=0)  # first max = lowest cluster
+    best = np.argmax(joints, axis=0)  # first max = lowest cluster; a NaN is a max
     subjects = np.arange(data.n_subjects)
     log_joint = joints[best, subjects]
-    if np.any(np.isneginf(log_joint)):
-        i = int(np.argmax(np.isneginf(log_joint)))
-        raise ImpossibleData(
-            f"subject {data.subject_ids[i]!r} has zero probability under the model"
-        )
+    _require_possible(log_joint, data, "path log-probability")
     offsets = np.cumsum([0] + [h.n_states for h in hmms])
     clusters = best if isinstance(m, MixtureModel) else None
     return ViterbiResult(paths[best, subjects] + offsets[best, None], log_joint, clusters)
@@ -691,7 +693,9 @@ def cluster_posterior_probs(
 ) -> np.ndarray:
     """Posterior cluster membership probabilities (scaled mode); rows sum to one."""
     check_instance(mix, MixtureModel, "cluster_posterior_probs")
-    return _forward_pass(mix, data, design, "scaled", threads)[1]
+    loglik, rho = _forward_pass(mix, data, design, "scaled", threads)
+    _require_possible(loglik, data)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -779,9 +783,9 @@ def mixture_summary(
     from .estimation import covariate_standard_errors  # local: avoids import cycle
 
     check_instance(mix, MixtureModel, "mixture_summary")
-    design = _mixture_design(mix, data.n_subjects, design)
     loglik, post = _forward_pass(mix, data, design, mode, 1)
-    _require_possible(loglik, data, "summary")
+    _require_possible(loglik, data)
+    design = _mixture_design(mix, data.n_subjects, design)
     ic = _criteria(mix, data, float(loglik.sum()))
     w = cluster_prior_probs(mix, design)
     assigned = np.argmax(post, axis=1)

@@ -377,7 +377,7 @@ def build_mm(data: SequenceDataset) -> HmmModel:
     adjacent observed pairs (pairs spanning a missing gap are skipped).
     States without outgoing transitions fall back to a self-loop.
     """
-    if data.n_channels != 1:
+    if check_instance(data, SequenceDataset, "build_mm").n_channels != 1:
         raise MultichannelNotAllowed("the data must be in a single-channel format")
     ch = data.channels[0]
     M = ch.alphabet.size
@@ -620,6 +620,7 @@ def trim_model(m: Model, tol: float) -> Model:
     whole row falls below the threshold.  A row is renormalized only when
     a dropped entry held probability.
     """
+    check_instance(m, (HmmModel, MixtureModel), "trim_model")
     tol = check_real(tol, "tol", 0, np.inf)
     if tol == 0:
         return m
@@ -640,6 +641,8 @@ def trim_model(m: Model, tol: float) -> Model:
 def count_parameters(m: Model, data: SequenceDataset) -> ParamCount:
     """Free parameter count (sum-to-one and structural-zero adjusted) and
     the missing-adjusted data size used by information criteria."""
+    check_instance(m, (HmmModel, MixtureModel), "count_parameters")
+    check_instance(data, SequenceDataset, "count_parameters")
     # every row has a free entry (a row of structural zeros cannot sum to 1)
     p = sum(int((~b.mask).sum()) - len(b.mask) for b in _blocks(m))
     if isinstance(m, MixtureModel):
@@ -755,6 +758,7 @@ def _hmm_from_json(doc, where: str) -> HmmModel:
 
 def model_to_json(m: Model) -> dict:
     """Lossless JSON form of a model (floats rendered with 17 significant digits)."""
+    check_instance(m, (HmmModel, MixtureModel), "model_to_json")
     if isinstance(m, MixtureModel):
         return {
             "type": "mhmm",

@@ -33,6 +33,7 @@ from .errors import (
     ShapeMismatch,
     UnknownToken,
     UnreadableFile,
+    check_instance,
     check_text,
 )
 
@@ -505,7 +506,7 @@ def mc_to_sc(data: SequenceDataset, separator: str = "/") -> SequenceDataset:
     missing channel becomes missing in the combined channel.
     """
     check_text(separator, "separator")
-    if data.n_channels == 1:
+    if check_instance(data, SequenceDataset, "mc_to_sc").n_channels == 1:
         return data
     all_observed = np.all([ch.observed for ch in data.channels], axis=0)
     cells = [ch.codes[all_observed] for ch in data.channels]
@@ -533,5 +534,6 @@ def effective_size(data: SequenceDataset) -> float:
 
     Equals N*T when fully observed; may be non-integer when C > 1.
     """
+    check_instance(data, SequenceDataset, "effective_size")
     observed = np.stack([ch.observed for ch in data.channels])
     return float(observed.mean(axis=0).sum())

@@ -8,7 +8,8 @@ public callable and argument, a valid value and a call that puts a value in
 that argument and valid ones elsewhere.  Every bad value must raise
 InvalidParameter (DimensionMismatch for a shape), and every valid one must
 pass.  ``test_every_named_argument_has_a_row`` walks ``markovseq.__all__``,
-so a new entry point with such an argument cannot skip its check.
+so a new entry point with such an argument, a model or a dataset among
+them, cannot skip its check.
 """
 
 import inspect
@@ -53,6 +54,7 @@ KIND_VALUES = {
     "choice": [True, 1.5, None, "bogus"],
     "bool": ["yes", 1, None, np.True_],
     "mixture": [HMM, "x", None],
+    "model": [DATA, "x", None],
     "hmm": [MIX, "x", None],
     "control": [HMM, "x", 1.5, True, False],
     "dataset": [HMM, "x", None],
@@ -76,6 +78,8 @@ KINDS = {
     "kind": "choice",
     "local_step": "bool",
     "mix": "mixture",
+    **dict.fromkeys(["m", "model"], "model"),
+    "data": "dataset",
     "control": "control",
     "spec": "spec",
 }
@@ -154,6 +158,38 @@ ROWS = {
         ("loglik_gradient", lambda v: mq.loglik_gradient(HMM, DATA, threads=v)),
     ]},
     ("forward_backward", "model"): (HMM, lambda v: mq.forward_backward(v, DATA)),
+    **{(name, "m"): (HMM, f) for name, f in [
+        ("count_parameters", lambda v: mq.count_parameters(v, DATA)),
+        ("fit_em", lambda v: mq.fit_em(v, DATA, control=_ONE_STEP)),
+        ("fit_local", lambda v: mq.fit_local(v, DATA, control=_ONE_STEP)),
+        ("fit_model", lambda v: mq.fit_model(v, DATA, control=_ONE_STEP)),
+        ("information_criteria", lambda v: mq.information_criteria(v, DATA)),
+        ("log_likelihood", lambda v: mq.log_likelihood(v, DATA)),
+        ("loglik_gradient", lambda v: mq.loglik_gradient(v, DATA)),
+        ("model_to_json", mq.model_to_json),
+        ("posterior_state_probs", lambda v: mq.posterior_state_probs(v, DATA)),
+        ("trim_model", lambda v: mq.trim_model(v, 0)),
+        ("viterbi_paths", lambda v: mq.viterbi_paths(v, DATA)),
+    ]},
+    ("ParameterMap", "model"): (MIX, mq.ParameterMap),
+    **{(name, "data"): (DATA, f) for name, f in [
+        ("build_mm", mq.build_mm),
+        ("cluster_posterior_probs", lambda v: mq.cluster_posterior_probs(MIX, v, DESIGN)),
+        ("count_parameters", lambda v: mq.count_parameters(HMM, v)),
+        ("covariate_standard_errors", lambda v: mq.covariate_standard_errors(MIX, v, DESIGN)),
+        ("effective_size", mq.effective_size),
+        ("fit_em", lambda v: mq.fit_em(HMM, v, control=_ONE_STEP)),
+        ("fit_local", lambda v: mq.fit_local(HMM, v, control=_ONE_STEP)),
+        ("fit_model", lambda v: mq.fit_model(HMM, v, control=_ONE_STEP)),
+        ("forward_backward", lambda v: mq.forward_backward(HMM, v)),
+        ("information_criteria", lambda v: mq.information_criteria(HMM, v)),
+        ("log_likelihood", lambda v: mq.log_likelihood(HMM, v)),
+        ("loglik_gradient", lambda v: mq.loglik_gradient(HMM, v)),
+        ("mc_to_sc", mq.mc_to_sc),
+        ("mixture_summary", lambda v: mq.mixture_summary(MIX, v, DESIGN)),
+        ("posterior_state_probs", lambda v: mq.posterior_state_probs(HMM, v)),
+        ("viterbi_paths", lambda v: mq.viterbi_paths(HMM, v)),
+    ]},
     ("gamma_m_step", "max_iter"): (0, lambda v: _gamma(max_iter=v)),
     ("gamma_m_step", "grad_tol"): (0.0, lambda v: _gamma(grad_tol=v)),
     ("mc_to_sc", "separator"): ("+", lambda v: mq.mc_to_sc(TWO_CHANNELS, v)),
@@ -169,7 +205,6 @@ ROWS = {
 OTHER_KINDS = {
     ("forward_backward", "model"): "hmm",
     ("simulate_hmm_data", "model"): "hmm",
-    ("render_state_distribution_svg", "data"): "dataset",
 }
 # shapes: DimensionMismatch, not InvalidParameter
 SHAPES = {

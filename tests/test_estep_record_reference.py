@@ -59,7 +59,7 @@ def _ref_scaled_stats(hmms, data, inits, threads):
         scaling = buf("scaling", (K, T, n))
         x = buf("x", (K, S, n))
         _forward(A, e, init[:, :, a:b], alpha, scaling, x)
-        ll = _pair_logliks(alpha, scaling, data, a)
+        ll = _pair_logliks(alpha, scaling)
         loglik[a:b] = _logsumexp(ll, axis=0)
         r = np.exp(ll - loglik[a:b])
         rho[a:b] = r.T

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -141,6 +142,13 @@ class TestFitControl:
         assert all(type(v) in (int, float, bool) for v in control.to_dict().values())
         with pytest.raises(InvalidParameter, match="local_step takes a bool, got str"):
             FitControl(local_step="yes")
+
+    @pytest.mark.parametrize("field, value", [("threads", 0), ("em_rel_tol", np.nan)])
+    def test_settings_are_frozen_once_checked(self, field, value):
+        control = FitControl()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(control, field, value)
+        assert control == FitControl()
 
     def test_zero_caps_return_the_start(self):
         data, start = _left_to_right_case()
@@ -430,7 +438,7 @@ class TestSquarem:
     @pytest.mark.parametrize("kind", ["nonfinite", "lower"])
     @pytest.mark.parametrize("max_iter", [3, 500])
     def test_rejected_proposals_never_enter_trace(self, monkeypatch, kind, max_iter):
-        # every proposal is a model whose E-step raises NonFiniteLikelihood or
+        # every proposal is a model whose E-step raises ImpossibleData or
         # scores below theta1; each costs an E-step and the cycle falls back
         # to theta2, so the accepted points are plain EM's.  With max_iter 3
         # the budget runs out on the first proposal: theta2 is then scored,

@@ -138,15 +138,19 @@ class TestForwardBackward:
         data = _coin_data("011")
         assert log_likelihood(_deterministic_model(), data) == 0.0
 
-    def test_impossible_data_scaled_underflows_log_gives_minus_inf(self):
+    @pytest.mark.parametrize("mode", ["scaled", "log"])
+    def test_impossible_data_gives_minus_inf_in_both_modes(self, mode):
         data = _coin_data("00")  # staying in state 0 is impossible
-        with pytest.raises(NumericalUnderflow):
-            log_likelihood(_deterministic_model(), data, mode="scaled")
-        assert log_likelihood(_deterministic_model(), data, mode="log") == -np.inf
+        assert log_likelihood(_deterministic_model(), data, mode=mode) == -np.inf
+        fb = forward_backward(_deterministic_model(), data, mode=mode)
+        assert (fb.alpha == (0.0 if mode == "scaled" else -np.inf)).all()
+        assert (fb.beta == fb.alpha).all()
+        with pytest.raises(ImpossibleData, match="^subject 's1' has zero probability"):
+            posterior_state_probs(_deterministic_model(), data, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["scaled", "log"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_emission_raises_in_scaled_mode(self, bad):
-        from markovseq.errors import NonFiniteLikelihood
+    def test_non_finite_emission_raises_in_both_modes(self, bad, mode):
         from markovseq.estimation import expected_stats
 
         model = _deterministic_model()
@@ -154,14 +158,13 @@ class TestForwardBackward:
         # enters state 1 at t=1 and shows symbol 1 there
         model = with_unchecked_emissions(model, [np.array([[1.0, 0.0], [0.0, bad]])])
         data = _coin_data("011")
-        where = "subject 's1' at t=1"
+        where = "^NaN log-likelihood for subject 's1'$"
         with pytest.raises(NumericalUnderflow, match=where):
-            log_likelihood(model, data, mode="scaled")
+            log_likelihood(model, data, mode=mode)
         with pytest.raises(NumericalUnderflow, match=where):
-            posterior_state_probs(model, data, mode="scaled")
-        with pytest.raises(NonFiniteLikelihood, match=where) as err:
+            posterior_state_probs(model, data, mode=mode)
+        with pytest.raises(NumericalUnderflow, match=where):
             expected_stats(model, data)
-        assert isinstance(err.value.__cause__, NumericalUnderflow)
 
     def test_threads_do_not_change_results(self):
         rng = np.random.default_rng(104)
@@ -600,16 +603,14 @@ class TestMixturePath:
         codes[700, :3] = [0, 2, 0]
         data = SequenceDataset((Channel("Channel 1", data.alphabets[0], codes),), data.subject_ids)
         combined, initials = combine_clusters(mix, design)
-        with pytest.raises(NumericalUnderflow) as want:
-            forward_backward(combined, data, subject_initials=initials)
-        assert "subject 's701' at t=2" in str(want.value)
+        fb = forward_backward(combined, data, subject_initials=initials)
+        assert np.flatnonzero(np.isneginf(fb.loglik_per_subject)).tolist() == [700]
+        assert not fb.alpha[700].any() and not fb.beta[700].any()
         for threads in (1, 3):
-            with pytest.raises(NumericalUnderflow) as got:
-                log_likelihood(mix, data, design, threads=threads)
-            assert str(got.value) == str(want.value)
-            with pytest.raises(NumericalUnderflow, match="'s701'"):
+            for mode in ("scaled", "log"):
+                assert log_likelihood(mix, data, design, mode, threads) == -np.inf
+            with pytest.raises(ImpossibleData, match="^subject 's701' has zero probability"):
                 cluster_posterior_probs(mix, data, design, threads=threads)
-        assert log_likelihood(mix, data, design, mode="log") == -np.inf
 
 
 class TestLogsumexp:

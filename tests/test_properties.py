@@ -7,6 +7,7 @@ repeatable and leaves nothing behind.
 import json
 import re
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,10 @@ from markovseq import (
     SequenceDataset,
     build_mhmm,
     count_parameters,
+    forward_backward,
+    information_criteria,
     log_likelihood,
+    mixture_summary,
     model_from_json,
     model_to_json,
     posterior_state_probs,
@@ -32,7 +36,7 @@ from markovseq import (
 )
 from markovseq.cli import main
 from markovseq import errors
-from markovseq.errors import ImpossibleData, MarkovSeqError, NumericalUnderflow
+from markovseq.errors import ImpossibleData, MarkovSeqError
 from markovseq.seqdata import MISSING
 
 from helpers import (
@@ -49,20 +53,14 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 def _agree(per_subject_oracle, scaled_call, log_total):
-    """Scaled mode matches the oracle when every subject is possible and
-    raises otherwise; log mode matches it either way."""
+    """Both modes match the oracle, -inf where some subject is impossible."""
     want = per_subject_oracle.sum()
+    scaled_total = scaled_call()
     if np.isfinite(want):
-        assert abs(scaled_call() - want) <= 1e-10 * max(1.0, abs(want))
+        assert abs(scaled_total - want) <= 1e-10 * max(1.0, abs(want))
         assert abs(log_total - want) <= 1e-10 * max(1.0, abs(want))
     else:
-        try:
-            scaled_call()
-        except NumericalUnderflow:
-            pass
-        else:
-            raise AssertionError("scaled mode returned on impossible data")
-        assert log_total == -np.inf
+        assert scaled_total == log_total == -np.inf
 
 
 def _mixture_weights(mix, design):
@@ -140,6 +138,41 @@ class TestModesAgreeWithEnumeration:
             lambda: log_likelihood(mix, data, design, mode="scaled"),
             log_likelihood(mix, data, design, mode="log"),
         )
+
+
+def _outcome(call):
+    """(value, None) or (None, (error class, message))."""
+    try:
+        return call(), None
+    except MarkovSeqError as err:
+        return None, (type(err), str(err))
+
+
+class TestOneOutcomeInBothModes:
+    """On masked models and data drawn without regard to their structural
+    zeros, so that some subjects are impossible, every call that takes a
+    mode gives the same values in both, or the same error class naming the
+    same subject."""
+
+    @SETTINGS
+    @given(st.one_of(hmm_and_data().map(lambda c: (c[0], None, c[1])), mixture_and_data()))
+    def test_each_call_agrees(self, case):
+        m, design, data = case
+        calls = [
+            lambda mode: log_likelihood(m, data, design, mode),
+            lambda mode: astuple(information_criteria(m, data, design, mode)),
+            lambda mode: posterior_state_probs(m, data, design, mode),
+        ]
+        if isinstance(m, MixtureModel):
+            calls.append(lambda mode: mixture_summary(m, data, design, mode).classification_table)
+        else:
+            calls.append(lambda mode: forward_backward(m, data, mode).loglik_per_subject)
+        for call in calls:
+            scaled, scaled_err = _outcome(lambda: call("scaled"))
+            log, log_err = _outcome(lambda: call("log"))
+            assert scaled_err == log_err
+            if scaled_err is None:
+                np.testing.assert_allclose(scaled, log, rtol=1e-9, atol=1e-9)
 
 
 def _hmms(m):

@@ -44,7 +44,7 @@ from markovseq import (
     simulate_parameters,
     trim_model,
 )
-from markovseq.errors import MarkovSeqError, NonFiniteLikelihood, RowAnnihilated
+from markovseq.errors import ImpossibleData, MarkovSeqError, RowAnnihilated
 from markovseq.estimation import (
     _LOG_CLAMP,
     FitControl,
@@ -505,7 +505,7 @@ def _check_all(m, data, design, rng):
 
     try:
         stats = expected_stats(m, data, design=design)
-    except NonFiniteLikelihood:  # generated data can be impossible under the model
+    except ImpossibleData:  # generated data can be impossible under the model
         stats = None
     if stats is not None:
         old = _per_cluster(m, stats)
