@@ -1,116 +1,79 @@
 """Hidden Markov and mixture hidden Markov models for multichannel
-categorical sequence data: build, fit, infer, summarize, simulate."""
+categorical sequence data: build, fit, infer, summarize, simulate.
+
+Each public name is imported from its module on first use (PEP 562), so
+``import markovseq`` loads no submodule, and a process pays only for the
+modules it uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import MarkovSeqError
-from .seqdata import (
-    MISSING,
-    Alphabet,
-    Channel,
-    CovariateDesign,
-    SequenceDataset,
-    define_alphabet,
-    effective_size,
-    ingest_dataset,
-    mc_to_sc,
-)
-from .model import (
-    HmmModel,
-    MixtureModel,
-    ParamCount,
-    build_hmm,
-    build_mhmm,
-    build_mm,
-    build_restricted_mixture,
-    combine_clusters,
-    count_parameters,
-    model_from_json,
-    model_to_json,
-    separate_clusters,
-    trim_model,
-)
-from .inference import (
-    FBResult,
-    InformationCriteria,
-    MixtureSummary,
-    ViterbiResult,
-    cluster_posterior_probs,
-    cluster_prior_probs,
-    forward_backward,
-    information_criteria,
-    log_likelihood,
-    mixture_summary,
-    posterior_state_probs,
-    viterbi_paths,
-)
-from .estimation import (
-    FitControl,
-    FitResult,
-    ParameterMap,
-    covariate_standard_errors,
-    fit_em,
-    fit_local,
-    fit_model,
-    gamma_m_step,
-    loglik_gradient,
-)
-from .simulate import (
-    SimSpec,
-    simulate_hmm_data,
-    simulate_mhmm_data,
-    simulate_parameters,
-)
-from .svgplot import render_state_distribution_svg
+# each public name, in the order of __all__, and the module that defines it
+_EXPORTS = {
+    "MISSING": "seqdata",
+    "Alphabet": "seqdata",
+    "Channel": "seqdata",
+    "CovariateDesign": "seqdata",
+    "FBResult": "inference",
+    "FitControl": "estimation",
+    "FitResult": "estimation",
+    "HmmModel": "model",
+    "InformationCriteria": "inference",
+    "MarkovSeqError": "errors",
+    "MixtureModel": "model",
+    "MixtureSummary": "inference",
+    "ParamCount": "model",
+    "ParameterMap": "estimation",
+    "SequenceDataset": "seqdata",
+    "SimSpec": "simulate",
+    "ViterbiResult": "inference",
+    "build_hmm": "model",
+    "build_mhmm": "model",
+    "build_mm": "model",
+    "build_restricted_mixture": "model",
+    "cluster_posterior_probs": "inference",
+    "cluster_prior_probs": "inference",
+    "combine_clusters": "model",
+    "count_parameters": "model",
+    "covariate_standard_errors": "estimation",
+    "define_alphabet": "seqdata",
+    "effective_size": "seqdata",
+    "fit_em": "estimation",
+    "fit_local": "estimation",
+    "fit_model": "estimation",
+    "forward_backward": "inference",
+    "gamma_m_step": "estimation",
+    "information_criteria": "inference",
+    "ingest_dataset": "seqdata",
+    "log_likelihood": "inference",
+    "loglik_gradient": "estimation",
+    "mc_to_sc": "seqdata",
+    "mixture_summary": "inference",
+    "model_from_json": "model",
+    "model_to_json": "model",
+    "posterior_state_probs": "inference",
+    "render_state_distribution_svg": "svgplot",
+    "separate_clusters": "model",
+    "simulate_hmm_data": "simulate",
+    "simulate_mhmm_data": "simulate",
+    "simulate_parameters": "simulate",
+    "trim_model": "model",
+    "viterbi_paths": "inference",
+}
 
-__all__ = [
-    "MISSING",
-    "Alphabet",
-    "Channel",
-    "CovariateDesign",
-    "FBResult",
-    "FitControl",
-    "FitResult",
-    "HmmModel",
-    "InformationCriteria",
-    "MarkovSeqError",
-    "MixtureModel",
-    "MixtureSummary",
-    "ParamCount",
-    "ParameterMap",
-    "SequenceDataset",
-    "SimSpec",
-    "ViterbiResult",
-    "build_hmm",
-    "build_mhmm",
-    "build_mm",
-    "build_restricted_mixture",
-    "cluster_posterior_probs",
-    "cluster_prior_probs",
-    "combine_clusters",
-    "count_parameters",
-    "covariate_standard_errors",
-    "define_alphabet",
-    "effective_size",
-    "fit_em",
-    "fit_local",
-    "fit_model",
-    "forward_backward",
-    "gamma_m_step",
-    "information_criteria",
-    "ingest_dataset",
-    "log_likelihood",
-    "loglik_gradient",
-    "mc_to_sc",
-    "mixture_summary",
-    "model_from_json",
-    "model_to_json",
-    "posterior_state_probs",
-    "render_state_distribution_svg",
-    "separate_clusters",
-    "simulate_hmm_data",
-    "simulate_mhmm_data",
-    "simulate_parameters",
-    "trim_model",
-    "viterbi_paths",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

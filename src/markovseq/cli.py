@@ -8,13 +8,23 @@ byte-identical.  Exit codes: 0 success, 2 usage errors, 1 a ``MarkovSeqError``
 (bad data or model, ``UnreadableFile`` for an input file that cannot be read,
 or ``UnwritableOutput`` for an ``--out`` directory or artifact that cannot be
 written), named on stderr and last in ``run.log`` where that can be written;
-anything else is a bug.
+anything else is a bug.  JSON artifacts and ``--format json`` output are
+strict JSON: a non-finite value (an impossible subject's -inf log-likelihood,
+a NaN standard error) is written as null; text output and ``run.log`` keep
+``-inf``, ``inf`` and ``nan``.
+
+Each run imports only the modules its command uses: this module needs only
+``errors`` and ``seqdata`` itself, and the rest (``model``, ``inference``,
+``estimation``, ``simulate``, ``svgplot``) are imported by ``main`` for the
+command that needs them, so ``validate`` loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
+import math
 import os
 import re
 import sys
@@ -26,24 +36,6 @@ import numpy as np
 
 from . import __version__
 from .errors import MarkovSeqError, MissingCovariate, UnwritableOutput
-from .estimation import FitControl, fit_model
-from .inference import (
-    information_criteria,
-    log_likelihood,
-    mixture_summary,
-    posterior_state_probs,
-    viterbi_paths,
-)
-from .model import (
-    MixtureModel,
-    _combined_state_names,
-    model_from_json,
-    model_to_json,
-    trim_model,
-)
-
-# kept importable here: perfbench/tracing.py wraps this name in this module
-from .model import combine_clusters  # noqa: F401
 from .seqdata import (
     CovariateDesign,
     SequenceDataset,
@@ -52,8 +44,50 @@ from .seqdata import (
     ingest_dataset,
     mc_to_sc,
 )
-from .simulate import simulate_hmm_data, simulate_mhmm_data
-from .svgplot import render_state_distribution_svg
+
+# The collaborators from other modules, by module.  ``main`` binds the
+# modules a command needs (``_HANDLERS``) into this module's globals before
+# its handler runs, and ``__getattr__`` resolves ``markovseq.cli.<name>``.
+_COLLABORATORS = {
+    "model": (
+        "MixtureModel",
+        "_combined_state_names",
+        "combine_clusters",  # used by no stage; perfbench/tracing.py wraps it here
+        "model_from_json",
+        "model_to_json",
+        "trim_model",
+    ),
+    "inference": (
+        "information_criteria",
+        "log_likelihood",
+        "mixture_summary",
+        "posterior_state_probs",
+        "viterbi_paths",
+    ),
+    "estimation": ("FitControl", "fit_model"),
+    "simulate": ("simulate_hmm_data", "simulate_mhmm_data"),
+    "svgplot": ("render_state_distribution_svg",),
+}
+
+
+def _bind(modules) -> None:
+    """Import ``modules`` (keys of ``_COLLABORATORS``) and bind their names
+    here.  A name already bound stays, so a wrapper set with ``setattr``
+    keeps its place.  Under ``python -m`` this module is ``__main__``, so
+    the modules are imported by absolute name."""
+    space = globals()
+    for module in modules:
+        found = importlib.import_module(f"markovseq.{module}")
+        for name in _COLLABORATORS[module]:
+            space.setdefault(name, getattr(found, name))
+
+
+def __getattr__(name):
+    for module, names in _COLLABORATORS.items():
+        if name in names:
+            _bind((module,))
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _thread_count(text: str) -> int:
@@ -160,8 +194,25 @@ def _write_text(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8")
 
 
+def _finite(obj):
+    """``obj`` with each non-finite float, in any dict or list, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
+def _json_text(obj) -> str:
+    """Indented JSON text of ``obj``.  JSON (RFC 8259) has no token for an
+    infinity or a NaN, so a non-finite float is written as null."""
+    return json.dumps(_finite(obj), indent=2, allow_nan=False)
+
+
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
+    _write_text(path, _json_text(obj) + "\n")
 
 
 def _write_log(out: Path, lines) -> None:
@@ -245,7 +296,7 @@ def _write_dataset_files(data: SequenceDataset, out: Path, stem: str):
 
 def _emit(args, text_lines, json_obj):
     if args.format == "json":
-        print(json.dumps(json_obj, indent=2))
+        print(_json_text(json_obj))
     else:
         for line in text_lines:
             print(line)
@@ -534,18 +585,19 @@ def _cmd_plot(args, out: Path, log) -> int:
     return 0
 
 
+# each command's handler and the modules of _COLLABORATORS it uses
 _HANDLERS = {
-    "validate": _cmd_validate,
-    "fit": _cmd_fit,
-    "loglik": _cmd_loglik,
-    "bic": _cmd_bic,
-    "viterbi": _cmd_viterbi,
-    "posterior": _cmd_posterior,
-    "summary": _cmd_summary,
-    "simulate": _cmd_simulate,
-    "convert": _cmd_convert,
-    "trim": _cmd_trim,
-    "plot": _cmd_plot,
+    "validate": (_cmd_validate, ()),
+    "fit": (_cmd_fit, ("model", "inference", "estimation")),
+    "loglik": (_cmd_loglik, ("model", "inference")),
+    "bic": (_cmd_bic, ("model", "inference")),
+    "viterbi": (_cmd_viterbi, ("model", "inference")),
+    "posterior": (_cmd_posterior, ("model", "inference")),
+    "summary": (_cmd_summary, ("model", "inference")),
+    "simulate": (_cmd_simulate, ("model", "simulate")),
+    "convert": (_cmd_convert, ()),
+    "trim": (_cmd_trim, ("model", "inference")),
+    "plot": (_cmd_plot, ("svgplot",)),
 }
 
 
@@ -560,7 +612,9 @@ def main(argv=None) -> int:
     try:
         with _writing(out):
             out.mkdir(parents=True, exist_ok=True)
-        code = _HANDLERS[args.command](args, out, log)
+        handler, modules = _HANDLERS[args.command]
+        _bind(modules)
+        code = handler(args, out, log)
         _write_log(out, log)
         return code
     except MarkovSeqError as err:

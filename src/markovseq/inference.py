@@ -25,7 +25,6 @@ A subject the model cannot produce has log-likelihood -inf in both modes;
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -124,6 +123,10 @@ def _run_chunked(fn, n_subjects: int, threads: int) -> None:
     if workers == 1:
         failures = [run(0)]
     else:
+        # imported here: concurrent.futures also imports logging, which a
+        # one-thread run would pay for at start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             failures = list(pool.map(run, range(workers)))
     failures = [f for f in failures if f is not None]

@@ -156,6 +156,15 @@ def uneven_mixture(rng, sizes, n_states, n_subjects):
     return build_mhmm(clusters, covariates=design, gamma=gamma), design
 
 
+def strict_json(text):
+    """``text`` parsed as JSON (RFC 8259), which has no NaN or Infinity token."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def write_manifest(tmp_path, channels, covariate_rows=None, covariate_names=None):
     """Write wide CSVs plus a manifest; channels are (name, labels, rows-of-tokens)."""
     entries = []

@@ -22,7 +22,7 @@ from markovseq import (
 )
 from markovseq.cli import _paths_csv, _posterior_csv, _safe_name, _write_dataset_files, main
 
-from helpers import random_dataset, random_hmm, write_manifest
+from helpers import random_dataset, random_hmm, strict_json, write_manifest
 
 
 @pytest.fixture
@@ -55,7 +55,7 @@ def _coin_model(labels=("a", "b")):
 _SCIPY_FREE_PROBE = """
 import json, sys
 before = {m.split(".")[0] for m in sys.modules}
-import markovseq
+from markovseq import *  # every module: a bare import loads none
 imported = sorted({m.split(".")[0] for m in sys.modules} - before - set(sys.stdlib_module_names))
 from markovseq.cli import main
 
@@ -799,8 +799,11 @@ class TestSummaryAndSimulate:
         )
         assert code == 0
         line = "gamma_se: NonInvertibleHessian: singular"
-        doc = json.loads((out / "summary_result.json").read_text())
+        doc = strict_json((out / "summary_result.json").read_text())
         assert doc["diagnostics"] == [line]
+        # a NaN standard error is null in JSON and nan in the text report
+        assert [row[1:] for row in doc["gamma_se"]] == [[None]]
+        assert "nan" in (out / "summary.txt").read_text()
         assert line in (out / "run.log").read_text().splitlines()
 
     def test_simulate_roundtrips_through_manifest(self, tmp_path):

@@ -13,6 +13,8 @@ the command line alike.  A true underflow gives scaled mode the log-space
 log-likelihood; the scaled calls that need more raise NumericalUnderflow.
 """
 
+import contextlib
+import io
 import json
 import math
 from dataclasses import astuple
@@ -24,7 +26,7 @@ import markovseq as mq
 from markovseq.cli import main
 from markovseq.errors import ImpossibleData, MarkovSeqError, NumericalUnderflow
 
-from helpers import write_manifest
+from helpers import strict_json, write_manifest
 
 ALPHABETS = (mq.Alphabet(("a", "b")),)
 NAMES = dict(channel_names=("ch",))
@@ -95,10 +97,11 @@ def _other_calls(m, data):
 
 
 def _stages(tmp_path, manifest, model):
-    """(exit code, last line of run.log) per CLI stage and mode."""
+    """Per CLI stage and mode: (exit code, last line of run.log), and the
+    stage's JSON artifacts and ``--format json`` output, parsed strictly."""
     path = tmp_path / "model.json"
     path.write_text(json.dumps(mq.model_to_json(model)))
-    got = {}
+    got, docs = {}, {}
     for stage in ("fit", "loglik", "bic", "viterbi", "posterior", "summary", "trim"):
         for mode in ("scaled", "logspace"):
             out = tmp_path / f"{stage}_{mode}"
@@ -107,10 +110,14 @@ def _stages(tmp_path, manifest, model):
                 argv += ["--em-max-iter", "3", "--local-step", "--local-max-iter", "2"]
             if stage == "trim":
                 argv += ["--trim-tol", "1e-3"]
-            code = main(argv + ["--out", str(out)])
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                code = main(argv + ["--out", str(out), "--format", "json"])
             log = (out / "run.log").read_text().splitlines() if out.exists() else [""]
             got[stage, mode] = (code, log[-1])
-    return got
+            docs[stage, mode] = {p.name: strict_json(p.read_text()) for p in out.glob("*.json")}
+            if stdout.getvalue():
+                docs[stage, mode]["stdout"] = strict_json(stdout.getvalue())
+    return got, docs
 
 
 @pytest.mark.parametrize("mixture", [False, True], ids=["hmm", "mixture"])
@@ -137,18 +144,32 @@ def test_impossible_subjects_have_zero_forward_and_backward_variables(impossible
 
 
 @pytest.mark.parametrize("mixture", [False, True], ids=["hmm", "mixture"])
-def test_impossible_subjects_have_one_outcome_on_the_command_line(impossible, tmp_path, mixture):
+def test_impossible_subjects_have_one_outcome_on_the_command_line(
+    impossible, tmp_path, mixture, capsys
+):
     manifest, _ = impossible
     m = mq.build_mhmm([IMPOSSIBLE_HMM]) if mixture else IMPOSSIBLE_HMM
-    got = _stages(tmp_path, manifest, m)
+    got, docs = _stages(tmp_path, manifest, m)
     for stage in ("fit", "loglik", "bic", "viterbi", "posterior", "summary", "trim"):
         assert got[stage, "scaled"] == got[stage, "logspace"], stage
+        assert docs[stage, "scaled"] == docs[stage, "logspace"], stage
     failed = (1, "error: ImpossibleData: " + ZERO_PROBABILITY[1])
     for stage in ("fit", "viterbi", "posterior") + (("summary",) if mixture else ()):
         assert got[stage, "scaled"] == failed, stage
     assert got["loglik", "scaled"] == (0, "loglik -inf")
     assert got["bic", "scaled"][0] == 0 and got["bic", "scaled"][1].startswith("bic inf")
     assert got["trim", "scaled"] == (0, "trim: loglik -inf -> -inf")
+    # JSON writes the non-finite values as null; run.log above keeps -inf and inf
+    loglik, bic, trim = (docs[stage, "scaled"] for stage in ("loglik", "bic", "trim"))
+    assert loglik["loglik_result.json"] == loglik["stdout"] == {"loglik": None}
+    assert bic["bic_result.json"] == bic["stdout"]
+    assert (bic["stdout"]["loglik"], bic["stdout"]["bic"]) == (None, None)
+    assert trim["trim_result.json"] == trim["stdout"]
+    assert (trim["stdout"]["loglik_before"], trim["stdout"]["loglik_after"]) == (None, None)
+    model = str(tmp_path / "model.json")
+    assert main(["loglik", "--manifest", str(manifest), "--model", model,
+                 "--out", str(tmp_path / "text")]) == 0
+    assert capsys.readouterr().out == "-inf\n"
 
 
 def test_a_true_underflow_scores_as_in_log_mode(underflow):
@@ -170,7 +191,7 @@ def test_a_true_underflow_scores_as_in_log_mode(underflow):
 
 def test_a_true_underflow_on_the_command_line(underflow, tmp_path):
     manifest, _ = underflow
-    got = _stages(tmp_path, manifest, UNDERFLOW_HMM)
+    got, _ = _stages(tmp_path, manifest, UNDERFLOW_HMM)
     for stage in ("loglik", "bic", "viterbi", "trim"):
         assert got[stage, "scaled"] == got[stage, "logspace"], stage
         assert got[stage, "scaled"][0] == 0, stage
