@@ -37,7 +37,7 @@ _EXPORTS = {
     "cluster_prior_probs": "inference",
     "combine_clusters": "model",
     "count_parameters": "model",
-    "covariate_standard_errors": "estimation",
+    "covariate_standard_errors": "inference",
     "define_alphabet": "seqdata",
     "effective_size": "seqdata",
     "fit_em": "estimation",

@@ -42,23 +42,19 @@ from .errors import (
     DimensionMismatch,
     ImpossibleData,
     MarkovSeqError,
-    NonInvertibleHessian,
     NumericalUnderflow,
     RankDeficientDesign,
     check_count,
     check_instance,
     check_real,
 )
-from .inference import (
-    _clusters_and_inits,
-    _scaled_pass,
-    _Workspace,
-)
+from .inference import _evaluate, _Workspace
 
 # kept importable here: perfbench/tracing.py wraps these names in this module
 from .inference import _fb_scaled, emission_probs, log_likelihood  # noqa: F401
 from .model import combine_clusters  # noqa: F401
-from .model import HmmModel, MixtureModel, _blocks, _mixture_design, _with_blocks, mixture_weights
+from .model import HmmModel, MixtureModel, _blocks, _gamma_hessian, _mixture_design, _with_blocks
+from .model import mixture_weights
 from .seqdata import CovariateDesign, SequenceDataset
 
 Model = Union[HmmModel, MixtureModel]
@@ -172,8 +168,9 @@ def expected_stats(
     E-step to the next; without it the pass builds its own.  A subject the
     model cannot produce raises ImpossibleData, as the kernel decides.
     """
-    hmms, inits = _clusters_and_inits(model, data, design, subject_initials)
-    ll, rho, counts = _scaled_pass(hmms, data, inits, threads, "stats", workspace)
+    ll, rho, counts = _evaluate(
+        model, data, "stats", design, "scaled", threads, subject_initials, workspace
+    )
     return EStats(float(ll.sum()), rho, counts)
 
 
@@ -327,8 +324,7 @@ def _em_once(m: Model, data, design, control: FitControl, workspace) -> _EmRun:
         current = _m_step(point, stats, design, flagged)
     # E-step cap: score the last EM map's output by a forward pass, as
     # log_likelihood would but in the workspace
-    hmms, inits = _clusters_and_inits(current, data, design)
-    ll = _scaled_pass(hmms, data, inits, control.threads, "loglik", workspace)[0]
+    ll = _evaluate(current, data, "loglik", design, threads=control.threads, workspace=workspace)[0]
     trace.append(float(ll.sum()))
     return done(current, "max_iter")
 
@@ -467,7 +463,6 @@ def loglik_gradient(
     model's current values.  Coordinates follow ``ParameterMap`` order and
     the vector length equals the free parameter count.
     """
-    threads = check_count(threads, "threads", 1)
     pmap = ParameterMap(m)
     if theta is not None:
         m = pmap.unpack(theta)
@@ -650,7 +645,7 @@ def fit_model(
 
 
 # ----------------------------------------------------------------------
-# covariate coefficients: Newton M-step and conditional standard errors
+# covariate coefficients: Newton M-step
 # ----------------------------------------------------------------------
 
 
@@ -669,18 +664,6 @@ def _gamma_objective(gamma, X, weights):
         logw = np.log(w)
     # zero-weight terms contribute 0 even where log w is -inf
     return float((weights * np.where(weights > 0, logw, 0.0)).sum())
-
-
-def _gamma_hessian(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Hessian of the expected multinomial-logit term over free gamma columns."""
-    N, Q = X.shape
-    K1 = w.shape[1] - 1
-    H = np.empty((Q * K1, Q * K1))
-    for a in range(K1):
-        for b in range(K1):
-            coef = w[:, a + 1] * ((1.0 if a == b else 0.0) - w[:, b + 1])
-            H[a * Q : (a + 1) * Q, b * Q : (b + 1) * Q] = -(X.T @ (X * coef[:, None]))
-    return H
 
 
 def gamma_m_step(
@@ -741,33 +724,3 @@ def gamma_m_step(
             return GammaFit(gamma, False, it, grad_max, diagnostics)
     diagnostics.append("gamma_iteration_cap")
     return GammaFit(gamma, False, max_iter, grad_max, diagnostics)
-
-
-def covariate_standard_errors(
-    mix: MixtureModel,
-    data: SequenceDataset,
-    design: Optional[CovariateDesign] = None,
-) -> np.ndarray:
-    """Conditional standard errors of gamma (other parameters held fixed).
-
-    Uses the same analytic Hessian as the Newton step for gamma, evaluated
-    at the estimate; the reference column's errors are zero.
-    """
-    check_instance(mix, MixtureModel, "covariate_standard_errors")
-    check_instance(data, SequenceDataset, "covariate_standard_errors")
-    design = _mixture_design(mix, data.n_subjects, design)
-    Q, K = mix.gamma.shape
-    se = np.zeros((Q, K))
-    if K == 1:
-        return se
-    w = mixture_weights(mix.gamma, design.X)
-    H = _gamma_hessian(design.X, w)
-    try:
-        cov = np.linalg.inv(-H)
-    except np.linalg.LinAlgError as err:
-        raise NonInvertibleHessian(str(err)) from err
-    diag = np.diag(cov)
-    if np.any(diag <= 0):
-        raise NonInvertibleHessian("information matrix is not positive definite")
-    se[:, 1:] = np.sqrt(diag).reshape(Q, K - 1, order="F")
-    return se

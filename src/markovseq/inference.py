@@ -13,13 +13,14 @@ step of the recursions, every normalizer and every reduction over states
 runs on contiguous rows of subjects, and each state's posteriors over the
 chunk are one contiguous block.  One lookup serves the leading channels
 through their joint code (``_leading_group``); the later ones are looked
-up one by one.  ``_scaled_pass`` serves log-likelihoods, posteriors and
-the E-step statistics; ``_log_pass`` serves log mode and decoding, the
-latter on one thread.  Chunks write their own rows or partial sums, added
-in chunk order, so results are bit-identical for any thread count.  A fit
+up one by one.  Chunks write their own rows or partial sums, added in
+chunk order, so results are bit-identical for any thread count.  A fit
 builds one workspace for all its E-steps; one-off calls build their own.
-A subject the model cannot produce has log-likelihood -inf in both modes;
-``_require_possible`` decides, in one place, which calls raise for it.
+``_evaluate`` is the only way into the kernels, here and in ``estimation``:
+it runs ``_scaled_pass`` or, in log mode, ``_log_pass``, which answer a
+``want`` in the same shapes.  A subject the model cannot produce has
+log-likelihood -inf in both modes; ``_require_possible`` decides, in one
+place, which calls raise for it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .model import (
     HmmModel,
     MixtureModel,
     _checked_rows,
+    _gamma_hessian,
     _mixture_design,
     _prior_weights,
     count_parameters,
@@ -81,10 +83,6 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 _MODES = dict(scaled="scaled", scaling="scaled", log="log", logspace="log", log_space="log")
-
-
-def _normalize_mode(mode: str) -> str:
-    return _MODES[check_text(mode, "mode", _MODES)]
 
 
 def _check_compatible(model: HmmModel, data: SequenceDataset) -> None:
@@ -189,8 +187,8 @@ def _clusters_and_inits(m, data, design=None, subject_initials=None):
     """The cluster HMMs of a model (a plain HMM is one) and per cluster its
     (N, S_k) initial array: a plain HMM's initial row, or the rows of
     ``subject_initials``, checked as a model's initial row is; cluster k of a
-    mixture starts from w_ik * pi^k.  Every pass of an entry point starts
-    here, so its model and data arguments are checked here."""
+    mixture starts from w_ik * pi^k.  Every pass starts here (through
+    ``_evaluate``), so an entry point's model and data are checked here."""
     check_instance(m, (HmmModel, MixtureModel), "the model argument")
     check_instance(data, SequenceDataset, "the data argument")
     N = data.n_subjects
@@ -361,8 +359,8 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     the E-step statistics come out weighted by rho (0 at -inf).  A NaN l_ik
     raises; a subject at -inf in every cluster is scored again by
     ``_log_pass``: -inf there means impossible (``"stats"`` raises), a finite
-    value an underflow, which ``"loglik"`` returns and the others raise as
-    NumericalUnderflow.  ``want`` selects
+    value an underflow, whose (loglik, rho) ``"loglik"`` returns and the
+    others raise as NumericalUnderflow.  ``want`` selects
     ``"loglik"``: (loglik (N,), rho (N, K)) from the forward pass only;
     ``"full"``: (alpha, beta, scaling, loglik), alpha and beta (N, T, sum
     S_k) side by side as in ``combine_clusters``, normalizers (K, N, T);
@@ -435,13 +433,10 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     if lost.size:
         channels = [Channel(ch.name, ch.alphabet, ch.codes[lost]) for ch in data.channels]
         subjects = SequenceDataset(channels, [data.subject_ids[i] for i in lost])
-        scores, ll = _log_pass(hmms, subjects, [p[lost] for p in inits], threads)
-        if want != "loglik" and np.isfinite(scores).any():
-            sid = subjects.subject_ids[np.argmax(np.isfinite(scores))]
+        loglik[lost], rho[lost] = _log_pass(hmms, subjects, [p[lost] for p in inits], threads)
+        if want != "loglik" and np.isfinite(loglik[lost]).any():
+            sid = subjects.subject_ids[np.argmax(np.isfinite(loglik[lost]))]
             raise NumericalUnderflow(f"scaled forward pass underflows for subject {sid!r}")
-        loglik[lost] = scores
-        with np.errstate(invalid="ignore"):
-            rho[lost] = np.exp(ll - scores).T
     if want == "loglik":
         return loglik, rho
     if want == "stats":
@@ -459,9 +454,10 @@ def _log_pass(hmms, data, inits, threads=1, want="loglik"):
     from-state axis (for ``"paths"`` the max, back-pointers to the lowest
     state reaching it), each over contiguous rows of n subjects.  l_ik (K,
     N), the last log alpha reduced likewise, is -inf for an impossible
-    pair.  ``want`` selects ``"loglik"``: (loglik_i = logsumexp_k l_ik,
-    l_ik); ``"full"``: (alpha, beta, loglik), log alpha and log beta (N, T,
-    sum S_k) side by side; ``"paths"``: (paths, l_ik), per cluster the best
+    pair.  ``want`` selects, in ``_scaled_pass``'s shapes, ``"loglik"``:
+    (loglik_i = logsumexp_k l_ik, rho); ``"full"``: (alpha, beta, None,
+    loglik), log alpha and log beta (N, T, sum S_k) side by side, -inf for
+    a subject at -inf; ``"paths"``: (paths, l_ik), per cluster the best
     paths (K, N, T).  A NaN l_ik raises (``_require_possible``)."""
     workspace = _Workspace(data)
     N, T = data.n_subjects, data.n_time
@@ -527,14 +523,33 @@ def _log_pass(hmms, data, inits, threads=1, want="loglik"):
     _require_possible(ll, data, divides=False)
     loglik = _logsumexp(ll, axis=0)
     if want == "loglik":
-        return loglik, ll
-    return alpha_out, beta_out, loglik
+        with np.errstate(invalid="ignore"):  # -inf - -inf for a subject at -inf
+            return loglik, np.exp(ll - loglik).T
+    alpha_out[np.isneginf(loglik)] = beta_out[np.isneginf(loglik)] = -np.inf
+    return alpha_out, beta_out, None, loglik
 
 
 # The kernels' former names; perfbench/tracing.py looks them up when it
 # installs its counters.
 _fb_scaled = _scaled_pass
 _fb_log = _log_pass
+
+
+def _evaluate(
+    m, data, want, design=None, mode="scaled", threads=1, subject_initials=None, workspace=None
+):
+    """The one way into the kernels: ``want`` (``"loglik"``, ``"full"``,
+    ``"stats"`` or, in log mode, ``"paths"``) of model ``m`` on ``data``.
+    Checks ``mode`` and ``threads``, builds the clusters and their initial
+    arrays (``_clusters_and_inits`` checks the rest), and runs
+    ``_scaled_pass`` or, in log mode, ``_log_pass``, which answers in the
+    same shapes.  ``workspace`` serves the scaled kernel."""
+    mode = _MODES[check_text(mode, "mode", _MODES)]
+    threads = check_count(threads, "threads", 1)
+    hmms, inits = _clusters_and_inits(m, data, design, subject_initials)
+    if mode == "scaled":
+        return _scaled_pass(hmms, data, inits, threads, want, workspace)
+    return _log_pass(hmms, data, inits, threads, want)
 
 
 def _require_possible(ll, data: SequenceDataset, what="log-likelihood", divides=True) -> None:
@@ -567,26 +582,12 @@ def forward_backward(
     and beta 0 (-inf in log mode).
     """
     check_instance(model, HmmModel, "forward_backward")
-    mode, threads = _normalize_mode(mode), check_count(threads, "threads", 1)
-    hmms, inits = _clusters_and_inits(model, data, subject_initials=subject_initials)
-    if mode == "scaled":
-        alpha, beta, scaling, loglik = _scaled_pass(hmms, data, inits, threads, "full")
-        return FBResult("scaled", alpha, beta, scaling[0], loglik)
-    alpha, beta, loglik = _log_pass(hmms, data, inits, threads, "full")
-    alpha[np.isneginf(loglik)] = beta[np.isneginf(loglik)] = -np.inf
-    return FBResult("log", alpha, beta, None, loglik)
-
-
-def _forward_pass(m, data, design, mode, threads, subject_initials=None):
-    """Per-subject log-likelihoods and rho (N, K) from forward passes only; in
-    either mode a subject impossible in every cluster gets -inf and NaN rho."""
-    mode, threads = _normalize_mode(mode), check_count(threads, "threads", 1)
-    hmms, inits = _clusters_and_inits(m, data, design, subject_initials)
-    if mode == "scaled":
-        return _scaled_pass(hmms, data, inits, threads)
-    loglik, ll = _log_pass(hmms, data, inits, threads)
-    with np.errstate(invalid="ignore"):
-        return loglik, np.exp(ll - loglik).T
+    alpha, beta, scaling, loglik = _evaluate(
+        model, data, "full", mode=mode, threads=threads, subject_initials=subject_initials
+    )
+    if scaling is None:
+        return FBResult("log", alpha, beta, None, loglik)
+    return FBResult("scaled", alpha, beta, scaling[0], loglik)
 
 
 def log_likelihood(
@@ -597,7 +598,7 @@ def log_likelihood(
     threads: int = 1,
 ) -> float:
     """Total log-likelihood; a mixture's is sum_i log sum_k w_ik P(Y_i | cluster k)."""
-    return float(_forward_pass(m, data, design, mode, threads)[0].sum())
+    return float(_evaluate(m, data, "loglik", design, mode, threads)[0].sum())
 
 
 def posterior_state_probs(
@@ -613,12 +614,9 @@ def posterior_state_probs(
     s of cluster k means cluster k and state s.  Every (subject, time)
     slice sums to one.
     """
-    mode, threads = _normalize_mode(mode), check_count(threads, "threads", 1)
-    hmms, inits = _clusters_and_inits(m, data, design)
-    run = _scaled_pass if mode == "scaled" else _log_pass
-    alpha, beta, *_, loglik = run(hmms, data, inits, threads, "full")
+    alpha, beta, scaling, loglik = _evaluate(m, data, "full", design, mode, threads)
     _require_possible(loglik, data)
-    return alpha * beta if mode == "scaled" else np.exp(alpha + beta - loglik[:, None, None])
+    return alpha * beta if scaling is not None else np.exp(alpha + beta - loglik[:, None, None])
 
 
 def viterbi_paths(
@@ -634,14 +632,14 @@ def viterbi_paths(
     in ``combine_clusters``.  A mixture rejects ``subject_initials``.  The
     chunks of the decoding run on one thread.
     """
-    hmms, inits = _clusters_and_inits(m, data, design, subject_initials)
-    paths, joints = _log_pass(hmms, data, inits, 1, "paths")  # joints (K, N)
+    paths, joints = _evaluate(m, data, "paths", design, "log", 1, subject_initials)  # joints (K, N)
     best = np.argmax(joints, axis=0)  # first max = lowest cluster; a NaN is a max
     subjects = np.arange(data.n_subjects)
     log_joint = joints[best, subjects]
     _require_possible(log_joint, data, "path log-probability")
-    offsets = np.cumsum([0] + [h.n_states for h in hmms])
-    clusters = best if isinstance(m, MixtureModel) else None
+    mixture = isinstance(m, MixtureModel)
+    offsets = np.cumsum([0] + [h.n_states for h in (m.clusters if mixture else (m,))])
+    clusters = best if mixture else None
     return ViterbiResult(paths[best, subjects] + offsets[best, None], log_joint, clusters)
 
 
@@ -683,9 +681,11 @@ def cluster_logliks(
     mix: MixtureModel, data: SequenceDataset, threads: int = 1
 ) -> np.ndarray:
     """log P(Y_i | cluster k) for every subject and cluster, in log mode, where
-    impossible pairs are -inf: a reference apart from the scaled kernel."""
-    inits = [_clusters_and_inits(sub, data)[1][0] for sub in mix.clusters]
-    return _log_pass(mix.clusters, data, inits, threads)[1].T
+    impossible pairs are -inf: a reference apart from the scaled kernel, one
+    pass per cluster."""
+    return np.column_stack(
+        [_evaluate(sub, data, "loglik", mode="log", threads=threads)[0] for sub in mix.clusters]
+    )
 
 
 def cluster_posterior_probs(
@@ -696,9 +696,39 @@ def cluster_posterior_probs(
 ) -> np.ndarray:
     """Posterior cluster membership probabilities (scaled mode); rows sum to one."""
     check_instance(mix, MixtureModel, "cluster_posterior_probs")
-    loglik, rho = _forward_pass(mix, data, design, "scaled", threads)
+    loglik, rho = _evaluate(mix, data, "loglik", design, threads=threads)
     _require_possible(loglik, data)
     return rho
+
+
+def covariate_standard_errors(
+    mix: MixtureModel,
+    data: SequenceDataset,
+    design: Optional[CovariateDesign] = None,
+) -> np.ndarray:
+    """Conditional standard errors of gamma (other parameters held fixed).
+
+    Uses the same analytic Hessian as the Newton step for gamma, evaluated
+    at the estimate; the reference column's errors are zero.
+    """
+    check_instance(mix, MixtureModel, "covariate_standard_errors")
+    check_instance(data, SequenceDataset, "covariate_standard_errors")
+    design = _mixture_design(mix, data.n_subjects, design)
+    Q, K = mix.gamma.shape
+    se = np.zeros((Q, K))
+    if K == 1:
+        return se
+    w = mixture_weights(mix.gamma, design.X)
+    H = _gamma_hessian(design.X, w)
+    try:
+        cov = np.linalg.inv(-H)
+    except np.linalg.LinAlgError as err:
+        raise NonInvertibleHessian(str(err)) from err
+    diag = np.diag(cov)
+    if np.any(diag <= 0):
+        raise NonInvertibleHessian("information matrix is not positive definite")
+    se[:, 1:] = np.sqrt(diag).reshape(Q, K - 1, order="F")
+    return se
 
 
 @dataclass(frozen=True)
@@ -783,10 +813,8 @@ def mixture_summary(
     assigned subjects are NaN, as are standard errors that cannot be
     computed, and ``diagnostics`` says why.
     """
-    from .estimation import covariate_standard_errors  # local: avoids import cycle
-
     check_instance(mix, MixtureModel, "mixture_summary")
-    loglik, post = _forward_pass(mix, data, design, mode, 1)
+    loglik, post = _evaluate(mix, data, "loglik", design, mode)
     _require_possible(loglik, data)
     design = _mixture_design(mix, data.n_subjects, design)
     ic = _criteria(mix, data, float(loglik.sum()))

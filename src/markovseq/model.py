@@ -518,6 +518,18 @@ def mixture_weights(gamma: np.ndarray, X: np.ndarray) -> np.ndarray:
     return w
 
 
+def _gamma_hessian(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Hessian of the expected multinomial-logit term over free gamma columns."""
+    N, Q = X.shape
+    K1 = w.shape[1] - 1
+    H = np.empty((Q * K1, Q * K1))
+    for a in range(K1):
+        for b in range(K1):
+            coef = w[:, a + 1] * ((1.0 if a == b else 0.0) - w[:, b + 1])
+            H[a * Q : (a + 1) * Q, b * Q : (b + 1) * Q] = -(X.T @ (X * coef[:, None]))
+    return H
+
+
 def _mixture_design(
     m: Model, n_subjects: int, design: Optional[CovariateDesign]
 ) -> Optional[CovariateDesign]:

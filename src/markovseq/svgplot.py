@@ -9,6 +9,7 @@ height one.  Output is a deterministic function of the input.
 
 from __future__ import annotations
 
+from html import escape
 from typing import Optional, Sequence
 
 import numpy as np
@@ -89,10 +90,9 @@ def render_state_distribution_svg(
         top = _TOP + c * (_PANEL_H + _PANEL_GAP)
         bottom = top + _PANEL_H
         colors = _channel_palette(palette, c, ch.alphabet.size)
-        out.append(f'<g class="panel" data-channel="{ch.name}">')
-        out.append(
-            f'<text x="{_LEFT}" y="{top - 8:.2f}" font-weight="bold">{ch.name}</text>'
-        )
+        name = escape(ch.name, quote=True)  # names and labels come from manifests
+        out.append(f'<g class="panel" data-channel="{name}">')
+        out.append(f'<text x="{_LEFT}" y="{top - 8:.2f}" font-weight="bold">{name}</text>')
         counts = np.stack(
             [(ch.codes == m).sum(axis=0) for m in range(ch.alphabet.size)]
         )  # (M, T)
@@ -146,7 +146,7 @@ def render_state_distribution_svg(
                 f'<rect x="{lx}" y="{ly}" width="12" height="12" fill="{fill}" '
                 'stroke="#555555" stroke-width="0.5"/>'
             )
-            out.append(f'<text x="{lx + 17}" y="{ly + 10}">{label}</text>')
+            out.append(f'<text x="{lx + 17}" y="{ly + 10}">{escape(label, quote=True)}</text>')
         out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

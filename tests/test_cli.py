@@ -786,7 +786,7 @@ class TestSummaryAndSimulate:
         def fail(*args, **kwargs):
             raise NonInvertibleHessian("singular")
 
-        monkeypatch.setattr("markovseq.estimation.covariate_standard_errors", fail)
+        monkeypatch.setattr("markovseq.inference.covariate_standard_errors", fail)
         tmp_path, manifest = workspace
         clusters = [
             build_hmm(_coin_model().alphabets, n_states=2, rng_seed=s, channel_names=("work",))

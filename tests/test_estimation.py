@@ -30,7 +30,6 @@ import markovseq.estimation as estimation
 from markovseq.estimation import (
     FitControl,
     _em_vector,
-    _gamma_hessian,
     _gradient,
     _m_step,
     _perturb,
@@ -38,6 +37,7 @@ from markovseq.estimation import (
 )
 from markovseq.errors import InvalidParameter, RankDeficientDesign
 from markovseq.inference import _clusters_and_inits, _scaled_pass, _Workspace
+from markovseq.model import _gamma_hessian
 from markovseq.seqdata import MISSING
 
 from helpers import make_alphabets, random_dataset, random_hmm, random_mixture, uneven_mixture

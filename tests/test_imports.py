@@ -48,7 +48,7 @@ COMMANDS = {
     "viterbi": ([], SCORING),
     "posterior": ([], SCORING | {"floattext"}),
     "trim": (["--trim-tol", "0.01"], SCORING),
-    "summary": ([], SCORING | {"estimation"}),
+    "summary": ([], SCORING),
     "fit": (
         ["--em-max-iter", "2", "--local-step", "--local-max-iter", "2"],
         SCORING | {"estimation"},

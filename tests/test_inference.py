@@ -433,7 +433,7 @@ class TestMixtureSummary:
         def fail(*args, **kwargs):
             raise err
 
-        monkeypatch.setattr("markovseq.estimation.covariate_standard_errors", fail)
+        monkeypatch.setattr("markovseq.inference.covariate_standard_errors", fail)
         rng = np.random.default_rng(152)
         mix, design = random_mixture(rng, 2, 2, [2], n_subjects=8, n_covariates=2)
         data = random_dataset(rng, mix.clusters[0], 8, 5)

@@ -26,7 +26,7 @@ from markovseq.errors import ImpossibleData, MarkovSeqError, NumericalUnderflow
 from markovseq.inference import (
     ViterbiResult,
     _clusters_and_inits,
-    _forward_pass,
+    _evaluate,
     _logsumexp,
     _require_possible,
     _run_chunked,
@@ -325,7 +325,7 @@ def test_log_mode_and_viterbi_match_reference(case, threads):
         lambda: astuple(_ref_viterbi_paths(m, data, design)),
     )
     _agree(
-        lambda: _forward_pass(m, data, design, "log", threads),
+        lambda: _evaluate(m, data, "loglik", design, "log", threads),
         lambda: _ref_forward_pass(m, data, design),
     )
     _agree(
@@ -357,6 +357,6 @@ def test_cases_reach_what_they_name():
         viterbi_paths(mix, data, design=design)
     mix, data, design = CASES["nan_in_two_clusters"]()
     with pytest.raises(NumericalUnderflow, match="NaN log-likelihood for subject 's901'"):
-        _forward_pass(mix, data, design, "log", 1)
+        _evaluate(mix, data, "loglik", design, "log")
     with pytest.raises(NumericalUnderflow, match="NaN path log-probability for subject 's101'"):
         viterbi_paths(mix, data, design=design)

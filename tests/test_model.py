@@ -309,7 +309,7 @@ class TestCombineClusters:
 
     def test_combined_loglik_matches_per_cluster_sum_per_subject(self):
         rng = np.random.default_rng(10)
-        from markovseq.inference import _forward_pass, cluster_logliks, cluster_prior_probs
+        from markovseq.inference import _evaluate, cluster_logliks, cluster_prior_probs
         from scipy.special import logsumexp
 
         for _ in range(10):
@@ -318,7 +318,7 @@ class TestCombineClusters:
             w = cluster_prior_probs(mix, design)
             direct = logsumexp(np.log(w) + cluster_logliks(mix, data), axis=1)
             combined_model, initials = combine_clusters(mix, design)
-            per_subject = _forward_pass(combined_model, data, None, "scaled", 1, initials)[0]
+            per_subject = _evaluate(combined_model, data, "loglik", subject_initials=initials)[0]
             rel = np.abs(per_subject - direct) / np.abs(direct)
             assert rel.max() < 1e-10
             assert abs(log_likelihood(mix, data, design) - direct.sum()) < 1e-9

@@ -1,4 +1,5 @@
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -77,3 +78,14 @@ class TestStateDistributionSvg:
         data = _dataset([np.zeros((0, 3), dtype=int)], [["a"]])
         with pytest.raises(EmptyDataset):
             render_state_distribution_svg(data)
+
+    def test_names_and_labels_are_escaped(self):
+        channel = Channel('ch"1', Alphabet(("a<b", "x&y")), np.array([[0, 1], [1, 0]]))
+        svg = render_state_distribution_svg(SequenceDataset((channel,), ("s0", "s1")))
+        root = ET.fromstring(svg)  # raises on a document that is not well-formed
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        panel = root.find("svg:g", ns)
+        assert panel.get("data-channel") == 'ch"1'
+        texts = [t.text for t in panel.iterfind("svg:text", ns)]
+        assert texts[0] == 'ch"1'
+        assert texts[-2:] == ["a<b", "x&y"]
