@@ -1,7 +1,10 @@
 """Command-line interface: reproducible batch runs over manifests and models.
 
 Every subcommand writes a machine-readable ``<command>_result.json`` plus a
-human-readable ``run.log`` into the output directory.  Artifacts are a
+human-readable ``run.log`` into the output directory.  A command's handler
+writes only its own artifacts (``model_fitted.json``, ``paths.csv``, ...)
+and returns a ``_Done`` record; ``main`` is the one place that writes
+``<command>_result.json`` and ``run.log`` and prints to stdout.  Artifacts are a
 deterministic function of the inputs and flags; in particular the thread
 count never appears in them, so reruns with different ``--threads`` are
 byte-identical.  Exit codes: 0 success, 2 usage errors, 1 a ``MarkovSeqError``
@@ -31,6 +34,7 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -273,33 +277,30 @@ def _dataset_json(data: SequenceDataset) -> str:
     return "".join(parts)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, as the csv module's QUOTE_MINIMAL
+    quotes it, where it holds a comma, a quote, CR or LF; else as it is."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_dataset_files(data: SequenceDataset, out: Path, stem: str):
     """Dataset JSON + per-channel wide CSVs + a manifest that re-ingests them."""
     _write_text(out / f"{stem}.json", _dataset_json(data) + "\n")
+    ids = [_csv_field(sid) for sid in data.subject_ids]
     channel_entries = []
     for ch in data.channels:
+        alpha = ch.alphabet
         fname = f"{stem}_{_safe_name(ch.name)}.csv"
+        # one quoted field per code; MISSING (-1) selects the last, the missing token
+        table = np.array([_csv_field(tok) for tok in (*alpha.labels, alpha.missing_token)], object)
         lines = ["id," + ",".join(f"t{t + 1}" for t in range(data.n_time))]
-        for sid, toks in zip(data.subject_ids, ch.alphabet.tokens(ch.codes).tolist()):
-            lines.append(sid + "," + ",".join(toks))
+        lines += [sid + "," + ",".join(toks) for sid, toks in zip(ids, table[ch.codes].tolist())]
         _write_text(out / fname, "\n".join(lines) + "\n")
-        channel_entries.append(
-            {
-                "name": ch.name,
-                "csv": fname,
-                "alphabet": list(ch.alphabet.labels),
-                "missing_token": ch.alphabet.missing_token,
-            }
-        )
+        channel_entries.append({"name": ch.name, "csv": fname, "alphabet": list(alpha.labels),
+                                "missing_token": alpha.missing_token})
     _write_json(out / f"{stem}_manifest.json", {"id_column": "id", "channels": channel_entries})
-
-
-def _emit(args, text_lines, json_obj):
-    if args.format == "json":
-        print(_json_text(json_obj))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +308,25 @@ def _emit(args, text_lines, json_obj):
 # ----------------------------------------------------------------------
 
 
-def _cmd_validate(args, out: Path, log) -> int:
+class _Done(NamedTuple):
+    """What a handler hands ``main``: the ``<command>_result.json`` document,
+    the ``run.log`` lines, and where stdout shows something else, its text
+    lines (default: the first log line), its ``--format json`` document
+    (default: ``result``) and the table ``--format csv`` prints (default:
+    the text lines)."""
+
+    result: dict
+    log: list
+    text: Optional[list] = None
+    shown: Optional[dict] = None
+    table: Optional[str] = None
+
+
+class _UsageError(Exception):
+    """A command the parser accepts but its inputs cannot serve: exit 2."""
+
+
+def _cmd_validate(args, out: Path) -> _Done:
     data, cov = ingest_dataset(args.manifest)
     result = {
         "n_subjects": data.n_subjects,
@@ -324,14 +343,11 @@ def _cmd_validate(args, out: Path, log) -> int:
         ],
         "covariates": list(cov.names) if cov is not None else None,
     }
-    _write_json(out / "validate_result.json", result)
-    log.append(f"manifest ok: {data.n_subjects} subjects x {data.n_time} time points "
-               f"x {data.n_channels} channels")
-    _emit(args, [log[-1]], result)
-    return 0
+    return _Done(result, [f"manifest ok: {data.n_subjects} subjects x {data.n_time} "
+                          f"time points x {data.n_channels} channels"])
 
 
-def _cmd_fit(args, out: Path, log) -> int:
+def _cmd_fit(args, out: Path) -> _Done:
     data, model, design = _inputs(args)
     # each FitControl field has the flag of its name; FitControl checks them
     control = FitControl(**{f.name: getattr(args, f.name) for f in fields(FitControl)})
@@ -350,31 +366,25 @@ def _cmd_fit(args, out: Path, log) -> int:
         "bic": ic.bic,
         "control": control.to_dict(),
     }
-    _write_json(out / "fit_result.json", result)
-    log.append(f"fit: loglik {res.loglik!r} after {res.em_iterations} EM E-steps "
-               f"({res.converged_by})")
-    log.extend(res.diagnostics)
-    _emit(args, [f"loglik {res.loglik}", f"bic {ic.bic}"], result)
-    return 0
+    log = [f"fit: loglik {res.loglik!r} after {res.em_iterations} EM E-steps "
+           f"({res.converged_by})", *res.diagnostics]
+    return _Done(result, log, [f"loglik {res.loglik}", f"bic {ic.bic}"])
 
 
-def _cmd_loglik(args, out: Path, log) -> int:
+def _cmd_loglik(args, out: Path) -> _Done:
     data, model, design = _inputs(args)
     ll = log_likelihood(model, data, design, args.mode, args.threads)
-    _write_json(out / "loglik_result.json", {"loglik": ll})
-    log.append(f"loglik {ll!r}")
-    _emit(args, [str(ll)], {"loglik": ll})
-    return 0
+    return _Done({"loglik": ll}, [f"loglik {ll!r}"], [str(ll)])
 
 
-def _cmd_bic(args, out: Path, log) -> int:
+def _cmd_bic(args, out: Path) -> _Done:
     data, model, design = _inputs(args)
     ic = information_criteria(model, data, design, args.mode)
-    result = {"loglik": ic.loglik, "p": ic.p, "nobs": ic.nobs, "bic": ic.bic}
-    _write_json(out / "bic_result.json", result)
-    log.append(f"bic {ic.bic!r} (p={ic.p}, nobs={ic.nobs!r})")
-    _emit(args, [f"loglik {ic.loglik}", f"p {ic.p}", f"nobs {ic.nobs}", f"bic {ic.bic}"], result)
-    return 0
+    return _Done(
+        {"loglik": ic.loglik, "p": ic.p, "nobs": ic.nobs, "bic": ic.bic},
+        [f"bic {ic.bic!r} (p={ic.p}, nobs={ic.nobs!r})"],
+        [f"loglik {ic.loglik}", f"p {ic.p}", f"nobs {ic.nobs}", f"bic {ic.bic}"],
+    )
 
 
 def _state_names(model):
@@ -404,27 +414,21 @@ def _paths_csv(subject_ids, names, paths, clusters=None) -> str:
     return "".join(parts)
 
 
-def _cmd_viterbi(args, out: Path, log) -> int:
+def _cmd_viterbi(args, out: Path) -> _Done:
     data, model, design = _inputs(args)
     res = viterbi_paths(model, data, design=design)
-    clusters = None
-    if res.clusters is not None:
-        clusters = [model.cluster_names[k] for k in res.clusters]
+    clusters = None if res.clusters is None else [model.cluster_names[k] for k in res.clusters]
     text = _paths_csv(data.subject_ids, _state_names(model), res.paths, clusters)
     _write_text(out / "paths.csv", text)
-    _write_json(
-        out / "viterbi_result.json",
+    return _Done(
         {
             "log_joint": {sid: float(v) for sid, v in zip(data.subject_ids, res.log_joint)},
             "paths_csv": "paths.csv",
         },
+        [f"viterbi: wrote paths for {data.n_subjects} subjects"],
+        shown={"paths_csv": "paths.csv"},
+        table=text,
     )
-    log.append(f"viterbi: wrote paths for {data.n_subjects} subjects")
-    if args.format == "csv":
-        print(text, end="")
-    else:
-        _emit(args, [log[-1]], {"paths_csv": "paths.csv"})
-    return 0
 
 
 # Size of the row matrix for one block of subjects in _posterior_csv; it keeps
@@ -474,55 +478,44 @@ def _posterior_csv(subject_ids, state_names, post) -> str:
     return text.decode()
 
 
-def _cmd_posterior(args, out: Path, log) -> int:
+def _cmd_posterior(args, out: Path) -> _Done:
     data, model, design = _inputs(args)
     post = posterior_state_probs(model, data, design, args.mode, args.threads)
     text = _posterior_csv(data.subject_ids, _state_names(model), post)
     _write_text(out / "posterior.csv", text)
-    _write_json(out / "posterior_result.json", {"posterior_csv": "posterior.csv"})
-    log.append(f"posterior: wrote {data.n_subjects * data.n_time} rows")
-    if args.format == "csv":
-        print(text, end="")
-    else:
-        _emit(args, [log[-1]], {"posterior_csv": "posterior.csv"})
-    return 0
+    return _Done(
+        {"posterior_csv": "posterior.csv"},
+        [f"posterior: wrote {data.n_subjects * data.n_time} rows"],
+        table=text,
+    )
 
 
-def _cmd_summary(args, out: Path, log) -> int:
+def _cmd_summary(args, out: Path) -> _Done:
     data, model, design = _inputs(args)
     if not isinstance(model, MixtureModel):
-        print("usage error: summary requires a mixture model", file=sys.stderr)
-        return 2
+        raise _UsageError("summary requires a mixture model")
     report = mixture_summary(model, data, design, args.mode)
     text = report.to_text()
     _write_text(out / "summary.txt", text)
-    _write_json(out / "summary_result.json", report.to_dict())
-    log.append(f"summary: loglik {report.loglik!r}, bic {report.bic!r}")
-    log.extend(report.diagnostics)
-    _emit(args, text.splitlines(), report.to_dict())
-    return 0
+    log = [f"summary: loglik {report.loglik!r}, bic {report.bic!r}", *report.diagnostics]
+    return _Done(report.to_dict(), log, text.splitlines())
 
 
-def _cmd_simulate(args, out: Path, log) -> int:
+def _cmd_simulate(args, out: Path) -> _Done:
     model = _load_model(args.model)
     if isinstance(model, MixtureModel):
         data, paths, labels = simulate_mhmm_data(
             model, None, args.n_subjects, args.n_time, args.seed, args.missing_rate
         )
-        clines = ["subject_id,cluster"]
-        clines += [
-            f"{sid},{model.cluster_names[labels[i]]}"
-            for i, sid in enumerate(data.subject_ids)
-        ]
-        _write_text(out / "clusters.csv", "\n".join(clines) + "\n")
+        rows = [f"{sid},{model.cluster_names[k]}\n" for sid, k in zip(data.subject_ids, labels)]
+        _write_text(out / "clusters.csv", "subject_id,cluster\n" + "".join(rows))
     else:
         data, paths = simulate_hmm_data(
             model, args.n_subjects, args.n_time, args.seed, args.missing_rate
         )
     _write_dataset_files(data, out, "dataset")
     _write_text(out / "paths.csv", _paths_csv(data.subject_ids, _state_names(model), paths))
-    _write_json(
-        out / "simulate_result.json",
+    return _Done(
         {
             "n_subjects": args.n_subjects,
             "n_time": args.n_time,
@@ -531,31 +524,23 @@ def _cmd_simulate(args, out: Path, log) -> int:
             "dataset_json": "dataset.json",
             "manifest": "dataset_manifest.json",
         },
+        [f"simulate: {args.n_subjects} subjects x {args.n_time} time points"],
+        shown={"dataset_json": "dataset.json"},
     )
-    log.append(f"simulate: {args.n_subjects} subjects x {args.n_time} time points")
-    _emit(args, [log[-1]], {"dataset_json": "dataset.json"})
-    return 0
 
 
-def _cmd_convert(args, out: Path, log) -> int:
+def _cmd_convert(args, out: Path) -> _Done:
     data, _ = ingest_dataset(args.manifest)
     combined = mc_to_sc(data, args.separator)
     _write_dataset_files(combined, out, "converted")
-    result = {
-        "n_channels_in": data.n_channels,
-        "alphabet_size": combined.channels[0].alphabet.size,
-        "dataset_json": "converted.json",
-    }
-    _write_json(out / "convert_result.json", result)
-    log.append(
-        f"convert: {data.n_channels} channels -> alphabet of "
-        f"{combined.channels[0].alphabet.size}"
+    size = combined.channels[0].alphabet.size
+    return _Done(
+        {"n_channels_in": data.n_channels, "alphabet_size": size, "dataset_json": "converted.json"},
+        [f"convert: {data.n_channels} channels -> alphabet of {size}"],
     )
-    _emit(args, [log[-1]], result)
-    return 0
 
 
-def _cmd_trim(args, out: Path, log) -> int:
+def _cmd_trim(args, out: Path) -> _Done:
     model = _load_model(args.model)
     trimmed = trim_model(model, args.trim_tol)
     _write_json(out / "model_trimmed.json", model_to_json(trimmed))
@@ -565,24 +550,16 @@ def _cmd_trim(args, out: Path, log) -> int:
         design = _resolve_design(model, cov)
         result["loglik_before"] = log_likelihood(model, data, design, args.mode)
         result["loglik_after"] = log_likelihood(trimmed, data, design, args.mode)
-        log.append(
-            f"trim: loglik {result['loglik_before']!r} -> {result['loglik_after']!r}"
-        )
+        line = f"trim: loglik {result['loglik_before']!r} -> {result['loglik_after']!r}"
     else:
-        log.append(f"trim: tol {args.trim_tol!r}")
-    _write_json(out / "trim_result.json", result)
-    _emit(args, [log[-1]], result)
-    return 0
+        line = f"trim: tol {args.trim_tol!r}"
+    return _Done(result, [line])
 
 
-def _cmd_plot(args, out: Path, log) -> int:
+def _cmd_plot(args, out: Path) -> _Done:
     data, _ = ingest_dataset(args.manifest)
-    svg = render_state_distribution_svg(data)
-    _write_text(out / "plot.svg", svg)
-    _write_json(out / "plot_result.json", {"svg": "plot.svg"})
-    log.append(f"plot: {data.n_channels} panels")
-    _emit(args, [log[-1]], {"svg": "plot.svg"})
-    return 0
+    _write_text(out / "plot.svg", render_state_distribution_svg(data))
+    return _Done({"svg": "plot.svg"}, [f"plot: {data.n_channels} panels"])
 
 
 # each command's handler and the modules of _COLLABORATORS it uses
@@ -608,15 +585,28 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     out = Path(args.out)
-    log: list[str] = [f"markovseq {args.command}"]
+    log = [f"markovseq {args.command}"]
     try:
         with _writing(out):
             out.mkdir(parents=True, exist_ok=True)
         handler, modules = _HANDLERS[args.command]
         _bind(modules)
-        code = handler(args, out, log)
+        try:
+            done = handler(args, out)
+        except _UsageError as err:
+            print(f"usage error: {err}", file=sys.stderr)
+            _write_log(out, log)
+            return 2
+        _write_json(out / f"{args.command}_result.json", done.result)
+        log += done.log
+        if args.format == "json":
+            print(_json_text(done.result if done.shown is None else done.shown))
+        elif args.format == "csv" and done.table is not None:
+            print(done.table, end="")
+        else:
+            print(*(done.text or done.log[:1]), sep="\n")
         _write_log(out, log)
-        return code
+        return 0
     except MarkovSeqError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         log.append(f"error: {type(err).__name__}: {err}")

@@ -45,7 +45,6 @@ from .errors import (
     check_text,
 )
 from .seqdata import (
-    MISSING,
     Alphabet,
     CovariateDesign,
     SequenceDataset,
@@ -381,29 +380,18 @@ def build_mm(data: SequenceDataset) -> HmmModel:
         raise MultichannelNotAllowed("the data must be in a single-channel format")
     ch = data.channels[0]
     M = ch.alphabet.size
-    codes = ch.codes
+    codes, observed = ch.codes, ch.observed
 
-    first_counts = np.zeros(M)
-    for i in range(data.n_subjects):
-        observed = codes[i][codes[i] != MISSING]
-        if observed.size:
-            first_counts[observed[0]] += 1.0
-    if first_counts.sum() > 0:
-        initial = first_counts / first_counts.sum()
-    else:
-        initial = np.full(M, 1.0 / M)
+    seen = observed.any(axis=1)
+    first_counts = np.bincount(codes[seen, observed[seen].argmax(axis=1)], minlength=M)
+    total = first_counts.sum()
+    initial = first_counts / total if total > 0 else np.full(M, 1.0 / M)
 
     trans_counts = np.zeros((M, M))
-    src, dst = codes[:, :-1], codes[:, 1:]
-    both = (src != MISSING) & (dst != MISSING)
-    np.add.at(trans_counts, (src[both], dst[both]), 1.0)
-    transition = np.zeros((M, M))
-    for s in range(M):
-        total = trans_counts[s].sum()
-        if total > 0:
-            transition[s] = trans_counts[s] / total
-        else:
-            transition[s, s] = 1.0
+    both = observed[:, :-1] & observed[:, 1:]
+    np.add.at(trans_counts, (codes[:, :-1][both], codes[:, 1:][both]), 1.0)
+    totals = trans_counts.sum(axis=1, keepdims=True)
+    transition = np.divide(trans_counts, totals, out=np.eye(M), where=totals > 0)
 
     return build_hmm(data, initial, transition, [np.eye(M)], state_names=ch.alphabet.labels)
 

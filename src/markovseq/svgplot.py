@@ -9,12 +9,13 @@ height one.  Output is a deterministic function of the input.
 
 from __future__ import annotations
 
+import re
 from html import escape
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, check_instance
+from .errors import EmptyDataset, InvalidParameter, check_instance
 from .seqdata import MISSING, SequenceDataset
 
 #: Fixed qualitative palette (12 colors), cycled when a channel has more states.
@@ -34,6 +35,9 @@ DEFAULT_PALETTE = (
 )
 
 _MISSING_FILL = "url(#missing-hatch)"
+
+# a character outside XML 1.0's Char production, which no escape can write
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 _LEFT = 56
 _LEGEND_W = 170
@@ -61,7 +65,8 @@ def render_state_distribution_svg(
 
     ``palette`` may be a flat color list shared by all channels or one
     list per channel; channels with any missing cells get an extra hatched
-    legend entry.
+    legend entry.  A channel name, label or color holding a character that
+    XML 1.0 cannot hold raises InvalidParameter.
     """
     check_instance(data, SequenceDataset, "render_state_distribution_svg")
     if data.n_subjects == 0 or data.n_time == 0:
@@ -89,8 +94,13 @@ def render_state_distribution_svg(
     for c, ch in enumerate(data.channels):
         top = _TOP + c * (_PANEL_H + _PANEL_GAP)
         bottom = top + _PANEL_H
+        # names and labels come from manifests, colors from callers
         colors = _channel_palette(palette, c, ch.alphabet.size)
-        name = escape(ch.name, quote=True)  # names and labels come from manifests
+        colors = [escape(str(color), quote=True) for color in colors]
+        name = escape(ch.name, quote=True)
+        if any(map(_NOT_XML_CHAR.search, (name, *colors, *ch.alphabet.labels))):
+            raise InvalidParameter(f"channel {ch.name!r}: its name, a label or a color holds "
+                                   "a character that XML cannot hold")
         out.append(f'<g class="panel" data-channel="{name}">')
         out.append(f'<text x="{_LEFT}" y="{top - 8:.2f}" font-weight="bold">{name}</text>')
         counts = np.stack(

@@ -1,3 +1,4 @@
+import json
 import re
 import xml.etree.ElementTree as ET
 
@@ -10,9 +11,14 @@ from markovseq import (
     SequenceDataset,
     render_state_distribution_svg,
 )
-from markovseq.errors import EmptyDataset
+from markovseq.cli import main
+from markovseq.errors import EmptyDataset, InvalidParameter
 from markovseq.seqdata import MISSING
 from markovseq.svgplot import DEFAULT_PALETTE
+
+from helpers import write_manifest
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def _dataset(codes_per_channel, labels_per_channel):
@@ -89,3 +95,47 @@ class TestStateDistributionSvg:
         texts = [t.text for t in panel.iterfind("svg:text", ns)]
         assert texts[0] == 'ch"1'
         assert texts[-2:] == ["a<b", "x&y"]
+
+
+def test_palette_entries_are_escaped():
+    data = _dataset([np.array([[0, 1]])], [["a", "b"]])
+    svg = render_state_distribution_svg(data, palette=["#111", '"/><x'])
+    root = ET.fromstring(svg)  # raises on a document that is not well-formed
+    assert '"/><x' in [rect.get("fill") for rect in root.iter(f"{SVG}rect")]
+
+
+def test_tabs_and_line_breaks_are_written():
+    channel = Channel("tab\there", Alphabet(("line\nbreak", "b")), np.array([[0, 1]]))
+    root = ET.fromstring(render_state_distribution_svg(SequenceDataset((channel,), ("s0",))))
+    texts = [t.text for t in root.iter(f"{SVG}text")]
+    assert texts[0] == "tab\there"
+    assert texts[-2:] == ["line\nbreak", "b"]
+
+
+@pytest.mark.parametrize(
+    "name, labels, palette",
+    [
+        ("c\x01", ("a", "b"), None),
+        ("c", ("a\x02", "b"), None),
+        ("c", ("a", "b\ufffe"), None),
+        ("c\ud800", ("a", "b"), None),
+        ("c", ("a", "b"), ["#111", "#2\x1b2"]),
+    ],
+    ids=["name", "label", "noncharacter", "surrogate", "palette"],
+)
+def test_text_xml_cannot_hold_raises(name, labels, palette):
+    channel = Channel(name, Alphabet(labels), np.array([[0, 1]]))
+    with pytest.raises(InvalidParameter, match=f"channel {re.escape(repr(name))}"):
+        render_state_distribution_svg(SequenceDataset((channel,), ("s0",)), palette)
+
+
+def test_plot_of_a_name_xml_cannot_hold_exits_one(tmp_path, capsys):
+    manifest = write_manifest(tmp_path, [("work", ["a", "b"], [["a", "b"], ["b", "a"]])])
+    doc = json.loads(manifest.read_text())
+    doc["channels"][0]["name"] = "c\x01"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["plot", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("InvalidParameter: channel 'c\\x01'")
+    assert (out / "run.log").read_text().splitlines()[-1].startswith("error: InvalidParameter")
+    assert not (out / "plot.svg").exists()
