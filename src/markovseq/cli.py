@@ -285,19 +285,72 @@ def _csv_field(text: str) -> str:
     return text
 
 
+# Size of the row matrix for one block of subjects in _csv_table; it keeps
+# the block's temporaries at a few MB, so a stage's peak memory does not grow.
+_BLOCK_BYTES = 1 << 18
+_COMMA, _LF = np.frombuffer(b",\n", np.uint8).reshape(2, 1, 1, 1)
+
+
+def _byte_rows(texts) -> np.ndarray:
+    """UTF-8 ``texts`` as the rows of a uint8 matrix, padded with 0xFF."""
+    raw = [t.encode() for t in texts]
+    width = max(1, max(map(len, raw), default=0))
+    rows = np.frombuffer(b"".join(r.ljust(width, b"\xff") for r in raw), np.uint8)
+    return rows.reshape(len(raw), width)
+
+
+def _csv_table(header, ids, columns, values=None) -> str:
+    """The CSV text of the ``header`` fields and R rows per subject: its id,
+    the fields ``columns`` pick, then ``values``' ``'%.17g'`` text.
+
+    The one writer of the CLI's CSV tables, so one dialect: fields as
+    ``_csv_field`` writes them, comma-separated, LF after each row.  A
+    column is (entries, codes): each entry, a field, is quoted once into a
+    byte table; codes (N, R) pick an entry per row, (N, R, k) k side by
+    side, MISSING (-1) the last.  ``values`` (N, R, S) go through
+    ``floattext.g17_fields``.  A block of subjects' rows is a byte matrix
+    of about ``_BLOCK_BYTES``, padded with 0xFF, which is then deleted.
+    """
+    ids = _byte_rows(map(_csv_field, ids))
+    tables = [(_byte_rows("," + _csv_field(e) for e in entries), codes) for entries, codes in columns]
+    R = columns[0][1].shape[1]
+    width = ids.shape[1] + sum(t.shape[1] * math.prod(c.shape[2:]) for t, c in tables) + 1
+    if values is not None:
+        from .floattext import WIDTH, g17_fields  # compiled only by stages that write numbers
+        seps = np.full(values.shape[2], ord(","), np.uint8)
+        seps[-1:] = 0xFF  # the row's LF follows
+        width += 1 + seps.size * WIDTH
+    text = bytearray((",".join(map(_csv_field, header)) + "\n").encode())
+    step = max(1, _BLOCK_BYTES // max(1, R * width))
+    for i in range(0, len(ids) if R else 0, step):  # T = 0 has no rows
+        block = slice(i, i + step)
+        n = len(ids[block])
+        parts = [ids[block, None], *(t[c[block]].reshape(n, R, -1) for t, c in tables)]
+        if values is not None:
+            parts += [_COMMA, g17_fields(values[block], seps).reshape(n, R, -1)]
+        rows, at = np.empty((n, R, width), np.uint8), 0
+        for part in (*parts, _LF):
+            rows[:, :, at : at + part.shape[2]] = part
+            at += part.shape[2]
+        text += rows.tobytes().translate(None, b"\xff")
+    return text.decode()
+
+
+def _times(n_subjects: int, n_time: int):
+    """The ``t`` column of a table with a row per cell: 1..T for each subject."""
+    return [str(t + 1) for t in range(n_time)], np.broadcast_to(np.arange(n_time), (n_subjects, n_time))
+
+
 def _write_dataset_files(data: SequenceDataset, out: Path, stem: str):
     """Dataset JSON + per-channel wide CSVs + a manifest that re-ingests them."""
     _write_text(out / f"{stem}.json", _dataset_json(data) + "\n")
-    ids = [_csv_field(sid) for sid in data.subject_ids]
+    header = ["id", *(f"t{t + 1}" for t in range(data.n_time))]
     channel_entries = []
     for ch in data.channels:
         alpha = ch.alphabet
         fname = f"{stem}_{_safe_name(ch.name)}.csv"
-        # one quoted field per code; MISSING (-1) selects the last, the missing token
-        table = np.array([_csv_field(tok) for tok in (*alpha.labels, alpha.missing_token)], object)
-        lines = ["id," + ",".join(f"t{t + 1}" for t in range(data.n_time))]
-        lines += [sid + "," + ",".join(toks) for sid, toks in zip(ids, table[ch.codes].tolist())]
-        _write_text(out / fname, "\n".join(lines) + "\n")
+        tokens = ([*alpha.labels, alpha.missing_token], ch.codes[:, None])
+        _write_text(out / fname, _csv_table(header, data.subject_ids, [tokens]))
         channel_entries.append({"name": ch.name, "csv": fname, "alphabet": list(alpha.labels),
                                 "missing_token": alpha.missing_token})
     _write_json(out / f"{stem}_manifest.json", {"id_column": "id", "channels": channel_entries})
@@ -393,32 +446,22 @@ def _state_names(model):
     return model.state_names
 
 
-def _paths_csv(subject_ids, names, paths, clusters=None) -> str:
-    """Path table text for an (N, T) array of state indices.
-
-    One ``subject_id,t,state`` row per cell, plus a ``cluster`` column when
-    ``clusters`` gives each subject's cluster name.  Every row of a subject
-    starts with its id, so its rows are the id joined with precomputed
-    ``",t,"`` prefixes and state-name suffixes.
-    """
-    times = [f",{t}," for t in range(1, paths.shape[1] + 1)]
-    if clusters is None:
-        parts = ["subject_id,t,state\n"]
-        ends = ["\n"] * len(subject_ids)
-    else:
-        parts = ["subject_id,t,state,cluster\n"]
-        ends = [f",{name}\n" for name in clusters]
-    for sid, path, end in zip(subject_ids, paths.tolist(), ends):
-        suffix = [name + end for name in names]
-        parts.append(sid + sid.join([t + suffix[s] for t, s in zip(times, path)]))
-    return "".join(parts)
+def _paths_table(subject_ids, model, paths, cluster=False) -> str:
+    """paths.csv for an (N, T) array of state indices: a ``subject_id,t,state``
+    row per cell, and with ``cluster`` the state's mixture cluster, picked by
+    the same index, since a combined state belongs to one cluster."""
+    columns = [_times(*paths.shape), (_state_names(model), paths)]
+    if cluster:
+        owners = [c for c, m in zip(model.cluster_names, model.clusters) for _ in m.state_names]
+        columns.append((owners, paths))
+    header = ("subject_id", "t", "state", "cluster")[: 3 + cluster]
+    return _csv_table(header, subject_ids, columns)
 
 
 def _cmd_viterbi(args, out: Path) -> _Done:
     data, model, design = _inputs(args)
     res = viterbi_paths(model, data, design=design)
-    clusters = None if res.clusters is None else [model.cluster_names[k] for k in res.clusters]
-    text = _paths_csv(data.subject_ids, _state_names(model), res.paths, clusters)
+    text = _paths_table(data.subject_ids, model, res.paths, cluster=res.clusters is not None)
     _write_text(out / "paths.csv", text)
     return _Done(
         {
@@ -431,57 +474,11 @@ def _cmd_viterbi(args, out: Path) -> _Done:
     )
 
 
-# Size of the row matrix for one block of subjects in _posterior_csv; it keeps
-# the block's temporaries at a few MB, so the stage's peak memory does not grow.
-_BLOCK_BYTES = 1 << 18
-
-
-def _byte_rows(texts) -> np.ndarray:
-    """UTF-8 ``texts`` as the rows of a uint8 matrix, padded with 0xFF."""
-    raw = [t.encode() for t in texts]
-    width = max(1, max(map(len, raw), default=0))
-    rows = np.frombuffer(b"".join(r.ljust(width, b"\xff") for r in raw), np.uint8)
-    return rows.reshape(len(raw), width)
-
-
-def _posterior_csv(subject_ids, state_names, post) -> str:
-    """Posterior table text for an (N, T, S) array of state probabilities.
-
-    One ``subject_id,t,p_1,...,p_S`` row per cell, each probability as the
-    bytes of ``'%.17g' % p``, computed for a block of subjects at a time by
-    ``floattext.g17_fields`` (exact double-double digits, with '%.17g'
-    itself as the fallback within 2**-40 of a tie or a decade edge and for
-    inf and nan).  A block's rows are laid out as a byte matrix of about
-    ``_BLOCK_BYTES``: id, ``,t,`` and fields, padded with 0xFF, which is
-    then deleted.
-    """
-    # imported here, so that stages writing no posterior CSV never compile it
-    from .floattext import WIDTH, g17_fields
-
-    N, T, S = post.shape
-    ids = _byte_rows(subject_ids)
-    times = _byte_rows([f",{t}," for t in range(1, T + 1)])
-    seps = np.full(S, ord(","), np.uint8)
-    seps[-1:] = ord("\n")
-    head = ids.shape[1] + times.shape[1]
-    width = head + S * WIDTH
-    text = bytearray(("subject_id,t," + ",".join(state_names) + "\n").encode())
-    step = max(1, _BLOCK_BYTES // max(1, T * width))
-    for i in range(0, N, step):
-        fields = g17_fields(post[i : i + step], seps)
-        n = fields.shape[0]
-        rows = np.empty((n, T, width), np.uint8)
-        rows[:, :, : ids.shape[1]] = ids[i : i + n, None]
-        rows[:, :, ids.shape[1] : head] = times
-        rows[:, :, head:] = fields.reshape(n, T, S * WIDTH)
-        text += rows.tobytes().translate(None, b"\xff")
-    return text.decode()
-
-
 def _cmd_posterior(args, out: Path) -> _Done:
     data, model, design = _inputs(args)
     post = posterior_state_probs(model, data, design, args.mode, args.threads)
-    text = _posterior_csv(data.subject_ids, _state_names(model), post)
+    header = ("subject_id", "t", *_state_names(model))
+    text = _csv_table(header, data.subject_ids, [_times(data.n_subjects, data.n_time)], post)
     _write_text(out / "posterior.csv", text)
     return _Done(
         {"posterior_csv": "posterior.csv"},
@@ -507,14 +504,15 @@ def _cmd_simulate(args, out: Path) -> _Done:
         data, paths, labels = simulate_mhmm_data(
             model, None, args.n_subjects, args.n_time, args.seed, args.missing_rate
         )
-        rows = [f"{sid},{model.cluster_names[k]}\n" for sid, k in zip(data.subject_ids, labels)]
-        _write_text(out / "clusters.csv", "subject_id,cluster\n" + "".join(rows))
+        table = _csv_table(("subject_id", "cluster"), data.subject_ids,
+                           [(model.cluster_names, labels[:, None])])
+        _write_text(out / "clusters.csv", table)
     else:
         data, paths = simulate_hmm_data(
             model, args.n_subjects, args.n_time, args.seed, args.missing_rate
         )
     _write_dataset_files(data, out, "dataset")
-    _write_text(out / "paths.csv", _paths_csv(data.subject_ids, _state_names(model), paths))
+    _write_text(out / "paths.csv", _paths_table(data.subject_ids, model, paths))
     return _Done(
         {
             "n_subjects": args.n_subjects,

@@ -357,10 +357,12 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     exactly 1 for an HMM and 0 for an impossible pair (``_pair_logliks``).
     The backward pass starts from beta[T-1] = rho_ik, so alpha * beta and
     the E-step statistics come out weighted by rho (0 at -inf).  A NaN l_ik
-    raises; a subject at -inf in every cluster is scored again by
-    ``_log_pass``: -inf there means impossible (``"stats"`` raises), a finite
-    value an underflow, whose (loglik, rho) ``"loglik"`` returns and the
-    others raise as NumericalUnderflow.  ``want`` selects
+    raises; a subject with a pair at -inf is scored again by ``_log_pass``:
+    a pair at -inf there too is impossible (``"stats"`` raises for a subject
+    impossible in every cluster), a finite one underflowed.  For a subject
+    with an underflowed pair ``"loglik"`` returns the log pass's (loglik,
+    rho), and the others raise NumericalUnderflow if that pair's rho is not
+    0.  ``want`` selects
     ``"loglik"``: (loglik (N,), rho (N, K)) from the forward pass only;
     ``"full"``: (alpha, beta, scaling, loglik), alpha and beta (N, T, sum
     S_k) side by side as in ``combine_clusters``, normalizers (K, N, T);
@@ -429,13 +431,21 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
 
     _run_chunked(work, N, threads)
     _require_possible(pairs, data, divides=False)
-    lost = np.flatnonzero(np.isneginf(loglik))
+    lost = np.flatnonzero(np.isneginf(pairs).any(axis=0))
     if lost.size:
         channels = [Channel(ch.name, ch.alphabet, ch.codes[lost]) for ch in data.channels]
         subjects = SequenceDataset(channels, [data.subject_ids[i] for i in lost])
-        loglik[lost], rho[lost] = _log_pass(hmms, subjects, [p[lost] for p in inits], threads)
-        if want != "loglik" and np.isfinite(loglik[lost]).any():
-            sid = subjects.subject_ids[np.argmax(np.isfinite(loglik[lost]))]
+        ll = _log_pass(hmms, subjects, [p[lost] for p in inits], threads, "pairs")
+        # a pair at -inf in log space too is impossible; a finite one underflowed
+        rescued = (np.isneginf(pairs[:, lost]) & np.isfinite(ll)).any(axis=0)
+        lost, ll = lost[rescued], ll[:, rescued]
+        total = _logsumexp(ll, axis=0)
+        r = np.exp(ll - total)
+        dropped = (np.isneginf(pairs[:, lost]) & (r > 0)).any(axis=0)
+        if want == "loglik":
+            loglik[lost], rho[lost] = total, r.T
+        elif dropped.any():
+            sid = data.subject_ids[lost[np.argmax(dropped)]]
             raise NumericalUnderflow(f"scaled forward pass underflows for subject {sid!r}")
     if want == "loglik":
         return loglik, rho
@@ -458,7 +468,8 @@ def _log_pass(hmms, data, inits, threads=1, want="loglik"):
     (loglik_i = logsumexp_k l_ik, rho); ``"full"``: (alpha, beta, None,
     loglik), log alpha and log beta (N, T, sum S_k) side by side, -inf for
     a subject at -inf; ``"paths"``: (paths, l_ik), per cluster the best
-    paths (K, N, T).  A NaN l_ik raises (``_require_possible``)."""
+    paths (K, N, T); ``"pairs"``: l_ik.  A NaN l_ik raises
+    (``_require_possible``)."""
     workspace = _Workspace(data)
     N, T = data.n_subjects, data.n_time
     sizes, A, init, tables = _pack(hmms, inits, N)
@@ -521,6 +532,8 @@ def _log_pass(hmms, data, inits, threads=1, want="loglik"):
     if paths is not None:
         return paths, ll
     _require_possible(ll, data, divides=False)
+    if want == "pairs":
+        return ll
     loglik = _logsumexp(ll, axis=0)
     if want == "loglik":
         with np.errstate(invalid="ignore"):  # -inf - -inf for a subject at -inf

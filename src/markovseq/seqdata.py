@@ -48,7 +48,9 @@ class Alphabet:
     """Ordered set of categorical labels plus a reserved missing token.
 
     Label order is significant: it fixes the integer coding and the
-    reporting/plotting order of states.
+    reporting/plotting order of states.  A label or missing token with
+    leading or trailing whitespace raises InvalidParameter: channel CSVs
+    are read with their tokens stripped, so it could not be read back.
     """
 
     labels: tuple[str, ...]
@@ -66,6 +68,9 @@ class Alphabet:
             raise MissingTokenCollision(
                 f"missing token {self.missing_token!r} collides with a label"
             )
+        for token in (*labels, self.missing_token):
+            if token != token.strip():
+                raise InvalidParameter(f"alphabet token {token!r} has outer whitespace")
 
     @property
     def size(self) -> int:

@@ -38,6 +38,14 @@ _MISSING_FILL = "url(#missing-hatch)"
 
 # a character outside XML 1.0's Char production, which no escape can write
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# tab, LF and CR as character references: a parser normalizes them to a
+# space in attribute values, and CR to LF in text, unless they are escaped
+_WHITESPACE_REFS = {9: "&#9;", 10: "&#10;", 13: "&#13;"}
+
+
+def _xml_text(text: str) -> str:
+    """``text`` escaped for an XML attribute value or text node."""
+    return escape(text, quote=True).translate(_WHITESPACE_REFS)
 
 _LEFT = 56
 _LEGEND_W = 170
@@ -96,8 +104,8 @@ def render_state_distribution_svg(
         bottom = top + _PANEL_H
         # names and labels come from manifests, colors from callers
         colors = _channel_palette(palette, c, ch.alphabet.size)
-        colors = [escape(str(color), quote=True) for color in colors]
-        name = escape(ch.name, quote=True)
+        colors = [_xml_text(str(color)) for color in colors]
+        name = _xml_text(ch.name)
         if any(map(_NOT_XML_CHAR.search, (name, *colors, *ch.alphabet.labels))):
             raise InvalidParameter(f"channel {ch.name!r}: its name, a label or a color holds "
                                    "a character that XML cannot hold")
@@ -156,7 +164,7 @@ def render_state_distribution_svg(
                 f'<rect x="{lx}" y="{ly}" width="12" height="12" fill="{fill}" '
                 'stroke="#555555" stroke-width="0.5"/>'
             )
-            out.append(f'<text x="{lx + 17}" y="{ly + 10}">{escape(label, quote=True)}</text>')
+            out.append(f'<text x="{lx + 17}" y="{ly + 10}">{_xml_text(label)}</text>')
         out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

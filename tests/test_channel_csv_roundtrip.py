@@ -2,7 +2,9 @@
 
 ``simulate`` and ``convert`` write one wide CSV per channel; ``validate`` and
 ``ingest_dataset`` must give back the same subject ids and codes, also for
-ids and labels that hold commas, quotes, line breaks or non-ASCII text.
+ids and labels that hold commas, quotes, line breaks or non-ASCII text.  The
+reader strips every token, so an alphabet label or missing token with outer
+whitespace is rejected where the alphabet is made.
 """
 
 import json
@@ -20,6 +22,7 @@ from markovseq import (
     model_to_json,
 )
 from markovseq.cli import _write_dataset_files, main
+from markovseq.errors import InvalidParameter
 
 from helpers import write_manifest
 
@@ -27,12 +30,7 @@ LABELS = [
     ("x,y", "z"),
     ('say "hi"', '"', "plain"),
     ("two\nlines", "cr\rhere", "mid\r\nline"),
-    ("grüße", "日本", "ä,ö"),
-    pytest.param(
-        (" lead", "trail ", "mid dle"),
-        # the reader strips every token, so these labels cannot come back
-        marks=pytest.mark.xfail(strict=True, reason="channel CSV tokens are stripped"),
-    ),
+    ("grüße", "日本", "ä,ö", "mid dle"),
 ]
 
 
@@ -61,6 +59,24 @@ def test_simulate_then_validate_gives_back_the_data(tmp_path, labels):
     assert data.subject_ids == want.subject_ids
     assert data.alphabets == want.alphabets
     np.testing.assert_array_equal(data.channels[0].codes, want.channels[0].codes)
+
+
+@pytest.mark.parametrize(
+    "labels, missing",
+    [((" lead", "b"), "*"), (("a", "trail "), "*"), (("a", "b"), "\tNA"), (("a", "b\r"), "*")],
+)
+def test_labels_with_outer_whitespace_are_rejected(labels, missing):
+    with pytest.raises(InvalidParameter, match="outer whitespace"):
+        Alphabet(labels, missing)
+
+
+def test_a_hand_written_file_with_padded_tokens_is_read(tmp_path):
+    (tmp_path / "ch.csv").write_text("id, t1, t2\ns1, a, b\ns2,b ,*\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"channels": [{"name": "ch", "csv": "ch.csv",
+                                                  "alphabet": ["a", "b"]}]}))
+    data, _ = ingest_dataset(manifest)
+    np.testing.assert_array_equal(data.channels[0].codes, [[0, 1], [1, -1]])
 
 
 def test_ids_that_need_quotes_come_back(tmp_path):

@@ -20,7 +20,7 @@ from markovseq import (
     model_to_json,
     simulate_hmm_data,
 )
-from markovseq.cli import _paths_csv, _posterior_csv, _safe_name, _write_dataset_files, main
+from markovseq.cli import _csv_table, _safe_name, _times, _write_dataset_files, main
 
 from helpers import random_dataset, random_hmm, strict_json, write_manifest
 
@@ -603,16 +603,21 @@ class TestViterbi:
 
     @pytest.mark.parametrize("n_time", [1, 5])
     @pytest.mark.parametrize("with_clusters", [False, True])
-    def test_paths_csv_bytes_match_per_cell_formatting(self, n_time, with_clusters):
+    def test_paths_table_bytes_match_csv_writer(self, n_time, with_clusters):
         rng = np.random.default_rng(10)
         ids, names = ("a", "b%s", "c,d", "10"), ("State 1", "x,y", "%d")
         paths = rng.integers(0, 3, size=(4, n_time))
-        clusters = ["Cluster 2", "Cluster 1", "k,1", "Cluster 2"] if with_clusters else None
-        assert _paths_csv(ids, names, paths, clusters).encode() == (
-            _per_cell_paths_csv(ids, names, paths, clusters).encode()
+        columns = [_times(4, n_time), (names, paths)]
+        clusters = None
+        if with_clusters:
+            clusters = ["Cluster 2", "Cluster 1", "k,1", "Cluster 2"]
+            columns.append((clusters, np.repeat(np.arange(4)[:, None], n_time, axis=1)))
+        header = ("subject_id", "t", "state", "cluster")[: 3 + with_clusters]
+        assert _csv_table(header, ids, columns).encode() == (
+            _ref_paths_csv(ids, names, paths, clusters).encode()
         )
 
-    def test_mixture_csv_stdout_matches_file_and_per_cell_formatting(self, workspace, capsys):
+    def test_mixture_csv_stdout_matches_file_and_csv_writer(self, workspace, capsys):
         tmp_path, manifest = workspace
         clusters = [
             build_hmm(_coin_model().alphabets, n_states=2, rng_seed=k, channel_names=("work",))
@@ -631,7 +636,7 @@ class TestViterbi:
         data, _ = ingest_dataset(manifest)
         res = viterbi_paths(mix, data)
         names = combine_clusters(mix, CovariateDesign.intercept(2))[0].state_names
-        want = _per_cell_paths_csv(
+        want = _ref_paths_csv(
             data.subject_ids, names, res.paths, [mix.cluster_names[k] for k in res.clusters]
         )
         assert want.splitlines()[0] == "subject_id,t,state,cluster"
@@ -639,17 +644,25 @@ class TestViterbi:
         assert capsys.readouterr().out == want
 
 
-def _per_cell_paths_csv(ids, names, paths, clusters=None):
-    """The path table as the CLI wrote it before ``_paths_csv``: one
-    f-string per cell."""
-    lines = ["subject_id,t,state" + ("" if clusters is None else ",cluster")]
-    for i, sid in enumerate(ids):
-        for t in range(paths.shape[1]):
-            row = f"{sid},{t + 1},{names[paths[i, t]]}"
-            if clusters is not None:
-                row += f",{clusters[i]}"
-            lines.append(row)
-    return "\n".join(lines) + "\n"
+def _csv_writer_text(header, rows):
+    """The table as ``csv.writer`` writes it with LF row ends: the oracle
+    for every CSV table the CLI writes."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return fh.getvalue()
+
+
+def _ref_paths_csv(ids, names, paths, clusters=None):
+    """The path table, one ``csv.writer`` row per cell."""
+    header = ["subject_id", "t", "state"] + ([] if clusters is None else ["cluster"])
+    rows = [
+        [sid, t + 1, names[paths[i, t]], *([] if clusters is None else [clusters[i]])]
+        for i, sid in enumerate(ids)
+        for t in range(paths.shape[1])
+    ]
+    return _csv_writer_text(header, rows)
 
 
 class TestPosterior:
@@ -676,13 +689,14 @@ class TestPosterior:
         post[0, 0] = [0.0, 1.0, 1e-300]
         post[2, 3] = [1.0 / 3.0, 5e-324, 2.0 / 3.0]
         ids, names = ("a", "b%s", "c,d", "10"), ("s1", "s2", "s3")
-        lines = ["subject_id,t," + ",".join(names)]
-        for i, sid in enumerate(ids):
-            for t in range(post.shape[1]):
-                vals = ",".join(format(v, ".17g") for v in post[i, t])
-                lines.append(f"{sid},{t + 1},{vals}")
-        want = "\n".join(lines) + "\n"
-        assert _posterior_csv(ids, names, post).encode() == want.encode()
+        rows = [
+            [sid, t + 1, *(format(v, ".17g") for v in post[i, t])]
+            for i, sid in enumerate(ids)
+            for t in range(post.shape[1])
+        ]
+        want = _csv_writer_text(["subject_id", "t", *names], rows)
+        got = _csv_table(("subject_id", "t", *names), ids, [_times(4, 5)], post)
+        assert got.encode() == want.encode()
 
     @pytest.mark.parametrize("mode", ["scaled", "logspace"])
     @pytest.mark.parametrize("mixture", [False, True])

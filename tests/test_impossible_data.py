@@ -198,3 +198,44 @@ def test_a_true_underflow_on_the_command_line(underflow, tmp_path):
     assert got["loglik", "scaled"] == (0, f"loglik {UNDERFLOW_LOGLIK!r}")
     assert got["posterior", "scaled"][0] == 1 and "NumericalUnderflow" in got["posterior", "scaled"][1]
     assert got["posterior", "logspace"][0] == 0
+
+
+# Cluster A's only path for ``a,b`` has probability 1e-200 * 1e-200, which
+# the scaled normalizer cannot hold; cluster B emits ``a`` and ``b`` at
+# ``b_emits`` each.  With equal weights A dominates when B's path is rarer.
+THREE = (mq.Alphabet(("a", "b", "c")),)
+
+
+def _two_clusters(b_emits):
+    a = mq.build_hmm(THREE, initial=[1.0, 0.0], transition=[[1.0, 1e-200], [0.0, 1.0]],
+                     emissions=[[[1.0, 0.0, 0.0], [1.0, 1e-200, 0.0]]], channel_names=("ch",))
+    b = mq.build_hmm(THREE, initial=[1.0], transition=[[1.0]],
+                     emissions=[[[b_emits, b_emits, 1.0 - 2 * b_emits]]], channel_names=("ch",))
+    data = mq.SequenceDataset((mq.Channel("ch", THREE[0], np.array([[0, 1]])),), ("s1",))
+    return mq.build_mhmm([a, b]), data
+
+
+def test_a_mixture_keeps_an_underflowing_cluster_that_dominates():
+    mix, data = _two_clusters(1e-300)
+    want = math.log(0.5) + UNDERFLOW_LOGLIK  # B adds 1e-200 of A's likelihood
+    for mode in ("scaled", "log"):
+        assert mq.log_likelihood(mix, data, mode=mode) == pytest.approx(want, rel=1e-14), mode
+    np.testing.assert_allclose(mq.cluster_posterior_probs(mix, data), [[1.0, 0.0]], atol=1e-150)
+    assert mq.mixture_summary(mix, data).loglik == pytest.approx(want, rel=1e-14)
+    # the scaled backward variables of cluster A cannot be formed
+    for call in (lambda: mq.posterior_state_probs(mix, data), lambda: mq.fit_em(mix, data)):
+        error, message = _outcome(call)
+        assert error is NumericalUnderflow and "subject 's1'" in message
+    assert np.isfinite(mq.posterior_state_probs(mix, data, mode="log")).all()
+
+
+def test_a_mixture_drops_an_underflowing_cluster_whose_weight_is_zero():
+    mix, data = _two_clusters(0.25)
+    want = math.log(0.5 * 0.25**2)  # A adds 1e-400 / 0.0625 of B's likelihood
+    for mode in ("scaled", "log"):
+        assert mq.log_likelihood(mix, data, mode=mode) == pytest.approx(want, rel=1e-14), mode
+    assert mq.cluster_posterior_probs(mix, data).tolist() == [[0.0, 1.0]]
+    np.testing.assert_allclose(
+        mq.posterior_state_probs(mix, data), mq.posterior_state_probs(mix, data, mode="log"),
+        rtol=1e-12, atol=1e-300,
+    )

@@ -1,12 +1,13 @@
-"""The posterior CSV writer against ``'%.17g' % x`` and its per-value predecessor.
+"""The posterior CSV writer against ``'%.17g' % x`` and ``csv.writer``.
 
 ``floattext.g17_fields`` formats a whole array at once: exact 17-digit
 significands from a double-double product, with ``'%.17g'`` itself as the
-fallback near rounding ties and decade edges.  ``_ref_posterior_csv`` is
-``cli._posterior_csv`` as it was before, one %-format call per subject,
-frozen here as the reference for whole tables.
+fallback near rounding ties and decade edges.  ``_ref_posterior_csv``
+writes each cell's row with ``csv.writer``, the reference for whole tables.
 """
 
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -17,26 +18,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovseq import floattext
-from markovseq.cli import _BLOCK_BYTES, _posterior_csv
+from markovseq.cli import _BLOCK_BYTES, _csv_field, _csv_table, _times
 from markovseq.floattext import WIDTH, g17_fields
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
+def _posterior_csv(subject_ids, state_names, post) -> str:
+    """posterior.csv's text, as the ``posterior`` command lays it out."""
+    header = ("subject_id", "t", *state_names)
+    return _csv_table(header, subject_ids, [_times(*post.shape[:2])], post)
+
+
 def _ref_posterior_csv(subject_ids, state_names, post) -> str:
-    """The former writer: each subject's T rows from one %-format call."""
-    _, T, S = post.shape
-    block = ("%s" + ",".join(["%.17g"] * S) + "\n") * T
-    width = S + 1
-    times = [f",{t}," for t in range(1, T + 1)]
-    parts = ["subject_id,t," + ",".join(state_names) + "\n"]
+    """The same table from ``csv.writer``, one row per cell."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["subject_id", "t", *state_names])
     for sid, probs in zip(subject_ids, post):
-        cells = [None] * (T * width)
-        cells[0::width] = [sid + t for t in times]
-        for s, column in enumerate(probs.T.tolist()):
-            cells[s + 1 :: width] = column
-        parts.append(block % tuple(cells))
-    return "".join(parts)
+        writer.writerows([sid, t, *("%.17g" % p for p in row)] for t, row in enumerate(probs, 1))
+    return fh.getvalue()
 
 
 def _wrong(values) -> list:
@@ -171,7 +172,7 @@ _IDS = ("a", "b%s", "c,d", "10", "süßes Ω", "x" * 40, "%d,%s", "")
 
 
 @pytest.mark.parametrize("N, T, S", [(1, 1, 1), (5, 1, 3), (4, 7, 1), (8, 50, 6)])
-def test_table_equals_the_former_writer(N, T, S):
+def test_table_equals_csv_writer(N, T, S):
     post = _posteriors(np.random.default_rng(N * 100 + T * 10 + S), N, T, S)
     ids = _IDS[:N]
     names = tuple(f"State {s + 1}" for s in range(S))
@@ -180,10 +181,11 @@ def test_table_equals_the_former_writer(N, T, S):
     assert got.encode() == want.encode()
 
 
-def test_blocks_with_a_short_last_one_equal_the_former_writer():
+def test_blocks_with_a_short_last_one_equal_csv_writer():
     T, S = 20, 3
     ids = tuple(f"{_IDS[i % len(_IDS)]}-{i}" for i in range(1001))
-    width = max(len(s.encode()) for s in ids) + len(f",{T},") + S * WIDTH
+    # the writer's row: id, ",t", a comma, S fields and the LF
+    width = max(len(_csv_field(s).encode()) for s in ids) + len(f",{T},") + S * WIDTH + 1
     step = _BLOCK_BYTES // (T * width)
     assert 2 < len(ids) / step and len(ids) % step
     post = _posteriors(np.random.default_rng(3), len(ids), T, S)
@@ -193,7 +195,7 @@ def test_blocks_with_a_short_last_one_equal_the_former_writer():
     assert got.encode() == want.encode()
 
 
-def test_empty_tables_equal_the_former_writer():
+def test_empty_tables_equal_csv_writer():
     for shape in [(0, 5, 2), (3, 0, 2)]:
         post = np.zeros(shape)
         ids = _IDS[: shape[0]]

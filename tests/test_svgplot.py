@@ -112,6 +112,15 @@ def test_tabs_and_line_breaks_are_written():
     assert texts[-2:] == ["line\nbreak", "b"]
 
 
+def test_tab_lf_and_cr_read_back_in_attributes_and_text():
+    channel = Channel("tab\there\nx", Alphabet(("a\rb", "c")), np.array([[0, 1]]))
+    root = ET.fromstring(render_state_distribution_svg(SequenceDataset((channel,), ("s0",))))
+    assert root.find(f"{SVG}g").get("data-channel") == "tab\there\nx"
+    texts = [t.text for t in root.iter(f"{SVG}text")]
+    assert texts[0] == "tab\there\nx"
+    assert texts[-2:] == ["a\rb", "c"]
+
+
 @pytest.mark.parametrize(
     "name, labels, palette",
     [
