@@ -55,7 +55,7 @@ from .seqdata import (
 _COLLABORATORS = {
     "model": (
         "MixtureModel",
-        "_combined_state_names",
+        "_state_space",
         "combine_clusters",  # used by no stage; perfbench/tracing.py wraps it here
         "model_from_json",
         "model_to_json",
@@ -342,13 +342,20 @@ def _times(n_subjects: int, n_time: int):
 
 
 def _write_dataset_files(data: SequenceDataset, out: Path, stem: str):
-    """Dataset JSON + per-channel wide CSVs + a manifest that re-ingests them."""
+    """Dataset JSON + per-channel wide CSVs + a manifest that re-ingests them.
+
+    Channel c's CSV is ``<stem>_<safe name>.csv``, or ``<stem>_<c + 1>_<safe
+    name>.csv`` for every channel where two safe names (``_safe_name``)
+    would be equal ignoring case."""
     _write_text(out / f"{stem}.json", _dataset_json(data) + "\n")
     header = ["id", *(f"t{t + 1}" for t in range(data.n_time))]
+    safe = [_safe_name(ch.name) for ch in data.channels]
+    if len({s.lower() for s in safe}) < len(safe):  # one file each, also where case folds
+        safe = [f"{c + 1}_{s}" for c, s in enumerate(safe)]
     channel_entries = []
-    for ch in data.channels:
+    for ch, name in zip(data.channels, safe):
         alpha = ch.alphabet
-        fname = f"{stem}_{_safe_name(ch.name)}.csv"
+        fname = f"{stem}_{name}.csv"
         tokens = ([*alpha.labels, alpha.missing_token], ch.codes[:, None])
         _write_text(out / fname, _csv_table(header, data.subject_ids, [tokens]))
         channel_entries.append({"name": ch.name, "csv": fname, "alphabet": list(alpha.labels),
@@ -440,28 +447,21 @@ def _cmd_bic(args, out: Path) -> _Done:
     )
 
 
-def _state_names(model):
+def _paths_table(subject_ids, model, paths) -> str:
+    """paths.csv for an (N, T) array of combined states: a ``subject_id,t,state``
+    row per cell, and for a mixture the cluster that owns the state."""
+    space = _state_space(model)
+    columns = [_times(*paths.shape), (space.names, paths)]
     if isinstance(model, MixtureModel):
-        return _combined_state_names(model.cluster_names, model.clusters)
-    return model.state_names
-
-
-def _paths_table(subject_ids, model, paths, cluster=False) -> str:
-    """paths.csv for an (N, T) array of state indices: a ``subject_id,t,state``
-    row per cell, and with ``cluster`` the state's mixture cluster, picked by
-    the same index, since a combined state belongs to one cluster."""
-    columns = [_times(*paths.shape), (_state_names(model), paths)]
-    if cluster:
-        owners = [c for c, m in zip(model.cluster_names, model.clusters) for _ in m.state_names]
-        columns.append((owners, paths))
-    header = ("subject_id", "t", "state", "cluster")[: 3 + cluster]
+        columns.append(([model.cluster_names[k] for k in space.owners], paths))
+    header = ("subject_id", "t", "state", "cluster")[: len(columns) + 1]
     return _csv_table(header, subject_ids, columns)
 
 
 def _cmd_viterbi(args, out: Path) -> _Done:
     data, model, design = _inputs(args)
     res = viterbi_paths(model, data, design=design)
-    text = _paths_table(data.subject_ids, model, res.paths, cluster=res.clusters is not None)
+    text = _paths_table(data.subject_ids, model, res.paths)
     _write_text(out / "paths.csv", text)
     return _Done(
         {
@@ -477,7 +477,7 @@ def _cmd_viterbi(args, out: Path) -> _Done:
 def _cmd_posterior(args, out: Path) -> _Done:
     data, model, design = _inputs(args)
     post = posterior_state_probs(model, data, design, args.mode, args.threads)
-    header = ("subject_id", "t", *_state_names(model))
+    header = ("subject_id", "t", *_state_space(model).names)
     text = _csv_table(header, data.subject_ids, [_times(data.n_subjects, data.n_time)], post)
     _write_text(out / "posterior.csv", text)
     return _Done(

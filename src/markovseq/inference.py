@@ -44,10 +44,13 @@ from .errors import (
 from .model import (
     HmmModel,
     MixtureModel,
+    _bounds,
     _checked_rows,
     _gamma_hessian,
     _mixture_design,
     _prior_weights,
+    _state_space,
+    _subject_initials,
     count_parameters,
     mixture_weights,
 )
@@ -206,7 +209,7 @@ def _clusters_and_inits(m, data, design=None, subject_initials=None):
     w = mixture_weights(m.gamma, _mixture_design(m, N, design).X)
     for sub in m.clusters:
         _check_compatible(sub, data)
-    return m.clusters, [w[:, k : k + 1] * sub.initial for k, sub in enumerate(m.clusters)]
+    return m.clusters, _subject_initials(m, w)
 
 
 def _leading_group(code_counts) -> int:
@@ -267,6 +270,17 @@ class _Scratch(dict):
         return flat[:size].reshape(shape)
 
 
+def _channel_tables(hmms) -> list[np.ndarray]:
+    """Per channel the (K, S, M_c + 1) emission tables (``_emission_tables``)
+    of clusters ``hmms``, padded with zero rows to S = max S_k states."""
+    S = max(h.n_states for h in hmms)
+    tables = [np.zeros((len(hmms), S, b.shape[1] + 1)) for b in hmms[0].emissions]
+    for k, h in enumerate(hmms):
+        for table, own in zip(tables, _emission_tables(h)):
+            table[k, : h.n_states] = own.T
+    return tables
+
+
 def _pack(hmms, inits, n_subjects: int):
     """Clusters ``hmms`` side by side, padded with zeros to S = max S_k
     states: A (K, S, S), initial probabilities (K, S, N) from ``inits`` and
@@ -278,12 +292,10 @@ def _pack(hmms, inits, n_subjects: int):
     sizes = [h.n_states for h in hmms]
     K, S = len(hmms), max(sizes)
     A, init = np.zeros((K, S, S)), np.zeros((K, S, n_subjects))
-    tables = [np.zeros((K, S, b.shape[1] + 1)) for b in hmms[0].emissions]
     for k, (h, p) in enumerate(zip(hmms, inits)):
         A[k, : sizes[k], : sizes[k]] = h.transition
         init[k, : sizes[k]] = p.T
-        for table, own in zip(tables, _emission_tables(h)):
-            table[k, : sizes[k]] = own.T
+    tables = _channel_tables(hmms)
     group = _leading_group([table.shape[2] for table in tables])
     joint = tables[0]
     for table in tables[1:group]:
@@ -304,11 +316,11 @@ def _chunk_emissions(tables, lookup, buf, rows) -> np.ndarray:
     return e
 
 
-def _side_by_side(out, values, sizes) -> None:
-    """Write (K, S, T, n) chunk ``values`` into ``out`` (n, T, sum S_k), the
-    real states of the clusters side by side as in ``combine_clusters``."""
-    for k, s in enumerate(sizes):
-        out[:, :, sum(sizes[:k]) : sum(sizes[: k + 1])] = values[k, :s].T
+def _side_by_side(out, values, hmms) -> None:
+    """Write (K, S, T, n) chunk ``values`` of clusters ``hmms`` into ``out`` (n, T, sum S_k)."""
+    bounds = _bounds(hmms)
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        out[:, :, a:b] = values[k, : b - a].T
 
 
 def _forward(A, e, init, alpha, scaling, x):
@@ -382,7 +394,7 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     K, S = A.shape[:2]
     loglik, rho, pairs = np.empty(N), np.empty((N, K)), np.empty((K, N))
     if want == "full":
-        alpha_out, beta_out = np.empty((2, N, T, sum(sizes)))
+        alpha_out, beta_out = np.empty((2, N, T, _bounds(hmms)[-1]))
         scaling_out = np.empty((K, N, T))
     gamma1 = [np.empty((N, s)) for s in sizes]
     parts: list = [None] * len(workspace.codes)
@@ -412,8 +424,8 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
             np.divide(x, scaling[:, None, t + 1], out=W[:, :, t])
             np.matmul(A, W[:, :, t], out=beta[:, :, t])
         if want == "full":
-            _side_by_side(alpha_out[a:b], alpha, sizes)
-            _side_by_side(beta_out[a:b], beta, sizes)
+            _side_by_side(alpha_out[a:b], alpha, hmms)
+            _side_by_side(beta_out[a:b], beta, hmms)
             scaling_out[:, a:b] = scaling.swapaxes(1, 2)
             return
         g = np.multiply(alpha, beta, out=e)  # the state posteriors; e is spent
@@ -458,27 +470,49 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     return loglik, rho, counts
 
 
+def _log_factor_sums(le, log_factors, codes) -> None:
+    """Where a chunk's log emissions ``le`` (K, S, T, n) are -inf, the
+    looked-up product was 0: there write the sum of the channels' log
+    factors, the entries of ``log_factors`` (each (K, S, M_c + 1)) that the
+    channels' ``codes`` (each (T, n)) select, added in channel order.  The
+    sum is -inf only where some factor is 0; a product that merely
+    underflowed becomes finite."""
+    if le.min() > -np.inf:  # a log of products holds no NaN
+        return
+    at = np.nonzero(np.isneginf(le))
+    k, s, t, j = at
+    le[at] = sum(f[k, s, c[t, j]] for f, c in zip(log_factors, codes))
+
+
 def _log_pass(hmms, data, inits, threads=1, want="loglik"):
     """``_scaled_pass`` in log space, on the same chunks and state-major
-    layout: the log of the looked-up chunk, then ``_logsumexp`` over the
-    from-state axis (for ``"paths"`` the max, back-pointers to the lowest
-    state reaching it), each over contiguous rows of n subjects.  l_ik (K,
-    N), the last log alpha reduced likewise, is -inf for an impossible
-    pair.  ``want`` selects, in ``_scaled_pass``'s shapes, ``"loglik"``:
-    (loglik_i = logsumexp_k l_ik, rho); ``"full"``: (alpha, beta, None,
-    loglik), log alpha and log beta (N, T, sum S_k) side by side, -inf for
-    a subject at -inf; ``"paths"``: (paths, l_ik), per cluster the best
-    paths (K, N, T); ``"pairs"``: l_ik.  A NaN l_ik raises
+    layout: the log of the looked-up chunk (the sum of the channels' log
+    factors where their product underflows, ``_log_factor_sums``), then
+    ``_logsumexp`` over the from-state axis (for ``"paths"`` the max,
+    back-pointers to the lowest state reaching it), each over contiguous
+    rows of n subjects.  l_ik (K, N), the last log alpha reduced likewise,
+    is -inf for an impossible pair.  ``want`` selects, in ``_scaled_pass``'s
+    shapes, ``"loglik"``: (loglik_i = logsumexp_k l_ik, rho); ``"full"``:
+    (alpha, beta, None, loglik), log alpha and log beta (N, T, sum S_k) side
+    by side, -inf for a subject at -inf; ``"paths"``: (paths, l_ik), per
+    cluster the best paths (K, N, T); ``"pairs"``: l_ik.  A NaN l_ik raises
     (``_require_possible``)."""
     workspace = _Workspace(data)
     N, T = data.n_subjects, data.n_time
-    sizes, A, init, tables = _pack(hmms, inits, N)
+    _, A, init, tables = _pack(hmms, inits, N)
     K, S = A.shape[:2]
+    factors = _channel_tables(hmms)
+    # the least product of positive factors, in the lookups' channel order: rounding
+    # is monotone, so where it is positive only a zero factor makes a product 0
+    least = 1.0
+    for table in factors:
+        least = least * np.where(table > 0, table, np.inf).min(axis=2)
     with np.errstate(divide="ignore"):
         logA, log_init = np.log(A)[..., None], np.log(init)  # logA (K, from, to, 1)
+        log_factors = [np.log(t) for t in factors] if (least == 0).any() else []
     ll = np.empty((K, N))
     if want == "full":
-        alpha_out, beta_out = np.empty((2, N, T, sum(sizes)))
+        alpha_out, beta_out = np.empty((2, N, T, _bounds(hmms)[-1]))
     paths = np.empty((K, N, T), np.int64) if want == "paths" else None
 
     def work(ci, span, w):
@@ -495,6 +529,8 @@ def _log_pass(hmms, data, inits, threads=1, want="loglik"):
             up = buf("up", (K, S, n), bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log(le, out=le)
+            if log_factors:
+                _log_factor_sums(le, log_factors, workspace.codes[ci])
             np.add(log_init[:, :, a:b], le[:, :, 0], out=la[:, :, 0])
             for t in range(1, T):
                 np.add(la[:, :, t - 1, None], logA, out=cand)  # (K, from, to, n)
@@ -517,8 +553,8 @@ def _log_pass(hmms, data, inits, threads=1, want="loglik"):
                 for t in range(T - 2, -1, -1):
                     np.add(logA, (le[:, :, t + 1] + lb[:, :, t + 1])[:, None], out=cand)
                     lb[:, :, t] = _logsumexp(cand, axis=2)
-                _side_by_side(alpha_out[a:b], la, sizes)
-                _side_by_side(beta_out[a:b], lb, sizes)
+                _side_by_side(alpha_out[a:b], la, hmms)
+                _side_by_side(beta_out[a:b], lb, hmms)
         if paths is not None:
             path = buf("path", (K, T, n), np.int64)
             path[:, T - 1] = np.argmax(la[:, :, T - 1], axis=1)
@@ -650,9 +686,8 @@ def viterbi_paths(
     subjects = np.arange(data.n_subjects)
     log_joint = joints[best, subjects]
     _require_possible(log_joint, data, "path log-probability")
-    mixture = isinstance(m, MixtureModel)
-    offsets = np.cumsum([0] + [h.n_states for h in (m.clusters if mixture else (m,))])
-    clusters = best if mixture else None
+    offsets = np.array(_state_space(m).bounds)
+    clusters = best if isinstance(m, MixtureModel) else None
     return ViterbiResult(paths[best, subjects] + offsets[best, None], log_joint, clusters)
 
 

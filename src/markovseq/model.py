@@ -17,7 +17,8 @@ perturbation, SQUAREM's vector and the local step's parameter map and
 gradient) reads them through one layout, ``_blocks``: per cluster the
 initial vector as one row, the transition matrix, then each channel's
 emission matrix, each a 2-D block of rows with its mask.  ``_with_blocks``
-builds the model back from per-block arrays.
+builds the model back from per-block arrays.  ``_state_space`` describes
+the combined state space for every module: clusters side by side in blocks.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ class MixtureModel:
             raise DuplicateLabel(f"duplicate cluster names: {self.cluster_names}")
         if len(set(self.design_names)) != len(self.design_names):
             raise DuplicateLabel(f"duplicate covariate names: {self.design_names}")
-        combined = _combined_state_names(self.cluster_names, clusters)
+        combined = _state_space(self).names
         if len(set(combined)) != len(combined):
             twice = sorted({name for name in combined if combined.count(name) > 1})
             raise DuplicateLabel(f"combined state names {twice} name more than one state")
@@ -228,13 +229,12 @@ class MixtureModel:
 
     @property
     def n_states_total(self) -> int:
-        return sum(m.n_states for m in self.clusters)
+        return _state_space(self).bounds[-1]
 
     @property
     def state_offsets(self) -> tuple[int, ...]:
         """Start index of each cluster's block in the combined state space."""
-        sizes = [m.n_states for m in self.clusters]
-        return tuple(int(x) for x in np.concatenate([[0], np.cumsum(sizes)[:-1]]))
+        return _state_space(self).bounds[:-1]
 
 
 @dataclass(frozen=True)
@@ -244,6 +244,32 @@ class ParamCount:
 
 
 Model = Union[HmmModel, MixtureModel]
+
+
+class _StateSpace(NamedTuple):
+    hmms: tuple[HmmModel, ...]  # the cluster HMMs; a plain HMM is one cluster
+    names: tuple[str, ...]  # "cluster:state" for a mixture; an HMM's own names
+    owners: tuple[int, ...]  # the index of the cluster each state belongs to
+    bounds: tuple[int, ...]  # cluster k's states are bounds[k]:bounds[k + 1]
+
+
+def _bounds(hmms) -> tuple[int, ...]:
+    """The K + 1 block bounds of clusters ``hmms`` side by side."""
+    return tuple(np.cumsum([0, *(h.n_states for h in hmms)]).tolist())
+
+
+def _state_space(m: Model) -> _StateSpace:
+    """A model's states side by side: state s of cluster k is ``bounds[k] + s``."""
+    if not isinstance(m, MixtureModel):
+        return _StateSpace((m,), m.state_names, (0,) * m.n_states, (0, m.n_states))
+    names = tuple(f"{c}:{s}" for c, h in zip(m.cluster_names, m.clusters) for s in h.state_names)
+    owners = tuple(k for k, h in enumerate(m.clusters) for _ in h.state_names)
+    return _StateSpace(m.clusters, names, owners, _bounds(m.clusters))
+
+
+def _subject_initials(mix: MixtureModel, w: np.ndarray) -> list[np.ndarray]:
+    """Per cluster k the (N, S_k) initial array w_ik * pi^k, for weights ``w`` (N, K)."""
+    return [w[:, k : k + 1] * h.initial for k, h in enumerate(mix.clusters)]
 
 
 # ----------------------------------------------------------------------
@@ -262,9 +288,8 @@ def _blocks(m: Model) -> list[_Block]:
     """A model's probability arrays in layout order: per cluster the initial
     vector, the transition matrix, then each channel's emission matrix.
     Values and masks are read-only views of the model's arrays."""
-    hmms = m.clusters if isinstance(m, MixtureModel) else (m,)
     blocks = []
-    for k, h in enumerate(hmms):
+    for k, h in enumerate(_state_space(m).hmms):
         blocks.append(_Block(k, "initial", h.initial[None], h.initial_mask[None]))
         blocks.append(_Block(k, "transition", h.transition, h.transition_mask))
         blocks += [
@@ -277,7 +302,7 @@ def _blocks(m: Model) -> list[_Block]:
 def _with_blocks(m: Model, values, masks=None, gamma=None) -> Model:
     """``m`` with new per-block values in ``_blocks`` order, and new masks or
     a mixture's new ``gamma`` when given; checked like any new model."""
-    hmms = m.clusters if isinstance(m, MixtureModel) else (m,)
+    hmms = _state_space(m).hmms
     n = 2 + hmms[0].n_channels
     rebuilt = []
     for k, h in enumerate(hmms):
@@ -552,11 +577,6 @@ def _prior_weights(m: Model, design: Optional[CovariateDesign], caller: str) -> 
     return mixture_weights(m.gamma, _mixture_design(m, design.n_subjects, design).X)
 
 
-def _combined_state_names(cluster_names, clusters) -> tuple[str, ...]:
-    """The names of a mixture's states side by side: ``cluster:state``."""
-    return tuple(f"{c}:{s}" for c, m in zip(cluster_names, clusters) for s in m.state_names)
-
-
 def combine_clusters(
     mix: MixtureModel, design: CovariateDesign
 ) -> tuple[HmmModel, np.ndarray]:
@@ -569,36 +589,22 @@ def combine_clusters(
     w = _prior_weights(mix, design, "combine_clusters")
     if w.shape[0] == 0:
         raise DimensionMismatch("the covariate design has no rows; it needs one per subject")
-    S_total = mix.n_states_total
-    offsets = mix.state_offsets
-    transition = np.zeros((S_total, S_total))
-    tmask = np.ones((S_total, S_total), dtype=bool)
-    initial_mask = np.concatenate([m.initial_mask for m in mix.clusters])
-    for k, m in enumerate(mix.clusters):
-        o = offsets[k]
-        transition[o : o + m.n_states, o : o + m.n_states] = m.transition
-        tmask[o : o + m.n_states, o : o + m.n_states] = m.transition_mask
-    emissions = tuple(
-        np.vstack([m.emissions[c] for m in mix.clusters])
-        for c in range(mix.clusters[0].n_channels)
-    )
-    emission_masks = tuple(
-        np.vstack([m.emission_masks[c] for m in mix.clusters])
-        for c in range(mix.clusters[0].n_channels)
-    )
-    subject_initials = np.hstack(
-        [w[:, k : k + 1] * m.initial[None, :] for k, m in enumerate(mix.clusters)]
-    )
+    hmms, names, owners, _ = _state_space(mix)
+    within = np.equal.outer(owners, owners)  # the diagonal blocks, row by row
+    transition, tmask = np.zeros(within.shape), ~within
+    transition[within] = np.concatenate([h.transition.ravel() for h in hmms])
+    tmask[within] = np.concatenate([h.transition_mask.ravel() for h in hmms])
+    subject_initials = np.hstack(_subject_initials(mix, w))
     combined = HmmModel(
-        state_names=_combined_state_names(mix.cluster_names, mix.clusters),
-        channel_names=mix.clusters[0].channel_names,
-        alphabets=mix.clusters[0].alphabets,
+        state_names=names,
+        channel_names=hmms[0].channel_names,
+        alphabets=hmms[0].alphabets,
         initial=subject_initials.mean(axis=0),
         transition=transition,
-        emissions=emissions,
-        initial_mask=initial_mask,
+        emissions=tuple(np.vstack(b) for b in zip(*(h.emissions for h in hmms))),
+        initial_mask=np.concatenate([h.initial_mask for h in hmms]),
         transition_mask=tmask,
-        emission_masks=emission_masks,
+        emission_masks=tuple(np.vstack(b) for b in zip(*(h.emission_masks for h in hmms))),
     )
     return combined, subject_initials
 

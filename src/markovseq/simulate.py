@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import check_count, check_instance, check_real
-from .model import HmmModel, MixtureModel, _mixture_design, build_hmm, build_mhmm, mixture_weights
+from .model import HmmModel, MixtureModel, _mixture_design, _state_space
+from .model import build_hmm, build_mhmm, mixture_weights
 from .seqdata import (
     MISSING,
     Alphabet,
@@ -162,12 +163,9 @@ def _simulate(model, design, n_subjects, n_time, seed, missing_rate):
     seed = check_count(seed, "seed", 0)
     missing_rate = check_real(missing_rate, "missing_rate", 0, 1)
     design = _mixture_design(model, n_subjects, design)
-    hmms, offsets, cum_w = (model,), (0,), None
-    if design is not None:  # a mixture
-        hmms, offsets = model.clusters, model.state_offsets
-        if model.n_clusters > 1:
-            cum_w = _cumulative_rows(mixture_weights(model.gamma, design.X))
-    tables = [_tables(h) for h in hmms]
+    space = _state_space(model)
+    cum_w = None if len(space.hmms) == 1 else _cumulative_rows(mixture_weights(model.gamma, design.X))
+    tables = [_tables(h) for h in space.hmms]
     n_channels = len(tables[0][2])
     lead = 0 if cum_w is None else 1
     width = lead + n_time * (1 + n_channels * (2 if missing_rate > 0 else 1))
@@ -187,10 +185,10 @@ def _simulate(model, design, n_subjects, n_time, seed, missing_rate):
             z, obs = _lockstep(
                 ub[members, lead:], cum_init, cum_trans, cum_emis, n_time, missing_rate
             )
-            paths[block][members] = z + offsets[k]
+            paths[block][members] = z + space.bounds[k]
             for out, c in zip(codes, obs):
                 out[block][members] = c
-    channels = zip(hmms[0].channel_names, hmms[0].alphabets, codes)
+    channels = zip(space.hmms[0].channel_names, space.hmms[0].alphabets, codes)
     ids = tuple(f"s{i + 1}" for i in range(n_subjects))
     return SequenceDataset(tuple(Channel(*c) for c in channels), ids), paths, labels
 

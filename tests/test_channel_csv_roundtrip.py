@@ -108,3 +108,26 @@ def test_convert_with_comma_separator_validates(tmp_path):
     assert back.alphabets == want.alphabets
     assert all("," in label for label in back.alphabets[0].labels)
     np.testing.assert_array_equal(back.channels[0].codes, want.channels[0].codes)
+
+
+@pytest.mark.parametrize("names", [("a,b", "a;b"), ("A", "a")])
+def test_channels_whose_file_names_would_collide_get_their_own_files(tmp_path, names):
+    # "a,b" and "a;b" have one safe name; "A" and "a" one on a file system
+    # that ignores case
+    alphabets = (Alphabet(("p", "q")), Alphabet(("r", "s", "t")))
+    hmm = build_hmm(alphabets, initial=[1.0], transition=[[1.0]],
+                    emissions=[[[0.5, 0.5]], [[0.2, 0.3, 0.5]]], channel_names=names)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(model_to_json(hmm)))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--model", str(model), "--n-subjects", "5", "--n-time", "4",
+                 "--seed", "1", "--out", str(out)]) == 0
+    manifest = out / "dataset_manifest.json"
+    files = [entry["csv"] for entry in json.loads(manifest.read_text())["channels"]]
+    assert len({f.lower() for f in files}) == 2 and all(f.startswith("dataset_") for f in files)
+    assert main(["validate", "--manifest", str(manifest), "--out", str(tmp_path / "v")]) == 0
+    data, _ = ingest_dataset(manifest)
+    want = SequenceDataset.from_json(json.loads((out / "dataset.json").read_text()))
+    assert data.channel_names == names
+    for got, ch in zip(data.channels, want.channels):
+        np.testing.assert_array_equal(got.codes, ch.codes)

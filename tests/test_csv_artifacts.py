@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import markovseq as mq
-from markovseq.cli import _safe_name, main
+from markovseq.cli import main
 from markovseq.errors import DuplicateLabel
 
 CLI = Path(__file__).resolve().parents[1] / "src" / "markovseq" / "cli.py"
@@ -145,7 +145,6 @@ LABELS = NAMES.filter(lambda s: s == s.strip())
 def _mixtures(draw):
     n_channels = draw(st.integers(1, 2))
     channel_names = draw(st.lists(NAMES, min_size=n_channels, max_size=n_channels, unique=True))
-    assume(len({_safe_name(name) for name in channel_names}) == n_channels)
     alphabets = []
     for _ in channel_names:
         tokens = draw(st.lists(LABELS, min_size=2, max_size=4, unique=True))
@@ -221,14 +220,16 @@ def test_names_read_back_from_every_csv(tmp_path_factory, case):
         assert header == ["id", "t1", "t2"]
         assert [row[0] for row in rows] == list(data.subject_ids)
         assert [row[1:] for row in rows] == ch.alphabet.tokens(ch.codes).tolist()
-    header, rows = _rows(sim / "clusters.csv")
+    header, labels = _rows(sim / "clusters.csv")
     assert header == ["subject_id", "cluster"]
-    assert [row[0] for row in rows] == list(data.subject_ids)
-    assert {row[1] for row in rows} <= set(mix.cluster_names)
+    assert [row[0] for row in labels] == list(data.subject_ids)
+    assert {row[1] for row in labels} <= set(mix.cluster_names)
     header, rows = _rows(sim / "paths.csv")
-    assert header == ["subject_id", "t", "state"]
+    assert header == ["subject_id", "t", "state", "cluster"]
     assert [row[:2] for row in rows] == [[sid, t] for sid in data.subject_ids for t in "12"]
     assert {row[2] for row in rows} <= set(combined)
+    assert [row[3] for row in rows] == [owner[combined.index(row[2])] for row in rows]
+    assert [row[3] for row in rows] == [label for _, label in labels for _ in "12"]
     _run("validate", "--manifest", sim / "dataset_manifest.json", "--out", tmp / "v1")
 
     # the drawn ids, in channel CSVs written by csv.writer

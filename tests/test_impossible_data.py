@@ -239,3 +239,21 @@ def test_a_mixture_drops_an_underflowing_cluster_whose_weight_is_zero():
         mq.posterior_state_probs(mix, data), mq.posterior_state_probs(mix, data, mode="log"),
         rtol=1e-12, atol=1e-300,
     )
+
+
+def test_log_emissions_that_underflow_as_a_product_are_summed():
+    # three channels each emit ``a`` at 1e-120: the product of their factors
+    # at t = 0, 1 (1e-360) is 0 in floating point, its log -828.93
+    ab = mq.Alphabet(("a", "b"))
+    hmm = mq.build_hmm([ab] * 3, initial=[1.0], transition=[[1.0]],
+                       emissions=[[[1e-120, 1.0 - 1e-120]]] * 3, channel_names=("x", "y", "z"))
+    data = mq.SequenceDataset(tuple(mq.Channel(c, ab, np.array([[0, 0, 1]])) for c in "xyz"),
+                              ("s1",))
+    want = 6 * math.log(1e-120)  # -1657.86
+    # scaled mode underflows too, and the log pass rescues it
+    for mode in ("log", "scaled"):
+        assert mq.log_likelihood(hmm, data, mode=mode) == pytest.approx(want, rel=1e-14)
+    res = mq.viterbi_paths(hmm, data)
+    assert res.paths.tolist() == [[0, 0, 0]]
+    assert res.log_joint == pytest.approx([want], rel=1e-14)
+    assert mq.posterior_state_probs(hmm, data, mode="log").tolist() == [[[1.0]] * 3]
