@@ -14,7 +14,9 @@ written), named on stderr and last in ``run.log`` where that can be written;
 anything else is a bug.  JSON artifacts and ``--format json`` output are
 strict JSON: a non-finite value (an impossible subject's -inf log-likelihood,
 a NaN standard error) is written as null; text output and ``run.log`` keep
-``-inf``, ``inf`` and ``nan``.
+``-inf``, ``inf`` and ``nan``.  JSON artifacts are indented, except the
+token-level dataset JSON of ``simulate`` and ``convert``, which is compact
+JSON of ``SequenceDataset.to_json()``.
 
 Each run imports only the modules its command uses: this module needs only
 ``errors`` and ``seqdata`` itself, and the rest (``model``, ``inference``,
@@ -251,32 +253,6 @@ def _inputs(args):
     return data, model, _resolve_design(model, cov)
 
 
-def _dataset_json(data: SequenceDataset) -> str:
-    """The text ``json.dump(data.to_json(), fh, indent=2)`` writes.
-
-    json's indented encoder runs in pure Python, so the code rows, nearly
-    all of the document, are joined from one table of encoded tokens per
-    channel; json formats the rest.  A JSON string cannot hold an unescaped
-    quote, so ``"rows": []`` marks exactly the channels' row lists.
-    """
-    doc = data.to_json()
-    for spec in doc["channels"]:
-        spec["rows"] = []
-    head, *tails = json.dumps(doc, indent=2).split('"rows": []')
-    parts = [head]
-    for ch, tail in zip(data.channels, tails):
-        alpha = ch.alphabet
-        table = np.array(
-            [" " * 10 + json.dumps(tok) for tok in (*alpha.labels, alpha.missing_token)],
-            dtype=object,
-        )
-        rows = ",\n".join(
-            "        [\n" + ",\n".join(row) + "\n        ]" for row in table[ch.codes].tolist()
-        )
-        parts.append('"rows": ' + ("[\n" + rows + "\n      ]" if rows else "[]") + tail)
-    return "".join(parts)
-
-
 def _csv_field(text: str) -> str:
     """``text`` as one CSV field: quoted, as the csv module's QUOTE_MINIMAL
     quotes it, where it holds a comma, a quote, CR or LF; else as it is."""
@@ -344,10 +320,11 @@ def _times(n_subjects: int, n_time: int):
 def _write_dataset_files(data: SequenceDataset, out: Path, stem: str):
     """Dataset JSON + per-channel wide CSVs + a manifest that re-ingests them.
 
-    Channel c's CSV is ``<stem>_<safe name>.csv``, or ``<stem>_<c + 1>_<safe
-    name>.csv`` for every channel where two safe names (``_safe_name``)
-    would be equal ignoring case."""
-    _write_text(out / f"{stem}.json", _dataset_json(data) + "\n")
+    ``<stem>.json`` is ``data.to_json()`` as compact JSON, one line; no
+    command reads it back.  Channel c's CSV is ``<stem>_<safe name>.csv``,
+    or ``<stem>_<c + 1>_<safe name>.csv`` for every channel where two safe
+    names (``_safe_name``) would be equal ignoring case."""
+    _write_text(out / f"{stem}.json", json.dumps(data.to_json()) + "\n")
     header = ["id", *(f"t{t + 1}" for t in range(data.n_time))]
     safe = [_safe_name(ch.name) for ch in data.channels]
     if len({s.lower() for s in safe}) < len(safe):  # one file each, also where case folds

@@ -211,7 +211,7 @@ class MixtureModel:
             raise DuplicateLabel(f"combined state names {twice} name more than one state")
         ref = clusters[0]
         for m in clusters[1:]:
-            if m.n_channels != ref.n_channels or m.alphabets != ref.alphabets:
+            if m.channel_names != ref.channel_names or m.alphabets != ref.alphabets:
                 raise DimensionMismatch("clusters must share channels and alphabets")
         if gamma.shape != (len(self.design_names), len(clusters)):
             raise DimensionMismatch(

@@ -508,12 +508,15 @@ def mc_to_sc(data: SequenceDataset, separator: str = "/") -> SequenceDataset:
     The combined alphabet is the set of cross-channel label combinations
     actually observed, ordered lexicographically by channel-wise code
     tuples and joined with ``separator``.  Any time point with at least one
-    missing channel becomes missing in the combined channel.
+    missing channel becomes missing in the combined channel, so a dataset
+    with no time point where every channel is observed raises EmptyDataset.
     """
     check_text(separator, "separator")
     if check_instance(data, SequenceDataset, "mc_to_sc").n_channels == 1:
         return data
     all_observed = np.all([ch.observed for ch in data.channels], axis=0)
+    if not all_observed.any():
+        raise EmptyDataset("mc_to_sc: no time point has every channel observed")
     cells = [ch.codes[all_observed] for ch in data.channels]
     # rank the tuples as sorted() orders them, a channel at a time (rank * M_c
     # + code < cells * M_c, so no key overflows)

@@ -993,7 +993,7 @@ def _dataset(labels, rows, n_time, missing_token="*", name="work"):
             np.random.default_rng(14), random_hmm(np.random.default_rng(15), 2, [3, 2]),
             7, 5, missing_rate=0.3,
         ),
-        # the channel name holds the text that marks the row lists
+        # the channel name holds JSON syntax
         lambda: _dataset(
             ["caf\u00e9", 'say "hi"', "back\\slash", "\u65e5"],
             [["caf\u00e9", "?", 'say "hi"'], ["\u65e5", "back\\slash", "?"]],
@@ -1008,9 +1008,8 @@ def _dataset(labels, rows, n_time, missing_token="*", name="work"):
 def test_dataset_json_bytes_equal_json_dump(tmp_path, make):
     data = make()
     _write_dataset_files(data, tmp_path, "dataset")
-    ref = io.StringIO()
-    json.dump(data.to_json(), ref, indent=2)
-    assert (tmp_path / "dataset.json").read_bytes() == (ref.getvalue() + "\n").encode()
+    ref = json.dumps(data.to_json()) + "\n"
+    assert (tmp_path / "dataset.json").read_bytes() == ref.encode()
 
 
 class TestConvertTrimPlot:
@@ -1028,6 +1027,19 @@ class TestConvertTrimPlot:
         doc = json.loads((out / "converted.json").read_text())
         assert len(doc["channels"]) == 1
         assert doc["channels"][0]["rows"][1][0] == "*"
+
+    def test_convert_without_a_fully_observed_time_point_exits_one(self, tmp_path, capsys):
+        manifest = write_manifest(
+            tmp_path,
+            [
+                ("m", ["s", "w"], [["s", "*"], ["*", "w"]]),
+                ("k", ["n", "y"], [["*", "y"], ["n", "*"]]),
+            ],
+        )
+        code = main(["convert", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "EmptyDataset" in err and "no time point has every channel observed" in err
 
     def test_trim_reports_loglik_effect(self, workspace):
         tmp_path, manifest = workspace

@@ -245,6 +245,18 @@ class TestBuildMhmm:
         assert mix.n_clusters == 2
         np.testing.assert_allclose(mix.clusters[0].transition[0], [0.7, 0.3])
 
+    def test_clusters_with_different_channel_names_rejected(self):
+        alphabets = make_alphabets([2])
+        one = dict(initial=[1.0], transition=[[1.0]], emissions=[[[0.5, 0.5]]])
+        work = build_hmm(alphabets, channel_names=["work"], **one)
+        family = build_hmm(alphabets, channel_names=["family"], **one)
+        with pytest.raises(DimensionMismatch, match="clusters must share channels and alphabets"):
+            build_mhmm([work, family])
+        doc = json.loads(json.dumps(model_to_json(build_mhmm([work, work]))))
+        doc["clusters"][1]["channel_names"] = ["family"]
+        with pytest.raises(DimensionMismatch, match="clusters must share channels and alphabets"):
+            model_from_json(doc)
+
 
 class TestRestrictedMixtures:
     def test_lcm_shapes(self):

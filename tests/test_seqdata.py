@@ -574,6 +574,21 @@ class TestMcToSc:
             for part, a in zip(parts, alphas):
                 assert part in a.labels
 
+    @pytest.mark.parametrize(
+        "codes",
+        [
+            ([[0, MISSING], [MISSING, 1]], [[MISSING, 1], [0, MISSING]]),
+            (np.zeros((0, 3), int), np.zeros((0, 3), int)),
+        ],
+        ids=["never_co_observed", "no_subjects"],
+    )
+    def test_no_fully_observed_time_point_raises_empty_dataset(self, codes):
+        a = Alphabet(("x", "y"))
+        channels = tuple(Channel(name, a, np.array(c)) for name, c in zip("ab", codes))
+        ids = tuple(f"s{i}" for i in range(len(codes[0])))
+        with pytest.raises(EmptyDataset, match="no time point has every channel observed"):
+            mc_to_sc(SequenceDataset(channels, ids))
+
 
 def _mc_to_sc_reference(data, separator="/"):
     """mc_to_sc as it was before np.unique: a per-cell set of code tuples,
@@ -582,6 +597,8 @@ def _mc_to_sc_reference(data, separator="/"):
         return data
     stacked = np.stack([ch.codes for ch in data.channels])  # (C, N, T)
     all_observed = np.all(stacked != MISSING, axis=0)
+    if not all_observed.any():
+        raise EmptyDataset("mc_to_sc: no time point has every channel observed")
     tuples = sorted({tuple(stacked[:, i, t]) for i, t in np.argwhere(all_observed)})
     index = {tup: k for k, tup in enumerate(tuples)}
     labels = tuple(
