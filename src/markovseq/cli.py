@@ -143,14 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("validate", help="check a manifest and report dataset shape"), manifest=True)
 
     fit = common(sub.add_parser("fit", help="estimate model parameters"), manifest=True, model=True)
-    fit.add_argument("--em-max-iter", type=int, default=1000)
-    fit.add_argument("--em-rel-tol", type=float, default=1e-8)
-    fit.add_argument("--restarts", type=int, default=0)
-    fit.add_argument("--restart-perturb", type=float, default=0.5)
-    fit.add_argument("--local-step", action="store_true")
-    fit.add_argument("--local-max-iter", type=int, default=200)
-    fit.add_argument("--local-grad-tol", type=float, default=1e-6)
-    fit.add_argument("--seed", type=int, default=0)
+    # no defaults: a flag left out leaves its FitControl field at FitControl's default
+    fit.add_argument("--em-max-iter", type=int)
+    fit.add_argument("--em-rel-tol", type=float)
+    fit.add_argument("--restarts", type=int)
+    fit.add_argument("--restart-perturb", type=float)
+    fit.add_argument("--local-step", action="store_true", default=None)
+    fit.add_argument("--local-max-iter", type=int)
+    fit.add_argument("--local-grad-tol", type=float)
+    fit.add_argument("--seed", type=int)
 
     common(sub.add_parser("loglik", help="log-likelihood of a model on data"), manifest=True, model=True)
     common(sub.add_parser("bic", help="information criteria of a model on data"), manifest=True, model=True)
@@ -386,8 +387,9 @@ def _cmd_validate(args, out: Path) -> _Done:
 
 def _cmd_fit(args, out: Path) -> _Done:
     data, model, design = _inputs(args)
-    # each FitControl field has the flag of its name; FitControl checks them
-    control = FitControl(**{f.name: getattr(args, f.name) for f in fields(FitControl)})
+    # a flag per FitControl field, named after it; FitControl checks those given and sets the rest
+    given = {f.name: getattr(args, f.name) for f in fields(FitControl)}
+    control = FitControl(**{name: v for name, v in given.items() if v is not None})
     res = fit_model(model, data, design, control)
     ic = information_criteria(res.model, data, design, args.mode)
     _write_json(out / "model_fitted.json", model_to_json(res.model))

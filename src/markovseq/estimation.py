@@ -121,7 +121,7 @@ class FitResult:
     restart_logliks: list[float]
     em_iterations: int
     local_iterations: int
-    converged_by: str  # "em_tol" | "grad_tol" | "max_iter"
+    converged_by: str  # "em_tol" | "grad_tol" | "max_iter" | "line_search"
     loglik_trace: list[float] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
@@ -165,7 +165,7 @@ def expected_stats(
     ``subject_initials`` overrides a plain HMM's initial vectors; a mixture
     takes them from ``design``.  ``workspace``, built once per fit from
     ``data``, carries the kernel's chunk codes and scratch arrays from one
-    E-step to the next; without it the pass builds its own.  A subject the
+    E-step to the next; without it ``_evaluate`` builds one.  A subject the
     model cannot produce raises ImpossibleData, as the kernel decides.
     """
     ll, rho, counts = _evaluate(
@@ -562,8 +562,9 @@ def fit_local(
 
     Minimizes the negative log-likelihood with its analytic gradient until
     the gradient max-norm drops below ``local_grad_tol`` or for at most
-    ``local_max_iter`` iterations; a failed line search returns the last
-    accepted iterate with a diagnostic.  Each iterate improves on the one
+    ``local_max_iter`` iterations (``converged_by`` ``"grad_tol"`` or
+    ``"max_iter"``); a failed line search returns the last accepted iterate
+    with a diagnostic (``"line_search"``).  Each iterate improves on the one
     before, so the final log-likelihood never falls below the starting one.
     All gradient evaluations share one kernel workspace, built here.  The
     first value and gradient are those of ``m`` itself, and without an
@@ -608,7 +609,7 @@ def fit_local(
         restart_logliks=[],
         em_iterations=0,
         local_iterations=n_iter,
-        converged_by="grad_tol" if converged else "max_iter",
+        converged_by="grad_tol" if converged else "line_search" if failed else "max_iter",
         loglik_trace=trace,
         diagnostics=diagnostics,
     )
@@ -678,8 +679,10 @@ def gamma_m_step(
     ``weights`` are posterior cluster probabilities (rows sum to one).
     Steps are halved until the objective does not decrease; a singular
     Hessian falls back to a plain gradient step.  When the weights are
-    separable the optimum is at infinity and the iteration cap returns the
-    current (large) coefficients with ``converged=False``.
+    separable the optimum is at infinity, but the fitted weights saturate
+    within rounding, so the gradient falls below ``grad_tol`` and the step
+    returns large, finite coefficients with ``converged=True``: their size
+    reflects the stopping rule, not the data.
     """
     X = design.X
     weights = np.asarray(weights, dtype=float)

@@ -14,13 +14,13 @@ runs on contiguous rows of subjects, and each state's posteriors over the
 chunk are one contiguous block.  One lookup serves the leading channels
 through their joint code (``_leading_group``); the later ones are looked
 up one by one.  Chunks write their own rows or partial sums, added in
-chunk order, so results are bit-identical for any thread count.  A fit
-builds one workspace for all its E-steps; one-off calls build their own.
+chunk order, so results are bit-identical for any thread count.
 ``_evaluate`` is the only way into the kernels, here and in ``estimation``:
-it runs ``_scaled_pass`` or, in log mode, ``_log_pass``, which answer a
-``want`` in the same shapes.  A subject the model cannot produce has
-log-likelihood -inf in both modes; ``_require_possible`` decides, in one
-place, which calls raise for it.
+it builds a transient workspace or checks the caller's (a fit builds one
+for all its passes) and hands it to ``_scaled_pass`` or, in log mode,
+``_log_pass``, which answer a ``want`` in the same shapes.  A subject the
+model cannot produce has log-likelihood -inf in both modes;
+``_require_possible`` decides, in one place, which calls raise for it.
 """
 
 from __future__ import annotations
@@ -135,16 +135,6 @@ def _run_chunked(fn, n_subjects: int, threads: int) -> None:
         raise min(failures, key=lambda f: f[0])[1]
 
 
-def _emission_tables(model: HmmModel) -> list[np.ndarray]:
-    """Per channel an (M_c + 1, S) table indexed by code.
-
-    Row m holds b_s(m) for every state s; the last row, which code MISSING
-    (-1) selects, is all ones: an unobserved cell carries no state
-    information.
-    """
-    return [np.vstack([b.T, np.ones(model.n_states)]) for b in model.emissions]
-
-
 def emission_probs(model: HmmModel, data: SequenceDataset) -> np.ndarray:
     """Joint emission probability per (subject, time, state).
 
@@ -152,7 +142,7 @@ def emission_probs(model: HmmModel, data: SequenceDataset) -> np.ndarray:
     factor of 1 (an unobserved cell carries no state information).  The
     passes look up chunks instead (``_chunk_emissions``).
     """
-    tables = _emission_tables(model)
+    tables = [table[0].T for table in _channel_tables((model,))]
     out = np.take(tables[0], data.channels[0].codes, axis=0)
     for table, ch in zip(tables[1:], data.channels[1:]):
         out *= np.take(table, ch.codes, axis=0)
@@ -228,14 +218,14 @@ class _Workspace:
     pass over it.
 
     ``codes[k][c]`` holds chunk k's channel c as a C-contiguous (T, n) intp
-    array with MISSING replaced by M_c, the emission table's row of ones;
+    array with MISSING replaced by M_c, the emission tables' ones;
     the emission counts read it, in ``code_counts[c]`` = M_c + 1 bins.
     ``lookup[k]`` holds what the emission lookup reads: the joint code of
     the leading channel group (``_leading_group``), c_0 * (M_1 + 1) + c_1
     and so on in channel order, then the codes of the later channels one
     by one.  ``scratch[w]`` is worker w's ``_Scratch``, which every pass
-    overwrites.  A fit builds one workspace for all its E-steps and drops
-    it when it returns; one-off calls build a transient one.
+    overwrites.  A fit builds one workspace for all its passes; ``_evaluate``
+    builds a transient one for a call given none.
     """
 
     def __init__(self, data: SequenceDataset):
@@ -259,25 +249,27 @@ class _Workspace:
 
 class _Scratch(dict):
     """One worker's scratch arrays by name: ``buf(name, shape, dtype)`` is a
-    C-contiguous ``shape`` view of array ``name``, which grows to the largest
-    size asked of it (a short last chunk uses a prefix)."""
+    C-contiguous ``shape`` view of array ``name``, made anew for a larger size
+    or another dtype (a short last chunk uses a prefix)."""
 
     def __call__(self, name: str, shape, dtype=float) -> np.ndarray:
         size = math.prod(shape)
         flat = self.get(name)
-        if flat is None or flat.size < size:
+        if flat is None or flat.size < size or flat.dtype != dtype:
             flat = self[name] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
 
 
 def _channel_tables(hmms) -> list[np.ndarray]:
-    """Per channel the (K, S, M_c + 1) emission tables (``_emission_tables``)
-    of clusters ``hmms``, padded with zero rows to S = max S_k states."""
+    """Per channel the (K, S, M_c + 1) emission tables of clusters ``hmms``,
+    padded with zero rows to S = max S_k states; the last column, which code
+    MISSING (-1) selects, is 1: an unobserved cell carries no state information."""
     S = max(h.n_states for h in hmms)
     tables = [np.zeros((len(hmms), S, b.shape[1] + 1)) for b in hmms[0].emissions]
     for k, h in enumerate(hmms):
-        for table, own in zip(tables, _emission_tables(h)):
-            table[k, : h.n_states] = own.T
+        for table, b in zip(tables, h.emissions):
+            table[k, : h.n_states, :-1] = b
+            table[k, : h.n_states, -1] = 1.0
     return tables
 
 
@@ -358,15 +350,23 @@ def _pair_logliks(alpha, c) -> np.ndarray:
     return ll
 
 
-def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
+def _loglik_and_rho(ll):
+    """loglik_i = logsumexp_k l_ik of pair log-likelihoods ``ll`` (K, n) and the
+    cluster posteriors rho_ik = exp(l_ik - loglik_i), NaN for a subject at -inf."""
+    loglik = _logsumexp(ll, axis=0)
+    with np.errstate(invalid="ignore"):  # -inf - -inf for a subject at -inf
+        return loglik, np.exp(ll - loglik)
+
+
+def _scaled_pass(hmms, data, inits, threads, want, workspace):
     """The scaled forward-backward kernel over clusters ``hmms`` (a plain HMM
     is one) with one (N, S_k) initial array each in ``inits``.
 
     Per fixed chunk of n subjects all clusters run at once in state-major
     (K, S, T, n) layout (``_pack``), so every step works on contiguous rows
-    of n subjects.  A cluster's log normalizers sum to l_ik;
-    loglik_i = logsumexp_k l_ik and rho_ik = exp(l_ik - loglik_i),
-    exactly 1 for an HMM and 0 for an impossible pair (``_pair_logliks``).
+    of n subjects.  A cluster's log normalizers sum to l_ik, which give
+    loglik_i and rho_ik (``_loglik_and_rho``), exactly 1 for an HMM and 0
+    for an impossible pair (``_pair_logliks``).
     The backward pass starts from beta[T-1] = rho_ik, so alpha * beta and
     the E-step statistics come out weighted by rho (0 at -inf).  A NaN l_ik
     raises; a subject with a pair at -inf is scored again by ``_log_pass``:
@@ -382,13 +382,9 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     per cluster the t=0 posteriors summed over all N subjects at once (1,
     S_k), expected transitions (S_k, S_k) and per channel emission
     numerators (S_k, M_c), the last two summed chunk by chunk in order.
-    ``workspace`` is a ``_Workspace`` of ``data`` to reuse; by default the
-    pass builds its own.
+    ``workspace`` is the ``_Workspace`` of ``data`` (``_evaluate`` builds or
+    checks it).
     """
-    if workspace is None:
-        workspace = _Workspace(data)
-    elif workspace.data is not data:
-        raise ValueError("workspace was built for another dataset")
     N, T = data.n_subjects, data.n_time
     sizes, A, init, tables = _pack(hmms, inits, N)
     K, S = A.shape[:2]
@@ -409,9 +405,7 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
         x = buf("x", (K, S, n))
         _forward(A, e, init[:, :, a:b], alpha, scaling, x)
         ll = pairs[:, a:b] = _pair_logliks(alpha, scaling)
-        loglik[a:b] = _logsumexp(ll, axis=0)
-        with np.errstate(invalid="ignore"):  # -inf - -inf for a subject at -inf
-            r = np.exp(ll - loglik[a:b])
+        loglik[a:b], r = _loglik_and_rho(ll)
         rho[a:b] = r.T
         if want == "loglik":
             return
@@ -446,13 +440,12 @@ def _scaled_pass(hmms, data, inits, threads=1, want="loglik", workspace=None):
     lost = np.flatnonzero(np.isneginf(pairs).any(axis=0))
     if lost.size:
         channels = [Channel(ch.name, ch.alphabet, ch.codes[lost]) for ch in data.channels]
-        subjects = SequenceDataset(channels, [data.subject_ids[i] for i in lost])
-        ll = _log_pass(hmms, subjects, [p[lost] for p in inits], threads, "pairs")
+        lost_ws = _Workspace(SequenceDataset(channels, [data.subject_ids[i] for i in lost]))
+        ll = _log_pass(hmms, lost_ws.data, [p[lost] for p in inits], threads, "pairs", lost_ws)
         # a pair at -inf in log space too is impossible; a finite one underflowed
         rescued = (np.isneginf(pairs[:, lost]) & np.isfinite(ll)).any(axis=0)
         lost, ll = lost[rescued], ll[:, rescued]
-        total = _logsumexp(ll, axis=0)
-        r = np.exp(ll - total)
+        total, r = _loglik_and_rho(ll)
         dropped = (np.isneginf(pairs[:, lost]) & (r > 0)).any(axis=0)
         if want == "loglik":
             loglik[lost], rho[lost] = total, r.T
@@ -484,7 +477,7 @@ def _log_factor_sums(le, log_factors, codes) -> None:
     le[at] = sum(f[k, s, c[t, j]] for f, c in zip(log_factors, codes))
 
 
-def _log_pass(hmms, data, inits, threads=1, want="loglik"):
+def _log_pass(hmms, data, inits, threads, want, workspace):
     """``_scaled_pass`` in log space, on the same chunks and state-major
     layout: the log of the looked-up chunk (the sum of the channels' log
     factors where their product underflows, ``_log_factor_sums``), then
@@ -496,8 +489,7 @@ def _log_pass(hmms, data, inits, threads=1, want="loglik"):
     (alpha, beta, None, loglik), log alpha and log beta (N, T, sum S_k) side
     by side, -inf for a subject at -inf; ``"paths"``: (paths, l_ik), per
     cluster the best paths (K, N, T); ``"pairs"``: l_ik.  A NaN l_ik raises
-    (``_require_possible``)."""
-    workspace = _Workspace(data)
+    (``_require_possible``).  ``workspace`` as in ``_scaled_pass``."""
     N, T = data.n_subjects, data.n_time
     _, A, init, tables = _pack(hmms, inits, N)
     K, S = A.shape[:2]
@@ -570,10 +562,9 @@ def _log_pass(hmms, data, inits, threads=1, want="loglik"):
     _require_possible(ll, data, divides=False)
     if want == "pairs":
         return ll
-    loglik = _logsumexp(ll, axis=0)
+    loglik, rho = _loglik_and_rho(ll)
     if want == "loglik":
-        with np.errstate(invalid="ignore"):  # -inf - -inf for a subject at -inf
-            return loglik, np.exp(ll - loglik).T
+        return loglik, rho.T
     alpha_out[np.isneginf(loglik)] = beta_out[np.isneginf(loglik)] = -np.inf
     return alpha_out, beta_out, None, loglik
 
@@ -592,13 +583,17 @@ def _evaluate(
     Checks ``mode`` and ``threads``, builds the clusters and their initial
     arrays (``_clusters_and_inits`` checks the rest), and runs
     ``_scaled_pass`` or, in log mode, ``_log_pass``, which answers in the
-    same shapes.  ``workspace`` serves the scaled kernel."""
+    same shapes.  Both read ``workspace``, a ``_Workspace`` of ``data``,
+    built here when none is given; one built on other data raises ValueError."""
     mode = _MODES[check_text(mode, "mode", _MODES)]
     threads = check_count(threads, "threads", 1)
     hmms, inits = _clusters_and_inits(m, data, design, subject_initials)
-    if mode == "scaled":
-        return _scaled_pass(hmms, data, inits, threads, want, workspace)
-    return _log_pass(hmms, data, inits, threads, want)
+    if workspace is None:
+        workspace = _Workspace(data)
+    elif workspace.data is not data:
+        raise ValueError("workspace was built for another dataset")
+    kernel = _scaled_pass if mode == "scaled" else _log_pass
+    return kernel(hmms, data, inits, threads, want, workspace)
 
 
 def _require_possible(ll, data: SequenceDataset, what="log-likelihood", divides=True) -> None:

@@ -202,7 +202,11 @@ class SequenceDataset:
         return tuple(ch.alphabet for ch in self.channels)
 
     def to_json(self) -> dict:
-        """Serialize to the documented token-level JSON form."""
+        """Serialize to the documented token-level JSON form.  A dataset with
+        no subjects raises EmptyDataset: its rows would carry no time points,
+        so ``from_json`` could not read it back."""
+        if self.n_subjects == 0:
+            raise EmptyDataset("a dataset with no subjects has no JSON form")
         return {
             "subject_ids": list(self.subject_ids),
             "channels": [

@@ -21,6 +21,7 @@ from markovseq import (
     simulate_hmm_data,
 )
 from markovseq.cli import _csv_table, _safe_name, _times, _write_dataset_files, main
+from markovseq.errors import EmptyDataset
 
 from helpers import random_dataset, random_hmm, strict_json, write_manifest
 
@@ -480,6 +481,17 @@ class TestFit:
         assert abs(ll - fit_result["loglik"]) < 1e-12
         assert "threads" not in fit_result["control"]
 
+    def test_fit_without_optional_flags_runs_fit_control_defaults(self, workspace):
+        from markovseq.estimation import FitControl
+
+        tmp_path, manifest = workspace
+        start = build_hmm(_coin_model().alphabets, n_states=2, rng_seed=1, channel_names=("work",))
+        out = tmp_path / "out"
+        argv = ["fit", "--manifest", str(manifest), "--model", str(_model_file(tmp_path, start))]
+        assert main([*argv, "--out", str(out)]) == 0
+        fit_result = json.loads((out / "fit_result.json").read_text())
+        assert fit_result["control"] == FitControl().to_dict()
+
     def test_fit_deterministic_across_thread_counts(self, workspace):
         tmp_path, manifest = workspace
         start = build_hmm(_coin_model().alphabets, n_states=2, rng_seed=1, channel_names=("work",))
@@ -574,7 +586,7 @@ class TestFit:
         assert blobs[0] == blobs[1]
         fit = json.loads(blobs[0])
         assert fit["diagnostics"] == ["line_search_failure: returning best point found"]
-        assert fit["converged_by"] == "max_iter"
+        assert fit["converged_by"] == "line_search"
         assert 0 < fit["local_iterations"] < 100000
 
 
@@ -1007,6 +1019,11 @@ def _dataset(labels, rows, n_time, missing_token="*", name="work"):
 )
 def test_dataset_json_bytes_equal_json_dump(tmp_path, make):
     data = make()
+    if data.n_subjects == 0:  # its document could not be read back: no file is written
+        with pytest.raises(EmptyDataset, match="no subjects"):
+            _write_dataset_files(data, tmp_path, "dataset")
+        assert list(tmp_path.iterdir()) == []
+        return
     _write_dataset_files(data, tmp_path, "dataset")
     ref = json.dumps(data.to_json()) + "\n"
     assert (tmp_path / "dataset.json").read_bytes() == ref.encode()

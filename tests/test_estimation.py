@@ -317,7 +317,7 @@ def _plain_em(m, data, design, max_iter, rel_tol):
         m = _m_step(m, stats, design, flagged)
         prev = ll
     hmms, inits = _clusters_and_inits(m, data, design)
-    trace.append(float(_scaled_pass(hmms, data, inits, 1, "loglik")[0].sum()))
+    trace.append(float(_scaled_pass(hmms, data, inits, 1, "loglik", _Workspace(data))[0].sum()))
     return m, trace, max_iter
 
 
@@ -735,12 +735,16 @@ class TestLbfgsAgainstScipy:
         control = FitControl(local_max_iter=100_000, local_grad_tol=5e-324)
         res = fit_local(em.model, data, control=control)
         assert res.diagnostics == ["line_search_failure: returning best point found"]
-        assert res.converged_by == "max_iter"
+        assert res.converged_by == "line_search"
         assert 0 < res.local_iterations < control.local_max_iter
         assert len(res.loglik_trace) == res.local_iterations + 1
         assert (np.diff(res.loglik_trace) >= 0).all()
         assert res.loglik == res.loglik_trace[-1] >= em.loglik
         assert abs(res.loglik - log_likelihood(res.model, data)) < 1e-9
+        # the cap, reached before the line search fails, is a "max_iter" stop
+        capped = FitControl(local_max_iter=2, local_grad_tol=5e-324)
+        res = fit_local(em.model, data, control=capped)
+        assert (res.converged_by, res.local_iterations, res.diagnostics) == ("max_iter", 2, [])
 
 
 class TestGradient:
@@ -829,6 +833,16 @@ class TestGammaMStep:
         assert fit.gamma[0, 1] < -20.0
         assert np.isfinite(fit.gamma).all()
         assert fit.iterations <= 100
+
+    def test_separating_covariate_saturates_and_stops_by_grad_tol(self):
+        # x = -1 / +1 picks the cluster: the weights saturate within rounding,
+        # so the gradient test ends the run well before the iteration cap
+        x = np.repeat([-1.0, 1.0], 200)
+        design = CovariateDesign(("(Intercept)", "x"), np.column_stack([np.ones(400), x]))
+        weights = np.column_stack([x < 0, x > 0]).astype(float)
+        fit = gamma_m_step(design, weights, np.zeros((2, 2)))
+        assert fit.converged and fit.iterations < 100 and fit.diagnostics == []
+        assert fit.grad_max < 1e-10 and 20.0 < fit.gamma[1, 1] < np.inf
 
     def test_covariate_case_matches_irls_oracle(self):
         rng = np.random.default_rng(230)

@@ -3,10 +3,12 @@
 This reads ``src/markovseq`` and checks that only ``_evaluate`` builds the
 clusters and initial arrays and runs the scaled kernel, that the log kernel
 is run only by ``_evaluate`` and by the scaled kernel's underflow rescue,
-that no function reaches a kernel through its tracer alias, and that no
+that no function reaches a kernel through its tracer alias, that only
+``_evaluate``, the rescue and a fit build a kernel workspace, and that no
 module but ``estimation`` imports from ``estimation`` (the CLI loads a
 stage's modules by name, not by an import statement).  It then checks the
-one contract both kernels keep: the same shapes for the same ``want``.
+contracts both kernels keep: the same shapes for the same ``want``, and
+the same bits from a workspace they share as from a fresh one.
 """
 
 import ast
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from markovseq.inference import _evaluate
+from markovseq.inference import _evaluate, _Scratch, _Workspace
 
 from helpers import random_dataset, random_hmm, random_mixture
 
@@ -23,9 +25,9 @@ SOURCES = Path(__file__).resolve().parents[1] / "src" / "markovseq"
 KERNEL_NAMES = {"_clusters_and_inits", "_scaled_pass", "_log_pass", "_fb_scaled", "_fb_log"}
 
 
-def _uses(path):
-    """(name, innermost enclosing function) for every use of a kernel name
-    inside a function of a file."""
+def _uses(path, names=KERNEL_NAMES, calls=False):
+    """(name, innermost enclosing function) for every use of one of ``names``
+    inside a function of a file, or with ``calls`` every call of one."""
     found = []
 
     def walk(node, function):
@@ -33,8 +35,9 @@ def _uses(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 walk(child, child.name)
                 continue
-            if isinstance(child, ast.Name) and child.id in KERNEL_NAMES and function:
-                found.append((child.id, function))
+            target = (child.func if isinstance(child, ast.Call) else None) if calls else child
+            if isinstance(target, ast.Name) and target.id in names and function:
+                found.append((target.id, function))
             walk(child, function)
 
     walk(ast.parse(path.read_text()), None)
@@ -52,6 +55,20 @@ def test_only_evaluate_reaches_the_kernels():
         ("inference.py", "_scaled_pass", "_evaluate"),
         ("inference.py", "_log_pass", "_evaluate"),
         ("inference.py", "_log_pass", "_scaled_pass"),  # the underflow rescue
+    }
+
+
+def test_only_evaluate_the_rescue_and_a_fit_build_a_workspace():
+    sites = {
+        (path.name, function)
+        for path in sorted(SOURCES.glob("*.py"))
+        for _, function in _uses(path, {"_Workspace"}, calls=True)
+    }
+    assert sites == {
+        ("inference.py", "_evaluate"),  # a transient one for a call given none
+        ("inference.py", "_scaled_pass"),  # the underflow rescue's lost subjects
+        ("estimation.py", "fit_em"),
+        ("estimation.py", "fit_local"),
     }
 
 
@@ -103,3 +120,28 @@ def test_both_modes_answer_a_want_in_the_same_shapes(case):
     np.testing.assert_allclose(
         np.exp(la + lb - ll[:, None, None]), alpha * beta, rtol=0, atol=1e-9
     )
+
+
+def test_log_passes_on_a_shared_workspace_match_fresh_passes():
+    # scaled E-steps and log passes of both models take turns on one
+    # workspace, as in a fit, and each log pass gives a fresh pass's bits
+    models = _models()
+    data = models[0][1]
+    mix, design = models[1][0], models[1][2]
+    workspace = _Workspace(data)
+    for want in ("loglik", "full", "paths", "loglik"):
+        for m, d in ((models[0][0], None), (mix, design)):
+            _evaluate(m, data, "stats", d, workspace=workspace)
+            reused = _evaluate(m, data, want, d, "log", workspace=workspace)
+            fresh = _evaluate(m, data, want, d, "log")
+            assert [np.asarray(a).tobytes() for a in reused if a is not None] == [
+                np.asarray(a).tobytes() for a in fresh if a is not None
+            ], want
+    assert "cand" in workspace.scratch[0]  # the log passes ran in it
+
+
+def test_scratch_array_asked_for_another_dtype_is_made_anew():
+    buf = _Scratch()
+    wide = buf("back", (2, 3), np.uint16)
+    narrow = buf("back", (2,), np.uint8)
+    assert wide.dtype == np.uint16 and narrow.dtype == buf["back"].dtype == np.uint8

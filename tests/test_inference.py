@@ -36,6 +36,7 @@ from markovseq.errors import (
 from markovseq.estimation import expected_stats
 from markovseq.inference import (
     _clusters_and_inits,
+    _evaluate,
     _run_chunked,
     _scaled_pass,
     _Workspace,
@@ -691,7 +692,7 @@ class TestWorkspace:
         for want in ("stats", "full", "loglik", "stats"):
             for model, d in models:
                 clusters, inits = _clusters_and_inits(model, data, d)
-                fresh = _scaled_pass(clusters, data, inits, 1, want)
+                fresh = _scaled_pass(clusters, data, inits, 1, want, _Workspace(data))
                 reused = _scaled_pass(clusters, data, inits, 1, want, workspace)
                 assert _bits(reused) == _bits(fresh), (want, len(clusters))
 
@@ -705,12 +706,12 @@ class TestWorkspace:
                 [want.loglik, want.rho, want.counts]
             )
 
-    def test_workspace_of_another_dataset_rejected(self):
+    @pytest.mark.parametrize("mode", ["scaled", "log"])
+    def test_workspace_of_another_dataset_rejected(self, mode):
         hmms, _, _, data = self._case(20, 4)
         other = random_dataset(np.random.default_rng(1), hmms[0], 20, 4)
-        clusters, inits = _clusters_and_inits(hmms[0], data)
         with pytest.raises(ValueError, match="another dataset"):
-            _scaled_pass(clusters, data, inits, 1, "loglik", _Workspace(other))
+            _evaluate(hmms[0], data, "loglik", mode=mode, workspace=_Workspace(other))
 
     def test_four_threads_under_fast_switching_match_one(self):
         # 2600 subjects: five full chunks and a short sixth; four workers
