@@ -5,7 +5,7 @@ variables at every time point (the default, fastest), "log" keeps all
 quantities on the log scale (slower, robust to zero probabilities).  Both
 modes agree on per-subject log-likelihoods to well below 1e-9.
 
-Every pass reads the data one way: the chunk codes of a ``_Workspace``,
+Every pass reads the data one way: the lookup codes of a ``_Workspace``,
 looked up for all clusters of a mixture at once, each padded to S states
 and started from w_ik * pi^k (a plain HMM is one cluster).  Chunk arrays
 are state-major, (K, S, T, n), with the n subjects innermost, so every
@@ -13,8 +13,11 @@ step of the recursions, every normalizer and every reduction over states
 runs on contiguous rows of subjects, and each state's posteriors over the
 chunk are one contiguous block.  One lookup serves the leading channels
 through their joint code (``_leading_group``); the later ones are looked
-up one by one.  Chunks write their own rows or partial sums, added in
-chunk order, so results are bit-identical for any thread count.
+up one by one.  The scaled kernel multiplies the looked-up probabilities,
+the log kernel adds entries of log tables built once per pass; only the
+E-step's emission counts read each channel's own codes.  Chunks write
+their own rows or partial sums, added in chunk order, so results are
+bit-identical for any thread count.
 ``_evaluate`` is the only way into the kernels, here and in ``estimation``:
 it builds a transient workspace or checks the caller's (a fit builds one
 for all its passes) and hands it to ``_scaled_pass`` or, in log mode,
@@ -86,6 +89,8 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 _MODES = dict(scaled="scaled", scaling="scaled", log="log", logspace="log", log_space="log")
+# what each kernel answers through ``_evaluate``
+_WANTS = dict(scaled=("loglik", "full", "stats"), log=("loglik", "full", "paths"))
 
 
 def _check_compatible(model: HmmModel, data: SequenceDataset) -> None:
@@ -287,24 +292,33 @@ def _pack(hmms, inits, n_subjects: int):
     for k, (h, p) in enumerate(zip(hmms, inits)):
         A[k, : sizes[k], : sizes[k]] = h.transition
         init[k, : sizes[k]] = p.T
-    tables = _channel_tables(hmms)
+    return sizes, A, init, _lookup_tables(_channel_tables(hmms), np.multiply)
+
+
+def _lookup_tables(tables, combine) -> list[np.ndarray]:
+    """The tables that ``_Workspace.lookup`` indexes, from per-channel
+    (K, S, codes) ``tables``: the leading group's entries ``combine``d left
+    to right in channel order over all its code combinations, then the later
+    channels' tables as they are."""
+    K, S = tables[0].shape[:2]
     group = _leading_group([table.shape[2] for table in tables])
     joint = tables[0]
     for table in tables[1:group]:
-        joint = (joint[..., None] * table[:, :, None]).reshape(K, S, -1)
-    return sizes, A, init, [joint, *tables[group:]]
+        joint = combine(joint[..., None], table[:, :, None]).reshape(K, S, -1)
+    return [joint, *tables[group:]]
 
 
-def _chunk_emissions(tables, lookup, buf, rows) -> np.ndarray:
-    """The product of the table entries (see ``_pack``) that a chunk's
-    ``lookup`` codes select, in buf's (K, S, T, n) array "e"; ``rows``, of
-    that shape and overwritten later by the caller, holds the later
-    lookups'."""
+def _chunk_emissions(tables, lookup, buf, rows, combine=np.multiply) -> np.ndarray:
+    """The table entries (see ``_pack``) that a chunk's ``lookup`` codes
+    select, ``combine``d in lookup order: their product, or with ``np.add``
+    on log tables (``_log_pass``) their sum, in buf's (K, S, T, n) array
+    "e"; ``rows``, of that shape and overwritten later by the caller, holds
+    the later lookups'."""
     e = buf("e", rows.shape)
     for c, (table, code) in enumerate(zip(tables, lookup)):
         np.take(table, code, axis=2, out=rows if c else e, mode="clip")
         if c:
-            e *= rows
+            combine(e, rows, out=e)
     return e
 
 
@@ -463,27 +477,16 @@ def _scaled_pass(hmms, data, inits, threads, want, workspace):
     return loglik, rho, counts
 
 
-def _log_factor_sums(le, log_factors, codes) -> None:
-    """Where a chunk's log emissions ``le`` (K, S, T, n) are -inf, the
-    looked-up product was 0: there write the sum of the channels' log
-    factors, the entries of ``log_factors`` (each (K, S, M_c + 1)) that the
-    channels' ``codes`` (each (T, n)) select, added in channel order.  The
-    sum is -inf only where some factor is 0; a product that merely
-    underflowed becomes finite."""
-    if le.min() > -np.inf:  # a log of products holds no NaN
-        return
-    at = np.nonzero(np.isneginf(le))
-    k, s, t, j = at
-    le[at] = sum(f[k, s, c[t, j]] for f, c in zip(log_factors, codes))
-
-
 def _log_pass(hmms, data, inits, threads, want, workspace):
-    """``_scaled_pass`` in log space, on the same chunks and state-major
-    layout: the log of the looked-up chunk (the sum of the channels' log
-    factors where their product underflows, ``_log_factor_sums``), then
-    ``_logsumexp`` over the from-state axis (for ``"paths"`` the max,
-    back-pointers to the lowest state reaching it), each over contiguous
-    rows of n subjects.  l_ik (K, N), the last log alpha reduced likewise,
+    """``_scaled_pass`` in log space, on the same chunks, lookup codes and
+    state-major layout.  Its tables are built once per pass: the leading
+    group's holds the log of ``_pack``'s joint product or, where that is 0,
+    the sum of the group's log factors in channel order (-inf only where a
+    factor is 0); a later channel's holds the log of its factors.  A chunk's
+    log emissions are the sum of the entries its codes select
+    (``_chunk_emissions``), then ``_logsumexp`` over the from-state axis
+    (for ``"paths"`` the max, back-pointers to the lowest state reaching
+    it), each over contiguous rows of n subjects.  l_ik (K, N), the last log alpha reduced likewise,
     is -inf for an impossible pair.  ``want`` selects, in ``_scaled_pass``'s
     shapes, ``"loglik"``: (loglik_i = logsumexp_k l_ik, rho); ``"full"``:
     (alpha, beta, None, loglik), log alpha and log beta (N, T, sum S_k) side
@@ -491,17 +494,12 @@ def _log_pass(hmms, data, inits, threads, want, workspace):
     cluster the best paths (K, N, T); ``"pairs"``: l_ik.  A NaN l_ik raises
     (``_require_possible``).  ``workspace`` as in ``_scaled_pass``."""
     N, T = data.n_subjects, data.n_time
-    _, A, init, tables = _pack(hmms, inits, N)
+    _, A, init, products = _pack(hmms, inits, N)
     K, S = A.shape[:2]
-    factors = _channel_tables(hmms)
-    # the least product of positive factors, in the lookups' channel order: rounding
-    # is monotone, so where it is positive only a zero factor makes a product 0
-    least = 1.0
-    for table in factors:
-        least = least * np.where(table > 0, table, np.inf).min(axis=2)
     with np.errstate(divide="ignore"):
         logA, log_init = np.log(A)[..., None], np.log(init)  # logA (K, from, to, 1)
-        log_factors = [np.log(t) for t in factors] if (least == 0).any() else []
+        tables = _lookup_tables([np.log(t) for t in _channel_tables(hmms)], np.add)
+        tables[0] = np.where(products[0] > 0, np.log(products[0]), tables[0])
     ll = np.empty((K, N))
     if want == "full":
         alpha_out, beta_out = np.empty((2, N, T, _bounds(hmms)[-1]))
@@ -512,7 +510,7 @@ def _log_pass(hmms, data, inits, threads, want, workspace):
         n = b - a
         buf = workspace.scratch.setdefault(w, _Scratch())
         la, cand = buf("alpha", (K, S, T, n)), buf("cand", (K, S, S, n))
-        le = _chunk_emissions(tables, workspace.lookup[ci], buf, la)
+        le = _chunk_emissions(tables, workspace.lookup[ci], buf, la, np.add)
         if paths is not None:
             back = buf("back", (K, S, T, n), np.min_scalar_type(S - 1))
             # one step's running max, the first from-state reaching it, and
@@ -520,9 +518,6 @@ def _log_pass(hmms, data, inits, threads, want, workspace):
             best, arg = buf("best", (K, S, n)), buf("arg", (K, S, n), back.dtype)
             up = buf("up", (K, S, n), bool)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(le, out=le)
-            if log_factors:
-                _log_factor_sums(le, log_factors, workspace.codes[ci])
             np.add(log_init[:, :, a:b], le[:, :, 0], out=la[:, :, 0])
             for t in range(1, T):
                 np.add(la[:, :, t - 1, None], logA, out=cand)  # (K, from, to, n)
@@ -578,14 +573,17 @@ _fb_log = _log_pass
 def _evaluate(
     m, data, want, design=None, mode="scaled", threads=1, subject_initials=None, workspace=None
 ):
-    """The one way into the kernels: ``want`` (``"loglik"``, ``"full"``,
-    ``"stats"`` or, in log mode, ``"paths"``) of model ``m`` on ``data``.
-    Checks ``mode`` and ``threads``, builds the clusters and their initial
-    arrays (``_clusters_and_inits`` checks the rest), and runs
-    ``_scaled_pass`` or, in log mode, ``_log_pass``, which answers in the
-    same shapes.  Both read ``workspace``, a ``_Workspace`` of ``data``,
-    built here when none is given; one built on other data raises ValueError."""
+    """The one way into the kernels: ``want`` (``"loglik"``, ``"full"`` and,
+    in scaled mode, ``"stats"`` or, in log mode, ``"paths"``; another raises
+    ValueError) of model ``m`` on ``data``.  Checks ``mode``, ``want`` and
+    ``threads``, builds the clusters and their initial arrays
+    (``_clusters_and_inits`` checks the rest), and runs ``_scaled_pass`` or,
+    in log mode, ``_log_pass``, which answers in the same shapes.  Both read
+    ``workspace``, a ``_Workspace`` of ``data``, built here when none is
+    given; one built on other data raises ValueError."""
     mode = _MODES[check_text(mode, "mode", _MODES)]
+    if want not in _WANTS[mode]:
+        raise ValueError(f"{mode} mode answers {', '.join(_WANTS[mode])}, not {want!r}")
     threads = check_count(threads, "threads", 1)
     hmms, inits = _clusters_and_inits(m, data, design, subject_initials)
     if workspace is None:

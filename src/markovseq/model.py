@@ -684,20 +684,27 @@ def _nested(rows, where: str):
     return shape, level
 
 
+def _is_number(v) -> bool:
+    """Whether numpy reads JSON value ``v`` as a float (null reads as NaN,
+    which the model checks reject); a boolean is not a number."""
+    try:
+        np.float64(v)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return not isinstance(v, bool)
+
+
 def _parse_array(rows, where: str) -> np.ndarray:
     """Probabilities or coefficients: numbers or decimal text, as written by
     ``_fmt_array``."""
+    _, leaves = _nested(rows, where)
+    for v in leaves:
+        if not _is_number(v):
+            raise InvalidParameter(f"{where} entry {v!r} is not a number")
     try:
         return np.asarray(rows, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        pass
-    _, leaves = _nested(rows, where)
-    for v in leaves:
-        try:
-            float(v)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidParameter(f"{where} entry {v!r} is not a number") from None
-    raise InvalidParameter(f"{where} is not an array of numbers")
+        raise InvalidParameter(f"{where} is not an array of numbers") from None
 
 
 def _parse_mask(rows, where: str) -> np.ndarray:
@@ -780,12 +787,16 @@ def model_from_json(doc) -> Model:
     """The model a ``model_to_json`` document describes.
 
     A document of the wrong structure (not an object, a key missing, a list
-    that is something else) raises ShapeMismatch, a name or token that is
-    not a string InvalidParameter; values are then checked as for any
-    model.
+    that is something else) raises ShapeMismatch; a ``type`` other than
+    ``"hmm"`` (the default) or ``"mhmm"``, a name or token that is not a
+    string, or an array entry that is not a number InvalidParameter; values
+    are then checked as for any model.
     """
     doc = _object(doc, "model document")
-    if doc.get("type") != "mhmm":
+    kind = doc.get("type", "hmm")
+    if kind not in ("hmm", "mhmm"):
+        raise InvalidParameter(f"model document 'type' {kind!r} is neither 'hmm' nor 'mhmm'")
+    if kind == "hmm":
         return _hmm_from_json(doc, "model document")
     keys = ("clusters", "cluster_names", "gamma", "covariate_names")
     doc = _object(doc, "mixture document", keys)

@@ -268,6 +268,32 @@ class TestLoglik:
         assert last.startswith("error: InvalidParameter: ")
         assert ("gamma" in last) == (where == "gamma")
 
+    @pytest.mark.parametrize(
+        "fault, named",
+        [("initial", "initial entry True"), ("gamma", "gamma entry False"),
+         ("mixture", "'mixture'"), (7, "7"), (None, "None"), ("MHMM", "'MHMM'")],
+    )
+    def test_boolean_entry_or_unknown_type_exits_one(self, workspace, capsys, fault, named):
+        tmp_path, manifest = workspace
+        mixture = fault in ("gamma", "MHMM")
+        doc = model_to_json(build_mhmm([_coin_model()] * 2) if mixture else _coin_model())
+        if fault == "initial":
+            doc["initial"] = [True]
+        elif fault == "gamma":
+            doc["gamma"] = [[False, True]]
+        else:
+            doc["type"] = fault
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(
+            ["loglik", "--manifest", str(manifest), "--model", str(bad), "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("InvalidParameter")
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.startswith("error: InvalidParameter: ") and named in last
+
     def test_dataset_without_time_points_exits_one(self, tmp_path, capsys):
         (tmp_path / "work.csv").write_text("id\ns1\ns2\n")
         manifest = tmp_path / "manifest.json"

@@ -35,7 +35,12 @@ from markovseq.estimation import (
     _perturb,
     expected_stats,
 )
-from markovseq.errors import InvalidParameter, RankDeficientDesign
+from markovseq.errors import (
+    DimensionMismatch,
+    InvalidParameter,
+    NumericalUnderflow,
+    RankDeficientDesign,
+)
 from markovseq.inference import _clusters_and_inits, _scaled_pass, _Workspace
 from markovseq.model import _gamma_hessian
 from markovseq.seqdata import MISSING
@@ -607,6 +612,33 @@ class TestFitLocal:
         assert len(seen) == 1 and seen[0] is start
         assert res.loglik_trace == [real_stats(start, data).loglik]
 
+    def test_trial_points_whose_e_step_raises_score_inf(self, monkeypatch):
+        # every trial after the start fails, so the line search finds no step
+        data, start = _left_to_right_case()
+        real_stats = estimation.expected_stats
+        calls = []
+
+        def failing_after(first_ok):
+            def stats(model, *args, **kwargs):
+                calls.append(model)
+                if len(calls) > first_ok:
+                    raise NumericalUnderflow("trial point underflows")
+                return real_stats(model, *args, **kwargs)
+
+            return stats
+
+        monkeypatch.setattr(estimation, "expected_stats", failing_after(1))
+        res = fit_local(start, data, control=FitControl(local_max_iter=5))
+        assert len(calls) > 1 and res.model is start
+        assert (res.converged_by, res.local_iterations) == ("line_search", 0)
+        assert res.loglik_trace == [real_stats(start, data).loglik]
+        # a failure at the start itself stands
+        calls.clear()
+        monkeypatch.setattr(estimation, "expected_stats", failing_after(0))
+        with pytest.raises(NumericalUnderflow, match="trial point underflows"):
+            fit_local(start, data, control=FitControl(local_max_iter=5))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("case", ["hmm", "mixture"])
     def test_one_e_step_per_objective_evaluation(self, monkeypatch, case):
         if case == "hmm":
@@ -807,8 +839,21 @@ class TestGradient:
             np.testing.assert_allclose(a.initial, b.initial, atol=1e-14)
         np.testing.assert_allclose(mix.gamma, back.gamma, atol=1e-15)
 
+    def test_unpack_of_a_wrong_length_raises(self):
+        mix, _ = random_mixture(np.random.default_rng(224), 2, 2, [2], n_subjects=3)
+        pmap = ParameterMap(mix)
+        for theta in (np.zeros(pmap.n_params - 1), np.zeros((1, pmap.n_params))):
+            with pytest.raises(DimensionMismatch, match=rf"expected \({pmap.n_params},\)"):
+                pmap.unpack(theta)
+
 
 class TestGammaMStep:
+    def test_one_cluster_returns_the_zero_reference_at_once(self):
+        design = CovariateDesign(("a", "x"), np.column_stack([np.ones(4), np.arange(4.0)]))
+        fit = gamma_m_step(design, np.ones((4, 1)), [[0.5], [2.0]])
+        assert fit.gamma.tolist() == [[0.0], [0.0]]
+        assert (fit.converged, fit.iterations, fit.grad_max, fit.diagnostics) == (True, 0, 0.0, [])
+
     def test_intercept_only_closed_form(self):
         design = CovariateDesign.intercept(8)
         weights = np.tile([0.25, 0.75], (8, 1))

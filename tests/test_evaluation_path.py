@@ -7,8 +7,9 @@ that no function reaches a kernel through its tracer alias, that only
 ``_evaluate``, the rescue and a fit build a kernel workspace, and that no
 module but ``estimation`` imports from ``estimation`` (the CLI loads a
 stage's modules by name, not by an import statement).  It then checks the
-contracts both kernels keep: the same shapes for the same ``want``, and
-the same bits from a workspace they share as from a fresh one.
+contracts both kernels keep: the same shapes for the same ``want``, a
+ValueError for a ``want`` the kernel does not answer, and the same bits
+from a workspace they share as from a fresh one.
 """
 
 import ast
@@ -145,3 +146,15 @@ def test_scratch_array_asked_for_another_dtype_is_made_anew():
     wide = buf("back", (2, 3), np.uint16)
     narrow = buf("back", (2,), np.uint8)
     assert wide.dtype == np.uint16 and narrow.dtype == buf["back"].dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "mode, unanswered", [("scaled", ["paths", "pairs", "stat"]), ("log", ["stats", "pairs", None])]
+)
+def test_a_want_the_kernel_does_not_answer_raises(mode, unanswered):
+    # the scaled kernel answers loglik, full and stats, the log kernel loglik,
+    # full and paths; "pairs" is the rescue's direct call to the log kernel
+    m, data, _ = _models()[0]
+    for want in unanswered:
+        with pytest.raises(ValueError, match=f"{mode} mode answers .*, not {want!r}"):
+            _evaluate(m, data, want, mode=mode)

@@ -257,3 +257,23 @@ def test_log_emissions_that_underflow_as_a_product_are_summed():
     assert res.paths.tolist() == [[0, 0, 0]]
     assert res.log_joint == pytest.approx([want], rel=1e-14)
     assert mq.posterior_state_probs(hmm, data, mode="log").tolist() == [[[1.0]] * 3]
+
+
+def test_log_emissions_that_underflow_across_the_leading_group_are_summed():
+    # 41 * 31 joint codes exceed one lookup, so channel y is looked up after
+    # channel x; each emits symbol 0 at 1e-200, and their product at t = 0, 2
+    # (1e-400) is 0 in floating point
+    x, y = (mq.Alphabet(tuple(f"{c}{j}" for j in range(m))) for c, m in (("x", 40), ("y", 30)))
+    rows = [[[1e-200] + [1.0 / (a.size - 1)] * (a.size - 1)] for a in (x, y)]
+    hmm = mq.build_hmm([x, y], initial=[1.0], transition=[[1.0]], emissions=rows,
+                       channel_names=("x", "y"))
+    data = mq.SequenceDataset(
+        (mq.Channel("x", x, np.array([[0, 1, 0]])), mq.Channel("y", y, np.array([[0, 1, 0]]))),
+        ("s1",),
+    )
+    want = 4 * math.log(1e-200) + math.log(1 / 39) + math.log(1 / 29)  # -1849.10
+    for mode in ("log", "scaled"):  # the scaled pass underflows, and the log pass rescues it
+        assert mq.log_likelihood(hmm, data, mode=mode) == pytest.approx(want, rel=1e-14)
+    res = mq.viterbi_paths(hmm, data)
+    assert res.paths.tolist() == [[0, 0, 0]]
+    assert res.log_joint == pytest.approx([want], rel=1e-14)

@@ -37,6 +37,7 @@ from markovseq.estimation import expected_stats
 from markovseq.inference import (
     _clusters_and_inits,
     _evaluate,
+    _leading_group,
     _run_chunked,
     _scaled_pass,
     _Workspace,
@@ -53,6 +54,7 @@ from helpers import (
     with_unchecked_emissions,
 )
 from oracles import enumerate_loglik, enumerate_posterior, enumerate_viterbi
+from test_log_viterbi_reference import _ref_viterbi_paths
 
 
 def _coin_model():
@@ -184,6 +186,14 @@ class TestForwardBackward:
 
         with pytest.raises(AlphabetMismatch):
             forward_backward(model, other)
+
+    def test_channel_count_mismatch_rejected(self):
+        rng = np.random.default_rng(106)
+        model = random_hmm(rng, 2, [2])
+        other = random_dataset(rng, random_hmm(rng, 2, [2, 2]), 2, 3)
+        for mode in ("scaled", "log"):
+            with pytest.raises(AlphabetMismatch, match="model has 1 channels, data has 2"):
+                log_likelihood(model, other, mode=mode)
 
 
 class TestPosterior:
@@ -549,6 +559,20 @@ class TestMixturePath:
             with pytest.raises(error, match="subject_initials row 1"):
                 call()
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 2), (6,)])
+    def test_subject_initials_of_another_shape_rejected(self, shape):
+        rng = np.random.default_rng(166)
+        model = random_hmm(rng, 2, [3])
+        data = random_dataset(rng, model, 3, 4)
+        initials = np.full(shape, 0.5)
+        for call in (
+            lambda: forward_backward(model, data, subject_initials=initials),
+            lambda: viterbi_paths(model, data, subject_initials=initials),
+        ):
+            with pytest.raises(AlphabetMismatch) as err:
+                call()
+            assert str(err.value) == f"subject_initials shape {shape}, expected (3, 2)"
+
     def test_subject_initials_renormalized_on_a_copy(self):
         # a row inside the tolerance is renormalized as a model's row is,
         # and the caller's array is left alone
@@ -766,3 +790,38 @@ class TestWorkspace:
         for threads in (1, 2, 3):
             with pytest.raises(NumericalUnderflow, match="chunk 1"):
                 _run_chunked(fn, 4 * 512, threads)
+
+
+class TestLogTables:
+    """Log mode's tables for a model whose channels do not all fit in the
+    leading group: 41 * 31 joint codes exceed ``_JOINT_CODES``, so channel 0
+    is looked up alone and channels 1 and 2 one by one after it."""
+
+    SIZES = [40, 30, 3]
+
+    def _case(self, n_subjects, n_time):
+        rng = np.random.default_rng(172)
+        model = random_hmm(rng, 3, self.SIZES)
+        return model, random_dataset(rng, model, n_subjects, n_time, missing_rate=0.1)
+
+    def test_channels_beyond_the_leading_group_are_looked_up_alone(self):
+        assert _leading_group([m + 1 for m in self.SIZES]) == 1
+        _, data = self._case(5, 4)
+        assert len(_Workspace(data).lookup[0]) == 3
+
+    def test_log_mode_matches_scaled_mode_and_path_enumeration(self):
+        model, data = self._case(6, 4)
+        log = _evaluate(model, data, "loglik", mode="log")[0]
+        np.testing.assert_allclose(log, _evaluate(model, data, "loglik")[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(log, enumerate_loglik(model, data), rtol=1e-12, atol=0)
+        joint, maximizers = enumerate_viterbi(model, data)
+        res = viterbi_paths(model, data)
+        np.testing.assert_allclose(res.log_joint, joint, rtol=1e-12, atol=0)
+        assert all(tuple(p) in best for p, best in zip(res.paths.tolist(), maximizers))
+
+    def test_paths_match_the_log_of_product_reference(self):
+        # two chunks; the reference takes the log of the product over all channels
+        model, data = self._case(700, 9)
+        got, want = viterbi_paths(model, data), _ref_viterbi_paths(model, data)
+        np.testing.assert_array_equal(got.paths, want.paths)
+        np.testing.assert_allclose(got.log_joint, want.log_joint, rtol=1e-13, atol=0)

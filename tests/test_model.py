@@ -549,6 +549,32 @@ class TestSerialization:
         with pytest.raises(ShapeMismatch, match="transition"):
             model_from_json(doc)
 
+    @pytest.mark.parametrize("where, first", [("initial", True), ("gamma", False)])
+    def test_boolean_entry_rejected_on_load(self, where, first):
+        # numpy would read true/false as 1.0/0.0, both valid values here
+        if where == "initial":
+            doc = json.loads(json.dumps(model_to_json(_two_state_model())))
+            doc["initial"] = [True, False]
+        else:
+            doc = json.loads(json.dumps(model_to_json(build_mhmm([_two_state_model()] * 2))))
+            doc["gamma"] = [[False, True]]
+        with pytest.raises(InvalidParameter, match=f"{where} entry {first} is not a number"):
+            model_from_json(doc)
+
+    @pytest.mark.parametrize("kind", ["mixture", 7, None, "MHMM"])
+    def test_unknown_type_rejected_on_load(self, kind):
+        mix = build_mhmm([_two_state_model()] * 2)
+        model = mix if kind == "MHMM" else _two_state_model()
+        doc = json.loads(json.dumps(model_to_json(model)))
+        doc["type"] = kind
+        with pytest.raises(InvalidParameter, match=f"'type' {kind!r} is neither"):
+            model_from_json(doc)
+
+    def test_absent_type_means_an_hmm(self):
+        doc = json.loads(json.dumps(model_to_json(_two_state_model())))
+        del doc["type"]
+        assert model_to_json(model_from_json(doc)) == model_to_json(_two_state_model())
+
     def test_probabilities_serialized_as_text(self):
         rng = np.random.default_rng(20)
         m = random_hmm(rng, 2, [2])
