@@ -34,7 +34,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -64,6 +64,7 @@ _COLLABORATORS = {
         "trim_model",
     ),
     "inference": (
+        "_criteria",
         "information_criteria",
         "log_likelihood",
         "mixture_summary",
@@ -196,9 +197,10 @@ def _writing(path: Path):
         raise UnwritableOutput(f"output {str(path)!r} cannot be written: {reason}") from err
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text) -> None:
+    """Write ``text``, a str or its UTF-8 bytes, to ``path``."""
     with _writing(path):
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode() if isinstance(text, str) else text)
 
 
 def _finite(obj):
@@ -276,9 +278,10 @@ def _byte_rows(texts) -> np.ndarray:
     return rows.reshape(len(raw), width)
 
 
-def _csv_table(header, ids, columns, values=None) -> str:
-    """The CSV text of the ``header`` fields and R rows per subject: its id,
-    the fields ``columns`` pick, then ``values``' ``'%.17g'`` text.
+def _csv_table(header, ids, columns, values=None) -> bytes:
+    """The CSV text, in UTF-8 bytes, of the ``header`` fields and R rows per
+    subject: its id, the fields ``columns`` pick, then ``values``'
+    ``'%.17g'`` text.
 
     The one writer of the CLI's CSV tables, so one dialect: fields as
     ``_csv_field`` writes them, comma-separated, LF after each row.  A
@@ -287,6 +290,7 @@ def _csv_table(header, ids, columns, values=None) -> str:
     side, MISSING (-1) the last.  ``values`` (N, R, S) go through
     ``floattext.g17_fields``.  A block of subjects' rows is a byte matrix
     of about ``_BLOCK_BYTES``, padded with 0xFF, which is then deleted.
+    The bytes are written as they are, never decoded to be encoded again.
     """
     ids = _byte_rows(map(_csv_field, ids))
     tables = [(_byte_rows("," + _csv_field(e) for e in entries), codes) for entries, codes in columns]
@@ -310,7 +314,7 @@ def _csv_table(header, ids, columns, values=None) -> str:
             rows[:, :, at : at + part.shape[2]] = part
             at += part.shape[2]
         text += rows.tobytes().translate(None, b"\xff")
-    return text.decode()
+    return text
 
 
 def _times(n_subjects: int, n_time: int):
@@ -350,14 +354,14 @@ class _Done(NamedTuple):
     """What a handler hands ``main``: the ``<command>_result.json`` document,
     the ``run.log`` lines, and where stdout shows something else, its text
     lines (default: the first log line), its ``--format json`` document
-    (default: ``result``) and the table ``--format csv`` prints (default:
-    the text lines)."""
+    (default: ``result``) and the CSV bytes whose text ``--format csv``
+    prints (default: the text lines)."""
 
     result: dict
     log: list
     text: Optional[list] = None
     shown: Optional[dict] = None
-    table: Optional[str] = None
+    table: Optional[bytes] = None
 
 
 class _UsageError(Exception):
@@ -391,7 +395,7 @@ def _cmd_fit(args, out: Path) -> _Done:
     given = {f.name: getattr(args, f.name) for f in fields(FitControl)}
     control = FitControl(**{name: v for name, v in given.items() if v is not None})
     res = fit_model(model, data, design, control)
-    ic = information_criteria(res.model, data, design, args.mode)
+    ic = _criteria(res.model, data, res.loglik)  # the BIC of the log-likelihood it reports
     _write_json(out / "model_fitted.json", model_to_json(res.model))
     result = {
         "loglik": res.loglik,
@@ -420,13 +424,13 @@ def _cmd_bic(args, out: Path) -> _Done:
     data, model, design = _inputs(args)
     ic = information_criteria(model, data, design, args.mode)
     return _Done(
-        {"loglik": ic.loglik, "p": ic.p, "nobs": ic.nobs, "bic": ic.bic},
+        asdict(ic),
         [f"bic {ic.bic!r} (p={ic.p}, nobs={ic.nobs!r})"],
         [f"loglik {ic.loglik}", f"p {ic.p}", f"nobs {ic.nobs}", f"bic {ic.bic}"],
     )
 
 
-def _paths_table(subject_ids, model, paths) -> str:
+def _paths_table(subject_ids, model, paths) -> bytes:
     """paths.csv for an (N, T) array of combined states: a ``subject_id,t,state``
     row per cell, and for a mixture the cluster that owns the state."""
     space = _state_space(model)
@@ -579,7 +583,7 @@ def main(argv=None) -> int:
         if args.format == "json":
             print(_json_text(done.result if done.shown is None else done.shown))
         elif args.format == "csv" and done.table is not None:
-            print(done.table, end="")
+            print(done.table.decode(), end="")
         else:
             print(*(done.text or done.log[:1]), sep="\n")
         _write_log(out, log)

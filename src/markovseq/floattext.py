@@ -131,8 +131,9 @@ def g17_fields(values, sep):
     carry = D == 10**17  # y rounded up into the next decade
     D[carry], X[carry] = 10**16, X[carry] + 1
     # the source rows, 4 bytes at a time: exponent digits and the leading
-    # digit, then the other 16 digits in groups of 4
-    upper, lower = np.divmod(D, 10**8)
+    # digit, then the other 16 digits in groups of 4; D < 10**17 splits into
+    # halves below 10**9, whose divmods run in int32, about twice as fast
+    upper, lower = (half.astype(np.int32) for half in np.divmod(D, 10**8))
     lead, upper = np.divmod(upper, 10**8)
     groups = [*np.divmod(upper, 10**4), *np.divmod(lower, 10**4)]
     src = np.empty((v.size, 7), np.uint32)

@@ -29,7 +29,7 @@ model cannot produce has log-likelihood -inf in both modes;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -364,6 +364,32 @@ def _pair_logliks(alpha, c) -> np.ndarray:
     return ll
 
 
+def _possible(hmms, A, init, workspace, subjects) -> np.ndarray:
+    """Whether cluster k has a path of positive probability for subject i,
+    (K, len(subjects)) for the sorted ``subjects`` of ``workspace``: a
+    forward pass over the supports of A (K, S, S), ``init`` (K, S, N) and
+    the emission tables of clusters ``hmms``.  The tables are built as
+    ``_lookup_tables`` builds them, with ``np.logical_and``, and read through
+    the chunks' lookup codes; each step is a boolean matmul, never
+    normalised, so no positive entry can underflow at any T.  A pair is
+    impossible here exactly where ``_log_pass`` gives it -inf."""
+    tables = _lookup_tables([t > 0 for t in _channel_tables(hmms)], np.logical_and)
+    to_from = (A > 0).swapaxes(1, 2)
+    spans = _chunk_spans(workspace.data.n_subjects)
+    found = []
+    cuts = np.searchsorted(subjects, [b for _, b in spans[:-1]])
+    for lookup, (a, _), chunk in zip(workspace.lookup, spans, np.split(subjects, cuts)):
+        codes = [code[:, chunk - a] for code in lookup]
+        e = np.take(tables[0], codes[0], axis=2)  # (K, S, T, n)
+        for table, code in zip(tables[1:], codes[1:]):
+            e &= np.take(table, code, axis=2)
+        x = (init[:, :, chunk] > 0) & e[:, :, 0]
+        for t in range(1, e.shape[2]):
+            x = np.matmul(to_from, x) & e[:, :, t]
+        found.append(x.any(axis=1))
+    return np.concatenate(found, axis=1)
+
+
 def _loglik_and_rho(ll):
     """loglik_i = logsumexp_k l_ik of pair log-likelihoods ``ll`` (K, n) and the
     cluster posteriors rho_ik = exp(l_ik - loglik_i), NaN for a subject at -inf."""
@@ -383,12 +409,13 @@ def _scaled_pass(hmms, data, inits, threads, want, workspace):
     for an impossible pair (``_pair_logliks``).
     The backward pass starts from beta[T-1] = rho_ik, so alpha * beta and
     the E-step statistics come out weighted by rho (0 at -inf).  A NaN l_ik
-    raises; a subject with a pair at -inf is scored again by ``_log_pass``:
-    a pair at -inf there too is impossible (``"stats"`` raises for a subject
-    impossible in every cluster), a finite one underflowed.  For a subject
-    with an underflowed pair ``"loglik"`` returns the log pass's (loglik,
-    rho), and the others raise NumericalUnderflow if that pair's rho is not
-    0.  ``want`` selects
+    raises.  A pair at -inf is impossible where its supports say so
+    (``_possible``, which agrees with ``_log_pass``; ``"stats"`` raises for a
+    subject impossible in every cluster); otherwise it underflowed, and its
+    subject is scored again by ``_log_pass``.  For a subject with an
+    underflowed pair ``"loglik"`` returns the log pass's (loglik, rho), and
+    the others raise NumericalUnderflow if that pair's rho is not 0.
+    ``want`` selects
     ``"loglik"``: (loglik (N,), rho (N, K)) from the forward pass only;
     ``"full"``: (alpha, beta, scaling, loglik), alpha and beta (N, T, sum
     S_k) side by side as in ``combine_clusters``, normalizers (K, N, T);
@@ -452,13 +479,13 @@ def _scaled_pass(hmms, data, inits, threads, want, workspace):
     _run_chunked(work, N, threads)
     _require_possible(pairs, data, divides=False)
     lost = np.flatnonzero(np.isneginf(pairs).any(axis=0))
+    if lost.size:  # a pair at -inf that the supports make possible underflowed
+        possible = _possible(hmms, A, init, workspace, lost)
+        lost = lost[(np.isneginf(pairs[:, lost]) & possible).any(axis=0)]
     if lost.size:
         channels = [Channel(ch.name, ch.alphabet, ch.codes[lost]) for ch in data.channels]
         lost_ws = _Workspace(SequenceDataset(channels, [data.subject_ids[i] for i in lost]))
         ll = _log_pass(hmms, lost_ws.data, [p[lost] for p in inits], threads, "pairs", lost_ws)
-        # a pair at -inf in log space too is impossible; a finite one underflowed
-        rescued = (np.isneginf(pairs[:, lost]) & np.isfinite(ll)).any(axis=0)
-        lost, ll = lost[rescued], ll[:, rescued]
         total, r = _loglik_and_rho(ll)
         dropped = (np.isneginf(pairs[:, lost]) & (r > 0)).any(axis=0)
         if want == "loglik":
@@ -792,21 +819,14 @@ class MixtureSummary:
     diagnostics: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "cluster_names": list(self.cluster_names),
-            "covariate_names": list(self.covariate_names),
-            "gamma": self.gamma.tolist(),
-            "gamma_se": self.gamma_se.tolist(),
-            "loglik": self.loglik,
-            "bic": self.bic,
-            "p": self.p,
-            "nobs": self.nobs,
-            "prior_means": self.prior_means.tolist(),
-            "assigned_counts": self.assigned_counts.tolist(),
-            "assigned_proportions": self.assigned_proportions.tolist(),
-            "classification_table": self.classification_table.tolist(),
-            "diagnostics": list(self.diagnostics),
-        }
+        """Every field by name, in field order, with arrays and tuples as lists."""
+
+        def plain(value):
+            if isinstance(value, np.ndarray):
+                return value.tolist()
+            return list(value) if isinstance(value, (tuple, list)) else value
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     def to_text(self) -> str:
         lines = []

@@ -746,6 +746,8 @@ def _hmm_from_json(doc, where: str) -> HmmModel:
     """The HMM of a model document; see ``model_from_json``."""
     keys = ("state_names", "channel_names", "alphabets", "initial", "transition", "emissions")
     doc = _object(doc, where, keys + ("zero_mask",))
+    if doc.get("type", "hmm") != "hmm":  # a cluster's own type, where it has one
+        raise InvalidParameter(f"{where}: 'type' {doc['type']!r} is not 'hmm'")
     masks = _object(doc["zero_mask"], f"{where}: 'zero_mask'", keys[3:])
     return HmmModel(
         state_names=_strings(doc["state_names"], f"{where}: 'state_names'"),
@@ -788,8 +790,9 @@ def model_from_json(doc) -> Model:
 
     A document of the wrong structure (not an object, a key missing, a list
     that is something else) raises ShapeMismatch; a ``type`` other than
-    ``"hmm"`` (the default) or ``"mhmm"``, a name or token that is not a
-    string, or an array entry that is not a number InvalidParameter; values
+    ``"hmm"`` (the default) or ``"mhmm"``, a cluster document's ``type``
+    other than ``"hmm"``, a name or token that is not a string, or an array
+    entry that is not a number InvalidParameter; values
     are then checked as for any model.
     """
     doc = _object(doc, "model document")

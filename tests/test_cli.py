@@ -615,6 +615,51 @@ class TestFit:
         assert fit["converged_by"] == "line_search"
         assert 0 < fit["local_iterations"] < 100000
 
+    @staticmethod
+    def _fit(tmp_path, *flags):
+        """fit_result.json of a fit on 300 simulated subjects with 10% missing."""
+        rng = np.random.default_rng(33)
+        if not (tmp_path / "dataset_manifest.json").exists():
+            data, _ = simulate_hmm_data(random_hmm(rng, 3, [4, 2]), 300, 12, 0, missing_rate=0.1)
+            _write_dataset_files(data, tmp_path, "dataset")
+            _model_file(tmp_path, random_hmm(rng, 3, [4, 2]))
+        out = tmp_path / "_".join(["fit", *flags])
+        argv = ["fit", "--manifest", str(tmp_path / "dataset_manifest.json"),
+                "--model", str(tmp_path / "model.json"), "--em-max-iter", "20",
+                "--local-max-iter", "3", "--out", str(out), *flags]
+        assert main(argv) == 0
+        return out, json.loads((out / "fit_result.json").read_text())
+
+    @pytest.mark.parametrize("local_step", [False, True])
+    def test_fit_builds_no_workspace_beyond_its_fit(self, tmp_path, monkeypatch, local_step):
+        # one for EM and one for the local step; the criteria reuse the fit's log-likelihood
+        from markovseq import estimation, inference
+
+        built = []
+
+        class Counted(inference._Workspace):
+            def __init__(self, data):
+                built.append(data.n_subjects)
+                super().__init__(data)
+
+        monkeypatch.setattr(inference, "_Workspace", Counted)
+        monkeypatch.setattr(estimation, "_Workspace", Counted)
+        self._fit(tmp_path, *["--local-step"] * local_step)
+        assert built == [300] * (1 + local_step)
+
+    @pytest.mark.parametrize("mode", ["scaled", "logspace"])
+    def test_fit_bic_is_that_of_the_loglik_it_reports(self, tmp_path, mode):
+        from markovseq import ingest_dataset, information_criteria, model_from_json
+
+        out, fit = self._fit(tmp_path, "--mode", mode)
+        assert fit["bic"] == -2.0 * fit["loglik"] + fit["p"] * np.log(fit["nobs"])
+        # the same fit in either mode; in scaled mode the bic command's figure
+        assert self._fit(tmp_path)[1] == fit
+        data, _ = ingest_dataset(tmp_path / "dataset_manifest.json")
+        fitted = model_from_json(json.loads((out / "model_fitted.json").read_text()))
+        if mode == "scaled":
+            assert information_criteria(fitted, data).bic == fit["bic"]
+
 
 class TestViterbi:
     def test_markov_model_paths_equal_observations(self, tmp_path):
@@ -651,9 +696,8 @@ class TestViterbi:
             clusters = ["Cluster 2", "Cluster 1", "k,1", "Cluster 2"]
             columns.append((clusters, np.repeat(np.arange(4)[:, None], n_time, axis=1)))
         header = ("subject_id", "t", "state", "cluster")[: 3 + with_clusters]
-        assert _csv_table(header, ids, columns).encode() == (
-            _ref_paths_csv(ids, names, paths, clusters).encode()
-        )
+        want = _ref_paths_csv(ids, names, paths, clusters).encode()
+        assert _csv_table(header, ids, columns) == want
 
     def test_mixture_csv_stdout_matches_file_and_csv_writer(self, workspace, capsys):
         tmp_path, manifest = workspace
@@ -734,7 +778,7 @@ class TestPosterior:
         ]
         want = _csv_writer_text(["subject_id", "t", *names], rows)
         got = _csv_table(("subject_id", "t", *names), ids, [_times(4, 5)], post)
-        assert got.encode() == want.encode()
+        assert got == want.encode()
 
     @pytest.mark.parametrize("mode", ["scaled", "logspace"])
     @pytest.mark.parametrize("mixture", [False, True])

@@ -570,6 +570,15 @@ class TestSerialization:
         with pytest.raises(InvalidParameter, match=f"'type' {kind!r} is neither"):
             model_from_json(doc)
 
+    @pytest.mark.parametrize("kind", ["mhmm", 42, None])
+    def test_cluster_type_other_than_hmm_rejected_on_load(self, kind):
+        doc = json.loads(json.dumps(model_to_json(build_mhmm([_two_state_model()] * 2))))
+        doc["clusters"][1]["type"] = kind
+        with pytest.raises(InvalidParameter, match=f"cluster 1: 'type' {kind!r} is not 'hmm'"):
+            model_from_json(doc)
+        del doc["clusters"][1]["type"]  # a cluster without a type is an HMM
+        model_from_json(doc)
+
     def test_absent_type_means_an_hmm(self):
         doc = json.loads(json.dumps(model_to_json(_two_state_model())))
         del doc["type"]

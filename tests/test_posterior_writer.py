@@ -24,20 +24,20 @@ from markovseq.floattext import WIDTH, g17_fields
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
-def _posterior_csv(subject_ids, state_names, post) -> str:
-    """posterior.csv's text, as the ``posterior`` command lays it out."""
+def _posterior_csv(subject_ids, state_names, post) -> bytes:
+    """posterior.csv's bytes, as the ``posterior`` command lays them out."""
     header = ("subject_id", "t", *state_names)
     return _csv_table(header, subject_ids, [_times(*post.shape[:2])], post)
 
 
-def _ref_posterior_csv(subject_ids, state_names, post) -> str:
-    """The same table from ``csv.writer``, one row per cell."""
+def _ref_posterior_csv(subject_ids, state_names, post) -> bytes:
+    """The same table from ``csv.writer``, one row per cell, in UTF-8."""
     fh = io.StringIO()
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["subject_id", "t", *state_names])
     for sid, probs in zip(subject_ids, post):
         writer.writerows([sid, t, *("%.17g" % p for p in row)] for t, row in enumerate(probs, 1))
-    return fh.getvalue()
+    return fh.getvalue().encode()
 
 
 def _wrong(values) -> list:
@@ -51,9 +51,9 @@ def _wrong(values) -> list:
     return [(x, g, "%.17g" % x) for x, g in zip(values.tolist(), got) if g != "%.17g" % x][:5]
 
 
-def _first_difference(got: str, want: str):
+def _first_difference(got: bytes, want: bytes):
     """The first differing line of two tables as (index, got, want), or None."""
-    for i, pair in enumerate(itertools.zip_longest(got.split("\n"), want.split("\n"))):
+    for i, pair in enumerate(itertools.zip_longest(got.split(b"\n"), want.split(b"\n"))):
         if pair[0] != pair[1]:
             return i, *pair
     return None
@@ -178,7 +178,7 @@ def test_table_equals_csv_writer(N, T, S):
     names = tuple(f"State {s + 1}" for s in range(S))
     got, want = _posterior_csv(ids, names, post), _ref_posterior_csv(ids, names, post)
     assert _first_difference(got, want) is None
-    assert got.encode() == want.encode()
+    assert got == want
 
 
 def test_blocks_with_a_short_last_one_equal_csv_writer():
@@ -192,7 +192,7 @@ def test_blocks_with_a_short_last_one_equal_csv_writer():
     names = ("x", "y,z", "%s")
     got, want = _posterior_csv(ids, names, post), _ref_posterior_csv(ids, names, post)
     assert _first_difference(got, want) is None
-    assert got.encode() == want.encode()
+    assert got == want
 
 
 def test_empty_tables_equal_csv_writer():
