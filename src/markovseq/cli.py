@@ -397,18 +397,10 @@ def _cmd_fit(args, out: Path) -> _Done:
     res = fit_model(model, data, design, control)
     ic = _criteria(res.model, data, res.loglik)  # the BIC of the log-likelihood it reports
     _write_json(out / "model_fitted.json", model_to_json(res.model))
-    result = {
-        "loglik": res.loglik,
-        "restart_logliks": res.restart_logliks,
-        "em_iterations": res.em_iterations,
-        "local_iterations": res.local_iterations,
-        "converged_by": res.converged_by,
-        "diagnostics": res.diagnostics,
-        "p": ic.p,
-        "nobs": ic.nobs,
-        "bic": ic.bic,
-        "control": control.to_dict(),
-    }
+    # the model is model_fitted.json; ic.loglik is res.loglik, so it keeps its first place
+    kept = [f.name for f in fields(res) if f.name not in ("model", "loglik_trace")]
+    result = {name: getattr(res, name) for name in kept}
+    result.update(asdict(ic), control=control.to_dict())
     log = [f"fit: loglik {res.loglik!r} after {res.em_iterations} EM E-steps "
            f"({res.converged_by})", *res.diagnostics]
     return _Done(result, log, [f"loglik {res.loglik}", f"bic {ic.bic}"])

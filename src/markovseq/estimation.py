@@ -33,7 +33,7 @@ the likelihood unchanged to double precision.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -174,10 +174,10 @@ def expected_stats(
     return EStats(float(ll.sum()), rho, counts)
 
 
-def _m_step(m: Model, stats: EStats, design, flagged: set) -> Model:
+def _m_step(m: Model, stats: EStats, design, flagged: set, notes: Optional[set] = None) -> Model:
     """M-step: every count row normalized (rows without mass keep their
     current values and are named in ``flagged``), then a mixture's
-    covariate coefficients."""
+    covariate coefficients, whose Newton step's diagnostics go to ``notes``."""
     mixture = isinstance(m, MixtureModel)
     values = []
     for b, counts in zip(_blocks(m), stats.counts):
@@ -188,7 +188,10 @@ def _m_step(m: Model, stats: EStats, design, flagged: set) -> Model:
         values.append(np.divide(counts, totals, out=b.values.copy(), where=totals > 0))
     gamma = None
     if mixture and m.n_clusters > 1:
-        gamma = gamma_m_step(design, stats.rho, m.gamma).gamma
+        fit = gamma_m_step(design, stats.rho, m.gamma)
+        gamma = fit.gamma
+        if notes is not None:
+            notes.update(fit.diagnostics)
     return _with_blocks(m, values, gamma=gamma)
 
 
@@ -234,9 +237,9 @@ def _em_model(template: Model, x: np.ndarray) -> Model:
 class _EmRun(NamedTuple):
     model: Model
     loglik: float
-    e_steps: int
+    em_iterations: int
     converged_by: str
-    trace: list[float]
+    loglik_trace: list[float]
     diagnostics: list[str]
 
 
@@ -260,8 +263,12 @@ def _em_once(m: Model, data, design, control: FitControl, workspace) -> _EmRun:
     ``em_max_iter`` E-steps, rejected proposals included.  The model a capped
     run holds then (the start or an EM map's output) is scored by a forward
     pass in the workspace, which is not counted.
+
+    The run's diagnostics name every row an M-step kept for want of mass,
+    then each distinct note of the gamma Newton step, once.
     """
     flagged: set = set()
+    notes: set = set()
     trace: list[float] = []
     e_steps = 0
 
@@ -281,6 +288,7 @@ def _em_once(m: Model, data, design, control: FitControl, workspace) -> _EmRun:
 
     def done(model, converged_by):
         diagnostics = [f"empty_posterior: {w} kept at current values" for w in sorted(flagged)]
+        diagnostics += [f"gamma_m_step: {note}" for note in sorted(notes)]
         return _EmRun(model, trace[-1], e_steps, converged_by, trace, diagnostics)
 
     cap = control.em_max_iter
@@ -289,14 +297,14 @@ def _em_once(m: Model, data, design, control: FitControl, workspace) -> _EmRun:
         stats0 = e_step(current)
         if accepted(stats0):
             return done(current, "em_tol")
-        theta1 = _m_step(current, stats0, design, flagged)
+        theta1 = _m_step(current, stats0, design, flagged, notes)
         if e_steps == cap:
             current = theta1
             break
         stats1 = e_step(theta1)
         if accepted(stats1):
             return done(theta1, "em_tol")
-        theta2 = _m_step(theta1, stats1, design, flagged)
+        theta2 = _m_step(theta1, stats1, design, flagged, notes)
         x0 = _em_vector(current)
         r = _em_vector(theta1) - x0
         v = _em_vector(theta2) - x0 - 2.0 * r
@@ -321,7 +329,7 @@ def _em_once(m: Model, data, design, control: FitControl, workspace) -> _EmRun:
             point, stats = theta2, e_step(theta2)
         if accepted(stats, em_map=point is theta2):
             return done(point, "em_tol")
-        current = _m_step(point, stats, design, flagged)
+        current = _m_step(point, stats, design, flagged, notes)
     # E-step cap: score the last EM map's output by a forward pass, as
     # log_likelihood would but in the workspace
     ll = _evaluate(current, data, "loglik", design, threads=control.threads, workspace=workspace)[0]
@@ -358,14 +366,7 @@ def fit_em(
         runs.append(_em_once(start, data, design, control, workspace))
     best = max(runs, key=lambda run: run.loglik)
     return FitResult(
-        model=best.model,
-        loglik=best.loglik,
-        restart_logliks=[run.loglik for run in runs],
-        em_iterations=best.e_steps,
-        local_iterations=0,
-        converged_by=best.converged_by,
-        loglik_trace=best.trace,
-        diagnostics=best.diagnostics,
+        **best._asdict(), restart_logliks=[run.loglik for run in runs], local_iterations=0
     )
 
 
@@ -633,13 +634,10 @@ def fit_model(
     if not control.local_step:
         return em
     loc = fit_local(em.model, data, design, control)
-    return FitResult(
-        model=loc.model,
-        loglik=loc.loglik,
+    return replace(
+        loc,
         restart_logliks=em.restart_logliks,
         em_iterations=em.em_iterations,
-        local_iterations=loc.local_iterations,
-        converged_by=loc.converged_by,
         loglik_trace=em.loglik_trace + loc.loglik_trace[1:],
         diagnostics=em.diagnostics + loc.diagnostics,
     )

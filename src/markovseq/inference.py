@@ -29,7 +29,7 @@ model cannot produce has log-likelihood -inf in both modes;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -900,10 +900,7 @@ def mixture_summary(
         covariate_names=mix.design_names,
         gamma=mix.gamma,
         gamma_se=se,
-        loglik=ic.loglik,
-        bic=ic.bic,
-        p=ic.p,
-        nobs=ic.nobs,
+        **asdict(ic),
         prior_means=w.mean(axis=0),
         assigned_counts=counts,
         assigned_proportions=counts / max(data.n_subjects, 1),

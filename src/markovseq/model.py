@@ -756,16 +756,16 @@ def _hmm_from_json(doc, where: str) -> HmmModel:
             _alphabet(a, "labels", f"{where}: alphabet {c}")
             for c, a in enumerate(_list(doc["alphabets"], f"{where}: 'alphabets'"))
         ),
-        initial=_parse_array(doc["initial"], "initial"),
-        transition=_parse_array(doc["transition"], "transition"),
+        initial=_parse_array(doc["initial"], f"{where}: initial"),
+        transition=_parse_array(doc["transition"], f"{where}: transition"),
         emissions=tuple(
-            _parse_array(b, f"emission[{c}]")
+            _parse_array(b, f"{where}: emission[{c}]")
             for c, b in enumerate(_list(doc["emissions"], f"{where}: 'emissions'"))
         ),
-        initial_mask=_parse_mask(masks["initial"], "initial"),
-        transition_mask=_parse_mask(masks["transition"], "transition"),
+        initial_mask=_parse_mask(masks["initial"], f"{where}: initial"),
+        transition_mask=_parse_mask(masks["transition"], f"{where}: transition"),
         emission_masks=tuple(
-            _parse_mask(mk, f"emission[{c}]")
+            _parse_mask(mk, f"{where}: emission[{c}]")
             for c, mk in enumerate(_list(masks["emissions"], f"{where}: mask 'emissions'"))
         ),
     )

@@ -14,11 +14,14 @@ from markovseq import (
     Alphabet,
     Channel,
     CovariateDesign,
+    FitControl,
     SequenceDataset,
     build_hmm,
     build_mhmm,
+    fit_model,
     model_to_json,
     simulate_hmm_data,
+    simulate_mhmm_data,
 )
 from markovseq.cli import _csv_table, _safe_name, _times, _write_dataset_files, main
 from markovseq.errors import EmptyDataset
@@ -847,6 +850,49 @@ class TestSummaryAndSimulate:
         # covariate coefficients moved away from zero during fitting
         gamma = np.array(fitted["gamma"], dtype=float)
         assert gamma.shape == (2, 2)
+
+    def test_fit_reports_gamma_step_notes(self, tmp_path):
+        # x = -1 / +1 separates the clusters, so the gamma Newton step meets
+        # saturated weights and a singular Hessian on some M-steps; EM reports
+        # each distinct note once, in FitResult and in fit_result.json
+        alphabets = (Alphabet(("a", "b", "c")),)
+        n = 40
+        x = np.repeat([-1.0, 1.0], n // 2)
+        design = CovariateDesign(("(Intercept)", "x"), np.column_stack([np.ones(n), x]))
+        truth = build_mhmm(
+            [build_hmm(alphabets, n_states=2, rng_seed=s) for s in (1, 2)],
+            covariates=design,
+            gamma=[[0.0, 0.0], [0.0, 40.0]],
+        )
+        data, _, _ = simulate_mhmm_data(truth, design, n, 10, 1)
+        start = build_mhmm(
+            [build_hmm(alphabets, n_states=2, rng_seed=s) for s in (3, 4)], covariates=design
+        )
+
+        def check(diagnostics):
+            assert "gamma_m_step: singular_hessian: gradient step used" in diagnostics
+            assert all(d.startswith("gamma_m_step: ") for d in diagnostics)
+            assert len(set(diagnostics)) == len(diagnostics)
+
+        control = FitControl(em_rel_tol=1e-6, em_max_iter=500)
+        check(fit_model(start, data, design, control).diagnostics)
+
+        channel = data.channels[0]
+        labels = channel.alphabet.labels
+        rows = [[labels[c] for c in row] for row in channel.codes]
+        manifest = write_manifest(
+            tmp_path, [(channel.name, labels, rows)], covariate_rows=x[:, None],
+            covariate_names=["x"],
+        )
+        out = tmp_path / "out"
+        args = ["fit", "--manifest", str(manifest), "--model", str(_model_file(tmp_path, start)),
+                "--em-rel-tol", "1e-6", "--em-max-iter", "500", "--out", str(out)]
+        assert main(args) == 0
+        # the CLI's design matrix is column-major, so its fit need not match
+        # the one above bit for bit
+        diagnostics = json.loads((out / "fit_result.json").read_text())["diagnostics"]
+        check(diagnostics)
+        assert (out / "run.log").read_text().splitlines()[-len(diagnostics):] == diagnostics
 
     def test_threads_default_comes_from_environment(self, monkeypatch):
         from markovseq.cli import build_parser

@@ -539,6 +539,26 @@ class TestSerialization:
         with pytest.raises(InvalidParameter, match="transition mask entry"):
             model_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "key, bad, error, message",
+        [
+            ("initial", ["x", "0.5"], InvalidParameter, "initial entry 'x' is not a number"),
+            ("emissions", None, ShapeMismatch, r"emission\[0\] has rows of unequal length"),
+            ("zero_mask", 2, InvalidParameter, "initial mask entry 2 is not a boolean, 0 or 1"),
+        ],
+    )
+    def test_cluster_entry_errors_name_the_cluster(self, key, bad, error, message):
+        doc = json.loads(json.dumps(model_to_json(build_mhmm([_two_state_model()] * 2))))
+        cluster = doc["clusters"][1]
+        if key == "initial":
+            cluster["initial"] = bad
+        elif key == "emissions":
+            cluster["emissions"][0][-1].pop()
+        else:
+            cluster["zero_mask"]["initial"][0] = bad
+        with pytest.raises(error, match=f"^cluster 1: {message}$"):
+            model_from_json(doc)
+
     def test_mask_entries_read_as_booleans_or_integers(self):
         doc = json.loads(json.dumps(model_to_json(_two_state_model())))
         doc["transition"][1] = ["0", "1"]
