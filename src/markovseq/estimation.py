@@ -17,6 +17,11 @@ Fitting is organized around three pieces:
   parameter vector.  The coordinates are unbounded, so L-BFGS-B's bounds
   would go unused; the numpy version spares each process the 0.5-0.7 s
   that importing ``scipy.optimize`` takes after numpy (2-core Xeon VM).
+  EM preconditions it (Jamshidian & Jennrich 1997, JRSS B 59:569-587): its
+  initial inverse Hessian is the inverse complete-data information from
+  the start's own E-step record (``_inverse_hessian``), so its first step,
+  of length 1, is close to an EM step, and the curvature pairs turn later
+  steps toward Newton steps.
 * ``loglik_gradient`` supplies the analytic gradient on that
   parameterization, assembled from forward-backward expectations.
 
@@ -451,6 +456,55 @@ def _gradient(model: Model, stats: EStats, pmap: ParameterMap, design) -> np.nda
     return np.concatenate(parts)
 
 
+def _inverse_hessian(model: Model, stats: EStats, pmap: ParameterMap, design):
+    """The inverse complete-data information at the model's values, from its
+    E-step record ``stats``, as a function ``q -> H0 q`` on ``ParameterMap``
+    coordinates: the local step's initial inverse Hessian.
+
+    A row with total count n, probabilities p, anchor a and coordinates c
+    has information n (diag(p_c) - p_c p_c') on c, whose inverse is
+    (diag(1/p_c) + 11'/p_a) / n by Sherman-Morrison.  A mixture's gamma
+    columns take the inverse of the logit information ``-_gamma_hessian``.
+    The identity stands in for a row with no expected count or an anchor at
+    the ``_LOG_CLAMP`` floor, for a coordinate at that floor, and for a
+    gamma information that is not positive definite.  So H0 is symmetric
+    positive definite, and -H0 g is close to an EM step.
+    """
+    diag, weight, row = [], [], []
+    n_rows = 0
+    blocks = zip(_blocks(model), stats.counts, pmap.free, pmap.anchors, pmap.coords)
+    for b, counts, free, anchor, coord in blocks:
+        n = np.where(free, counts, 0.0).sum(axis=-1, keepdims=True)
+        p_anchor = np.take_along_axis(b.values, anchor, axis=-1)
+        with np.errstate(divide="ignore", over="ignore"):
+            d, r = 1.0 / (n * b.values), 1.0 / (n * p_anchor)
+        ok = (n > 0) & (p_anchor > _LOG_CLAMP) & (b.values > _LOG_CLAMP)
+        ok &= np.isfinite(d) & np.isfinite(r)
+        diag.append(np.where(ok, d, 1.0)[coord])
+        # each row's rank-one part as v v', v = sqrt(1 / (n p_a)) on its coordinates
+        weight.append(np.where(ok, np.sqrt(r), 0.0)[coord])
+        row.append(np.nonzero(coord)[0] + n_rows)
+        n_rows += len(n)
+    diag, weight, row = (np.concatenate(part) for part in (diag, weight, row))
+    split = len(diag)
+    gamma_inv = np.eye(pmap.n_params - split)  # empty for an HMM
+    if split < pmap.n_params:
+        info = -_gamma_hessian(design.X, mixture_weights(model.gamma, design.X))
+        try:
+            root = np.linalg.inv(np.linalg.cholesky(info))
+            if np.isfinite(root).all():
+                gamma_inv = root.T @ root
+        except np.linalg.LinAlgError:
+            pass
+
+    def apply(q):
+        rows = q[:split]
+        sums = np.bincount(row, weights=weight * rows, minlength=n_rows)
+        return np.concatenate([diag * rows + weight * sums[row], gamma_inv @ q[split:]])
+
+    return apply
+
+
 def loglik_gradient(
     m: Model,
     data: SequenceDataset,
@@ -481,17 +535,23 @@ _MAX_TRIALS = 20
 
 
 def _lbfgs(fun, x, max_iter, grad_tol, callback):
-    """Minimize ``fun`` (returning value and gradient) by L-BFGS from ``x``.
+    """Minimize ``fun`` by L-BFGS from ``x``, preconditioned by the start.
 
-    Iterates until the gradient max-norm drops below ``grad_tol`` or for
+    ``fun(x)`` returns the value, the gradient and a function of no
+    arguments that builds the initial inverse Hessian H0 (a function
+    ``q -> H0 q``) from that point's own evaluation; only the start's is
+    built.  H0 stands where plain L-BFGS puts the scaling s'y / y'y, so the
+    first direction is -H0 g, and every first trial step is 1.  Iterates
+    until the gradient max-norm drops below ``grad_tol`` or for
     ``max_iter`` accepted steps; ``callback(f)`` sees each accepted value.
-    Steps satisfy the weak Wolfe conditions, with a first trial of
-    1/||d|| on the first iteration and 1 afterwards.  A line search that
-    fails with curvature pairs in memory is retried along -g with the memory
-    cleared, as L-BFGS-B does.  Returns ``(x, g, iterations, failed)``,
-    where ``failed`` marks a line search that found no acceptable step.
+    Steps satisfy the weak Wolfe conditions.  A line search that fails with
+    curvature pairs in memory is retried along -H0 g with the memory
+    cleared, as L-BFGS-B retries along -g.  Returns
+    ``(x, g, iterations, failed)``, where ``failed`` marks a line search
+    that found no acceptable step.
     """
-    f, g = fun(x)
+    f, g, inverse_hessian = fun(x)
+    h0 = inverse_hessian()
     pairs = deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / s.y), oldest first
     n_iter = 0
     while np.max(np.abs(g), initial=0.0) >= grad_tol and n_iter < max_iter:
@@ -500,17 +560,14 @@ def _lbfgs(fun, x, max_iter, grad_tol, callback):
         for s, y, rho in reversed(pairs):
             alphas.append(rho * (s @ q))
             q -= alphas[-1] * y
-        if pairs:
-            s, y, _ = pairs[-1]
-            q *= (s @ y) / (y @ y)
+        q = h0(q)
         for (s, y, rho), a in zip(pairs, reversed(alphas)):
             q += (a - rho * (y @ q)) * s
         d = -q
         slope = g @ d
         found = None
         if slope < 0:
-            step = 1.0 / np.linalg.norm(d) if n_iter == 0 else 1.0
-            found = _wolfe_step(fun, x, f, slope, d, step)
+            found = _wolfe_step(fun, x, f, slope, d, 1.0)
         if found is None:
             if pairs:
                 pairs.clear()
@@ -537,7 +594,7 @@ def _wolfe_step(fun, x, f, slope, d, step):
     """
     lo, f_lo, slope_lo, hi = 0.0, f, slope, np.inf
     for _ in range(_MAX_TRIALS):
-        f_new, g_new = fun(x + step * d)
+        f_new, g_new, _ = fun(x + step * d)
         # written as a difference, a trial that leaves f unchanged fails
         if not f_new - f <= _WOLFE_C1 * step * slope:
             hi = step
@@ -569,9 +626,12 @@ def fit_local(
     before, so the final log-likelihood never falls below the starting one.
     All gradient evaluations share one kernel workspace, built here.  The
     first value and gradient are those of ``m`` itself, and without an
-    accepted step ``m`` is returned.  A trial point whose E-step raises
-    ImpossibleData or NumericalUnderflow scores +inf; at ``m`` the error
-    stands.
+    accepted step ``m`` is returned.  The E-step record of that first
+    evaluation also gives L-BFGS its initial inverse Hessian, the inverse
+    complete-data information at ``m`` (``_inverse_hessian``), so every
+    evaluation is still one E-step and the first trial step is 1.  A trial
+    point whose E-step raises ImpossibleData or NumericalUnderflow scores
+    +inf; at ``m`` the error stands.
     """
     control = FitControl() if control is None else check_instance(control, FitControl, "fit_local")
     pmap, workspace = ParameterMap(m), _Workspace(data)
@@ -588,10 +648,14 @@ def fit_local(
         except (ImpossibleData, NumericalUnderflow):
             if not trace:
                 raise
-            return np.inf, np.zeros_like(theta)
+            return np.inf, np.zeros_like(theta), None
         if not trace:
             trace.append(stats.loglik)
-        return -stats.loglik, -_gradient(model, stats, pmap, design)
+        return (
+            -stats.loglik,
+            -_gradient(model, stats, pmap, design),
+            lambda: _inverse_hessian(model, stats, pmap, design),
+        )
 
     theta, grad, n_iter, failed = _lbfgs(
         objective,

@@ -240,7 +240,9 @@ class CovariateDesign:
     X: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
+        # a private row-major copy: the caller's array stays writeable, and
+        # every entry point fits the same bits whatever layout it passed
+        X = np.array(self.X, dtype=float, order="C")
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
         if X.ndim != 2 or X.shape[1] != len(names):

@@ -875,7 +875,8 @@ class TestSummaryAndSimulate:
             assert len(set(diagnostics)) == len(diagnostics)
 
         control = FitControl(em_rel_tol=1e-6, em_max_iter=500)
-        check(fit_model(start, data, design, control).diagnostics)
+        library = fit_model(start, data, design, control).diagnostics
+        check(library)
 
         channel = data.channels[0]
         labels = channel.alphabet.labels
@@ -888,11 +889,63 @@ class TestSummaryAndSimulate:
         args = ["fit", "--manifest", str(manifest), "--model", str(_model_file(tmp_path, start)),
                 "--em-rel-tol", "1e-6", "--em-max-iter", "500", "--out", str(out)]
         assert main(args) == 0
-        # the CLI's design matrix is column-major, so its fit need not match
-        # the one above bit for bit
+        # the design keeps one memory order, so the CLI fits the library's bits
         diagnostics = json.loads((out / "fit_result.json").read_text())["diagnostics"]
-        check(diagnostics)
+        assert diagnostics == library
         assert (out / "run.log").read_text().splitlines()[-len(diagnostics):] == diagnostics
+
+    @pytest.mark.parametrize("case", ["hmm", "column_stack", "asfortranarray"])
+    def test_fit_writes_what_fit_model_returns(self, tmp_path, case):
+        # the CLI picks the design's columns from the manifest's covariate
+        # table, a column-major copy; a library caller's layout may be either,
+        # and both must fit the same bits
+        alphabets = (Alphabet(("a", "b", "c")),)
+        n = 60
+        x = np.random.default_rng(8).normal(size=n)
+        design = CovariateDesign(("(Intercept)", "x"), np.column_stack([np.ones(n), x]))
+        if case == "hmm":
+            truth = build_hmm(alphabets, n_states=3, rng_seed=1)
+            data, _ = simulate_hmm_data(truth, n, 12, 1, missing_rate=0.1)
+            start = build_hmm(alphabets, n_states=3, rng_seed=2)
+        else:
+            clusters = [build_hmm(alphabets, n_states=2, rng_seed=s) for s in (1, 2)]
+            truth = build_mhmm(clusters, covariates=design, gamma=[[0.0, 0.5], [0.0, 1.5]])
+            data, _, _ = simulate_mhmm_data(truth, design, n, 12, 1)
+            start = build_mhmm(
+                [build_hmm(alphabets, n_states=2, rng_seed=s) for s in (3, 4)], covariates=design
+            )
+        channel = data.channels[0]
+        labels = channel.alphabet.labels
+        rows = [[labels[c] if c >= 0 else "*" for c in row] for row in channel.codes]
+        manifest = write_manifest(
+            tmp_path, [(channel.name, labels, rows)], covariate_rows=x[:, None],
+            covariate_names=["x"],
+        )
+        data, _ = markovseq.ingest_dataset(manifest)
+        flags = ["--em-rel-tol", "1e-8", "--em-max-iter", "200",
+                 "--local-step", "--local-max-iter", "5"]
+        out = tmp_path / "out"
+        argv = ["fit", "--manifest", str(manifest), "--model", str(_model_file(tmp_path, start))]
+        assert main([*argv, *flags, "--out", str(out)]) == 0
+
+        if case == "hmm":
+            design = None
+        else:
+            X = np.column_stack([np.ones(n), x])
+            X = np.asfortranarray(X) if case == "asfortranarray" else X
+            design = CovariateDesign(design.names, X)
+        control = FitControl(em_rel_tol=1e-8, em_max_iter=200, local_step=True, local_max_iter=5)
+        res = fit_model(start, data, design, control)
+        assert json.loads((out / "model_fitted.json").read_text()) == model_to_json(res.model)
+        written = json.loads((out / "fit_result.json").read_text())
+        for name in ("loglik", "restart_logliks", "em_iterations", "local_iterations",
+                     "converged_by", "diagnostics"):
+            assert written[name] == getattr(res, name), name
+        assert written["control"] == control.to_dict()
+        assert res.local_iterations > 0
+        if design is not None:
+            # the design keeps a private copy; the caller's array stays its own
+            assert X.flags.writeable and design.X is not X and design.X.flags.c_contiguous
 
     def test_threads_default_comes_from_environment(self, monkeypatch):
         from markovseq.cli import build_parser

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovseq import (
     Alphabet,
@@ -42,10 +44,18 @@ from markovseq.errors import (
     RankDeficientDesign,
 )
 from markovseq.inference import _clusters_and_inits, _scaled_pass, _Workspace
-from markovseq.model import _gamma_hessian
+from markovseq.model import _blocks, _gamma_hessian, mixture_weights
 from markovseq.seqdata import MISSING
 
-from helpers import make_alphabets, random_dataset, random_hmm, random_mixture, uneven_mixture
+from helpers import (
+    channel_sizes,
+    make_alphabets,
+    masked_hmms,
+    random_dataset,
+    random_hmm,
+    random_mixture,
+    uneven_mixture,
+)
 from oracles import central_difference_gradient, irls_multinomial
 
 
@@ -689,6 +699,130 @@ class TestFitLocal:
         )
         assert res.local_iterations >= 0
         assert res.loglik >= res.restart_logliks[0] - 1e-9
+
+
+def _dense_h0(model, data, design=None):
+    """The local step's initial inverse Hessian at ``model`` as a matrix,
+    with the E-step record it was built from."""
+    pmap = ParameterMap(model)
+    stats = expected_stats(model, data, design=design)
+    h0 = estimation._inverse_hessian(model, stats, pmap, design)
+    P = pmap.n_params
+    return np.array([h0(e) for e in np.eye(P)]).reshape(P, P), stats
+
+
+def _coordinate_numbers(model):
+    """Per ``_blocks`` block, each entry's ParameterMap coordinate, or -1."""
+    pmap, numbers, start = ParameterMap(model), [], 0
+    for coord in pmap.coords:
+        idx = np.full(coord.shape, -1)
+        idx[coord] = np.arange(start, start + coord.sum())
+        numbers.append(idx)
+        start += int(coord.sum())
+    return numbers
+
+
+def _assert_positive_definite(H):
+    assert np.isfinite(H).all()
+    assert (np.diag(H) > 0).all()
+    np.testing.assert_allclose(H, H.T, rtol=1e-12, atol=0)
+    np.linalg.cholesky(H)
+
+
+def _unvisited_state_case():
+    """Three states; state 3's initial entry and the transitions into it are
+    free but 0, so no subject visits it and its rows have no expected count.
+    State 1's first symbol, its emission row's anchor, is free but 0 too."""
+    # with_params keeps the mask of a model without zeros, so the zeros stay free
+    start = random_hmm(np.random.default_rng(31), 3, [3]).with_params(
+        initial=[0.6, 0.4, 0.0],
+        transition=[[0.8, 0.2, 0.0], [0.3, 0.7, 0.0], [0.3, 0.3, 0.4]],
+        emissions=[[[0.0, 0.5, 0.5], [0.6, 0.3, 0.1], [0.2, 0.3, 0.5]]],
+    )
+    data, _ = simulate_hmm_data(start, 40, 8, 2)
+    return start, data
+
+
+class TestInitialInverseHessian:
+    """H0, the complete-data information's inverse that preconditions
+    ``fit_local``, against dense inverses of each row's information."""
+
+    @pytest.mark.parametrize("case", ["hmm", "mixture"])
+    def test_equals_inverse_of_the_complete_data_information(self, case):
+        from scipy.linalg import block_diag
+
+        if case == "hmm":
+            (data, start), design = _left_to_right_case(), None
+        else:
+            data, design, start = _covariate_mixture_case()
+        H, stats = _dense_h0(start, data, design)
+        pmap, parts = ParameterMap(start), []
+        for b, counts, coord in zip(_blocks(start), stats.counts, pmap.coords):
+            for p, c, mask, cd in zip(b.values, counts, b.mask, coord):
+                if cd.any():
+                    n = c[~mask].sum()
+                    info = n * (np.diag(p[cd]) - np.outer(p[cd], p[cd]))
+                    parts.append(np.linalg.inv(info))
+        if design is not None:
+            w = mixture_weights(start.gamma, design.X)
+            parts.append(np.linalg.inv(-_gamma_hessian(design.X, w)))
+        np.testing.assert_allclose(H, block_diag(*parts), rtol=1e-9, atol=1e-12)
+        _assert_positive_definite(H)
+
+    def test_unvisited_state_and_clamped_entries_fall_back_to_the_identity(self):
+        start, data = _unvisited_state_case()
+        H, stats = _dense_h0(start, data)
+        _assert_positive_definite(H)
+        initial, transition, emission = _coordinate_numbers(start)
+        # state 3's own rows have no expected count
+        assert stats.counts[1][2].sum() == 0 and stats.counts[2][2].sum() == 0
+        # entries at the floor: the initial and transition entries into state
+        # 3, and state 1's first emission, which anchors its row
+        fallback = [initial[0, 2], *transition[:, 2], *transition[2], *emission[2], *emission[0]]
+        fallback = sorted(i for i in fallback if i >= 0)
+        np.testing.assert_array_equal(H[fallback], np.eye(len(H))[fallback])
+        kept = np.setdiff1d(np.arange(len(H)), fallback)
+        assert (H[kept] != np.eye(len(H))[kept]).any(axis=1).all()
+
+    def test_clamped_coordinate_alone_falls_back(self):
+        start = random_hmm(np.random.default_rng(32), 2, [4]).with_params(
+            initial=[0.5, 0.5],
+            transition=[[0.9, 0.1], [0.2, 0.8]],
+            emissions=[[[0.5, 0.3, 0.0, 0.2], [0.1, 0.2, 0.3, 0.4]]],
+        )
+        data, _ = simulate_hmm_data(start, 60, 10, 3)
+        H, stats = _dense_h0(start, data)
+        _assert_positive_definite(H)
+        emission = _coordinate_numbers(start)[2]
+        clamped, others = emission[0, 2], emission[0, [1, 3]]
+        np.testing.assert_array_equal(H[clamped], np.eye(len(H))[clamped])
+        # the row's other coordinates keep the closed form, anchored at 0.5
+        n = stats.counts[2][0].sum()
+        p = start.emissions[0][0, [1, 3]]
+        want = (np.diag(1 / p) + 1 / 0.5) / n
+        np.testing.assert_allclose(H[np.ix_(others, others)], want, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", ["unvisited", "masked"])
+    def test_fit_local_never_ends_below_its_start(self, case):
+        if case == "unvisited":
+            start, data = _unvisited_state_case()
+        else:
+            data, start = _left_to_right_case()
+        res = fit_local(start, data, control=FitControl(local_max_iter=10))
+        assert res.local_iterations > 0
+        assert (np.diff(res.loglik_trace) >= 0).all()
+        assert res.loglik >= expected_stats(start, data).loglik
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(channel_sizes.flatmap(masked_hmms), st.integers(0, 2**16), st.integers(1, 4))
+    def test_masked_models(self, model, seed, n_subjects):
+        # few subjects, so some rows have no expected count
+        data, _ = simulate_hmm_data(model, n_subjects, 5, seed, missing_rate=0.2)
+        H, _ = _dense_h0(model, data)
+        _assert_positive_definite(H)
+        res = fit_local(model, data, control=FitControl(local_max_iter=3))
+        assert (np.diff(res.loglik_trace) >= 0).all()
+        assert res.loglik == res.loglik_trace[-1] >= res.loglik_trace[0]
 
 
 def _scipy_local_step(m, data, design, control):
