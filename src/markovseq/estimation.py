@@ -534,27 +534,28 @@ _WOLFE_C2 = 0.9
 _MAX_TRIALS = 20
 
 
-def _lbfgs(fun, x, max_iter, grad_tol, callback):
+def _lbfgs(fun, x, f, g, h0, max_iter, grad_tol):
     """Minimize ``fun`` by L-BFGS from ``x``, preconditioned by the start.
 
-    ``fun(x)`` returns the value, the gradient and a function of no
-    arguments that builds the initial inverse Hessian H0 (a function
-    ``q -> H0 q``) from that point's own evaluation; only the start's is
-    built.  H0 stands where plain L-BFGS puts the scaling s'y / y'y, so the
-    first direction is -H0 g, and every first trial step is 1.  Iterates
-    until the gradient max-norm drops below ``grad_tol`` or for
-    ``max_iter`` accepted steps; ``callback(f)`` sees each accepted value.
+    ``fun(x)`` returns the value and the gradient; ``f`` and ``g`` are those
+    at ``x``, and ``h0`` (a function ``q -> H0 q``) is the initial inverse
+    Hessian, which stands where plain L-BFGS puts the scaling s'y / y'y, so
+    the first direction is -H0 g, and every first trial step is 1.
+    Iterates until the gradient max-norm drops below ``grad_tol``
+    (``"grad_tol"``) or for ``max_iter`` accepted steps (``"max_iter"``).
     Steps satisfy the weak Wolfe conditions.  A line search that fails with
     curvature pairs in memory is retried along -H0 g with the memory
-    cleared, as L-BFGS-B retries along -g.  Returns
-    ``(x, g, iterations, failed)``, where ``failed`` marks a line search
-    that found no acceptable step.
+    cleared, as L-BFGS-B retries along -g; one that fails without them
+    stops (``"line_search"``).  Returns ``(x, values, stop)``: the last
+    accepted point, the value at each accepted step and the reason.
     """
-    f, g, inverse_hessian = fun(x)
-    h0 = inverse_hessian()
     pairs = deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / s.y), oldest first
-    n_iter = 0
-    while np.max(np.abs(g), initial=0.0) >= grad_tol and n_iter < max_iter:
+    values = []
+    while True:
+        if np.max(np.abs(g), initial=0.0) < grad_tol:
+            return x, values, "grad_tol"
+        if len(values) >= max_iter:
+            return x, values, "max_iter"
         q = g.copy()
         alphas = []
         for s, y, rho in reversed(pairs):
@@ -572,15 +573,13 @@ def _lbfgs(fun, x, max_iter, grad_tol, callback):
             if pairs:
                 pairs.clear()
                 continue
-            return x, g, n_iter, True
+            return x, values, "line_search"
         step, f, g_new = found
         s, y = step * d, g_new - g
         if s @ y > 0:
             pairs.append((s, y, 1.0 / (s @ y)))
         x, g = x + s, g_new
-        n_iter += 1
-        callback(f)
-    return x, g, n_iter, False
+        values.append(f)
 
 
 def _wolfe_step(fun, x, f, slope, d, step):
@@ -594,7 +593,7 @@ def _wolfe_step(fun, x, f, slope, d, step):
     """
     lo, f_lo, slope_lo, hi = 0.0, f, slope, np.inf
     for _ in range(_MAX_TRIALS):
-        f_new, g_new, _ = fun(x + step * d)
+        f_new, g_new = fun(x + step * d)
         # written as a difference, a trial that leaves f unchanged fails
         if not f_new - f <= _WOLFE_C1 * step * slope:
             hi = step
@@ -624,57 +623,53 @@ def fit_local(
     ``"max_iter"``); a failed line search returns the last accepted iterate
     with a diagnostic (``"line_search"``).  Each iterate improves on the one
     before, so the final log-likelihood never falls below the starting one.
-    All gradient evaluations share one kernel workspace, built here.  The
-    first value and gradient are those of ``m`` itself, and without an
-    accepted step ``m`` is returned.  The E-step record of that first
-    evaluation also gives L-BFGS its initial inverse Hessian, the inverse
-    complete-data information at ``m`` (``_inverse_hessian``), so every
-    evaluation is still one E-step and the first trial step is 1.  A trial
-    point whose E-step raises ImpossibleData or NumericalUnderflow scores
-    +inf; at ``m`` the error stands.
+    All E-steps share one kernel workspace, built here.  The start is ``m``
+    itself, evaluated here, so an ImpossibleData or NumericalUnderflow
+    there stands; its E-step record also gives L-BFGS its initial inverse
+    Hessian, the inverse complete-data information at ``m``
+    (``_inverse_hessian``), so the first trial step is 1.  Without an
+    accepted step ``m`` is returned.  Every later evaluation is one E-step,
+    and a trial point whose E-step raises either error scores +inf.
     """
     control = FitControl() if control is None else check_instance(control, FitControl, "fit_local")
     pmap, workspace = ParameterMap(m), _Workspace(data)
     design = _mixture_design(m, data.n_subjects, design)
-    trace: list[float] = []
 
-    def objective(theta):
-        # m itself first: its round trip through the coordinates can move the last bits
-        model = pmap.unpack(theta) if trace else m
-        try:
-            stats = expected_stats(
-                model, data, threads=control.threads, design=design, workspace=workspace
-            )
-        except (ImpossibleData, NumericalUnderflow):
-            if not trace:
-                raise
-            return np.inf, np.zeros_like(theta), None
-        if not trace:
-            trace.append(stats.loglik)
-        return (
-            -stats.loglik,
-            -_gradient(model, stats, pmap, design),
-            lambda: _inverse_hessian(model, stats, pmap, design),
+    def e_step(model):
+        return expected_stats(
+            model, data, threads=control.threads, design=design, workspace=workspace
         )
 
-    theta, grad, n_iter, failed = _lbfgs(
+    def objective(theta):
+        model = pmap.unpack(theta)
+        try:
+            stats = e_step(model)
+        except (ImpossibleData, NumericalUnderflow):
+            return np.inf, np.zeros_like(theta)
+        return -stats.loglik, -_gradient(model, stats, pmap, design)
+
+    # m itself, not its round trip through the coordinates, which can move the last bits
+    stats = e_step(m)
+    theta, values, stop = _lbfgs(
         objective,
         pmap.pack(m),
+        -stats.loglik,
+        -_gradient(m, stats, pmap, design),
+        _inverse_hessian(m, stats, pmap, design),
         control.local_max_iter,
         control.local_grad_tol,
-        lambda f: trace.append(-f),
     )
-    converged = float(np.max(np.abs(grad), initial=0.0)) < control.local_grad_tol
+    trace = [stats.loglik] + [-f for f in values]
     diagnostics = []
-    if failed:
+    if stop == "line_search":
         diagnostics.append("line_search_failure: returning best point found")
     return FitResult(
-        model=pmap.unpack(theta) if n_iter else m,
+        model=pmap.unpack(theta) if values else m,
         loglik=trace[-1],
         restart_logliks=[],
         em_iterations=0,
-        local_iterations=n_iter,
-        converged_by="grad_tol" if converged else "line_search" if failed else "max_iter",
+        local_iterations=len(values),
+        converged_by=stop,
         loglik_trace=trace,
         diagnostics=diagnostics,
     )

@@ -442,29 +442,36 @@ def _code_csv_bytes(path: Path, alpha: Alphabet):
 
 
 def _load_covariates(path: Path, subject_ids: Sequence[str]) -> CovariateDesign:
+    """The design of the covariate CSV ``path`` for ``subject_ids``; a cell
+    that is not a finite number raises MissingCovariate naming the file, the
+    subject and the column."""
     header, data = _read_table(path, "covariate CSV", MissingCovariate)
+    name = f"covariate CSV {str(path)!r}"
     names = (INTERCEPT_NAME, *header[1:])
     if len(set(names)) != len(names):
         raise DuplicateLabel(
-            f"{path}: covariate columns must be distinct and not {INTERCEPT_NAME!r}: "
+            f"{name}: covariate columns must be distinct and not {INTERCEPT_NAME!r}: "
             f"{list(header[1:])}"
         )
     by_id = {}
     for row in data:
         if row[0] in by_id:
-            raise ShapeMismatch(f"{path}: covariate rows for subject {row[0]!r} repeat")
+            raise ShapeMismatch(f"{name}: covariate rows for subject {row[0]!r} repeat")
         by_id[row[0]] = row[1:]
     X = np.ones((len(subject_ids), len(header)))
     for i, sid in enumerate(subject_ids):
         if sid not in by_id:
-            raise MissingCovariate(f"{path}: no covariate row for subject {sid!r}")
-        for q, cell in enumerate(by_id[sid]):
+            raise MissingCovariate(f"{name}: no covariate row for subject {sid!r}")
+        for q, cell in enumerate(by_id[sid], 1):
             try:
-                X[i, q + 1] = float(cell)
+                X[i, q] = float(cell)
             except ValueError:
+                X[i, q] = np.nan
+            if not np.isfinite(X[i, q]):  # float() also reads 'nan' and 'inf'
                 raise MissingCovariate(
-                    f"{path}: non-numeric covariate {cell!r} for subject {sid!r}"
-                ) from None
+                    f"{name}: covariate {header[q]!r} of subject {sid!r} is {cell!r},"
+                    " not a finite number"
+                )
     return CovariateDesign(names, X)
 
 

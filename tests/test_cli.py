@@ -19,6 +19,8 @@ from markovseq import (
     build_hmm,
     build_mhmm,
     fit_model,
+    ingest_dataset,
+    log_likelihood,
     model_to_json,
     simulate_hmm_data,
     simulate_mhmm_data,
@@ -847,9 +849,12 @@ class TestSummaryAndSimulate:
         fitted = json.loads((out / "model_fitted.json").read_text())
         assert fitted["type"] == "mhmm"
         assert fitted["covariate_names"] == ["(Intercept)", "age"]
-        # covariate coefficients moved away from zero during fitting
+        # the age coefficient moved away from its zero start during fitting
         gamma = np.array(fitted["gamma"], dtype=float)
-        assert gamma.shape == (2, 2)
+        assert gamma.shape == (2, 2) and gamma[1, 1] != 0.0
+        data, design = ingest_dataset(manifest)
+        result = json.loads((out / "fit_result.json").read_text())
+        assert result["loglik"] >= log_likelihood(mix, data, design)
 
     def test_fit_reports_gamma_step_notes(self, tmp_path):
         # x = -1 / +1 separates the clusters, so the gamma Newton step meets

@@ -673,7 +673,9 @@ class TestFitLocal:
         monkeypatch.setattr(estimation, "_lbfgs", counted_lbfgs)
         res = fit_local(start, data, design, FitControl(local_max_iter=5))
         assert res.local_iterations > 0
-        assert len(e_steps) == len(evaluations) > res.local_iterations
+        # the start is evaluated by fit_local itself, every later point by the objective
+        assert len(e_steps) == len(evaluations) + 1
+        assert len(evaluations) >= res.local_iterations
         e_steps.clear()
         loglik_gradient(start, data, design)
         assert len(e_steps) == 1
@@ -801,6 +803,31 @@ class TestInitialInverseHessian:
         p = start.emissions[0][0, [1, 3]]
         want = (np.diag(1 / p) + 1 / 0.5) / n
         np.testing.assert_allclose(H[np.ix_(others, others)], want, rtol=1e-12)
+
+    def test_singular_gamma_information_falls_back_to_the_identity(self):
+        # prior weights exactly 0, 1 and 0 for every subject: the logit
+        # information is zero, so its Cholesky factorization fails
+        data, design, start = _covariate_mixture_case()
+        saturated = dataclasses.replace(start, gamma=[[0.0, 800.0, 0.0], [0.0, 0.0, 0.0]])
+        w = mixture_weights(saturated.gamma, design.X)
+        assert set(np.unique(w)) == {0.0, 1.0}
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(-_gamma_hessian(design.X, w))
+        pmap = ParameterMap(saturated)
+        stats = expected_stats(saturated, data, design=design)
+
+        def dense(model):
+            h0 = estimation._inverse_hessian(model, stats, pmap, design)
+            return np.array([h0(e) for e in np.eye(pmap.n_params)])
+
+        H, split = dense(saturated), pmap.n_params - 4  # gamma's Q x (K - 1) = 2 x 2 coordinates
+        np.testing.assert_array_equal(H[split:, split:], np.eye(4))
+        np.testing.assert_array_equal(H[:split, split:], 0.0)
+        # the probability rows' blocks are those of a model that differs only
+        # in gamma, whose logit information is positive definite
+        H_start = dense(start)
+        assert not np.array_equal(H_start[split:, split:], np.eye(4))
+        np.testing.assert_array_equal(H[:split, :split], H_start[:split, :split])
 
     @pytest.mark.parametrize("case", ["unvisited", "masked"])
     def test_fit_local_never_ends_below_its_start(self, case):
