@@ -167,5 +167,6 @@ def check_instance(value, kind, caller: str):
     names ``caller``, which takes it."""
     if not isinstance(value, kind):
         kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-        raise InvalidParameter(f"{caller} takes a {kinds}, got {type(value).__name__}")
+        article = "an" if kinds[0] in "AEIOU" else "a"
+        raise InvalidParameter(f"{caller} takes {article} {kinds}, got {type(value).__name__}")
     return value

@@ -741,7 +741,7 @@ def gamma_m_step(
     returns large, finite coefficients with ``converged=True``: their size
     reflects the stopping rule, not the data.
     """
-    X = design.X
+    X = check_instance(design, CovariateDesign, "gamma_m_step").X
     weights = np.asarray(weights, dtype=float)
     gamma = np.array(gamma_init, dtype=float)
     if weights.ndim != 2 or weights.shape[0] != X.shape[0]:

@@ -202,8 +202,7 @@ def _clusters_and_inits(m, data, design=None, subject_initials=None):
     if subject_initials is not None:
         raise AlphabetMismatch("a mixture takes no subject_initials, only a design")
     w = mixture_weights(m.gamma, _mixture_design(m, N, design).X)
-    for sub in m.clusters:
-        _check_compatible(sub, data)
+    _check_compatible(m.clusters[0], data)  # MixtureModel makes the clusters share alphabets
     return m.clusters, _subject_initials(m, w)
 
 
@@ -412,9 +411,9 @@ def _scaled_pass(hmms, data, inits, threads, want, workspace):
     raises.  A pair at -inf is impossible where its supports say so
     (``_possible``, which agrees with ``_log_pass``; ``"stats"`` raises for a
     subject impossible in every cluster); otherwise it underflowed, and its
-    subject is scored again by ``_log_pass``.  For a subject with an
-    underflowed pair ``"loglik"`` returns the log pass's (loglik, rho), and
-    the others raise NumericalUnderflow if that pair's rho is not 0.
+    subject is scored again by ``_log_pass``'s ``"loglik"`` answer.  For a
+    subject with an underflowed pair ``"loglik"`` returns that (loglik, rho),
+    and the others raise NumericalUnderflow if that pair's rho is not 0.
     ``want`` selects
     ``"loglik"``: (loglik (N,), rho (N, K)) from the forward pass only;
     ``"full"``: (alpha, beta, scaling, loglik), alpha and beta (N, T, sum
@@ -485,11 +484,11 @@ def _scaled_pass(hmms, data, inits, threads, want, workspace):
     if lost.size:
         channels = [Channel(ch.name, ch.alphabet, ch.codes[lost]) for ch in data.channels]
         lost_ws = _Workspace(SequenceDataset(channels, [data.subject_ids[i] for i in lost]))
-        ll = _log_pass(hmms, lost_ws.data, [p[lost] for p in inits], threads, "pairs", lost_ws)
-        total, r = _loglik_and_rho(ll)
-        dropped = (np.isneginf(pairs[:, lost]) & (r > 0)).any(axis=0)
+        lost_inits = [p[lost] for p in inits]
+        total, rho_lost = _log_pass(hmms, lost_ws.data, lost_inits, threads, "loglik", lost_ws)
+        dropped = (np.isneginf(pairs[:, lost]) & (rho_lost.T > 0)).any(axis=0)
         if want == "loglik":
-            loglik[lost], rho[lost] = total, r.T
+            loglik[lost], rho[lost] = total, rho_lost
         elif dropped.any():
             sid = data.subject_ids[lost[np.argmax(dropped)]]
             raise NumericalUnderflow(f"scaled forward pass underflows for subject {sid!r}")
@@ -518,8 +517,9 @@ def _log_pass(hmms, data, inits, threads, want, workspace):
     shapes, ``"loglik"``: (loglik_i = logsumexp_k l_ik, rho); ``"full"``:
     (alpha, beta, None, loglik), log alpha and log beta (N, T, sum S_k) side
     by side, -inf for a subject at -inf; ``"paths"``: (paths, l_ik), per
-    cluster the best paths (K, N, T); ``"pairs"``: l_ik.  A NaN l_ik raises
-    (``_require_possible``).  ``workspace`` as in ``_scaled_pass``."""
+    cluster the best paths (K, N, T).  A NaN l_ik raises
+    (``_require_possible``).  ``workspace`` as in ``_scaled_pass``, whose
+    underflow rescue reads the ``"loglik"`` answer for the lost subjects."""
     N, T = data.n_subjects, data.n_time
     _, A, init, products = _pack(hmms, inits, N)
     K, S = A.shape[:2]
@@ -582,8 +582,6 @@ def _log_pass(hmms, data, inits, threads, want, workspace):
     if paths is not None:
         return paths, ll
     _require_possible(ll, data, divides=False)
-    if want == "pairs":
-        return ll
     loglik, rho = _loglik_and_rho(ll)
     if want == "loglik":
         return loglik, rho.T

@@ -323,13 +323,19 @@ def _with_blocks(m: Model, values, masks=None, gamma=None) -> Model:
 
 
 def _data_meta(data_meta) -> tuple[tuple[Alphabet, ...], tuple[str, ...]]:
+    """The alphabets and channel names a builder reads from ``data_meta``: a
+    dataset's, one alphabet's, or a list or tuple of alphabets'; anything
+    else raises InvalidParameter."""
     if isinstance(data_meta, SequenceDataset):
         return data_meta.alphabets, data_meta.channel_names
     if isinstance(data_meta, Alphabet):
         return (data_meta,), ("Channel 1",)
-    alphabets = tuple(data_meta)
-    names = tuple(f"Channel {c + 1}" for c in range(len(alphabets)))
-    return alphabets, names
+    if isinstance(data_meta, (list, tuple)) and all(isinstance(a, Alphabet) for a in data_meta):
+        return tuple(data_meta), tuple(f"Channel {c + 1}" for c in range(len(data_meta)))
+    raise InvalidParameter(
+        "data_meta must be a SequenceDataset, an Alphabet or a list or tuple of Alphabets, "
+        f"got {data_meta!r:.40}"
+    )
 
 
 def build_hmm(
@@ -351,8 +357,10 @@ def build_hmm(
 
     Parameters
     ----------
-    data_meta : SequenceDataset or sequence of Alphabet
-        Channel alphabets (and names, when a dataset is given).
+    data_meta : SequenceDataset, Alphabet, or list or tuple of Alphabet
+        Channel alphabets (and names, when a dataset is given); a bare
+        Alphabet is one channel, named "Channel 1".  Anything else raises
+        InvalidParameter.
     emissions : matrix or list of matrices
         One S x M_c row-stochastic matrix per channel; a bare matrix is
         accepted for single-channel models.
@@ -456,7 +464,9 @@ def build_mhmm(
     K = len(built)
     if cluster_names is None:
         cluster_names = tuple(f"Cluster {k + 1}" for k in range(K))
-    design_names = covariates.names if covariates is not None else ("(Intercept)",)
+    design_names = ("(Intercept)",)
+    if covariates is not None:
+        design_names = check_instance(covariates, CovariateDesign, "build_mhmm").names
     if gamma is None:
         gamma = np.zeros((len(design_names), K))
     return MixtureModel(
@@ -557,6 +567,7 @@ def _mixture_design(
                 f"mixture with covariates {m.design_names[1:]} needs a design matrix"
             )
         return CovariateDesign.intercept(n_subjects)
+    check_instance(design, CovariateDesign, "the design argument")
     if design.n_subjects != n_subjects:
         raise ShapeMismatch(f"{design.n_subjects} design rows for {n_subjects} subjects")
     if design.names != m.design_names:
@@ -574,6 +585,7 @@ def _prior_weights(m: Model, design: Optional[CovariateDesign], caller: str) -> 
     check_instance(m, MixtureModel, caller)
     if design is None:
         raise DegenerateData(f"{caller} needs a covariate design, one row per subject")
+    check_instance(design, CovariateDesign, caller)
     return mixture_weights(m.gamma, _mixture_design(m, design.n_subjects, design).X)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +58,7 @@ class Alphabet:
     missing_token: str = "*"
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+        labels = tuple(str(x) for x in check_instance(self.labels, Iterable, "Alphabet.labels"))
         object.__setattr__(self, "labels", labels)
         check_text(self.missing_token, "missing_token")
         if len(labels) == 0:
@@ -123,7 +124,7 @@ def _code_rows(alpha: Alphabet, rows: Sequence[Sequence[str]], name: str) -> np.
 
 def define_alphabet(labels: Sequence[str], missing_token: str = "*") -> Alphabet:
     """Build an alphabet assigning codes 0..M-1 in the given label order."""
-    return Alphabet(tuple(labels), missing_token)
+    return Alphabet(tuple(check_instance(labels, Iterable, "define_alphabet")), missing_token)
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,7 @@ class Channel:
     codes: np.ndarray
 
     def __post_init__(self):
+        check_instance(self.alphabet, Alphabet, "Channel.alphabet")
         codes = np.asarray(self.codes, dtype=np.int64)
         if codes.ndim != 2:
             raise ShapeMismatch(f"channel {self.name!r}: codes must be 2-d")
@@ -160,8 +162,11 @@ class SequenceDataset:
     subject_ids: tuple[str, ...]
 
     def __post_init__(self):
-        channels = tuple(self.channels)
-        ids = tuple(str(s) for s in self.subject_ids)
+        channels = tuple(check_instance(self.channels, Iterable, "SequenceDataset.channels"))
+        for ch in channels:
+            check_instance(ch, Channel, "SequenceDataset.channels")
+        ids = check_instance(self.subject_ids, Iterable, "SequenceDataset.subject_ids")
+        ids = tuple(str(s) for s in ids)
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "subject_ids", ids)
         if not channels:

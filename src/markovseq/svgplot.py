@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, InvalidParameter, check_instance
+from .errors import EmptyDataset, InvalidParameter, check_count, check_instance
 from .seqdata import MISSING, SequenceDataset
 
 #: Fixed qualitative palette (12 colors), cycled when a channel has more states.
@@ -60,9 +60,10 @@ def _channel_palette(palette, c: int, n_states: int) -> list[str]:
     if palette is None:
         base = DEFAULT_PALETTE
     elif palette and isinstance(palette[0], (list, tuple)):
-        base = palette[c % len(palette)]
+        base = check_instance(palette[c % len(palette)], (list, tuple), f"channel {c}'s palette")
     else:
         base = palette
+    check_count(len(base), "the number of palette colors", 1)
     return [base[m % len(base)] for m in range(n_states)]
 
 
@@ -72,11 +73,14 @@ def render_state_distribution_svg(
     """Render per-time-point state distributions for every channel.
 
     ``palette`` may be a flat color list shared by all channels or one
-    list per channel; channels with any missing cells get an extra hatched
-    legend entry.  A channel name, label or color holding a character that
-    XML 1.0 cannot hold raises InvalidParameter.
+    list per channel, each a non-empty list or tuple (else InvalidParameter);
+    channels with any missing cells get an extra hatched legend entry.  A
+    channel name, label or color holding a character that XML 1.0 cannot
+    hold raises InvalidParameter.
     """
     check_instance(data, SequenceDataset, "render_state_distribution_svg")
+    if palette is not None:
+        check_instance(palette, (list, tuple), "render_state_distribution_svg's palette")
     if data.n_subjects == 0 or data.n_time == 0:
         raise EmptyDataset("nothing to plot")
     N, T, C = data.n_subjects, data.n_time, data.n_channels

@@ -8,8 +8,8 @@ public callable and argument, a valid value and a call that puts a value in
 that argument and valid ones elsewhere.  Every bad value must raise
 InvalidParameter (DimensionMismatch for a shape), and every valid one must
 pass.  ``test_every_named_argument_has_a_row`` walks ``markovseq.__all__``,
-so a new entry point with such an argument, a model or a dataset among
-them, cannot skip its check.
+so a new entry point with such an argument, a model, a dataset or a covariate
+design among them, cannot skip its check.
 """
 
 import inspect
@@ -59,6 +59,7 @@ KIND_VALUES = {
     "control": [HMM, "x", 1.5, True, False],
     "dataset": [HMM, "x", None],
     "spec": ["x", None, SPEC],
+    "design": [np.ones((4, 2)), "x", DATA],
 }
 KINDS = {
     **dict.fromkeys(
@@ -80,6 +81,7 @@ KINDS = {
     "mix": "mixture",
     **dict.fromkeys(["m", "model"], "model"),
     "data": "dataset",
+    "design": "design",
     "control": "control",
     "spec": "spec",
 }
@@ -189,6 +191,23 @@ ROWS = {
         ("mixture_summary", lambda v: mq.mixture_summary(MIX, v, DESIGN)),
         ("posterior_state_probs", lambda v: mq.posterior_state_probs(HMM, v)),
         ("viterbi_paths", lambda v: mq.viterbi_paths(HMM, v)),
+    ]},
+    **{(name, "design"): (DESIGN, f) for name, f in [
+        ("cluster_posterior_probs", lambda v: mq.cluster_posterior_probs(MIX, DATA, v)),
+        ("cluster_prior_probs", lambda v: mq.cluster_prior_probs(MIX, v)),
+        ("combine_clusters", lambda v: mq.combine_clusters(MIX, v)),
+        ("covariate_standard_errors", lambda v: mq.covariate_standard_errors(MIX, DATA, v)),
+        ("fit_em", lambda v: mq.fit_em(MIX, DATA, v, control=_ONE_STEP)),
+        ("fit_local", lambda v: mq.fit_local(MIX, DATA, v, control=_ONE_STEP)),
+        ("fit_model", lambda v: mq.fit_model(MIX, DATA, v, control=_ONE_STEP)),
+        ("gamma_m_step", lambda v: _gamma(design=v)),
+        ("information_criteria", lambda v: mq.information_criteria(MIX, DATA, v)),
+        ("log_likelihood", lambda v: mq.log_likelihood(MIX, DATA, v)),
+        ("loglik_gradient", lambda v: mq.loglik_gradient(MIX, DATA, v)),
+        ("mixture_summary", lambda v: mq.mixture_summary(MIX, DATA, v)),
+        ("posterior_state_probs", lambda v: mq.posterior_state_probs(MIX, DATA, v)),
+        ("simulate_mhmm_data", lambda v: _sim_mix(design=v)),
+        ("viterbi_paths", lambda v: mq.viterbi_paths(MIX, DATA, design=v)),
     ]},
     ("gamma_m_step", "max_iter"): (0, lambda v: _gamma(max_iter=v)),
     ("gamma_m_step", "grad_tol"): (0.0, lambda v: _gamma(grad_tol=v)),

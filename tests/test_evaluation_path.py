@@ -153,7 +153,7 @@ def test_scratch_array_asked_for_another_dtype_is_made_anew():
 )
 def test_a_want_the_kernel_does_not_answer_raises(mode, unanswered):
     # the scaled kernel answers loglik, full and stats, the log kernel loglik,
-    # full and paths; "pairs" is the rescue's direct call to the log kernel
+    # full and paths; neither answers "pairs"
     m, data, _ = _models()[0]
     for want in unanswered:
         with pytest.raises(ValueError, match=f"{mode} mode answers .*, not {want!r}"):

@@ -458,6 +458,19 @@ class TestMixtureSummary:
         assert report.diagnostics == want
         assert report.to_dict()["diagnostics"] == want
 
+    def test_an_information_matrix_not_positive_definite_gives_nan_errors(self, monkeypatch):
+        # near-collinear design columns reach this branch only as LAPACK
+        # happens to round, so the inverse is given a negative diagonal
+        monkeypatch.setattr(np.linalg, "inv", lambda a: -np.eye(len(a)))
+        rng = np.random.default_rng(152)
+        mix, design = random_mixture(rng, 2, 2, [2], n_subjects=8, n_covariates=2)
+        data = random_dataset(rng, mix.clusters[0], 8, 5)
+        report = mixture_summary(mix, data, design)
+        assert (report.gamma_se[:, 0] == 0.0).all()
+        assert np.isnan(report.gamma_se[:, 1:]).all()
+        want = "gamma_se: NonInvertibleHessian: information matrix is not positive definite"
+        assert report.diagnostics == [want]
+
     def test_other_standard_error_failures_propagate(self, monkeypatch):
         with pytest.raises(RuntimeError, match="boom"):
             self._raise_from_standard_errors(monkeypatch, RuntimeError("boom"))

@@ -33,7 +33,8 @@ def _support_and_log_pairs(m, data, design=None):
     workspace = _Workspace(data)
     subjects = np.arange(data.n_subjects)
     possible = _possible(hmms, A, init, workspace, subjects)
-    return possible, _log_pass(hmms, data, inits, 1, "pairs", workspace)
+    # a best path's log-probability is -inf exactly where the forward sum is
+    return possible, _log_pass(hmms, data, inits, 1, "paths", workspace)[1]
 
 
 @SETTINGS

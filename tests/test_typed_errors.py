@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+import markovseq as mq
 from markovseq import (
     Alphabet,
     Channel,
@@ -21,7 +22,13 @@ from markovseq import (
     model_to_json,
 )
 from markovseq.cli import main
-from markovseq.errors import DimensionMismatch, DuplicateLabel, MissingCovariate, ShapeMismatch
+from markovseq.errors import (
+    DimensionMismatch,
+    DuplicateLabel,
+    InvalidParameter,
+    MissingCovariate,
+    ShapeMismatch,
+)
 from markovseq.seqdata import _code_csv_bytes
 
 from helpers import write_manifest
@@ -70,7 +77,17 @@ def _with_initial_mask(mask):
     return doc
 
 
+def _with_bad_design(call):
+    """``call(mixture, data, design)`` on a two-subject intercept mixture
+    with an array where its covariate design belongs."""
+    data = SequenceDataset((_channel(),), ("s1", "s2"))
+    return lambda _: call(build_mhmm([_coin(), _coin()]), data, np.ones((2, 1)))
+
+
 COVARIATE_CSV = "covariate CSV '{dir}/covariates.csv'"
+NOT_A_DESIGN = "the design argument takes a CovariateDesign, got ndarray"
+DATA_META = ("data_meta must be a SequenceDataset, an Alphabet or a list or tuple of Alphabets, "
+             "got ")
 
 CASES = [
     # seqdata
@@ -91,6 +108,18 @@ CASES = [
      ShapeMismatch, "channel 'home' has shape (2, 3), expected (2, 2)"),
     ("dataset id count", lambda _: SequenceDataset((_channel(),), ("s1", "s2", "s3")),
      ShapeMismatch, "3 subject ids for 2 rows of observations"),
+    ("alphabet labels None", lambda _: Alphabet(None), InvalidParameter,
+     "Alphabet.labels takes an Iterable, got NoneType"),
+    ("define_alphabet of a number", lambda _: mq.define_alphabet(5), InvalidParameter,
+     "define_alphabet takes an Iterable, got int"),
+    ("channel alphabet a string", lambda _: Channel("c", "abc", np.zeros((2, 2), int)),
+     InvalidParameter, "Channel.alphabet takes an Alphabet, got str"),
+    ("dataset ids a number", lambda _: SequenceDataset((_channel(),), 5), InvalidParameter,
+     "SequenceDataset.subject_ids takes an Iterable, got int"),
+    ("dataset channels a number", lambda _: SequenceDataset(5, ("s1", "s2")), InvalidParameter,
+     "SequenceDataset.channels takes an Iterable, got int"),
+    ("dataset channel not a channel", lambda _: SequenceDataset((AB,), ("s1", "s2")),
+     InvalidParameter, "SequenceDataset.channels takes a Channel, got Alphabet"),
     ("design names and columns", lambda _: CovariateDesign(("(Intercept)",), np.ones((2, 2))),
      ShapeMismatch, "design matrix columns must match names"),
     ("design without intercept",
@@ -125,6 +154,42 @@ CASES = [
     ("raw triples without alphabets",
      lambda _: build_mhmm([([1.0], [[1.0]], [[0.5, 0.5]])]),
      DimensionMismatch, "raw cluster triples require alphabets"),
+    ("build_hmm on a list of numbers", lambda _: build_hmm([1, 2], n_states=2),
+     InvalidParameter, DATA_META + "[1, 2]"),
+    ("build_hmm on a string", lambda _: build_hmm("ab", n_states=2), InvalidParameter,
+     DATA_META + "'ab'"),
+    ("build_hmm on None", lambda _: build_hmm(None, n_states=2), InvalidParameter,
+     DATA_META + "None"),
+    ("restricted mixture on a number", lambda _: mq.build_restricted_mixture("lcm", 5, 2),
+     InvalidParameter, DATA_META + "5"),
+    ("build_mhmm covariates an array",
+     lambda _: build_mhmm([_coin(), _coin()], np.ones((2, 1))), InvalidParameter,
+     "build_mhmm takes a CovariateDesign, got ndarray"),
+    # a covariate design that is not a CovariateDesign (test_arguments.py
+    # puts one in every function that takes a design)
+    *[(f"{name} design an array", _with_bad_design(call), InvalidParameter, message)
+      for name, call, message in [
+          ("log_likelihood", mq.log_likelihood, NOT_A_DESIGN),
+          ("covariate_standard_errors", mq.covariate_standard_errors, NOT_A_DESIGN),
+          ("mixture_summary", mq.mixture_summary, NOT_A_DESIGN),
+          ("simulate_mhmm_data", lambda m, d, x: mq.simulate_mhmm_data(m, x, 2, 2, 0),
+           NOT_A_DESIGN),
+          ("cluster_prior_probs", lambda m, d, x: mq.cluster_prior_probs(m, x),
+           "cluster_prior_probs takes a CovariateDesign, got ndarray"),
+          ("gamma_m_step", lambda m, d, x: mq.gamma_m_step(x, np.full((2, 2), 0.5), m.gamma),
+           "gamma_m_step takes a CovariateDesign, got ndarray"),
+      ]],
+    # plot
+    ("palette empty",
+     lambda _: mq.render_state_distribution_svg(SequenceDataset((_channel(),), ("s1", "s2")), []),
+     InvalidParameter, "the number of palette colors must be >= 1, got 0"),
+    ("palette a number",
+     lambda _: mq.render_state_distribution_svg(SequenceDataset((_channel(),), ("s1", "s2")), 5),
+     InvalidParameter, "render_state_distribution_svg's palette takes a list or tuple, got int"),
+    ("channel palette a number",
+     lambda _: mq.render_state_distribution_svg(
+         SequenceDataset((_channel(), _channel("home")), ("s1", "s2")), [["#111"], 5]),
+     InvalidParameter, "channel 1's palette takes a list or tuple, got int"),
 ]
 
 
